@@ -248,7 +248,9 @@ func BenchmarkGenerateCorpus(b *testing.B) {
 // the likelihood search used before the workspace kernel existed; the steady
 // sub-benchmark runs a long non-seasonal model with the steady-state switch
 // enabled, reporting the step at which the covariance recursion converged
-// and the precomputed-gain fast path took over.
+// and the precomputed-gain fast path took over; the nonseasonal sub-benchmark
+// is one evaluation of the 43-month level plus slope-shift model (two
+// states, T = I), which runs on the small-state path.
 func BenchmarkKalmanLogLik(b *testing.B) {
 	y := syntheticBreakSeries(43, 20)
 	fit, err := ssm.FitConfig(y, ssm.Config{Seasonal: true, ChangePoint: 20})
@@ -302,6 +304,24 @@ func BenchmarkKalmanLogLik(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(len(sscaled)-res.SteadySteps), "entry_step")
+	})
+	b.Run("nonseasonal", func(b *testing.B) {
+		nfit, err := ssm.FitConfig(y, ssm.Config{Seasonal: false, ChangePoint: 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		nm, nscaled := nfit.Model, nfit.Scaled
+		ws := kalman.NewWorkspace()
+		if _, err := nm.LogLikFilter(nscaled, ws); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := nm.LogLikFilter(nscaled, ws); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }
 

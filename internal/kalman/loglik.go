@@ -25,6 +25,15 @@ import (
 // a discrete algebraic Riccati equation, after which the gain and innovation
 // variance are constants and each step needs only the innovation and the
 // state update — see DESIGN.md ("Steady-state fast path") for the recursion.
+//
+// Non-seasonal structural models (at most two states, T = I) skip the sparse
+// machinery altogether: with no options set and no missing observations,
+// LogLikFilterOpts hands them to logLikSmall (small.go), which repeats the
+// generic recursion term for term on fixed-size arrays and so matches it bit
+// for bit — see DESIGN.md ("Small-state Kalman path").
+//
+// Every path also returns Σ log F and Σ V²/F over the contributing
+// observations, so the concentrated likelihood needs no second pass.
 
 // LogLikResult is the lightweight output of LogLikFilter. V, F, and
 // Contributed alias Workspace buffers: they are valid until the next
@@ -40,6 +49,10 @@ type LogLikResult struct {
 	F []float64
 	// Contributed[t] is true when observation t entered the log-likelihood.
 	Contributed []bool
+	// SumLogF and SumV2F are Σ log F_t and Σ V_t²/F_t over the contributing
+	// observations, accumulated in ascending time order: the two sums the
+	// concentrated (profile) likelihood is built from.
+	SumLogF, SumV2F float64
 	// SteadyEntry is the first step handled by the steady-state fast path,
 	// −1 when the fast path never engaged (or was not requested).
 	SteadyEntry int
@@ -356,6 +369,10 @@ func (m *Model) LogLikFilter(y []float64, ws *Workspace) (LogLikResult, error) {
 // LogLikFilterOpts is LogLikFilter with options: an opt-in steady-state fast
 // path (SteadyTol) and a per-step state callback (OnStep). With the zero
 // options it is exactly LogLikFilter.
+//
+// Models with at most two states and T = I — every non-seasonal structural
+// fit — run on fixed-size scalars (logLikSmall) when no option is set and y
+// has no missing values; the result is bitwise the generic recursion's.
 func (m *Model) LogLikFilterOpts(y []float64, ws *Workspace, opts LogLikOptions) (LogLikResult, error) {
 	if ws == nil {
 		ws = NewWorkspace()
@@ -363,15 +380,43 @@ func (m *Model) LogLikFilterOpts(y []float64, ws *Workspace, opts LogLikOptions)
 	if err := m.Validate(); err != nil {
 		return LogLikResult{}, err
 	}
-	n := m.Dim()
-	steps := len(y)
-	ws.prepare(n, m.Q.Cols(), steps)
-	ws.loadT(m.T)
+	if m.Dim() <= 2 && opts.SteadyTol <= 0 && opts.OnStep == nil && isIdentity(m.T) && !hasNaN(y) {
+		return m.logLikSmall(y, ws)
+	}
+	return m.logLikGeneric(y, ws, opts)
+}
 
-	// RQRᵀ is constant across steps: precompute into reused buffers with the
-	// same linalg operations Filter uses.
+// prepareRun sizes ws for m over steps observations and precomputes the
+// constant RQRᵀ into reused buffers with the same linalg operations Filter
+// uses.
+func (ws *Workspace) prepareRun(m *Model, steps int) {
+	ws.prepare(m.Dim(), m.Q.Cols(), steps)
 	ws.rq.Mul(m.R, m.Q)
 	ws.rqr.MulTransB(ws.rq, m.R)
+}
+
+// contribute enters observation t's term into the likelihood and its sums,
+// computing v²/f once; logF is log f.
+func (r *LogLikResult) contribute(t int, v, f, logF float64) {
+	v2f := v * v / f
+	r.LogLik += -0.5 * (log2Pi + logF + v2f)
+	r.SumLogF += logF
+	r.SumV2F += v2f
+	r.LikCount++
+	r.Contributed[t] = true
+}
+
+// log2Pi is the Gaussian normalising constant log 2π of every likelihood
+// term.
+var log2Pi = math.Log(2 * math.Pi)
+
+// logLikGeneric is the sparse kernel behind LogLikFilterOpts for any model
+// shape and options.
+func (m *Model) logLikGeneric(y []float64, ws *Workspace, opts LogLikOptions) (LogLikResult, error) {
+	n := m.Dim()
+	steps := len(y)
+	ws.prepareRun(m, steps)
+	ws.loadT(m.T)
 
 	steadyTol := opts.SteadyTol
 	useSteady := steadyTol > 0
@@ -452,9 +497,7 @@ func (m *Model) LogLikFilterOpts(y []float64, ws *Workspace, opts LogLikOptions)
 			res.V[t] = v
 			res.F[t] = steadyF
 			if t >= m.DiffuseCount && !skipContains(m.SkipLik, t) {
-				res.LogLik += -0.5 * (math.Log(2*math.Pi) + steadyLogF + v*v/steadyF)
-				res.LikCount++
-				res.Contributed[t] = true
+				res.contribute(t, v, steadyF, steadyLogF)
 			}
 			ws.mulVecT(ws.ta, a)
 			for i := 0; i < n; i++ {
@@ -509,9 +552,7 @@ func (m *Model) LogLikFilterOpts(y []float64, ws *Workspace, opts LogLikOptions)
 		res.V[t] = v
 		res.F[t] = f
 		if t >= m.DiffuseCount && !skipContains(m.SkipLik, t) {
-			res.LogLik += -0.5 * (math.Log(2*math.Pi) + math.Log(f) + v*v/f)
-			res.LikCount++
-			res.Contributed[t] = true
+			res.contribute(t, v, f, math.Log(f))
 		}
 
 		// Gain K = T·P·Zᵀ/F.

@@ -67,8 +67,8 @@ func (m *Matrix) Set(i, j int, v float64) {
 }
 
 func (m *Matrix) checkIndex(i, j int) {
-	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("linalg: index (%d,%d) out of range for %dx%d matrix", i, j, m.rows, m.cols))
+	if uint(i) >= uint(m.rows) || uint(j) >= uint(m.cols) {
+		m.panicIndex(i, j)
 	}
 }
 
@@ -76,10 +76,25 @@ func (m *Matrix) checkIndex(i, j int) {
 // through the slice mutate the matrix. Hot loops (the Kalman likelihood
 // kernel) use it to avoid per-element bounds arithmetic in At/Set.
 func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("linalg: row %d out of range for %dx%d matrix", i, m.rows, m.cols))
+	if uint(i) >= uint(m.rows) {
+		m.panicRow(i)
 	}
-	return m.data[i*m.cols : (i+1)*m.cols]
+	return m.data[i*m.cols:][:m.cols]
+}
+
+// panicIndex and panicRow hold the out-of-range panics of checkIndex and
+// Row out of line: the fmt.Sprintf call would otherwise push the accessors
+// over the compiler's inlining budget. (The accessors' unsigned compares
+// reject negative indices too.)
+//
+//go:noinline
+func (m *Matrix) panicIndex(i, j int) {
+	panic(fmt.Sprintf("linalg: index (%d,%d) out of range for %dx%d matrix", i, j, m.rows, m.cols))
+}
+
+//go:noinline
+func (m *Matrix) panicRow(i int) {
+	panic(fmt.Sprintf("linalg: row %d out of range for %dx%d matrix", i, m.rows, m.cols))
 }
 
 // Clone returns a deep copy of m.

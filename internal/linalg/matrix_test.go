@@ -63,6 +63,32 @@ func TestAtPanicsOutOfRange(t *testing.T) {
 	m.At(2, 0)
 }
 
+// TestAccessorPanicMessages pins the out-of-range panic values of the
+// inlined accessors, negative indices included.
+func TestAccessorPanicMessages(t *testing.T) {
+	m := NewMatrix(2, 3)
+	cases := []struct {
+		name string
+		call func()
+		want string
+	}{
+		{"At", func() { m.At(0, 3) }, "linalg: index (0,3) out of range for 2x3 matrix"},
+		{"Set", func() { m.Set(-1, 0, 1) }, "linalg: index (-1,0) out of range for 2x3 matrix"},
+		{"Row", func() { m.Row(2) }, "linalg: row 2 out of range for 2x3 matrix"},
+		{"RowNegative", func() { m.Row(-1) }, "linalg: row -1 out of range for 2x3 matrix"},
+	}
+	for _, tc := range cases {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("%s: panic %v, want %q", tc.name, got, tc.want)
+				}
+			}()
+			tc.call()
+		}()
+	}
+}
+
 func TestIdentity(t *testing.T) {
 	id := Identity(3)
 	for i := 0; i < 3; i++ {

@@ -63,6 +63,11 @@ func NewHandler(c *Core, opts HandlerOptions) http.Handler {
 	return mux
 }
 
+// maxIngestBytes caps the wire size of one /v1/ingest body, bounding what a
+// single request can make the decoder read and buffer; the read that crosses
+// it fails and the request gets 413.
+const maxIngestBytes = 256 << 20
+
 type ingestResponse struct {
 	Month int   `json:"month"`
 	Epoch int64 `json:"epoch"`
@@ -84,8 +89,14 @@ func handleIngest(c *Core, w http.ResponseWriter, r *http.Request) {
 	}
 	// The body's format is sniffed by magic bytes, so clients may POST a
 	// month as JSONL (optionally gzipped) or as a MICC1 columnar image.
-	month, _, _, err := mic.ReadAuto(r.Body, mic.StorageOptions{Read: mic.ReadOptions{Strict: true}})
+	body := http.MaxBytesReader(w, r.Body, maxIngestBytes)
+	month, _, _, err := mic.ReadAuto(body, mic.StorageOptions{Read: mic.ReadOptions{Strict: true}})
 	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("month body exceeds %d bytes", tooLarge.Limit))
+			return
+		}
 		httpError(w, http.StatusBadRequest, "parsing month body: "+err.Error())
 		return
 	}

@@ -235,6 +235,55 @@ func TestHTTPIngestErrorMapping(t *testing.T) {
 	}
 }
 
+// paddingReader yields n bytes of blank JSONL lines without holding them.
+type paddingReader struct{ n int64 }
+
+// paddingLine is one blank line of the padding.
+var paddingLine = append(bytes.Repeat([]byte{' '}, 4095), '\n')
+
+func (p *paddingReader) Read(b []byte) (int, error) {
+	if p.n <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(b)) > p.n {
+		b = b[:p.n]
+	}
+	for i := 0; i < len(b); i += len(paddingLine) {
+		copy(b[i:], paddingLine)
+	}
+	p.n -= int64(len(b))
+	return len(b), nil
+}
+
+// TestHTTPIngestBodyLimit: a body past maxIngestBytes is refused with 413
+// even when it would parse — here a valid month followed by blank lines —
+// and a normal month still ingests afterwards.
+func TestHTTPIngestBodyLimit(t *testing.T) {
+	src := genServeCorpus(t, 2)
+	c, _, _ := newTestCore(t, t.TempDir())
+	defer c.Close()
+	h := NewHandler(c, HandlerOptions{})
+	waitReady(t, c)
+
+	post := func(body io.Reader) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest?month=0", body))
+		return rec
+	}
+	var month bytes.Buffer
+	if err := mic.Write(&month, monthSlice(t, src, 0)); err != nil {
+		t.Fatal(err)
+	}
+	pad := &paddingReader{n: maxIngestBytes + 1 - int64(month.Len())}
+	rec := post(io.MultiReader(bytes.NewReader(month.Bytes()), pad))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body = %d, want 413: %s", rec.Code, rec.Body)
+	}
+	if rec := post(bytes.NewReader(month.Bytes())); rec.Code != http.StatusOK {
+		t.Fatalf("normal month after an oversized one = %d, want 200: %s", rec.Code, rec.Body)
+	}
+}
+
 // TestHTTPUnreadyCore: a core whose recovery poisoned it keeps /readyz red
 // and answers queries and ingests with 503 + Retry-After.
 func TestHTTPUnreadyCore(t *testing.T) {

@@ -486,15 +486,7 @@ func concentratedLogLikTol(scaled []float64, cfg Config, m *kalman.Model, params
 	if fr.LikCount == 0 {
 		return 0, 0, 0, errors.New("ssm: no likelihood contributions")
 	}
-	var sumLogF, sumV2F float64
-	for t := range fr.V {
-		if !fr.Contributed[t] {
-			continue
-		}
-		sumLogF += math.Log(fr.F[t])
-		sumV2F += fr.V[t] * fr.V[t] / fr.F[t]
-	}
-	logLik, sigma2 = concentrateFromSums(sumLogF, sumV2F, fr.LikCount)
+	logLik, sigma2 = concentrateFromSums(fr.SumLogF, fr.SumV2F, fr.LikCount)
 	return logLik, sigma2, fr.SteadySteps, nil
 }
 
