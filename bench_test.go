@@ -541,15 +541,34 @@ func BenchmarkEMFitSmoothed(b *testing.B) {
 	}
 }
 
-// BenchmarkReproduce measures time-series reproduction (Eq. 7) over a small
-// corpus.
+// BenchmarkReproduce measures time-series reproduction (Eq. 7). "small"
+// reproduces a 12-month corpus serially; "batch-records" has the shape of
+// the batch-records benchmark workload — 43 months of 18.6k records over the
+// scenario catalog, filtered and fitted as the pipeline does — reproduced on
+// a GOMAXPROCS worker pool.
 func BenchmarkReproduce(b *testing.B) {
-	ds, _, err := micgen.Generate(micgen.Config{
-		Seed: 2, Months: 12, RecordsPerMonth: 500, BulkDiseases: 8, BulkMedicines: 10,
+	b.Run("small", func(b *testing.B) {
+		ds, _, err := micgen.Generate(micgen.Config{
+			Seed: 2, Months: 12, RecordsPerMonth: 500, BulkDiseases: 8, BulkMedicines: 10,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchReproduce(b, ds, 1)
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	b.Run("batch-records", func(b *testing.B) {
+		ds, _, err := micgen.Generate(micgen.Config{
+			Seed: 1, Months: 43, RecordsPerMonth: 18600, Catalog: micgen.NewCatalog(43, 0, 0, nil),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchReproduce(b, mic.FilterDataset(ds, mic.DefaultFilterOptions()), 0)
+	})
+}
+
+// benchReproduce fits ds's months and times ReproduceParallel over them.
+func benchReproduce(b *testing.B, ds *mic.Dataset, workers int) {
 	models, fails, err := medmodel.FitAll(context.Background(), ds, medmodel.FitOptions{MaxIter: 10})
 	if err != nil {
 		b.Fatal(err)
@@ -557,9 +576,10 @@ func BenchmarkReproduce(b *testing.B) {
 	if len(fails) > 0 {
 		b.Fatal(fails[0].Err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := medmodel.Reproduce(ds, models); err != nil {
+		if _, err := medmodel.ReproduceParallel(ds, models, workers); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -38,8 +38,8 @@ type FitOptions struct {
 	// obs.Guard to intercept the panic); it never crashes a fit worker.
 	Observer obs.Observer
 	// Metrics, when non-nil, collects EM instrumentation: per-month
-	// iteration counts and E/M sweep vs likelihood timing. Nil costs
-	// nothing on the fit path.
+	// iteration counts and per-iteration sweep timing. Nil costs nothing on
+	// the fit path.
 	Metrics *obs.Registry
 	// Trace, when non-nil, receives one "em/month" span per month from
 	// FitAll, timed around the month's fit and emitted in ascending month
@@ -185,16 +185,17 @@ func newEMIndex(recs []*mic.Record) *emIndex {
 	return ix
 }
 
-// iterate performs one EM step (Eqs. 5–6): distribute each medicine
-// occurrence across its record's diseases proportionally to θ_rd·φ_dm, then
-// renormalize every φ row.
-func (ix *emIndex) iterate() {
-	for i := range ix.next {
-		ix.next[i] = 0
-	}
-	for i := range ix.rowSum {
-		ix.rowSum[i] = 0
-	}
+// sweep is one fused pass over the occurrence table under the current φ
+// iterate φ_k. It returns ll(φ_k), the Φ part of Eq. 3, and accumulates the
+// E-step of Eqs. 5–6 under φ_k into next and rowSum: each medicine
+// occurrence is distributed across its record's diseases proportionally to
+// θ_rd·φ_dm. An occurrence's E-step denominator is, term for term and in the
+// same slot order, the predictive probability the likelihood sums, so one
+// pass yields both.
+func (ix *emIndex) sweep() float64 {
+	clear(ix.next)
+	clear(ix.rowSum)
+	var ll float64
 	for r := range ix.numMeds {
 		ts := ix.thetaStart[r]
 		slots := ix.thetaStart[r+1] - ts
@@ -212,6 +213,11 @@ func (ix *emIndex) iterate() {
 					denom += theta[s] * ix.val[p]
 				}
 			}
+			p := denom
+			if p <= 0 {
+				p = math.SmallestNonzeroFloat64
+			}
+			ll += math.Log(p)
 			if denom <= 0 {
 				continue
 			}
@@ -228,49 +234,24 @@ func (ix *emIndex) iterate() {
 			}
 		}
 	}
-	for d := range ix.rowSum {
-		sum := ix.rowSum[d]
+	return ll
+}
+
+// mstep renormalizes the accumulated E-step into the next φ iterate
+// (Eq. 5).
+func (ix *emIndex) mstep() {
+	for d, sum := range ix.rowSum {
 		lo, hi := ix.rowStart[d], ix.rowStart[d+1]
 		if sum <= 0 {
 			// The row lost all mass: zero it, the dense-index equivalent of
 			// deleting the map row (lookups read 0 either way).
-			for i := lo; i < hi; i++ {
-				ix.val[i] = 0
-			}
+			clear(ix.val[lo:hi])
 			continue
 		}
 		for i := lo; i < hi; i++ {
 			ix.val[i] = ix.next[i] / sum
 		}
 	}
-}
-
-// logLik computes the Φ part of Eq. 3 under the current φ iterate.
-func (ix *emIndex) logLik() float64 {
-	var ll float64
-	for r := range ix.numMeds {
-		ts := ix.thetaStart[r]
-		slots := ix.thetaStart[r+1] - ts
-		if slots == 0 {
-			continue
-		}
-		theta := ix.thetaVal[ts : ts+slots]
-		base := ix.occStart[r]
-		for o := 0; o < ix.numMeds[r]; o++ {
-			blk := ix.pos[base+o*slots : base+(o+1)*slots]
-			var p float64
-			for s, pp := range blk {
-				if pp >= 0 {
-					p += theta[s] * ix.val[pp]
-				}
-			}
-			if p <= 0 {
-				p = math.SmallestNonzeroFloat64
-			}
-			ll += math.Log(p)
-		}
-	}
-	return ll
 }
 
 // phiMap converts the dense rows back to the public map representation,
@@ -303,8 +284,9 @@ func (ix *emIndex) phiMap() map[mic.DiseaseID]map[mic.MedicineID]float64 {
 // the cooccurrence estimate (which also fixes Φ's support: a (d, m) pair can
 // only carry probability if it cooccurs in some record). The E/M sweep runs
 // over a dense index interned once per call, so iterations are flat array
-// arithmetic; the fitted Φ is converted back to the map representation the
-// Model API exposes. Results are deterministic.
+// arithmetic, and one fused pass per iteration yields both the likelihood and
+// the next E-step; the fitted Φ is converted back to the map representation
+// the Model API exposes. Results are deterministic.
 func Fit(month *mic.Monthly, vocabMedicines int, opts FitOptions) (*Model, error) {
 	opts = opts.withDefaults()
 	recs, err := usableRecords(month)
@@ -318,30 +300,32 @@ func Fit(month *mic.Monthly, vocabMedicines int, opts FitOptions) (*Model, error
 		M:   vocabMedicines,
 	}
 
-	// Timers resolve to nil when metrics are off, so the disabled loop pays
-	// one pointer check per iteration and allocates nothing.
-	var tIterate, tLogLik *obs.Timer
+	// The timer resolves to nil when metrics are off, so the disabled loop
+	// pays one pointer check per iteration, reads no clock and allocates
+	// nothing.
+	var tIterate *obs.Timer
+	var t0 time.Time
 	if m := opts.Metrics; m != nil {
 		tIterate = m.Timer("time/em/iterate")
-		tLogLik = m.Timer("time/em/loglik")
+		t0 = time.Now()
 	}
 
+	// Iteration k applies the M-step accumulated under φ_{k-1} and sweeps
+	// once under φ_k for both ll(φ_k) and the next E-step: K iterations cost
+	// K+1 sweeps. The priming sweep's E-step is under the cooccurrence
+	// start φ_0, whose likelihood is not reported; the first iteration's
+	// timing includes it.
+	ix.sweep()
 	prevLL := math.Inf(-1)
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		var t0 time.Time
+		ix.mstep()
+		ll := ix.sweep()
 		if tIterate != nil {
-			t0 = time.Now()
-		}
-		ix.iterate()
-		if tIterate != nil {
-			tIterate.Observe(time.Since(t0))
-			t0 = time.Now()
+			now := time.Now()
+			tIterate.Observe(now.Sub(t0))
+			t0 = now
 		}
 		model.Iterations = iter + 1
-		ll := ix.logLik()
-		if tLogLik != nil {
-			tLogLik.Observe(time.Since(t0))
-		}
 		model.LogLik = ll
 		if opts.TraceConvergence {
 			model.LogLikTrace = append(model.LogLikTrace, ll)

@@ -1,0 +1,498 @@
+package medmodel
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"mictrend/internal/mic"
+	"mictrend/internal/micgen"
+)
+
+// This file keeps the map-based Eq. 7 reproduction and the two-pass EM loop
+// (an E/M sweep, then a separate likelihood sweep per iteration) as test
+// oracles: the streaming kernel and the fused sweep must match them bit for
+// bit.
+
+// responder is anything that spreads a medicine occurrence over a record's
+// diseases: Model and Cooccurrence.
+type responder interface {
+	Responsibility(r *mic.Record, med mic.MedicineID) map[mic.DiseaseID]float64
+}
+
+// reproduceReference is the map-based reproduction: per month, one
+// Responsibility map per (record, medicine) summed into a pair map in record
+// order, then merged into the series by placement.
+func reproduceReference(d *mic.Dataset, ests []responder) *SeriesSet {
+	s := &SeriesSet{T: d.T(), Pairs: make(map[mic.Pair][]float64)}
+	for t, month := range d.Months {
+		local := make(map[mic.Pair]float64)
+		for i := range month.Records {
+			r := &month.Records[i]
+			if len(r.Diseases) == 0 {
+				continue
+			}
+			for _, med := range r.Medicines {
+				for dis, q := range ests[t].Responsibility(r, med) {
+					if q == 0 {
+						continue
+					}
+					local[mic.Pair{Disease: dis, Medicine: med}] += q
+				}
+			}
+		}
+		for key, v := range local {
+			series, ok := s.Pairs[key]
+			if !ok {
+				series = make([]float64, s.T)
+				s.Pairs[key] = series
+			}
+			series[t] = v
+		}
+	}
+	s.buildMarginals()
+	return s
+}
+
+// iterateReference is the unfused EM step: E-step under the current φ, then
+// the M-step.
+func iterateReference(ix *emIndex) {
+	for i := range ix.next {
+		ix.next[i] = 0
+	}
+	for i := range ix.rowSum {
+		ix.rowSum[i] = 0
+	}
+	for r := range ix.numMeds {
+		ts := ix.thetaStart[r]
+		slots := ix.thetaStart[r+1] - ts
+		if slots == 0 {
+			continue
+		}
+		theta := ix.thetaVal[ts : ts+slots]
+		dis := ix.thetaDis[ts : ts+slots]
+		base := ix.occStart[r]
+		for o := 0; o < ix.numMeds[r]; o++ {
+			blk := ix.pos[base+o*slots : base+(o+1)*slots]
+			var denom float64
+			for s, p := range blk {
+				if p >= 0 {
+					denom += theta[s] * ix.val[p]
+				}
+			}
+			if denom <= 0 {
+				continue
+			}
+			for s, p := range blk {
+				if p < 0 {
+					continue
+				}
+				q := theta[s] * ix.val[p] / denom
+				if q == 0 {
+					continue
+				}
+				ix.next[p] += q
+				ix.rowSum[dis[s]] += q
+			}
+		}
+	}
+	for d := range ix.rowSum {
+		sum := ix.rowSum[d]
+		lo, hi := ix.rowStart[d], ix.rowStart[d+1]
+		if sum <= 0 {
+			for i := lo; i < hi; i++ {
+				ix.val[i] = 0
+			}
+			continue
+		}
+		for i := lo; i < hi; i++ {
+			ix.val[i] = ix.next[i] / sum
+		}
+	}
+}
+
+// logLikReference is the separate likelihood sweep under the current φ.
+func logLikReference(ix *emIndex) float64 {
+	var ll float64
+	for r := range ix.numMeds {
+		ts := ix.thetaStart[r]
+		slots := ix.thetaStart[r+1] - ts
+		if slots == 0 {
+			continue
+		}
+		theta := ix.thetaVal[ts : ts+slots]
+		base := ix.occStart[r]
+		for o := 0; o < ix.numMeds[r]; o++ {
+			blk := ix.pos[base+o*slots : base+(o+1)*slots]
+			var p float64
+			for s, pp := range blk {
+				if pp >= 0 {
+					p += theta[s] * ix.val[pp]
+				}
+			}
+			if p <= 0 {
+				p = math.SmallestNonzeroFloat64
+			}
+			ll += math.Log(p)
+		}
+	}
+	return ll
+}
+
+// fitTwoSweep is Fit with the unfused loop: 2K sweeps for K iterations.
+func fitTwoSweep(month *mic.Monthly, vocabMedicines int, opts FitOptions) (*Model, error) {
+	opts = opts.withDefaults()
+	recs, err := usableRecords(month)
+	if err != nil {
+		return nil, err
+	}
+	ix := newEMIndex(recs)
+	model := &Model{Eta: EstimateEta(month), M: vocabMedicines}
+	prevLL := math.Inf(-1)
+	for iter := 0; iter < opts.MaxIter; iter++ {
+		iterateReference(ix)
+		model.Iterations = iter + 1
+		ll := logLikReference(ix)
+		model.LogLik = ll
+		if opts.TraceConvergence {
+			model.LogLikTrace = append(model.LogLikTrace, ll)
+		}
+		if prevLL != math.Inf(-1) {
+			denom := math.Abs(prevLL)
+			if denom == 0 {
+				denom = 1
+			}
+			if (ll-prevLL)/denom < opts.Tol {
+				break
+			}
+		}
+		prevLL = ll
+	}
+	model.Phi = ix.phiMap()
+	return model, nil
+}
+
+// requireSeriesBits fails unless got and want hold the same pairs and
+// marginals with bit-identical values.
+func requireSeriesBits(t *testing.T, label string, got, want *SeriesSet) {
+	t.Helper()
+	same := func(kind string, key any, a, b []float64) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %s %v: length %d, want %d", label, kind, key, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s: %s %v month %d: %v (%#x), want %v (%#x)",
+					label, kind, key, i, a[i], math.Float64bits(a[i]), b[i], math.Float64bits(b[i]))
+			}
+		}
+	}
+	if got.T != want.T || len(got.Pairs) != len(want.Pairs) ||
+		len(got.diseaseSeries) != len(want.diseaseSeries) || len(got.medicineSeries) != len(want.medicineSeries) {
+		t.Fatalf("%s: T/pairs/diseases/medicines = %d/%d/%d/%d, want %d/%d/%d/%d", label,
+			got.T, len(got.Pairs), len(got.diseaseSeries), len(got.medicineSeries),
+			want.T, len(want.Pairs), len(want.diseaseSeries), len(want.medicineSeries))
+	}
+	for p, w := range want.Pairs {
+		g, ok := got.Pairs[p]
+		if !ok {
+			t.Fatalf("%s: pair %v missing", label, p)
+		}
+		same("pair", p, g, w)
+	}
+	for d, w := range want.diseaseSeries {
+		same("disease", d, got.diseaseSeries[d], w)
+	}
+	for m, w := range want.medicineSeries {
+		same("medicine", m, got.medicineSeries[m], w)
+	}
+}
+
+// edgeDataset is a hand-built corpus of the records the kernel must treat
+// exactly as Responsibility does: duplicate disease entries, zero-count
+// diseases, a record whose counts sum to zero, a medicine repeated in one
+// record, records without diseases or without medicines, and a month
+// without diseases.
+func edgeDataset() *mic.Dataset {
+	d := mic.NewDataset()
+	for _, c := range []string{"d0", "d1", "d2", "d3", "d4"} {
+		d.Diseases.Intern(c)
+	}
+	for _, c := range []string{"m0", "m1", "m2", "m3", "m4"} {
+		d.Medicines.Intern(c)
+	}
+	d.AddHospital(mic.Hospital{Code: "H"})
+	dc := func(pairs ...int) []mic.DiseaseCount {
+		var out []mic.DiseaseCount
+		for i := 0; i < len(pairs); i += 2 {
+			out = append(out, mic.DiseaseCount{Disease: mic.DiseaseID(pairs[i]), Count: pairs[i+1]})
+		}
+		return out
+	}
+	meds := func(ids ...int) []mic.MedicineID {
+		var out []mic.MedicineID
+		for _, id := range ids {
+			out = append(out, mic.MedicineID(id))
+		}
+		return out
+	}
+	month := func(t int) *mic.Monthly {
+		m := &mic.Monthly{Month: t}
+		for i := 0; i < 3; i++ {
+			m.Records = append(m.Records,
+				mic.Record{Diseases: dc(0, 1), Medicines: meds(0)},
+				mic.Record{Diseases: dc(1, 2), Medicines: meds(1, 2)},
+				mic.Record{Diseases: dc(0, 1, 1, 1), Medicines: meds(0, 1)},
+			)
+		}
+		m.Records = append(m.Records,
+			mic.Record{Diseases: dc(2, 1, 0, 2, 2, 3), Medicines: meds(0, 2)},          // duplicate entries
+			mic.Record{Diseases: dc(3, 0, 1, 2), Medicines: meds(1, 3)},                // zero-count disease
+			mic.Record{Diseases: dc(3, 0, 2, 0), Medicines: meds(2, 3)},                // counts sum to 0
+			mic.Record{Diseases: dc(1, 1, 2, 1), Medicines: meds(2, 2, 1, 2)},          // repeated medicine
+			mic.Record{Diseases: dc(4, 1, 0, 1), Medicines: meds(4, 0)},                // d4/m4 only here
+			mic.Record{Medicines: meds(0, 1)},                                          // no diseases
+			mic.Record{Diseases: dc(0, 1, 1, 1)},                                       // no medicines
+			mic.Record{Diseases: dc(2, 1, 2, 1, 0, 1), Medicines: meds(3, 3, 0, 4, 1)}, // everything at once
+		)
+		return m
+	}
+	// A month in which no record has a disease reproduces nothing.
+	bare := &mic.Monthly{Month: 3, Records: []mic.Record{{Medicines: meds(0, 1)}, {}}}
+	d.Months = []*mic.Monthly{month(0), month(1), month(2), bare}
+	return d
+}
+
+// clonePhi deep-copies a φ map so a test can edit it.
+func clonePhi(phi map[mic.DiseaseID]map[mic.MedicineID]float64) map[mic.DiseaseID]map[mic.MedicineID]float64 {
+	out := make(map[mic.DiseaseID]map[mic.MedicineID]float64, len(phi))
+	for d, row := range phi {
+		nrow := make(map[mic.MedicineID]float64, len(row))
+		for m, v := range row {
+			nrow[m] = v
+		}
+		out[d] = nrow
+	}
+	return out
+}
+
+func TestReproduceMatchesReference(t *testing.T) {
+	type corpus struct {
+		name   string
+		ds     *mic.Dataset
+		models []*Model
+		coocs  []*Cooccurrence
+	}
+	fit := func(name string, ds *mic.Dataset) corpus {
+		t.Helper()
+		models, fails, err := FitAll(context.Background(), ds, FitOptions{MaxIter: 15})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fails {
+			models[f.Month] = FallbackModel(ds.Months[f.Month], ds.Medicines.Len())
+		}
+		coocs := make([]*Cooccurrence, ds.T())
+		for i, m := range ds.Months {
+			c, err := FitCooccurrence(m, ds.Medicines.Len())
+			if err != nil {
+				c = &Cooccurrence{M: ds.Medicines.Len()}
+			}
+			coocs[i] = c
+		}
+		return corpus{name: name, ds: ds, models: models, coocs: coocs}
+	}
+	var corpora []corpus
+	for i, cfg := range []micgen.Config{
+		{Seed: 3, Months: 6, RecordsPerMonth: 300, BulkDiseases: 6, BulkMedicines: 8},
+		{Seed: 17, Months: 4, RecordsPerMonth: 600, BulkDiseases: 20, BulkMedicines: 25},
+		{Seed: 29, Months: 5, RecordsPerMonth: 200},
+	} {
+		ds, _, err := micgen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			ds = mic.FilterDataset(ds, mic.DefaultFilterOptions())
+		}
+		corpora = append(corpora, fit(fmt.Sprintf("micgen-%d", i), ds))
+	}
+
+	edge := fit("edge", edgeDataset())
+	corpora = append(corpora, edge)
+
+	// The same corpus under edited models: φ rows with deleted and zeroed
+	// entries send occurrences down the θ fallback onto pairs outside φ's
+	// support, and rows and entries for ids the month never mentions must
+	// be ignored.
+	edited := corpus{name: "edge-edited-phi", ds: edge.ds}
+	for i, m := range edge.models {
+		phi := clonePhi(m.Phi)
+		delete(phi[1], 2)
+		delete(phi[2], 0)
+		delete(phi[2], 2)
+		if row := phi[0]; row != nil {
+			row[1] = 0
+			row[70] = 0.25
+		}
+		delete(phi, 3)
+		phi[40] = map[mic.MedicineID]float64{0: 0.5, 90: 0.5}
+		phi[-3] = map[mic.MedicineID]float64{1: 1}
+		edited.models = append(edited.models, &Model{Phi: phi, M: m.M})
+
+		cphi := clonePhi(edge.coocs[i].Phi)
+		delete(cphi[2], 3)
+		delete(cphi, 4)
+		cphi[41] = map[mic.MedicineID]float64{2: 1}
+		edited.coocs = append(edited.coocs, &Cooccurrence{Phi: cphi, M: edge.coocs[i].M})
+	}
+	// An empty φ sends everything through the fallback.
+	edited.models[2] = &Model{M: edited.models[2].M}
+	corpora = append(corpora, edited)
+
+	// A pair whose contributions cancel to exactly 0 is still present, as
+	// in the reference's pair map: presence is "received a nonzero q", not
+	// "nonzero sum". Negative φ is not a distribution, but it is the only
+	// way to reach that case.
+	cancel := corpus{name: "cancel", ds: edgeDataset()}
+	cancel.ds.Months = []*mic.Monthly{{Month: 0, Records: []mic.Record{
+		{Diseases: []mic.DiseaseCount{{Disease: 0, Count: 1}, {Disease: 1, Count: 1}}, Medicines: []mic.MedicineID{2}},
+		{Diseases: []mic.DiseaseCount{{Disease: 1, Count: 1}}, Medicines: []mic.MedicineID{2}},
+	}}}
+	cancel.models = []*Model{{Phi: map[mic.DiseaseID]map[mic.MedicineID]float64{0: {2: 1}, 1: {2: -0.5}}}}
+	cancel.coocs = []*Cooccurrence{{}}
+	corpora = append(corpora, cancel)
+
+	for _, c := range corpora {
+		ests := make([]responder, len(c.models))
+		for i, m := range c.models {
+			ests[i] = m
+		}
+		want := reproduceReference(c.ds, ests)
+		if len(want.Pairs) == 0 {
+			t.Fatalf("%s: reference reproduced nothing", c.name)
+		}
+		for _, workers := range []int{1, 2, 3, 8, 100} {
+			got, err := ReproduceParallel(c.ds, c.models, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSeriesBits(t, fmt.Sprintf("%s/model/workers=%d", c.name, workers), got, want)
+		}
+		serial, err := Reproduce(c.ds, c.models)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSeriesBits(t, c.name+"/model/serial", serial, want)
+
+		for i, m := range c.coocs {
+			ests[i] = m
+		}
+		wantCooc := reproduceReference(c.ds, ests)
+		gotCooc, err := ReproduceCooccurrence(c.ds, c.coocs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSeriesBits(t, c.name+"/cooccurrence", gotCooc, wantCooc)
+	}
+}
+
+func TestFitFusedMatchesTwoSweep(t *testing.T) {
+	var months []*mic.Monthly
+	for _, cfg := range []micgen.Config{
+		{Seed: 5, Months: 2, RecordsPerMonth: 400, BulkDiseases: 6, BulkMedicines: 8},
+		{Seed: 23, Months: 1, RecordsPerMonth: 800, BulkDiseases: 20, BulkMedicines: 25},
+	} {
+		ds, _, err := micgen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		months = append(months, ds.Months...)
+	}
+	months = append(months, twoDiseaseMonth(), edgeDataset().Months[0])
+	// Disease 5 only ever appears with count 0: its cooccurrence row gets
+	// mass, the first E-step gives it none, and the M-step zeroes it.
+	zeroRow := twoDiseaseMonth()
+	zeroRow.Records = append(zeroRow.Records,
+		mic.Record{Diseases: []mic.DiseaseCount{{Disease: 5, Count: 0}, {Disease: 0, Count: 1}}, Medicines: []mic.MedicineID{0, 1}})
+	months = append(months, zeroRow)
+	// A negative count (unvalidated input) makes θ negative, so some
+	// occurrences have a non-positive predictive probability: the likelihood
+	// clamps it, the E-step skips it.
+	negative := &mic.Monthly{Records: []mic.Record{
+		{Diseases: []mic.DiseaseCount{{Disease: 6, Count: 2}, {Disease: 7, Count: -1}}, Medicines: []mic.MedicineID{3, 4, 5, 8}},
+	}}
+	for i := 0; i < 5; i++ {
+		negative.Records = append(negative.Records,
+			mic.Record{Diseases: []mic.DiseaseCount{{Disease: 7, Count: 1}}, Medicines: []mic.MedicineID{3}})
+	}
+	months = append(months, negative)
+
+	for mi, month := range months {
+		for _, opts := range []FitOptions{
+			{MaxIter: 1}, {MaxIter: 2}, {MaxIter: 3}, {}, {Tol: 1e-300, MaxIter: 40},
+		} {
+			opts.TraceConvergence = true
+			got, err := Fit(month, 30, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fitTwoSweep(month, 30, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("month %d opts %+v: fused fit differs from the two-sweep loop (iters %d vs %d)",
+					mi, opts, got.Iterations, want.Iterations)
+			}
+			if math.Float64bits(got.LogLik) != math.Float64bits(want.LogLik) {
+				t.Fatalf("month %d opts %+v: LogLik %v, want %v", mi, opts, got.LogLik, want.LogLik)
+			}
+			for i := range want.LogLikTrace {
+				if math.Float64bits(got.LogLikTrace[i]) != math.Float64bits(want.LogLikTrace[i]) {
+					t.Fatalf("month %d opts %+v: trace[%d] %v, want %v", mi, opts, i, got.LogLikTrace[i], want.LogLikTrace[i])
+				}
+			}
+			if month == zeroRow {
+				if _, ok := got.Phi[5]; ok {
+					t.Fatalf("zero-mass row survived: %v", got.Phi[5])
+				}
+			}
+		}
+	}
+}
+
+// TestReproduceAllocsFlatInRecords pins the streaming kernel's allocation
+// profile: a month ten times as long over the same catalog allocates no more.
+func TestReproduceAllocsFlatInRecords(t *testing.T) {
+	allocs := func(scale int) float64 {
+		base := edgeDataset()
+		ds := &mic.Dataset{Diseases: base.Diseases, Medicines: base.Medicines, Hospitals: base.Hospitals}
+		for _, m := range base.Months {
+			big := &mic.Monthly{Month: m.Month}
+			for i := 0; i < scale; i++ {
+				big.Records = append(big.Records, m.Records...)
+			}
+			ds.Months = append(ds.Months, big)
+		}
+		models, fails, err := FitAll(context.Background(), ds, FitOptions{MaxIter: 5, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fails {
+			models[f.Month] = FallbackModel(ds.Months[f.Month], ds.Medicines.Len())
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := Reproduce(ds, models); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, ten := allocs(1), allocs(10)
+	if ten > one {
+		t.Fatalf("Reproduce allocations grow with records: %v per call at 1x, %v at 10x", one, ten)
+	}
+}

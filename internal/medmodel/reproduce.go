@@ -1,8 +1,11 @@
 package medmodel
 
 import (
+	"cmp"
 	"errors"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -22,21 +25,14 @@ type SeriesSet struct {
 	medicineSeries map[mic.MedicineID][]float64
 }
 
-// linkEstimator distributes each medicine occurrence of a record over the
-// record's diseases; implemented by the proposed model (responsibilities,
-// Eq. 7) and by the cooccurrence baseline (θ-weighted φ, the paper's Fig. 2a
-// comparator).
-type linkEstimator interface {
-	Responsibility(r *mic.Record, med mic.MedicineID) map[mic.DiseaseID]float64
-}
-
 // Responsibility for the cooccurrence baseline implements the paper's
 // straightforward approach verbatim (§III-A): "assume the number of
 // cooccurrences between each disease and medicine in MIC data as the
 // prescription count". Every distinct disease of the record receives the
 // full count for each medicine occurrence — deliberately NOT normalized, so
 // frequent comorbid diseases (hypertension) soak up counts for unrelated
-// medicines, the mis-prediction Figure 2a illustrates.
+// medicines, the mis-prediction Figure 2a illustrates. ReproduceCooccurrence
+// applies the same rule through the streaming kernel.
 func (c *Cooccurrence) Responsibility(r *mic.Record, med mic.MedicineID) map[mic.DiseaseID]float64 {
 	out := make(map[mic.DiseaseID]float64, len(r.Diseases))
 	for _, dc := range r.Diseases {
@@ -49,42 +45,37 @@ func (c *Cooccurrence) Responsibility(r *mic.Record, med mic.MedicineID) map[mic
 // the pair time series x_dmt (Eq. 7). models[i] must correspond to
 // dataset.Months[i].
 func Reproduce(d *mic.Dataset, models []*Model) (*SeriesSet, error) {
-	ests := make([]linkEstimator, len(models))
-	for i, m := range models {
-		ests[i] = m
-	}
-	return reproduce(d, ests)
+	return ReproduceParallel(d, models, 1)
 }
 
 // ReproduceCooccurrence reproduces the pair series with the cooccurrence
 // baseline (the paper's Fig. 2a).
 func ReproduceCooccurrence(d *mic.Dataset, models []*Cooccurrence) (*SeriesSet, error) {
-	ests := make([]linkEstimator, len(models))
+	phis := make([]map[mic.DiseaseID]map[mic.MedicineID]float64, len(models))
 	for i, m := range models {
-		ests[i] = m
+		phis[i] = m.Phi
 	}
-	return reproduce(d, ests)
-}
-
-func reproduce(d *mic.Dataset, ests []linkEstimator) (*SeriesSet, error) {
-	return reproduceParallel(d, ests, 1)
+	return reproduceParallel(d, phis, true, 1)
 }
 
 // ReproduceParallel is Reproduce with the months distributed over a bounded
 // worker pool (workers ≤ 0 means GOMAXPROCS). Each month accumulates into
-// its own local pair map in record order — exactly the serial addition order
-// for that month — and each month owns a distinct series slot, so the result
-// is bit-identical to Reproduce's for every worker count.
+// its own dense accumulator in record order — exactly the serial addition
+// order for that month — and each month owns a distinct series slot, so the
+// result is bit-identical to Reproduce's for every worker count.
 func ReproduceParallel(d *mic.Dataset, models []*Model, workers int) (*SeriesSet, error) {
-	ests := make([]linkEstimator, len(models))
+	phis := make([]map[mic.DiseaseID]map[mic.MedicineID]float64, len(models))
 	for i, m := range models {
-		ests[i] = m
+		phis[i] = m.Phi
 	}
-	return reproduceParallel(d, ests, workers)
+	return reproduceParallel(d, phis, false, workers)
 }
 
-func reproduceParallel(d *mic.Dataset, ests []linkEstimator, workers int) (*SeriesSet, error) {
-	if len(ests) != d.T() {
+// reproduceParallel runs the streaming kernel over every month: phis[t] is
+// month t's φ, and unit selects the cooccurrence rule (q = 1 for every
+// distinct disease of the record) over the model's responsibilities.
+func reproduceParallel(d *mic.Dataset, phis []map[mic.DiseaseID]map[mic.MedicineID]float64, unit bool, workers int) (*SeriesSet, error) {
+	if len(phis) != d.T() {
 		return nil, errors.New("medmodel: one model per month required")
 	}
 	s := &SeriesSet{T: d.T(), Pairs: make(map[mic.Pair][]float64)}
@@ -94,34 +85,13 @@ func reproduceParallel(d *mic.Dataset, ests []linkEstimator, workers int) (*Seri
 	if workers > d.T() {
 		workers = d.T()
 	}
-	// Per-month accumulation, fanned out across months. locals[t] holds
-	// month t's pair sums, accumulated in record order — the same float64
-	// addition order as a serial sweep, since a month's contributions to
-	// series[t] are contiguous in it.
-	locals := make([]map[mic.Pair]float64, d.T())
-	monthTotal := func(t int) {
-		month := d.Months[t]
-		est := ests[t]
-		local := make(map[mic.Pair]float64)
-		for i := range month.Records {
-			r := &month.Records[i]
-			if len(r.Diseases) == 0 {
-				continue
-			}
-			for _, med := range r.Medicines {
-				for dis, q := range est.Responsibility(r, med) {
-					if q == 0 {
-						continue
-					}
-					local[mic.Pair{Disease: dis, Medicine: med}] += q
-				}
-			}
-		}
-		locals[t] = local
-	}
+	// locals[t] holds month t's pair sums. Each worker reuses one kernel's
+	// scratch across the months it takes.
+	locals := make([][]pairValue, d.T())
 	if workers <= 1 {
-		for t := range d.Months {
-			monthTotal(t)
+		var k reproKernel
+		for t, month := range d.Months {
+			locals[t] = k.month(month, phis[t], unit)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -130,8 +100,9 @@ func reproduceParallel(d *mic.Dataset, ests []linkEstimator, workers int) (*Seri
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				var k reproKernel
 				for t := range next {
-					monthTotal(t)
+					locals[t] = k.month(d.Months[t], phis[t], unit)
 				}
 			}()
 		}
@@ -144,17 +115,264 @@ func reproduceParallel(d *mic.Dataset, ests []linkEstimator, workers int) (*Seri
 	// Serial merge in month order: each month writes only its own slot, so
 	// the merge is pure placement — no cross-month float accumulation.
 	for t, local := range locals {
-		for key, v := range local {
-			series, ok := s.Pairs[key]
+		for _, pv := range local {
+			series, ok := s.Pairs[pv.pair]
 			if !ok {
 				series = make([]float64, s.T)
-				s.Pairs[key] = series
+				s.Pairs[pv.pair] = series
 			}
-			series[t] = v
+			series[t] = pv.v
 		}
 	}
 	s.buildMarginals()
 	return s, nil
+}
+
+// pairValue is one pair's reproduced count for one month.
+type pairValue struct {
+	pair mic.Pair
+	v    float64
+}
+
+// phiEntry is one φ_dm of a disease row, rows held in ascending medicine
+// order so a lookup is a binary search.
+type phiEntry struct {
+	med mic.MedicineID
+	val float64
+}
+
+// reproKernel is one worker's reusable scratch for the streaming Eq. 7
+// reproduction of a month. Nothing in it is sized Diseases×Medicines: the
+// disease-indexed slices span the month's disease ids (at most the
+// vocabulary), the entry-indexed ones the month's φ support, and the slot
+// slices the largest record.
+type reproKernel struct {
+	lo       mic.DiseaseID // smallest disease id of the month's records
+	rowStart []int32       // disease lo+i owns entries [rowStart[i], rowStart[i+1])
+	slotOf   []int32       // θ slot of disease lo+i in the current record, -1 outside it
+
+	ents    []phiEntry // the month's φ support, row-major by disease
+	acc     []float64  // Eq. 7 running sum per support entry
+	touched []bool     // entry received a nonzero q (presence, even if the sum is 0)
+	// over accumulates pairs outside φ's support, reachable only through
+	// the θ fallback; each pair still has exactly one running sum.
+	over map[mic.Pair]float64
+
+	// The current record's distinct diseases in first-occurrence order.
+	slotDis []int32   // disease index (id − lo) per slot
+	theta   []float64 // θ_rd per slot (Eq. 2)
+	w       []float64 // θ_rd·φ_dm per slot
+	pos     []int32   // support entry of (d, m) per slot, -1 outside φ
+}
+
+// month reproduces one month's pair counts: every medicine occurrence of a
+// record with diseases is spread over the record's distinct diseases by its
+// responsibilities q_rld (Eq. 6), or by q = 1 per disease when unit is set
+// (the cooccurrence baseline). The arithmetic is Model.Responsibility's term
+// for term — θ accumulated per entry in record order, the normalizer summed
+// in first-occurrence order, the θ fallback when it is not positive — and
+// every pair's sum runs in record → medicine order, so the result is
+// bit-identical to summing Responsibility's maps.
+func (k *reproKernel) month(month *mic.Monthly, phi map[mic.DiseaseID]map[mic.MedicineID]float64, unit bool) []pairValue {
+	span, maxSlots := k.span(month)
+	if span == 0 {
+		return nil
+	}
+	k.loadPhi(phi, span)
+	k.over = nil
+	if cap(k.slotDis) < maxSlots {
+		k.slotDis = make([]int32, maxSlots)
+		k.theta = make([]float64, maxSlots)
+		k.w = make([]float64, maxSlots)
+		k.pos = make([]int32, maxSlots)
+	}
+	for i := range month.Records {
+		r := &month.Records[i]
+		if len(r.Diseases) == 0 {
+			continue
+		}
+		var n int
+		for _, dc := range r.Diseases {
+			n += dc.Count
+		}
+		slots := 0
+		for _, dc := range r.Diseases {
+			j := int32(dc.Disease - k.lo)
+			s := k.slotOf[j]
+			if s < 0 {
+				s = int32(slots)
+				k.slotOf[j] = s
+				k.slotDis[s] = j
+				k.theta[s] = 0
+				slots++
+			}
+			// Theta leaves θ empty when N_r = 0: every slot stays 0.
+			if n != 0 {
+				k.theta[s] += float64(dc.Count) / float64(n)
+			}
+		}
+		dis, theta := k.slotDis[:slots], k.theta[:slots]
+		for _, med := range r.Medicines {
+			if unit {
+				for _, j := range dis {
+					k.add(j, med, k.lookup(j, med), 1)
+				}
+				continue
+			}
+			var total float64
+			for s, j := range dis {
+				p := k.lookup(j, med)
+				var phiDM float64
+				if p >= 0 {
+					phiDM = k.ents[p].val
+				}
+				k.pos[s] = p
+				k.w[s] = theta[s] * phiDM
+				total += k.w[s]
+			}
+			fallback := total <= 0
+			for s, j := range dis {
+				q := theta[s]
+				if !fallback {
+					q = k.w[s] / total
+				}
+				if q == 0 {
+					continue
+				}
+				k.add(j, med, k.pos[s], q)
+			}
+		}
+		for _, j := range dis {
+			k.slotOf[j] = -1
+		}
+	}
+	return k.collect(span)
+}
+
+// span sizes the disease-indexed scratch to the month's disease ids and
+// returns the span (0 when no record has a disease) and the largest record's
+// disease-entry count, which bounds its distinct-disease slots.
+func (k *reproKernel) span(month *mic.Monthly) (span, maxSlots int) {
+	lo, hi := mic.DiseaseID(math.MaxInt32), mic.DiseaseID(math.MinInt32)
+	for i := range month.Records {
+		r := &month.Records[i]
+		for _, dc := range r.Diseases {
+			lo, hi = min(lo, dc.Disease), max(hi, dc.Disease)
+		}
+		maxSlots = max(maxSlots, len(r.Diseases))
+	}
+	if hi < lo {
+		return 0, 0
+	}
+	k.lo = lo
+	span = int(hi) - int(lo) + 1
+	if len(k.slotOf) < span {
+		k.slotOf = make([]int32, span)
+		for i := range k.slotOf {
+			k.slotOf[i] = -1
+		}
+	}
+	return span, maxSlots
+}
+
+// loadPhi lays φ out as per-disease rows sorted by medicine id and clears
+// the accumulators over its support. Rows of diseases outside the month's
+// span are skipped: no record of the month can reach them.
+func (k *reproKernel) loadPhi(phi map[mic.DiseaseID]map[mic.MedicineID]float64, span int) {
+	k.rowStart = resize(k.rowStart, span+1)
+	clear(k.rowStart)
+	for d, row := range phi {
+		if i := int(d) - int(k.lo); i >= 0 && i < span {
+			k.rowStart[i+1] = int32(len(row))
+		}
+	}
+	for i := 0; i < span; i++ {
+		k.rowStart[i+1] += k.rowStart[i]
+	}
+	support := int(k.rowStart[span])
+	k.ents = resize(k.ents, support)
+	for d, row := range phi {
+		i := int(d) - int(k.lo)
+		if i < 0 || i >= span {
+			continue
+		}
+		e := k.ents[k.rowStart[i]:k.rowStart[i+1]]
+		j := 0
+		for med, v := range row {
+			e[j] = phiEntry{med: med, val: v}
+			j++
+		}
+		slices.SortFunc(e, func(a, b phiEntry) int { return cmp.Compare(a.med, b.med) })
+	}
+	k.acc = resize(k.acc, support)
+	clear(k.acc)
+	k.touched = resize(k.touched, support)
+	clear(k.touched)
+}
+
+// lookup returns the support entry of (disease lo+j, med), or -1 when φ has
+// no such entry.
+func (k *reproKernel) lookup(j int32, med mic.MedicineID) int32 {
+	base := k.rowStart[j]
+	row := k.ents[base:k.rowStart[j+1]]
+	a, b := 0, len(row)
+	for a < b {
+		h := int(uint(a+b) >> 1)
+		if row[h].med < med {
+			a = h + 1
+		} else {
+			b = h
+		}
+	}
+	if a < len(row) && row[a].med == med {
+		return base + int32(a)
+	}
+	return -1
+}
+
+// add accumulates q into the running sum of (disease lo+j, med): the support
+// entry p, or the overflow accumulator when p < 0.
+func (k *reproKernel) add(j int32, med mic.MedicineID, p int32, q float64) {
+	if p >= 0 {
+		k.acc[p] += q
+		k.touched[p] = true
+		return
+	}
+	if k.over == nil {
+		k.over = make(map[mic.Pair]float64)
+	}
+	k.over[mic.Pair{Disease: k.lo + mic.DiseaseID(j), Medicine: med}] += q
+}
+
+// collect returns the month's touched pairs with their sums.
+func (k *reproKernel) collect(span int) []pairValue {
+	n := len(k.over)
+	for _, t := range k.touched {
+		if t {
+			n++
+		}
+	}
+	out := make([]pairValue, 0, n)
+	for i := 0; i < span; i++ {
+		d := k.lo + mic.DiseaseID(i)
+		for p := k.rowStart[i]; p < k.rowStart[i+1]; p++ {
+			if k.touched[p] {
+				out = append(out, pairValue{pair: mic.Pair{Disease: d, Medicine: k.ents[p].med}, v: k.acc[p]})
+			}
+		}
+	}
+	for pair, v := range k.over {
+		out = append(out, pairValue{pair: pair, v: v})
+	}
+	return out
+}
+
+// resize returns s with length n, reusing its backing array when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func (s *SeriesSet) buildMarginals() {

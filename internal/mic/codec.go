@@ -123,6 +123,55 @@ type ReadOptions struct {
 	// default (false) skips and counts malformed lines — at population
 	// scale, a handful of corrupt claims must not discard the corpus.
 	Strict bool
+	// MaxBytes, when positive, caps the decoded bytes a read consumes —
+	// counted after gunzip for a gzipped stream — so a small compressed
+	// body cannot inflate without bound. The read that crosses it fails
+	// with an error wrapping ErrTooLarge. Zero means unlimited. It applies
+	// to JSONL reads and to buffered columnar stream reads; columnar files
+	// are read in place.
+	MaxBytes int64
+}
+
+// ErrTooLarge is wrapped by a read that decodes more than
+// ReadOptions.MaxBytes bytes.
+var ErrTooLarge = errors.New("mic: decoded input exceeds the size cap")
+
+// capReader passes through at most limit bytes of r and fails the read
+// that would cross the cap with ErrTooLarge.
+type capReader struct {
+	r     io.Reader
+	limit int64
+	left  int64
+}
+
+// capDecoded wraps r in a capReader when limit is positive.
+func capDecoded(r io.Reader, limit int64) io.Reader {
+	if limit <= 0 {
+		return r
+	}
+	return &capReader{r: r, limit: limit, left: limit}
+}
+
+func (c *capReader) Read(p []byte) (int, error) {
+	if c.left < 0 {
+		return 0, c.tooLarge()
+	}
+	// Ask for one byte past the allowance so a stream of exactly limit
+	// bytes reads clean while a longer one is caught.
+	if int64(len(p)) > c.left+1 {
+		p = p[:c.left+1]
+	}
+	n, err := c.r.Read(p)
+	if int64(n) <= c.left {
+		c.left -= int64(n)
+		return n, err
+	}
+	n, c.left = int(c.left), -1
+	return n, c.tooLarge()
+}
+
+func (c *capReader) tooLarge() error {
+	return fmt.Errorf("%w (%d bytes)", ErrTooLarge, c.limit)
 }
 
 // ReadStats reports what a lenient read skipped.
@@ -148,9 +197,11 @@ func Read(r io.Reader) (*Dataset, error) {
 // and counted, keeping the rest of the corpus usable.
 func ReadWithStats(r io.Reader, opts ReadOptions) (*Dataset, ReadStats, error) {
 	var stats ReadStats
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReaderSize(capDecoded(r, opts.MaxBytes), 1<<20)
 	headerLine, rerr := readLine(br)
-	if len(headerLine) == 0 && rerr != nil {
+	// A failed read reports its own error, not the parse error of the
+	// partial line it left.
+	if rerr != nil && (len(headerLine) == 0 || rerr != io.EOF) {
 		return nil, stats, fmt.Errorf("mic: decoding header: %w", rerr)
 	}
 	var hdr fileHeader
@@ -179,6 +230,9 @@ func ReadWithStats(r io.Reader, opts ReadOptions) (*Dataset, ReadStats, error) {
 	for rerr == nil {
 		var line []byte
 		line, rerr = readLine(br)
+		if rerr != nil && rerr != io.EOF {
+			break
+		}
 		lineNo++
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue

@@ -207,7 +207,7 @@ func (columnarStorage) Read(r io.Reader, opts StorageOptions) (*Dataset, ReadSta
 	// The columnar reader needs random access for its footer index; a plain
 	// stream is buffered first. File-shaped callers use ReadFile, which
 	// reads blocks in place.
-	data, err := io.ReadAll(r)
+	data, err := io.ReadAll(capDecoded(r, opts.Read.MaxBytes))
 	if err != nil {
 		return nil, ReadStats{}, fmt.Errorf("mic: buffering columnar stream: %w", err)
 	}

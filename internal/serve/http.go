@@ -63,9 +63,10 @@ func NewHandler(c *Core, opts HandlerOptions) http.Handler {
 	return mux
 }
 
-// maxIngestBytes caps the wire size of one /v1/ingest body, bounding what a
-// single request can make the decoder read and buffer; the read that crosses
-// it fails and the request gets 413.
+// maxIngestBytes caps one /v1/ingest body twice: its wire size, and its
+// decoded size after gunzip, so neither a large body nor a small gzip bomb
+// can make the decoder read and buffer more. The read that crosses either
+// cap fails and the request gets 413.
 const maxIngestBytes = 256 << 20
 
 type ingestResponse struct {
@@ -90,11 +91,15 @@ func handleIngest(c *Core, w http.ResponseWriter, r *http.Request) {
 	// The body's format is sniffed by magic bytes, so clients may POST a
 	// month as JSONL (optionally gzipped) or as a MICC1 columnar image.
 	body := http.MaxBytesReader(w, r.Body, maxIngestBytes)
-	month, _, _, err := mic.ReadAuto(body, mic.StorageOptions{Read: mic.ReadOptions{Strict: true}})
+	month, _, _, err := mic.ReadAuto(body, mic.StorageOptions{Read: mic.ReadOptions{Strict: true, MaxBytes: maxIngestBytes}})
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("month body exceeds %d bytes", tooLarge.Limit))
+			return
+		}
+		if errors.Is(err, mic.ErrTooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("decoded month body exceeds %d bytes", maxIngestBytes))
 			return
 		}
 		httpError(w, http.StatusBadRequest, "parsing month body: "+err.Error())

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -281,6 +282,51 @@ func TestHTTPIngestBodyLimit(t *testing.T) {
 	}
 	if rec := post(bytes.NewReader(month.Bytes())); rec.Code != http.StatusOK {
 		t.Fatalf("normal month after an oversized one = %d, want 200: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestHTTPIngestInflateLimit: a small gzip body that inflates past
+// maxIngestBytes — here more than 256 MiB of zeros in about 260 KB — is
+// refused with 413 by the decoded-size cap, and a normal month still
+// ingests afterwards.
+func TestHTTPIngestInflateLimit(t *testing.T) {
+	src := genServeCorpus(t, 2)
+	c, _, _ := newTestCore(t, t.TempDir())
+	defer c.Close()
+	h := NewHandler(c, HandlerOptions{})
+	waitReady(t, c)
+
+	var bomb bytes.Buffer
+	gz, err := gzip.NewWriterLevel(&bomb, gzip.BestCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]byte, 1<<20)
+	for n := int64(0); n <= maxIngestBytes; n += int64(len(zeros)) {
+		if _, err := gz.Write(zeros); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if bomb.Len() >= maxIngestBytes/100 {
+		t.Fatalf("gzip body is %d bytes, want a small one", bomb.Len())
+	}
+	post := func(body io.Reader) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest?month=0", body))
+		return rec
+	}
+	if rec := post(&bomb); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("inflating body = %d, want 413: %s", rec.Code, rec.Body)
+	}
+	var month bytes.Buffer
+	if err := mic.Write(&month, monthSlice(t, src, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if rec := post(&month); rec.Code != http.StatusOK {
+		t.Fatalf("normal month after an inflating one = %d, want 200: %s", rec.Code, rec.Body)
 	}
 }
 
