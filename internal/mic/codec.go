@@ -253,11 +253,32 @@ func ReadWithStats(r io.Reader, opts ReadOptions) (*Dataset, ReadStats, error) {
 	return d, stats, nil
 }
 
+// maxLineBytes caps one JSONL line, not counting its newline: far above
+// any real record line, and above the header of a vocabulary with tens of
+// thousands of hospitals. It bounds what the decoder buffers for one line,
+// so a body that is a single huge line cannot cost twice its size in
+// memory.
+const maxLineBytes = 4 << 20
+
 // readLine returns the next line (without framing requirements on the final
-// line); data may accompany io.EOF.
+// line); data may accompany io.EOF. A line longer than maxLineBytes fails
+// with an error wrapping ErrTooLarge, whatever the read's strictness.
 func readLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadBytes('\n')
-	return line, err
+	var line []byte
+	for {
+		frag, err := br.ReadSlice('\n')
+		n := len(line) + len(frag)
+		if err == nil {
+			n-- // the newline
+		}
+		if n > maxLineBytes {
+			return nil, fmt.Errorf("%w: line longer than %d bytes", ErrTooLarge, maxLineBytes)
+		}
+		line = append(line, frag...)
+		if err != bufio.ErrBufferFull {
+			return line, err
+		}
+	}
 }
 
 // decodeRecordLine parses and validates one record line, appending it to its

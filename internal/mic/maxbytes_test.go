@@ -64,3 +64,42 @@ func TestReadMaxBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestReadLineCap pins the per-line cap: a record line of exactly
+// maxLineBytes bytes (its newline aside) decodes, and one byte more fails
+// with ErrTooLarge under both strict and lenient reads, with or without a
+// final newline.
+func TestReadLineCap(t *testing.T) {
+	d := buildTestDataset(t)
+	var buf bytes.Buffer
+	if err := Write(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))
+	header, record := lines[0], bytes.TrimSuffix(lines[1], []byte("\n"))
+	padded := func(n int) []byte {
+		// JSON allows trailing whitespace, so padding keeps the record valid.
+		return append(append([]byte(nil), record...), bytes.Repeat([]byte(" "), n-len(record))...)
+	}
+	for _, strict := range []bool{false, true} {
+		for _, newline := range []bool{false, true} {
+			body := func(n int) []byte {
+				b := append(append([]byte(nil), header...), padded(n)...)
+				if newline {
+					b = append(b, '\n')
+				}
+				return b
+			}
+			got, _, err := ReadWithStats(bytes.NewReader(body(maxLineBytes)), ReadOptions{Strict: strict})
+			if err != nil {
+				t.Fatalf("strict=%v newline=%v: line at the cap: %v", strict, newline, err)
+			}
+			if n := got.NumRecords(); n != 1 {
+				t.Fatalf("strict=%v newline=%v: line at the cap decoded %d records, want 1", strict, newline, n)
+			}
+			if _, _, err := ReadWithStats(bytes.NewReader(body(maxLineBytes+1)), ReadOptions{Strict: strict}); !errors.Is(err, ErrTooLarge) {
+				t.Fatalf("strict=%v newline=%v: line one byte over the cap: err = %v, want ErrTooLarge", strict, newline, err)
+			}
+		}
+	}
+}

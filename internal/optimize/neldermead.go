@@ -1,7 +1,7 @@
 // Package optimize provides derivative-free minimizers used for maximum
 // likelihood estimation of the state space model hyperparameters: a
-// Nelder–Mead simplex for multivariate problems and golden-section search
-// for univariate ones.
+// Nelder–Mead simplex and Brent's method, which polishes a one-parameter
+// minimum inside a bracket.
 package optimize
 
 import (

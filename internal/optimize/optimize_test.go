@@ -130,40 +130,98 @@ func TestNelderMeadQuadraticProperty(t *testing.T) {
 	}
 }
 
-func TestGoldenSection(t *testing.T) {
-	f := func(x float64) float64 { return (x - 1.5) * (x - 1.5) }
-	x, fx, err := GoldenSection(f, -10, 10, 1e-8)
+func TestBrentQuadratic(t *testing.T) {
+	calls := 0
+	f := func(x float64) float64 { calls++; return (x-1.5)*(x-1.5) + 2 }
+	res, err := Brent(f, -10, 10, 4, f(4), 1e-8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(x-1.5) > 1e-6 {
-		t.Fatalf("minimum at %v, want 1.5", x)
+	if !res.Converged {
+		t.Fatal("did not converge")
 	}
-	if fx > 1e-10 {
-		t.Fatalf("f = %v", fx)
+	if math.Abs(res.X[0]-1.5) > 1e-7 {
+		t.Fatalf("minimum at %v, want 1.5", res.X[0])
+	}
+	if res.F-2 > 1e-14 {
+		t.Fatalf("F = %v, want 2", res.F)
+	}
+	// A parabola is fitted exactly, so the search takes a handful of steps,
+	// and the start's evaluation is not repeated.
+	if res.Evals != calls-1 || res.Evals > 10 {
+		t.Fatalf("Evals = %d (calls %d), want ≤ 10 and the start not re-evaluated", res.Evals, calls)
 	}
 }
 
-func TestGoldenSectionInvalid(t *testing.T) {
-	f := func(x float64) float64 { return x }
-	if _, _, err := GoldenSection(f, 1, 0, 1e-8); err == nil {
+func TestBrentMinimumAtBracketEnd(t *testing.T) {
+	f := func(x float64) float64 { return math.Exp(x) } // decreasing toward a
+	res, err := Brent(f, -2, 3, 1, f(1), 1e-8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res.X[0]+2) > 1e-6 {
+		t.Fatalf("minimum at %v, want the bracket end -2", res.X[0])
+	}
+	if res.X[0] < -2 {
+		t.Fatalf("left the bracket: %v", res.X[0])
+	}
+}
+
+func TestBrentFlatObjective(t *testing.T) {
+	f := func(float64) float64 { return 7 }
+	res, err := Brent(f, -1, 1, 0.25, 7, 1e-8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || res.F != 7 {
+		t.Fatalf("flat objective: %+v", res)
+	}
+	if res.X[0] < -1 || res.X[0] > 1 {
+		t.Fatalf("left the bracket: %v", res.X[0])
+	}
+}
+
+func TestBrentInfAndNaNRegions(t *testing.T) {
+	// +Inf right of 1, NaN left of -1, a minimum at 0.8 between them.
+	f := func(x float64) float64 {
+		switch {
+		case x > 1:
+			return math.Inf(1)
+		case x < -1:
+			return math.NaN()
+		}
+		return (x - 0.8) * (x - 0.8)
+	}
+	res, err := Brent(f, -3, 3, 0, f(0), 1e-8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(res.F) || math.IsInf(res.F, 0) {
+		t.Fatalf("non-finite result %v", res.F)
+	}
+	if math.Abs(res.X[0]-0.8) > 1e-6 {
+		t.Fatalf("minimum at %v, want 0.8", res.X[0])
+	}
+	// A NaN start value counts as +Inf and is replaced by the first finite
+	// point found.
+	res, err = Brent(f, -3, 3, -2, math.NaN(), 1e-8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(res.F) {
+		t.Fatal("NaN leaked into the result")
+	}
+}
+
+func TestBrentInvalid(t *testing.T) {
+	f := func(x float64) float64 { return x * x }
+	if _, err := Brent(f, 1, 0, 0.5, 0.25, 1e-8); err == nil {
 		t.Fatal("inverted bracket accepted")
 	}
-	if _, _, err := GoldenSection(f, 0, 1, -1); err == nil {
-		t.Fatal("negative tolerance accepted")
+	if _, err := Brent(f, 0, 1, 2, 4, 1e-8); err == nil {
+		t.Fatal("start outside the bracket accepted")
 	}
-}
-
-func TestGridMin(t *testing.T) {
-	f := func(x float64) float64 { return math.Abs(x - 0.3) }
-	x, _, err := GridMin(f, 0, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x-0.3) > 0.05+1e-12 {
-		t.Fatalf("grid minimum at %v", x)
-	}
-	if _, _, err := GridMin(f, 1, 0, 10); err == nil {
-		t.Fatal("inverted range accepted")
+	if _, err := Brent(f, 0, 1, 0.5, 0.25, 0); err == nil {
+		t.Fatal("zero tolerance accepted")
 	}
 }

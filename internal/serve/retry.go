@@ -122,6 +122,12 @@ func (p RetryPolicy) sleep(ctx context.Context, d time.Duration) error {
 		p.Sleep(d)
 		return ctx.Err()
 	}
+	// A context already done must win before the timer is armed: select
+	// picks among ready cases at random, so a short timer that has also
+	// fired would otherwise run the op again after cancellation.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

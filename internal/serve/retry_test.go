@@ -155,6 +155,24 @@ func TestRetryContextCancelDuringBackoff(t *testing.T) {
 	}
 }
 
+// TestRetrySleepCancelledContext: a backoff sleep under an already
+// cancelled context reports the cancellation every time, even when its
+// timer is short enough to be ready as well.
+func TestRetrySleepCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var p RetryPolicy
+	wrong := 0
+	for i := 0; i < 100000; i++ {
+		if err := p.sleep(ctx, time.Nanosecond); !errors.Is(err, context.Canceled) {
+			wrong++
+		}
+	}
+	if wrong > 0 {
+		t.Fatalf("%d of 100000 sleeps under a cancelled context returned without context.Canceled", wrong)
+	}
+}
+
 func TestRetryZeroValueSingleAttempt(t *testing.T) {
 	var p RetryPolicy
 	calls := 0

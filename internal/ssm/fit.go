@@ -97,7 +97,13 @@ type FitOptions struct {
 	// fits' near-machine-precision ones. Nelder-Mead's cost is dominated by
 	// shrinking the simplex down to tolerance, so this — not the starting
 	// point — is where warm fits earn their speedup; candidate AIC gaps are
-	// orders of magnitude above the slack. Cold fits are unaffected.
+	// orders of magnitude above the slack.
+	//
+	// Every start of a warm fit, cold ones included, runs Nelder-Mead alone.
+	// A cold (nil Start) non-seasonal fit instead runs each start as
+	// Nelder-Mead to a coarse tolerance followed by Brent's method, which
+	// reaches estimation precision in about half the evaluations (see
+	// coldSearch1D); cold seasonal fits run Nelder-Mead to full tolerance.
 	Start []float64
 	// StartStep is the absolute initial simplex edge used for the warm Start
 	// only (0 = DefaultWarmStep). Cold starts always use the historical
@@ -204,20 +210,22 @@ func FitConfig(y []float64, cfg Config) (*Fit, error) {
 }
 
 // FitConfigWorkspace is FitConfig with an explicit Kalman workspace. The
-// structural model is assembled once per call; every Nelder-Mead objective
-// evaluation only updates the disturbance variances in place and runs the
-// allocation-free likelihood filter through ws, so a caller performing many
-// fits — the change point search evaluates one fit per candidate month —
-// can reuse one workspace across the whole search. The full Filter pass
-// (which materializes the smoother inputs) runs once, for the winning
-// parameters. ws may be nil; a workspace is not safe for concurrent use.
+// structural model is assembled once per call; every objective evaluation
+// of the search — Nelder-Mead's, and for a one-parameter fit the bracket
+// probes' and Brent's — only updates the disturbance variances in place and
+// runs the allocation-free likelihood filter through ws, so a caller
+// performing many fits — the change point search evaluates one fit per
+// candidate month — can reuse one workspace across the whole search. The
+// full Filter pass (which materializes the smoother inputs) runs once, for
+// the winning parameters. ws may be nil; a workspace is not safe for
+// concurrent use.
 func FitConfigWorkspace(y []float64, cfg Config, ws *kalman.Workspace) (*Fit, error) {
 	return FitConfigOptions(y, cfg, ws, FitOptions{})
 }
 
 // FitConfigOptions is FitConfigWorkspace with per-fit options; a zero opts
 // reproduces FitConfigWorkspace exactly (same starts, same order, same
-// simplex step, bitwise-identical estimates).
+// search, bitwise-identical estimates).
 func FitConfigOptions(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions) (*Fit, error) {
 	if opts.Trace == nil {
 		return fitConfig(y, cfg, ws, opts)
@@ -320,11 +328,17 @@ func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions) (
 	// lands on +Inf is discarded; a finite but non-converged start is kept
 	// as a candidate while the perturbed starts get a chance to do better.
 	// Only when every start fails is the series declared failed.
+	//
+	// A cold one-parameter fit searches each start with Nelder-Mead to a
+	// coarse tolerance and Brent after it (coldSearch1D); every other fit
+	// runs Nelder-Mead alone.
+	cold1D := nq == 1 && opts.Start == nil
 	var best optimize.Result
 	haveBest := false
 	for _, s0 := range starts {
 		attempts++
-		if err := faultpoint.Inject("ssm/fit-attempt", strconv.Itoa(attempts)); err != nil {
+		detail := strconv.Itoa(attempts)
+		if err := faultpoint.Inject("ssm/fit-attempt", detail); err != nil {
 			continue
 		}
 		nm := optimize.NelderMeadOptions{MaxIter: cfg.MaxIter, Step: s0.step}
@@ -332,7 +346,13 @@ func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions) (
 			nm.StepAbsolute = true
 			nm.TolF, nm.TolX = warmTolF, warmTolX
 		}
-		res, err := optimize.NelderMead(objective, s0.x, nm)
+		var res optimize.Result
+		var err error
+		if cold1D {
+			res, err = coldSearch1D(objective, s0.x, nm, detail)
+		} else {
+			res, err = optimize.NelderMead(objective, s0.x, nm)
+		}
 		if err != nil || math.IsInf(res.F, 1) || math.IsNaN(res.F) {
 			continue
 		}
@@ -400,6 +420,51 @@ func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions) (
 		s.Fits.Add(1)
 	}
 	return fit, nil
+}
+
+// Tolerances of the cold one-parameter search (coldSearch1D). Nelder-Mead
+// stops once its two vertices lie within basinTolX and agree to basinTolF,
+// which is enough to settle which basin of the profile likelihood it is in;
+// Brent then polishes the minimum to polishTolX relative accuracy.
+const (
+	basinTolF  = 1e-4
+	basinTolX  = 0.1
+	polishTolX = 1e-8
+)
+
+// coldSearch1D runs one cold start of a one-parameter fit. The profile
+// likelihood in log q_ξ is multimodal (DESIGN.md, "One-parameter fits"), so
+// Nelder-Mead from the start, stopped at coarse tolerances, chooses the
+// basin. Two probes at ±2·basinTolX around its point then check that the
+// basin is bracketed — a probe beyond the ±maxLogVar bound is clamped to
+// the bound, which closes that side — and Brent polishes the minimum inside
+// the bracket. When the check fails (or the coarse search does not
+// converge) the start reruns full-tolerance Nelder-Mead with nm, exactly as
+// every other fit does, so its result is unchanged. detail labels the
+// "ssm/fit-bracket" fault point, which forces the check to fail.
+func coldSearch1D(objective func([]float64) float64, x0 []float64, nm optimize.NelderMeadOptions, detail string) (optimize.Result, error) {
+	coarse := nm
+	coarse.TolF, coarse.TolX = basinTolF, basinTolX
+	res, err := optimize.NelderMead(objective, x0, coarse)
+	if err != nil || !res.Converged || math.IsInf(res.F, 1) {
+		return optimize.NelderMead(objective, x0, nm)
+	}
+	x, fx := res.X[0], res.F
+	// res.X is the fit's own copy; it doubles as the scratch parameter
+	// vector, so the probes and Brent's evaluations allocate nothing.
+	params := res.X
+	f := func(v float64) float64 {
+		params[0] = v
+		return objective(params)
+	}
+	lo, hi := x-2*basinTolX, x+2*basinTolX
+	loClosed, hiClosed := lo < -maxLogVar, hi > maxLogVar
+	lo, hi = math.Max(lo, -maxLogVar), math.Min(hi, maxLogVar)
+	if faultpoint.Inject("ssm/fit-bracket", detail) != nil ||
+		!(loClosed || f(lo) > fx) || !(hiClosed || f(hi) > fx) {
+		return optimize.NelderMead(objective, x0, nm)
+	}
+	return optimize.Brent(f, lo, hi, x, fx, polishTolX)
 }
 
 // simplexStart pairs an initial point with its simplex geometry: warm starts
@@ -490,11 +555,14 @@ func concentratedLogLikTol(scaled []float64, cfg Config, m *kalman.Model, params
 	return logLik, sigma2, fr.SteadySteps, nil
 }
 
-// checkParams validates optimizer coordinates: relative log-variances beyond
+// maxLogVar bounds the optimizer coordinates: relative log-variances beyond
 // e^±20 add nothing but conditioning trouble on unit-scaled series.
+const maxLogVar = 20
+
+// checkParams validates optimizer coordinates against ±maxLogVar.
 func checkParams(params []float64) error {
 	for _, p := range params {
-		if p < -20 || p > 20 || math.IsNaN(p) {
+		if p < -maxLogVar || p > maxLogVar || math.IsNaN(p) {
 			return errors.New("ssm: parameter out of range")
 		}
 	}
