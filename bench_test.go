@@ -248,9 +248,12 @@ func BenchmarkGenerateCorpus(b *testing.B) {
 // the likelihood search used before the workspace kernel existed; the steady
 // sub-benchmark runs a long non-seasonal model with the steady-state switch
 // enabled, reporting the step at which the covariance recursion converged
-// and the precomputed-gain fast path took over; the nonseasonal sub-benchmark
-// is one evaluation of the 43-month level plus slope-shift model (two
-// states, T = I), which runs on the small-state path.
+// and the precomputed-gain fast path took over; the seasonal-steady
+// sub-benchmark runs the workspace model with the same switch at
+// ssm.DefaultSteadyTol, the configuration of the prefix scan's contender
+// fits, on the seasonal path; the nonseasonal sub-benchmark is one
+// evaluation of the 43-month level plus slope-shift model (two states,
+// T = I), which runs on the small-state path.
 func BenchmarkKalmanLogLik(b *testing.B) {
 	y := syntheticBreakSeries(43, 20)
 	fit, err := ssm.FitConfig(y, ssm.Config{Seasonal: true, ChangePoint: 20})
@@ -304,6 +307,20 @@ func BenchmarkKalmanLogLik(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(len(sscaled)-res.SteadySteps), "entry_step")
+	})
+	b.Run("seasonal-steady", func(b *testing.B) {
+		ws := kalman.NewWorkspace()
+		opts := kalman.LogLikOptions{SteadyTol: ssm.DefaultSteadyTol}
+		if _, err := m.LogLikFilterOpts(scaled, ws, opts); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.LogLikFilterOpts(scaled, ws, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 	b.Run("nonseasonal", func(b *testing.B) {
 		nfit, err := ssm.FitConfig(y, ssm.Config{Seasonal: false, ChangePoint: 20})

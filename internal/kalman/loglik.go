@@ -26,11 +26,16 @@ import (
 // variance are constants and each step needs only the innovation and the
 // state update — see DESIGN.md ("Steady-state fast path") for the recursion.
 //
-// Non-seasonal structural models (at most two states, T = I) skip the sparse
-// machinery altogether: with no options set and no missing observations,
-// LogLikFilterOpts hands them to logLikSmall (small.go), which repeats the
-// generic recursion term for term on fixed-size arrays and so matches it bit
-// for bit — see DESIGN.md ("Small-state Kalman path").
+// Two kinds of model skip the generic sparse machinery; each specialised
+// kernel repeats the generic recursion term for term and so matches it bit
+// for bit. Non-seasonal structural models (at most two states, T = I) with
+// no options set run on fixed-size arrays (logLikSmall, small.go — see
+// DESIGN.md, "Small-state Kalman path"). Seasonal structural models, whose
+// T is the level, dummy-seasonal and intervention pattern ssm builds, run
+// on flat buffers with T's products as index arithmetic (logLikSeasonal,
+// seasonal.go — DESIGN.md, "Seasonal Kalman path"); with SteadyTol set they
+// hand the run to the generic kernel once the covariance converges. Both
+// need OnStep nil and no missing observations; kernelFor makes the choice.
 //
 // Every path also returns Σ log F and Σ V²/F over the contributing
 // observations, so the concentrated likelihood needs no second pass.
@@ -85,10 +90,12 @@ type LogLikOptions struct {
 // Workspace holds every scratch buffer LogLikFilter needs, so that repeated
 // likelihood evaluations allocate nothing after the first call. A workspace
 // grows on demand and may be reused across models of different dimensions
-// and series of different lengths; the sparse transition representation is
-// rebuilt on every call (an O(n²) scan, negligible against the filtering
-// pass), so a workspace never goes stale when the caller swaps models.
-// A Workspace is not safe for concurrent use.
+// and series of different lengths. The generic kernel rebuilds the sparse
+// transition representation on every call (an O(n²) scan, negligible
+// against the filtering pass); the seasonal kernel keeps it, and the L
+// structure built from it, while the seasonal shape is unchanged, because
+// that shape alone determines T. Either way a workspace never goes stale
+// when the caller swaps models. A Workspace is not safe for concurrent use.
 type Workspace struct {
 	// Sparse row-major (CSR) representation of T. tSingle[i] holds the
 	// column index when row i is a single entry of value 1 (the local
@@ -127,6 +134,13 @@ type Workspace struct {
 	// and gain, and the previous covariance for the convergence delta.
 	steadyZ, steadyK []float64
 	pPrev            *linalg.Matrix
+
+	// Seasonal-kernel scratch, flat row-major n×n: the covariance and its
+	// double buffer, P·Tᵀ, the product L·(P·Tᵀ)ᵀ, and RQRᵀ. seasonalNS is
+	// the seasonal state count of the transition the CSR arrays hold, 0 when
+	// they may hold any matrix.
+	sP, sPNew, sTP, sNext, sRQR []float64
+	seasonalNS                  int
 
 	// Result buffers (length = series length).
 	v, f        []float64
@@ -205,6 +219,7 @@ func (ws *Workspace) loadT(t *linalg.Matrix) {
 			ws.tSingle = append(ws.tSingle, -1)
 		}
 	}
+	ws.seasonalNS = 0
 	ws.lValid = false
 }
 
@@ -287,13 +302,14 @@ func (ws *Workspace) mulTransT(dst, a *linalg.Matrix) {
 func (ws *Workspace) buildL(z []float64) {
 	if !ws.lValid || !intsEqual(ws.prevZIdx, ws.zIdx) {
 		ws.buildLStructure()
+		// Entries without a z term hold their base value from here on;
+		// only the z-term entries change from step to step.
+		ws.lVal = append(ws.lVal[:0], ws.lBase...)
 	}
-	lVal := append(ws.lVal[:0], ws.lBase...)
-	k, lBase, lZRow, lZCol := ws.k, ws.lBase, ws.lZRow, ws.lZCol
+	lVal, k, lBase, lZRow, lZCol := ws.lVal, ws.k, ws.lBase, ws.lZRow, ws.lZCol
 	for m, pos := range ws.lZPos {
 		lVal[pos] = lBase[pos] - k[lZRow[m]]*z[lZCol[m]]
 	}
-	ws.lVal = lVal
 }
 
 // buildLStructure merges T's row patterns with the current zIdx into
@@ -370,9 +386,12 @@ func (m *Model) LogLikFilter(y []float64, ws *Workspace) (LogLikResult, error) {
 // path (SteadyTol) and a per-step state callback (OnStep). With the zero
 // options it is exactly LogLikFilter.
 //
-// Models with at most two states and T = I — every non-seasonal structural
-// fit — run on fixed-size scalars (logLikSmall) when no option is set and y
-// has no missing values; the result is bitwise the generic recursion's.
+// When y has no missing values and OnStep is nil, two model shapes run on
+// specialised kernels whose results are bitwise the generic recursion's:
+// models with at most two states and T = I — every non-seasonal structural
+// fit — on fixed-size scalars (logLikSmall) when SteadyTol is 0, and the
+// structural seasonal model — every seasonal fit, with or without
+// interventions — on the seasonal kernel (logLikSeasonal) at any SteadyTol.
 func (m *Model) LogLikFilterOpts(y []float64, ws *Workspace, opts LogLikOptions) (LogLikResult, error) {
 	if ws == nil {
 		ws = NewWorkspace()
@@ -380,8 +399,11 @@ func (m *Model) LogLikFilterOpts(y []float64, ws *Workspace, opts LogLikOptions)
 	if err := m.Validate(); err != nil {
 		return LogLikResult{}, err
 	}
-	if m.Dim() <= 2 && opts.SteadyTol <= 0 && opts.OnStep == nil && isIdentity(m.T) && !hasNaN(y) {
+	switch kern, ns := m.kernelFor(y, opts); kern {
+	case smallKernel:
 		return m.logLikSmall(y, ws)
+	case seasonalKernel:
+		return m.logLikSeasonal(y, ws, ns, opts.SteadyTol)
 	}
 	return m.logLikGeneric(y, ws, opts)
 }

@@ -1,7 +1,7 @@
 package kalman
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -132,54 +132,19 @@ func TestSmallPathMatchesGeneric(t *testing.T) {
 		}
 		small, errS := m.logLikSmall(y, wsSmall)
 		gen, errG := m.logLikGeneric(y, wsGen, LogLikOptions{})
-		if !errors.Is(errS, errG) {
-			t.Fatalf("model %d: small error %v, generic error %v", c, errS, errG)
-		}
-		if errG != nil {
+		if requireSameResult(t, fmt.Sprintf("model %d (n=%d)", c, m.Dim()), small, errS, gen, errG) {
 			degenerate++
-			continue
 		}
-		same := func(name string, a, b float64) {
-			if math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("model %d (n=%d): %s small %v (%#x) != generic %v (%#x)",
-					c, m.Dim(), name, a, math.Float64bits(a), b, math.Float64bits(b))
-			}
-		}
-		same("LogLik", small.LogLik, gen.LogLik)
-		same("SumLogF", small.SumLogF, gen.SumLogF)
-		same("SumV2F", small.SumV2F, gen.SumV2F)
-		if small.LikCount != gen.LikCount || small.SteadyEntry != gen.SteadyEntry || small.SteadySteps != gen.SteadySteps {
-			t.Fatalf("model %d: counts small (%d, %d, %d) != generic (%d, %d, %d)", c,
-				small.LikCount, small.SteadyEntry, small.SteadySteps, gen.LikCount, gen.SteadyEntry, gen.SteadySteps)
-		}
-		if len(small.V) != steps || len(small.F) != steps || len(small.Contributed) != steps {
-			t.Fatalf("model %d: result lengths %d/%d/%d, want %d", c, len(small.V), len(small.F), len(small.Contributed), steps)
-		}
-		var sumLogF, sumV2F float64
-		for i := range y {
-			same("V", small.V[i], gen.V[i])
-			same("F", small.F[i], gen.F[i])
-			if small.Contributed[i] != gen.Contributed[i] {
-				t.Fatalf("model %d: Contributed[%d] small %v != generic %v", c, i, small.Contributed[i], gen.Contributed[i])
-			}
-			if gen.Contributed[i] {
-				sumLogF += math.Log(gen.F[i])
-				sumV2F += gen.V[i] * gen.V[i] / gen.F[i]
-			}
-		}
-		// The sums equal a second pass over the contributing terms.
-		same("SumLogF vs pass", gen.SumLogF, sumLogF)
-		same("SumV2F vs pass", gen.SumV2F, sumV2F)
 	}
 	if degenerate == 0 || degenerate > models/4 {
 		t.Fatalf("%d of %d models degenerate; the draw should cover some but not most", degenerate, models)
 	}
 }
 
-// TestSmallPathDispatch checks which models LogLikFilterOpts sends to the
-// small-state path — only the generic kernel loads T's sparse form, so a
-// fresh workspace tells them apart — and that the result equals the generic
-// kernel's either way.
+// TestSmallPathDispatch checks which kernel LogLikFilterOpts selects for
+// each model and option shape — the small-state path, the seasonal path, or
+// the generic kernel — and that the result equals the generic kernel's bit
+// for bit either way.
 func TestSmallPathDispatch(t *testing.T) {
 	y := testSeries(43, 3)
 	yMissing := append([]float64(nil), y...)
@@ -187,29 +152,42 @@ func TestSmallPathDispatch(t *testing.T) {
 	shift := levelInterventionModel(20, 1, 0.2)
 	nonIdentity := localLevelModel(1, 0.2)
 	nonIdentity.T = linalg.NewMatrixFrom(1, 1, []float64{0.9})
+	seasonal := structuralModel(12, 20, 1, 0.2, 0.05)
+	dense := structuralModel(12, 20, 1, 0.2, 0.05)
+	dense.T = dense.T.Clone()
+	dense.T.Set(0, 1, 0.5)
+	misShaped := structuralModel(12, 20, 1, 0.2, 0.05)
+	misShaped.T = misShaped.T.Clone()
+	misShaped.T.Set(3, 2, 0) // the shift row γ'₃ = γ₂ loses its entry
+	misShaped.T.Set(3, 1, 1)
+	onStep := LogLikOptions{OnStep: func(int, []float64, *linalg.Matrix) {}}
 	cases := []struct {
-		name  string
-		m     *Model
-		y     []float64
-		opts  LogLikOptions
-		small bool
+		name   string
+		m      *Model
+		y      []float64
+		opts   LogLikOptions
+		kernel kernel
 	}{
-		{"level", localLevelModel(1, 0.2), y, LogLikOptions{}, true},
-		{"level-shift", shift, y, LogLikOptions{}, true},
-		{"missing", shift, yMissing, LogLikOptions{}, false},
-		{"steady", shift, y, LogLikOptions{SteadyTol: 1e-9}, false},
-		{"on-step", shift, y, LogLikOptions{OnStep: func(int, []float64, *linalg.Matrix) {}}, false},
-		{"non-identity", nonIdentity, y, LogLikOptions{}, false},
-		{"seasonal", structuralModel(12, 20, 1, 0.2, 0.05), y, LogLikOptions{}, false},
+		{"level", localLevelModel(1, 0.2), y, LogLikOptions{}, smallKernel},
+		{"level-shift", shift, y, LogLikOptions{}, smallKernel},
+		{"missing", shift, yMissing, LogLikOptions{}, genericKernel},
+		{"steady", shift, y, LogLikOptions{SteadyTol: 1e-9}, genericKernel},
+		{"on-step", shift, y, onStep, genericKernel},
+		{"non-identity", nonIdentity, y, LogLikOptions{}, genericKernel},
+		{"seasonal", seasonal, y, LogLikOptions{}, seasonalKernel},
+		{"seasonal-steady", seasonal, y, LogLikOptions{SteadyTol: defaultSteadyTol}, seasonalKernel},
+		{"seasonal-on-step", seasonal, y, onStep, genericKernel},
+		{"seasonal-missing", seasonal, yMissing, LogLikOptions{}, genericKernel},
+		{"dense-T", dense, y, LogLikOptions{}, genericKernel},
+		{"mis-shaped-shift-row", misShaped, y, LogLikOptions{}, genericKernel},
 	}
 	for _, tc := range cases {
-		ws := NewWorkspace()
-		got, err := tc.m.LogLikFilterOpts(tc.y, ws, tc.opts)
+		if got, _ := tc.m.kernelFor(tc.y, tc.opts); got != tc.kernel {
+			t.Errorf("%s: kernel %d, want %d", tc.name, got, tc.kernel)
+		}
+		got, err := tc.m.LogLikFilterOpts(tc.y, NewWorkspace(), tc.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if small := len(ws.tPtr) == 0; small != tc.small {
-			t.Errorf("%s: took the small path %v, want %v", tc.name, small, tc.small)
 		}
 		want, err := tc.m.logLikGeneric(tc.y, NewWorkspace(), tc.opts)
 		if err != nil {

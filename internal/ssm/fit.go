@@ -114,11 +114,11 @@ type FitOptions struct {
 	// changes the fit's numerics.
 	Stats *FitStats
 	// Trace, when non-nil, receives one "ssm/fit" span per FitConfigOptions
-	// call, carrying the fitted configuration and start count (or the
-	// failure) in its detail. A nil Trace is free: the disabled path is one
-	// pointer check — no clock reads, no allocations — preserving the
-	// kernel-level zero-alloc contract. The observer must be goroutine-safe
-	// when fits run concurrently.
+	// or AICAtOptions call, carrying the fitted configuration and start
+	// count (or the failure) in its detail. A nil Trace is free: the
+	// disabled path is one pointer check — no clock reads, no allocations —
+	// preserving the kernel-level zero-alloc contract. The observer must be
+	// goroutine-safe when fits run concurrently.
 	Trace obs.SpanObserver
 	// SteadyTol, when positive, lets every likelihood evaluation of this fit
 	// take the Kalman filter's steady-state fast path
@@ -214,10 +214,10 @@ func FitConfig(y []float64, cfg Config) (*Fit, error) {
 // of the search — Nelder-Mead's, and for a one-parameter fit the bracket
 // probes' and Brent's — only updates the disturbance variances in place and
 // runs the allocation-free likelihood filter through ws, so a caller
-// performing many fits — the change point search evaluates one fit per
-// candidate month — can reuse one workspace across the whole search. The
-// full Filter pass (which materializes the smoother inputs) runs once, for
-// the winning parameters. ws may be nil; a workspace is not safe for
+// performing many fits can reuse one workspace across them. The full Filter
+// pass (which materializes the smoother inputs) runs once, for the winning
+// parameters; the change point search, which needs only each candidate's
+// AIC, skips it (AICAtOptions). ws may be nil; a workspace is not safe for
 // concurrent use.
 func FitConfigWorkspace(y []float64, cfg Config, ws *kalman.Workspace) (*Fit, error) {
 	return FitConfigOptions(y, cfg, ws, FitOptions{})
@@ -227,11 +227,17 @@ func FitConfigWorkspace(y []float64, cfg Config, ws *kalman.Workspace) (*Fit, er
 // reproduces FitConfigWorkspace exactly (same starts, same order, same
 // search, bitwise-identical estimates).
 func FitConfigOptions(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions) (*Fit, error) {
+	return fitTraced(y, cfg, ws, opts, true)
+}
+
+// fitTraced runs fitConfig, reporting it to opts.Trace as one "ssm/fit"
+// span when a tracer is set.
+func fitTraced(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions, full bool) (*Fit, error) {
 	if opts.Trace == nil {
-		return fitConfig(y, cfg, ws, opts)
+		return fitConfig(y, cfg, ws, opts, full)
 	}
 	began := time.Now()
-	fit, err := fitConfig(y, cfg, ws, opts)
+	fit, err := fitConfig(y, cfg, ws, opts, full)
 	sp := obs.SpanEvent{
 		Cat: "ssm", Name: "ssm/fit", TID: obs.LaneSSM,
 		Start: began, Duration: time.Since(began), Month: -1,
@@ -263,8 +269,14 @@ func fitDetail(cfg Config, fit *Fit) string {
 	return d
 }
 
-// fitConfig is the uninstrumented fit core behind FitConfigOptions.
-func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions) (*Fit, error) {
+// fitConfig is the uninstrumented fit core behind FitConfigOptions and
+// AICAtOptions. A full fit ends with a Filter pass over the σ²-scaled model,
+// which yields the smoother inputs and the intervention coefficients. An
+// AIC-only fit (full false) stops once the AIC is known: it validates the
+// scaled model with the allocation-free LogLikFilter instead, whose F
+// sequence equals Filter's up to the sign of zero, so it fails exactly when
+// Filter would; its Fit has no Filter and no Lambdas.
+func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions, full bool) (*Fit, error) {
 	cfg = cfg.withDefaults()
 	minLen := cfg.stateDim() + cfg.numVariances() + 2
 	if len(y) < minLen {
@@ -389,7 +401,12 @@ func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions) (
 	if err != nil {
 		return nil, err
 	}
-	fr, err := m.Filter(scaled)
+	var fr *kalman.FilterResult
+	if full {
+		fr, err = m.Filter(scaled)
+	} else {
+		_, err = m.LogLikFilter(scaled, ws)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +425,7 @@ func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions) (
 		OptParams: append([]float64(nil), best.X...),
 	}
 	fit.AIC = -2*fit.LogLik + 2*float64(fit.NumParams)
-	if ivs := cfg.Interventions(); len(ivs) > 0 {
+	if ivs := cfg.Interventions(); full && len(ivs) > 0 {
 		// λ coefficients are the trailing elements of the final predicted
 		// state, in Interventions() order.
 		final := fr.A[len(scaled)]
@@ -601,11 +618,8 @@ func AICAt(y []float64, seasonal bool, cp int) (float64, error) {
 // point search can reuse one workspace across every candidate fit. ws may
 // be nil.
 func AICAtWorkspace(y []float64, seasonal bool, cp int, ws *kalman.Workspace) (float64, error) {
-	fit, err := FitConfigWorkspace(y, Config{Seasonal: seasonal, ChangePoint: cp}, ws)
-	if err != nil {
-		return 0, err
-	}
-	return fit.AIC, nil
+	aic, _, err := AICAtOptions(y, seasonal, cp, ws, FitOptions{})
+	return aic, err
 }
 
 // AICAtStart is AICAtWorkspace extended for warm-started scans: start (nil
@@ -617,10 +631,12 @@ func AICAtStart(y []float64, seasonal bool, cp int, ws *kalman.Workspace, start 
 
 // AICAtOptions is the options-first change point search primitive: AICAtStart
 // with the full FitOptions, so scans can thread warm starts and FitStats
-// accounting through one call. A zero opts reproduces AICAtWorkspace's cold
-// fit bit-for-bit.
+// accounting through one call. It returns the AIC and OptParams that
+// FitConfigOptions would, bit for bit, and the same error, but skips the
+// fitted model's Filter pass and its per-step allocations: the search needs
+// neither the smoother inputs nor the intervention coefficients.
 func AICAtOptions(y []float64, seasonal bool, cp int, ws *kalman.Workspace, opts FitOptions) (aic float64, opt []float64, err error) {
-	fit, err := FitConfigOptions(y, Config{Seasonal: seasonal, ChangePoint: cp}, ws, opts)
+	fit, err := fitTraced(y, Config{Seasonal: seasonal, ChangePoint: cp}, ws, opts, false)
 	if err != nil {
 		return 0, nil, err
 	}
