@@ -14,11 +14,11 @@ type Cooccurrence struct {
 
 // FitCooccurrence estimates the baseline for one month.
 func FitCooccurrence(month *mic.Monthly, vocabMedicines int) (*Cooccurrence, error) {
-	recs, err := usableRecords(month)
+	phi, err := cooccurrence(month)
 	if err != nil {
 		return nil, err
 	}
-	return &Cooccurrence{Phi: cooccurrencePhi(recs), M: vocabMedicines}, nil
+	return &Cooccurrence{Phi: phi, M: vocabMedicines}, nil
 }
 
 // Name implements Predictor.

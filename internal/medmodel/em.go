@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -75,12 +75,13 @@ func (o FitOptions) withDefaults() FitOptions {
 }
 
 // emIndex is the dense-indexed (CSR-style) view of one month's usable
-// records, built once per Fit so the EM iterations run as flat array
-// arithmetic instead of map-of-maps lookups. Diseases of the month are
-// interned to contiguous indices; φ lives in one value array addressed
-// through per-disease row ranges; and every (record, medicine occurrence,
-// disease) triple the E-step touches is resolved to its position in that
-// array ahead of time — the inner loop then performs no hashing at all.
+// records, built once per month by an emKernel so the EM iterations run as
+// flat array arithmetic instead of map-of-maps lookups. Diseases of the
+// month are interned to contiguous indices; φ lives in one value array
+// addressed through per-disease row ranges; and every (record, medicine
+// occurrence, disease) triple the E-step touches is resolved to its position
+// in that array ahead of time — the inner loop then performs no hashing at
+// all.
 type emIndex struct {
 	diseases []mic.DiseaseID // interned disease ids, ascending
 	rowStart []int           // row d occupies [rowStart[d], rowStart[d+1]) below
@@ -104,85 +105,253 @@ type emIndex struct {
 	numMeds []int // medicine occurrences per record
 }
 
-// newEMIndex interns the records against the cooccurrence support (which
-// also provides the φ initialization, Eq. 10).
-func newEMIndex(recs []*mic.Record) *emIndex {
-	phi := cooccurrencePhi(recs)
-	ix := &emIndex{}
+// emKernel builds a month's emIndex in scratch it keeps between months, the
+// way reproKernel keeps its reproduction scratch: a FitAll worker reuses one
+// kernel across the months it takes, so after its largest month the index
+// costs no allocation at all. Nothing in it is sized Diseases×Medicines: the
+// disease-indexed scratch spans the month's disease ids, the
+// medicine-indexed scratch its medicine ids, and the slabs are resized, not
+// rebuilt.
+type emKernel struct {
+	ix emIndex
 
-	ix.diseases = make([]mic.DiseaseID, 0, len(phi))
-	for d := range phi {
-		ix.diseases = append(ix.diseases, d)
-	}
-	sort.Slice(ix.diseases, func(a, b int) bool { return ix.diseases[a] < ix.diseases[b] })
-	diseaseIdx := make(map[mic.DiseaseID]int32, len(ix.diseases))
-	ix.rowStart = make([]int, len(ix.diseases)+1)
-	for di, d := range ix.diseases {
-		diseaseIdx[d] = int32(di)
-		row := phi[d]
-		meds := make([]mic.MedicineID, 0, len(row))
-		for med := range row {
-			meds = append(meds, med)
-		}
-		sort.Slice(meds, func(a, b int) bool { return meds[a] < meds[b] })
-		for _, med := range meds {
-			ix.rowMed = append(ix.rowMed, med)
-			ix.val = append(ix.val, row[med])
-		}
-		ix.rowStart[di+1] = len(ix.rowMed)
-	}
-	ix.next = make([]float64, len(ix.val))
-	ix.rowSum = make([]float64, len(ix.diseases))
+	// Smallest disease and medicine ids of the month's usable records.
+	dlo mic.DiseaseID
+	mlo mic.MedicineID
 
-	ix.thetaStart = make([]int, len(recs)+1)
-	ix.occStart = make([]int, len(recs)+1)
-	ix.numMeds = make([]int, len(recs))
-	slotOf := make(map[mic.DiseaseID]int) // scratch, cleared per record
-	for r, rec := range recs {
-		n := rec.NumDiseaseMentions()
+	// Disease-span scratch, indexed by id − dlo.
+	slotOf []int32 // θ slot in the current record; -1 outside it (the rest state)
+	bucket []int   // disease dlo+j's cooccurrences are elems[bucket[j]:bucket[j+1]]
+	fill   []int   // pass 2's write cursor per bucket
+	rowOf  []int32 // interned row of the disease, -1 when it has none
+
+	// Medicine-span scratch, indexed by id − mlo.
+	medCnt   []int32 // cooccurrence count in the current row; 0 outside pass 3's row
+	medEntry []int32 // φ entry of the medicine in the current row
+
+	elems []coocElem
+}
+
+// coocElem is one cooccurrence: one disease entry of a record with one of its
+// medicine occurrences.
+type coocElem struct {
+	med mic.MedicineID
+	pos int32 // the occurrence-table cell this pair resolves, -1 when the record has no θ slots
+}
+
+// build interns the month's usable records (those with diseases and
+// medicines) into the kernel's index, which stays valid until the next
+// build. Field for field, it is the index the map-based construction kept as
+// the test reference yields: rows in ascending disease id, each row's
+// medicines ascending, φ initialized to the cooccurrence estimate (Eq. 10),
+// θ accumulated per entry in record order at first-occurrence slots. After a
+// span scan, three passes over the records do the work: pass 1 counts the
+// row totals and sizes the θ and occurrence tables, pass 2 fills θ and
+// scatters each cooccurrence into its disease's bucket, and pass 3 turns
+// each bucket into a φ row and resolves the occurrence cells that bucket's
+// elements point at. The counts are exact integers, so every φ quotient is
+// the one the map-based count divides out.
+func (k *emKernel) build(month *mic.Monthly) (*emIndex, error) {
+	recs, dspan, mspan := k.span(month)
+	if recs == 0 {
+		return nil, fmt.Errorf("%w (month %d)", ErrEmptyMonth, month.Month)
+	}
+	ix := &k.ix
+	if len(k.slotOf) < dspan {
+		k.slotOf = make([]int32, dspan)
+		for i := range k.slotOf {
+			k.slotOf[i] = -1
+		}
+	}
+	k.bucket = resize(k.bucket, dspan+1)
+	clear(k.bucket)
+
+	// Pass 1: row totals (one per cooccurrence, so a disease's total is
+	// also its bucket size) and the θ and occurrence table extents. A record
+	// whose counts do not sum to a positive N_r has no θ slots.
+	ix.thetaStart = resize(ix.thetaStart, recs+1) // [0] is never written: it stays 0
+	ix.occStart = resize(ix.occStart, recs+1)
+	ix.numMeds = resize(ix.numMeds, recs)
+	r := 0
+	for i := range month.Records {
+		rec := &month.Records[i]
+		if !usable(rec) {
+			continue
+		}
+		nm := len(rec.Medicines)
+		n := 0
+		for _, dc := range rec.Diseases {
+			n += dc.Count
+			k.bucket[dc.Disease-k.dlo+1] += nm
+		}
+		slots := 0
 		if n > 0 {
-			// θ_rd accumulated per entry in record order — the same
-			// quotient-sum Theta computes, but at a deterministic slot.
-			for _, dc := range rec.Diseases {
-				s, ok := slotOf[dc.Disease]
-				if !ok {
-					s = len(ix.thetaVal) - ix.thetaStart[r]
-					slotOf[dc.Disease] = s
-					di, inSupport := diseaseIdx[dc.Disease]
-					if !inSupport {
-						di = -1
-					}
-					ix.thetaDis = append(ix.thetaDis, di)
-					ix.thetaVal = append(ix.thetaVal, 0)
-				}
-				ix.thetaVal[ix.thetaStart[r]+s] += float64(dc.Count) / float64(n)
-			}
+			slots = k.stampSlots(rec)
+			k.clearSlots(rec)
 		}
-		for d := range slotOf {
-			delete(slotOf, d)
-		}
-		ix.thetaStart[r+1] = len(ix.thetaVal)
-		slots := ix.thetaStart[r+1] - ix.thetaStart[r]
-
-		ix.numMeds[r] = len(rec.Medicines)
-		for _, med := range rec.Medicines {
-			for s := 0; s < slots; s++ {
-				di := ix.thetaDis[ix.thetaStart[r]+s]
-				p := int32(-1)
-				if di >= 0 {
-					lo, hi := ix.rowStart[di], ix.rowStart[di+1]
-					row := ix.rowMed[lo:hi]
-					j := sort.Search(len(row), func(k int) bool { return row[k] >= med })
-					if j < len(row) && row[j] == med {
-						p = int32(lo + j)
-					}
-				}
-				ix.pos = append(ix.pos, p)
-			}
-		}
-		ix.occStart[r+1] = len(ix.pos)
+		ix.numMeds[r] = nm
+		ix.thetaStart[r+1] = ix.thetaStart[r] + slots
+		ix.occStart[r+1] = ix.occStart[r] + slots*nm
+		r++
 	}
-	return ix
+	occ := ix.occStart[recs]
+	if occ > math.MaxInt32 {
+		return nil, fmt.Errorf("medmodel: month %d has %d occurrence cells, more than the index addresses", month.Month, occ)
+	}
+	rows := 0
+	k.fill = resize(k.fill, dspan)
+	for j := 0; j < dspan; j++ {
+		if k.bucket[j+1] > 0 {
+			rows++
+		}
+		k.bucket[j+1] += k.bucket[j]
+		k.fill[j] = k.bucket[j]
+	}
+	total := k.bucket[dspan]
+
+	// Pass 2: θ (Eq. 2), summed per entry at the slot pass 1 numbered, and
+	// the buckets.
+	thetas := ix.thetaStart[recs]
+	ix.thetaVal = resize(ix.thetaVal, thetas)
+	clear(ix.thetaVal)
+	ix.thetaDis = resize(ix.thetaDis, thetas)
+	ix.pos = resize(ix.pos, occ)
+	k.elems = resize(k.elems, total)
+	r = 0
+	for i := range month.Records {
+		rec := &month.Records[i]
+		if !usable(rec) {
+			continue
+		}
+		ts, base := ix.thetaStart[r], ix.occStart[r]
+		slots := ix.thetaStart[r+1] - ts
+		n := float64(rec.NumDiseaseMentions())
+		if slots > 0 {
+			k.stampSlots(rec)
+		}
+		for _, dc := range rec.Diseases {
+			j := dc.Disease - k.dlo
+			s := int32(-1)
+			if slots > 0 {
+				s = k.slotOf[j]
+				ix.thetaDis[ts+int(s)] = int32(j) // interned after pass 3
+				ix.thetaVal[ts+int(s)] += float64(dc.Count) / n
+			}
+			f := k.fill[j]
+			for o, med := range rec.Medicines {
+				p := int32(-1)
+				if s >= 0 {
+					p = int32(base + o*slots + int(s))
+				}
+				k.elems[f+o] = coocElem{med: med, pos: p}
+			}
+			k.fill[j] = f + len(rec.Medicines)
+		}
+		k.clearSlots(rec)
+		r++
+	}
+
+	// Pass 3: rows in ascending disease id. The bucket's distinct medicines
+	// are gathered straight into the row's rowMed range and sorted there;
+	// val is count/total (Eq. 10); then every element writes the φ entry its
+	// occurrence cell resolves to.
+	ix.diseases = resize(ix.diseases, rows)
+	ix.rowStart = resize(ix.rowStart, rows+1) // [0] stays 0, as above
+	ix.rowMed = resize(ix.rowMed, total)      // distinct entries ≤ cooccurrences
+	ix.val = resize(ix.val, total)
+	k.rowOf = resize(k.rowOf, dspan)
+	k.medCnt = resize(k.medCnt, mspan) // all 0 at rest
+	k.medEntry = resize(k.medEntry, mspan)
+	e, row := 0, 0
+	for j := 0; j < dspan; j++ {
+		els := k.elems[k.bucket[j]:k.bucket[j+1]]
+		if len(els) == 0 {
+			k.rowOf[j] = -1 // no cooccurrence mass: no row
+			continue
+		}
+		start := e
+		for _, el := range els {
+			m := el.med - k.mlo
+			if k.medCnt[m] == 0 {
+				ix.rowMed[e] = el.med
+				e++
+			}
+			k.medCnt[m]++
+		}
+		meds := ix.rowMed[start:e]
+		slices.Sort(meds)
+		sum := float64(len(els))
+		for i, med := range meds {
+			m := med - k.mlo
+			ix.val[start+i] = float64(k.medCnt[m]) / sum
+			k.medEntry[m] = int32(start + i)
+			k.medCnt[m] = 0
+		}
+		for _, el := range els {
+			if el.pos >= 0 {
+				ix.pos[el.pos] = k.medEntry[el.med-k.mlo]
+			}
+		}
+		ix.diseases[row] = k.dlo + mic.DiseaseID(j)
+		k.rowOf[j] = int32(row)
+		row++
+		ix.rowStart[row] = e
+	}
+	ix.rowMed, ix.val = ix.rowMed[:e], ix.val[:e]
+	for s, j := range ix.thetaDis {
+		ix.thetaDis[s] = k.rowOf[j]
+	}
+	ix.next = resize(ix.next, e)
+	clear(ix.next)
+	ix.rowSum = resize(ix.rowSum, rows)
+	clear(ix.rowSum)
+	return ix, nil
+}
+
+// span counts the month's usable records and sets the id bases, returning
+// the count and the disease and medicine id spans (0 when no record is
+// usable).
+func (k *emKernel) span(month *mic.Monthly) (recs, dspan, mspan int) {
+	dlo, dhi := mic.DiseaseID(math.MaxInt32), mic.DiseaseID(math.MinInt32)
+	mlo, mhi := mic.MedicineID(math.MaxInt32), mic.MedicineID(math.MinInt32)
+	for i := range month.Records {
+		rec := &month.Records[i]
+		if !usable(rec) {
+			continue
+		}
+		recs++
+		for _, dc := range rec.Diseases {
+			dlo, dhi = min(dlo, dc.Disease), max(dhi, dc.Disease)
+		}
+		for _, med := range rec.Medicines {
+			mlo, mhi = min(mlo, med), max(mhi, med)
+		}
+	}
+	if recs == 0 {
+		return 0, 0, 0
+	}
+	k.dlo, k.mlo = dlo, mlo
+	return recs, int(dhi) - int(dlo) + 1, int(mhi) - int(mlo) + 1
+}
+
+// stampSlots numbers the record's distinct diseases in first-occurrence
+// order into slotOf and returns how many there are.
+func (k *emKernel) stampSlots(rec *mic.Record) int {
+	slots := 0
+	for _, dc := range rec.Diseases {
+		if j := dc.Disease - k.dlo; k.slotOf[j] < 0 {
+			k.slotOf[j] = int32(slots)
+			slots++
+		}
+	}
+	return slots
+}
+
+// clearSlots returns slotOf to its rest state after a record.
+func (k *emKernel) clearSlots(rec *mic.Record) {
+	for _, dc := range rec.Diseases {
+		k.slotOf[dc.Disease-k.dlo] = -1
+	}
 }
 
 // sweep is one fused pass over the occurrence table under the current φ
@@ -288,13 +457,16 @@ func (ix *emIndex) phiMap() map[mic.DiseaseID]map[mic.MedicineID]float64 {
 // the next E-step; the fitted Φ is converted back to the map representation
 // the Model API exposes. Results are deterministic.
 func Fit(month *mic.Monthly, vocabMedicines int, opts FitOptions) (*Model, error) {
+	return new(emKernel).fit(month, vocabMedicines, opts)
+}
+
+// fit is Fit on the kernel's reusable index.
+func (k *emKernel) fit(month *mic.Monthly, vocabMedicines int, opts FitOptions) (*Model, error) {
 	opts = opts.withDefaults()
-	recs, err := usableRecords(month)
+	ix, err := k.build(month)
 	if err != nil {
 		return nil, err
 	}
-
-	ix := newEMIndex(recs)
 	model := &Model{
 		Eta: EstimateEta(month),
 		M:   vocabMedicines,
@@ -358,19 +530,22 @@ type MonthError struct {
 	Panicked bool
 }
 
-// fitMonth fits one month with panic isolation: a crash inside the EM loop
-// becomes an error confined to that month instead of a process abort.
-func fitMonth(month *mic.Monthly, vocabMedicines int, opts FitOptions) (m *Model, panicked bool, err error) {
+// fitMonth fits one month on k with panic isolation: a crash inside the EM
+// loop becomes an error confined to that month instead of a process abort.
+func fitMonth(k *emKernel, month *mic.Monthly, vocabMedicines int, opts FitOptions) (m *Model, panicked bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			m, panicked = nil, true
 			err = fmt.Errorf("medmodel: month %d fit panicked: %v", month.Month, r)
+			// A crash may have left the scratch mid-build (slotOf and
+			// medCnt off their rest state): start the next month clean.
+			*k = emKernel{}
 		}
 	}()
 	if err := faultpoint.Inject("medmodel/fit-month", strconv.Itoa(month.Month)); err != nil {
 		return nil, false, err
 	}
-	m, err = Fit(month, vocabMedicines, opts)
+	m, err = k.fit(month, vocabMedicines, opts)
 	return m, false, err
 }
 
@@ -493,13 +668,16 @@ func FitAll(ctx context.Context, d *mic.Dataset, opts FitOptions) ([]*Model, []M
 	if workers > len(d.Months) {
 		workers = len(d.Months)
 	}
+	// Each worker reuses one kernel's index scratch across the months it
+	// takes.
 	if workers <= 1 {
+		var k emKernel
 		for i, month := range d.Months {
 			if err := ctx.Err(); err != nil {
 				return models, monthErrors(errs, panicked), err
 			}
 			began := ins.began()
-			models[i], panicked[i], errs[i] = fitMonth(month, d.Medicines.Len(), opts)
+			models[i], panicked[i], errs[i] = fitMonth(&k, month, d.Medicines.Len(), opts)
 			ins.monthDone(ctx, i, models[i], errs[i], began)
 		}
 	} else {
@@ -509,12 +687,13 @@ func FitAll(ctx context.Context, d *mic.Dataset, opts FitOptions) ([]*Model, []M
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				var k emKernel
 				for i := range in {
 					if ctx.Err() != nil {
 						continue // drain: cancelled before this month started
 					}
 					began := ins.began()
-					models[i], panicked[i], errs[i] = fitMonth(d.Months[i], d.Medicines.Len(), opts)
+					models[i], panicked[i], errs[i] = fitMonth(&k, d.Months[i], d.Medicines.Len(), opts)
 					ins.monthDone(ctx, i, models[i], errs[i], began)
 				}
 			}()
@@ -596,40 +775,20 @@ func monthErrors(errs []error, panicked []bool) []MonthError {
 // yields a model with an empty Φ, whose responsibilities fall back to θ.
 func FallbackModel(month *mic.Monthly, vocabMedicines int) *Model {
 	model := &Model{Eta: EstimateEta(month), M: vocabMedicines}
-	if recs, err := usableRecords(month); err == nil {
-		model.Phi = cooccurrencePhi(recs)
+	if phi, err := cooccurrence(month); err == nil {
+		model.Phi = phi
 	}
 	return model
 }
 
-// cooccurrencePhi computes the Eq. 10 estimate used both as the Cooccurrence
-// baseline and as EM initialization. Cooc_r(d, m) counts each occurrence of
-// medicine m in a record once per distinct disease d of the record.
-func cooccurrencePhi(recs []*mic.Record) map[mic.DiseaseID]map[mic.MedicineID]float64 {
-	phi := make(map[mic.DiseaseID]map[mic.MedicineID]float64)
-	rowSums := make(map[mic.DiseaseID]float64)
-	for _, r := range recs {
-		for _, dc := range r.Diseases {
-			row, ok := phi[dc.Disease]
-			if !ok {
-				row = make(map[mic.MedicineID]float64)
-				phi[dc.Disease] = row
-			}
-			for _, med := range r.Medicines {
-				row[med]++
-				rowSums[dc.Disease]++
-			}
-		}
+// cooccurrence computes the Eq. 10 estimate used both as the Cooccurrence
+// baseline and as EM initialization: the φ of a freshly built index.
+// Cooc_r(d, m) counts each occurrence of medicine m in a record once per
+// disease entry of the record.
+func cooccurrence(month *mic.Monthly) (map[mic.DiseaseID]map[mic.MedicineID]float64, error) {
+	ix, err := new(emKernel).build(month)
+	if err != nil {
+		return nil, err
 	}
-	for d, row := range phi {
-		sum := rowSums[d]
-		if sum <= 0 {
-			delete(phi, d)
-			continue
-		}
-		for med := range row {
-			row[med] /= sum
-		}
-	}
-	return phi
+	return ix.phiMap(), nil
 }

@@ -135,13 +135,16 @@ func smooth(p float64, m int) float64 {
 	return (1-UniformSmoothing)*p + UniformSmoothing/float64(m)
 }
 
-// validateMonth checks that the month has records usable for fitting and
-// returns them.
+// usable reports whether a record takes part in fitting: it needs both a
+// disease and a medicine.
+func usable(r *mic.Record) bool { return len(r.Diseases) > 0 && len(r.Medicines) > 0 }
+
+// usableRecords returns the month's usable records, or ErrEmptyMonth when it
+// has none.
 func usableRecords(month *mic.Monthly) ([]*mic.Record, error) {
 	var recs []*mic.Record
 	for i := range month.Records {
-		r := &month.Records[i]
-		if len(r.Diseases) > 0 && len(r.Medicines) > 0 {
+		if r := &month.Records[i]; usable(r) {
 			recs = append(recs, r)
 		}
 	}

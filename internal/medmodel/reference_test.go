@@ -1,20 +1,25 @@
 package medmodel
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"mictrend/internal/mic"
 	"mictrend/internal/micgen"
 )
 
-// This file keeps the map-based Eq. 7 reproduction and the two-pass EM loop
-// (an E/M sweep, then a separate likelihood sweep per iteration) as test
-// oracles: the streaming kernel and the fused sweep must match them bit for
-// bit.
+// This file keeps the map-based Eq. 7 reproduction, the map-based EM index
+// construction and Eq. 10 estimate, and the two-pass EM loop (an E/M sweep,
+// then a separate likelihood sweep per iteration) as test oracles: the
+// streaming kernel, the dense index kernel and the fused sweep must match
+// them bit for bit.
 
 // responder is anything that spreads a medicine occurrence over a record's
 // diseases: Model and Cooccurrence.
@@ -54,6 +59,119 @@ func reproduceReference(d *mic.Dataset, ests []responder) *SeriesSet {
 	}
 	s.buildMarginals()
 	return s
+}
+
+// cooccurrencePhi is the map-based Eq. 10 estimate. Cooc_r(d, m) counts each
+// occurrence of medicine m in a record once per disease entry of the record.
+func cooccurrencePhi(recs []*mic.Record) map[mic.DiseaseID]map[mic.MedicineID]float64 {
+	phi := make(map[mic.DiseaseID]map[mic.MedicineID]float64)
+	rowSums := make(map[mic.DiseaseID]float64)
+	for _, r := range recs {
+		for _, dc := range r.Diseases {
+			row, ok := phi[dc.Disease]
+			if !ok {
+				row = make(map[mic.MedicineID]float64)
+				phi[dc.Disease] = row
+			}
+			for _, med := range r.Medicines {
+				row[med]++
+				rowSums[dc.Disease]++
+			}
+		}
+	}
+	for d, row := range phi {
+		sum := rowSums[d]
+		if sum <= 0 {
+			delete(phi, d)
+			continue
+		}
+		for med := range row {
+			row[med] /= sum
+		}
+	}
+	return phi
+}
+
+// emIndexReference is the map-based index construction: the cooccurrence
+// support interned through maps, one binary search per (occurrence, θ slot),
+// every slab grown by append.
+func emIndexReference(recs []*mic.Record) *emIndex {
+	phi := cooccurrencePhi(recs)
+	ix := &emIndex{}
+
+	ix.diseases = make([]mic.DiseaseID, 0, len(phi))
+	for d := range phi {
+		ix.diseases = append(ix.diseases, d)
+	}
+	sort.Slice(ix.diseases, func(a, b int) bool { return ix.diseases[a] < ix.diseases[b] })
+	diseaseIdx := make(map[mic.DiseaseID]int32, len(ix.diseases))
+	ix.rowStart = make([]int, len(ix.diseases)+1)
+	for di, d := range ix.diseases {
+		diseaseIdx[d] = int32(di)
+		row := phi[d]
+		meds := make([]mic.MedicineID, 0, len(row))
+		for med := range row {
+			meds = append(meds, med)
+		}
+		sort.Slice(meds, func(a, b int) bool { return meds[a] < meds[b] })
+		for _, med := range meds {
+			ix.rowMed = append(ix.rowMed, med)
+			ix.val = append(ix.val, row[med])
+		}
+		ix.rowStart[di+1] = len(ix.rowMed)
+	}
+	ix.next = make([]float64, len(ix.val))
+	ix.rowSum = make([]float64, len(ix.diseases))
+
+	ix.thetaStart = make([]int, len(recs)+1)
+	ix.occStart = make([]int, len(recs)+1)
+	ix.numMeds = make([]int, len(recs))
+	slotOf := make(map[mic.DiseaseID]int) // scratch, cleared per record
+	for r, rec := range recs {
+		n := rec.NumDiseaseMentions()
+		if n > 0 {
+			// θ_rd accumulated per entry in record order — the same
+			// quotient-sum Theta computes, but at a deterministic slot.
+			for _, dc := range rec.Diseases {
+				s, ok := slotOf[dc.Disease]
+				if !ok {
+					s = len(ix.thetaVal) - ix.thetaStart[r]
+					slotOf[dc.Disease] = s
+					di, inSupport := diseaseIdx[dc.Disease]
+					if !inSupport {
+						di = -1
+					}
+					ix.thetaDis = append(ix.thetaDis, di)
+					ix.thetaVal = append(ix.thetaVal, 0)
+				}
+				ix.thetaVal[ix.thetaStart[r]+s] += float64(dc.Count) / float64(n)
+			}
+		}
+		for d := range slotOf {
+			delete(slotOf, d)
+		}
+		ix.thetaStart[r+1] = len(ix.thetaVal)
+		slots := ix.thetaStart[r+1] - ix.thetaStart[r]
+
+		ix.numMeds[r] = len(rec.Medicines)
+		for _, med := range rec.Medicines {
+			for s := 0; s < slots; s++ {
+				di := ix.thetaDis[ix.thetaStart[r]+s]
+				p := int32(-1)
+				if di >= 0 {
+					lo, hi := ix.rowStart[di], ix.rowStart[di+1]
+					row := ix.rowMed[lo:hi]
+					j := sort.Search(len(row), func(k int) bool { return row[k] >= med })
+					if j < len(row) && row[j] == med {
+						p = int32(lo + j)
+					}
+				}
+				ix.pos = append(ix.pos, p)
+			}
+		}
+		ix.occStart[r+1] = len(ix.pos)
+	}
+	return ix
 }
 
 // iterateReference is the unfused EM step: E-step under the current φ, then
@@ -148,7 +266,7 @@ func fitTwoSweep(month *mic.Monthly, vocabMedicines int, opts FitOptions) (*Mode
 	if err != nil {
 		return nil, err
 	}
-	ix := newEMIndex(recs)
+	ix := emIndexReference(recs)
 	model := &Model{Eta: EstimateEta(month), M: vocabMedicines}
 	prevLL := math.Inf(-1)
 	for iter := 0; iter < opts.MaxIter; iter++ {
@@ -400,6 +518,194 @@ func TestReproduceMatchesReference(t *testing.T) {
 	}
 }
 
+// zeroRowMonth is twoDiseaseMonth plus disease 5, which only ever appears
+// with count 0: its cooccurrence row gets mass, the first E-step gives it
+// none, and the M-step zeroes it.
+func zeroRowMonth() *mic.Monthly {
+	m := twoDiseaseMonth()
+	m.Records = append(m.Records,
+		mic.Record{Diseases: []mic.DiseaseCount{{Disease: 5, Count: 0}, {Disease: 0, Count: 1}}, Medicines: []mic.MedicineID{0, 1}})
+	return m
+}
+
+// negativeCountMonth has a negative count (unvalidated input), which makes
+// θ negative, so some occurrences have a non-positive predictive
+// probability: the likelihood clamps it, the E-step skips it.
+func negativeCountMonth() *mic.Monthly {
+	m := &mic.Monthly{Records: []mic.Record{
+		{Diseases: []mic.DiseaseCount{{Disease: 6, Count: 2}, {Disease: 7, Count: -1}}, Medicines: []mic.MedicineID{3, 4, 5, 8}},
+	}}
+	for i := 0; i < 5; i++ {
+		m.Records = append(m.Records,
+			mic.Record{Diseases: []mic.DiseaseCount{{Disease: 7, Count: 1}}, Medicines: []mic.MedicineID{3}})
+	}
+	return m
+}
+
+// requireIndexEqual fails unless got and want agree field for field, floats
+// by their bits. A nil slice equals an empty one: the reference grows its
+// slabs from nil, the kernel resizes them.
+func requireIndexEqual(t *testing.T, label string, got, want *emIndex) {
+	t.Helper()
+	sameInts(t, label+" diseases", got.diseases, want.diseases)
+	sameInts(t, label+" rowStart", got.rowStart, want.rowStart)
+	sameInts(t, label+" rowMed", got.rowMed, want.rowMed)
+	sameFloatBits(t, label+" val", got.val, want.val)
+	sameFloatBits(t, label+" next", got.next, want.next)
+	sameFloatBits(t, label+" rowSum", got.rowSum, want.rowSum)
+	sameInts(t, label+" thetaStart", got.thetaStart, want.thetaStart)
+	sameInts(t, label+" thetaDis", got.thetaDis, want.thetaDis)
+	sameFloatBits(t, label+" thetaVal", got.thetaVal, want.thetaVal)
+	sameInts(t, label+" occStart", got.occStart, want.occStart)
+	sameInts(t, label+" pos", got.pos, want.pos)
+	sameInts(t, label+" numMeds", got.numMeds, want.numMeds)
+}
+
+func sameInts[T ~int | ~int32](t *testing.T, label string, got, want []T) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s[%d] = %d, want %d", label, i, got[i], want[i])
+		}
+	}
+}
+
+func sameFloatBits(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%#x), want %v (%#x)", label, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// requirePhiBits fails unless got and want hold the same rows and entries
+// with bit-identical values.
+func requirePhiBits(t *testing.T, label string, got, want map[mic.DiseaseID]map[mic.MedicineID]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+	}
+	for d, wrow := range want {
+		grow, ok := got[d]
+		if !ok || len(grow) != len(wrow) {
+			t.Fatalf("%s: row %d has %d entries, want %d", label, d, len(grow), len(wrow))
+		}
+		for m, w := range wrow {
+			if g, ok := grow[m]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: φ[%d][%d] = %v, want %v", label, d, m, g, w)
+			}
+		}
+	}
+}
+
+func TestEMKernelMatchesReference(t *testing.T) {
+	var months []*mic.Monthly
+	for _, cfg := range []micgen.Config{
+		{Seed: 5, Months: 2, RecordsPerMonth: 400, BulkDiseases: 6, BulkMedicines: 8},
+		{Seed: 23, Months: 2, RecordsPerMonth: 800, BulkDiseases: 20, BulkMedicines: 25},
+		{Seed: 29, Months: 2, RecordsPerMonth: 200},
+	} {
+		ds, _, err := micgen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		months = append(months, ds.Months...)
+	}
+	// The edge months repeat disease entries, carry zero-count diseases and
+	// records whose counts sum to 0 (no θ slots, yet cooccurrence mass), and
+	// records without diseases or without medicines.
+	months = append(months, edgeDataset().Months[:3]...)
+	months = append(months, twoDiseaseMonth(), zeroRowMonth(), negativeCountMonth())
+	// Disease and medicine ids far apart, so the spans are wide and mostly
+	// empty, and a record whose counts sum to a negative N_r (no θ slots).
+	const far = 1 << 20
+	months = append(months, &mic.Monthly{Month: 9, Records: []mic.Record{
+		{Diseases: []mic.DiseaseCount{{Disease: far, Count: 1}, {Disease: 3, Count: 2}}, Medicines: []mic.MedicineID{far + 7, 2}},
+		{Diseases: []mic.DiseaseCount{{Disease: 3, Count: 1}}, Medicines: []mic.MedicineID{2, 2, far + 7}},
+		{Diseases: []mic.DiseaseCount{{Disease: far, Count: 1}, {Disease: far, Count: 1}}, Medicines: []mic.MedicineID{5}},
+		{Diseases: []mic.DiseaseCount{{Disease: 4, Count: -2}, {Disease: 3, Count: 1}}, Medicines: []mic.MedicineID{2, 6}},
+	}})
+
+	check := func(label string, k *emKernel, month *mic.Monthly) {
+		t.Helper()
+		recs, err := usableRecords(month)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := emIndexReference(recs)
+		got, err := k.build(month)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		requireIndexEqual(t, label, got, want)
+		phi := cooccurrencePhi(recs)
+		requirePhiBits(t, label+" phiMap", got.phiMap(), phi)
+		requirePhiBits(t, label+" phiMap (reference index)", want.phiMap(), phi)
+		// Leave the scratch as a fit would, for the next build on k.
+		got.sweep()
+		got.mstep()
+	}
+	for i, month := range months {
+		check(fmt.Sprintf("month %d, fresh kernel", i), new(emKernel), month)
+	}
+
+	// One kernel reused over months of falling, then rising, size: every
+	// slab shrinks into its backing array, then grows past it again.
+	bySize := slices.Clone(months)
+	slices.SortStableFunc(bySize, func(a, b *mic.Monthly) int { return cmp.Compare(len(b.Records), len(a.Records)) })
+	var k emKernel
+	for i, month := range bySize {
+		check(fmt.Sprintf("falling %d", i), &k, month)
+	}
+	for i := len(bySize) - 1; i >= 0; i-- {
+		check(fmt.Sprintf("rising %d", i), &k, bySize[i])
+	}
+
+	// A month without usable records fails as before, and leaves the kernel
+	// reusable.
+	bare := edgeDataset().Months[3]
+	if _, err := k.build(bare); !errors.Is(err, ErrEmptyMonth) {
+		t.Fatalf("bare month: %v, want ErrEmptyMonth", err)
+	}
+	check("after bare", &k, months[0])
+}
+
+// TestFitAllocsFlatInRecords pins the index kernel's allocation profile: a
+// FitAll worker over months ten times as long allocates no more often.
+func TestFitAllocsFlatInRecords(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not representative under -race")
+	}
+	allocs := func(scale int) float64 {
+		base := edgeDataset()
+		ds := &mic.Dataset{Diseases: base.Diseases, Medicines: base.Medicines, Hospitals: base.Hospitals}
+		for _, m := range base.Months {
+			big := &mic.Monthly{Month: m.Month}
+			for i := 0; i < scale; i++ {
+				big.Records = append(big.Records, m.Records...)
+			}
+			ds.Months = append(ds.Months, big)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, _, err := FitAll(context.Background(), ds, FitOptions{MaxIter: 5, Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, ten := allocs(1), allocs(10)
+	t.Logf("FitAll allocations: %v per call at 1x, %v at 10x", one, ten)
+	if ten > one {
+		t.Fatalf("FitAll allocations grow with records: %v per call at 1x, %v at 10x", one, ten)
+	}
+}
+
 func TestFitFusedMatchesTwoSweep(t *testing.T) {
 	var months []*mic.Monthly
 	for _, cfg := range []micgen.Config{
@@ -412,24 +718,8 @@ func TestFitFusedMatchesTwoSweep(t *testing.T) {
 		}
 		months = append(months, ds.Months...)
 	}
-	months = append(months, twoDiseaseMonth(), edgeDataset().Months[0])
-	// Disease 5 only ever appears with count 0: its cooccurrence row gets
-	// mass, the first E-step gives it none, and the M-step zeroes it.
-	zeroRow := twoDiseaseMonth()
-	zeroRow.Records = append(zeroRow.Records,
-		mic.Record{Diseases: []mic.DiseaseCount{{Disease: 5, Count: 0}, {Disease: 0, Count: 1}}, Medicines: []mic.MedicineID{0, 1}})
-	months = append(months, zeroRow)
-	// A negative count (unvalidated input) makes θ negative, so some
-	// occurrences have a non-positive predictive probability: the likelihood
-	// clamps it, the E-step skips it.
-	negative := &mic.Monthly{Records: []mic.Record{
-		{Diseases: []mic.DiseaseCount{{Disease: 6, Count: 2}, {Disease: 7, Count: -1}}, Medicines: []mic.MedicineID{3, 4, 5, 8}},
-	}}
-	for i := 0; i < 5; i++ {
-		negative.Records = append(negative.Records,
-			mic.Record{Diseases: []mic.DiseaseCount{{Disease: 7, Count: 1}}, Medicines: []mic.MedicineID{3}})
-	}
-	months = append(months, negative)
+	zeroRow := zeroRowMonth()
+	months = append(months, twoDiseaseMonth(), edgeDataset().Months[0], zeroRow, negativeCountMonth())
 
 	for mi, month := range months {
 		for _, opts := range []FitOptions{

@@ -368,9 +368,11 @@ func (k *reproKernel) collect(span int) []pairValue {
 }
 
 // resize returns s with length n, reusing its backing array when it fits.
+// A new array gets a quarter more capacity than asked, so scratch reused
+// over months that grow a little at a time is reallocated only now and then.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, n+n/4)
 	}
 	return s[:n]
 }

@@ -60,14 +60,13 @@ func FitSmoothed(month *mic.Monthly, vocabMedicines int, opts FitOptions, prior 
 		return Fit(month, vocabMedicines, opts)
 	}
 	opts = opts.withDefaults()
-	recs, err := usableRecords(month)
+	// Initialize from this month's cooccurrences blended with the prior.
+	phi, err := cooccurrence(month)
 	if err != nil {
 		return nil, err
 	}
-
-	// Initialize from this month's cooccurrences blended with the prior.
-	phi := cooccurrencePhi(recs)
 	blendPrior(phi, prior.Phi, priorWeight)
+	recs, _ := usableRecords(month) // cannot fail: cooccurrence found usable records
 
 	// Fix the iteration orders once: per-record θ ascending by disease, and
 	// the prior's rows and entries ascending by id.

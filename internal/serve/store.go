@@ -141,7 +141,7 @@ func Open(dir string, metrics *obs.Registry) (*Store, *RecoveryReport, error) {
 		staged:  make(map[int]*monthState),
 	}
 	rep := &RecoveryReport{}
-	recs, truncated, err := s.replayWAL(rep)
+	recs, truncated, err := s.replayWAL()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -217,7 +217,7 @@ func Open(dir string, metrics *obs.Registry) (*Store, *RecoveryReport, error) {
 
 // replayWAL reads every verifiable record and truncates the file after the
 // last good one. A missing WAL is an empty store, not an error.
-func (s *Store) replayWAL(rep *RecoveryReport) ([]walRecord, int64, error) {
+func (s *Store) replayWAL() ([]walRecord, int64, error) {
 	path := filepath.Join(s.dir, walName)
 	b, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -226,33 +226,7 @@ func (s *Store) replayWAL(rep *RecoveryReport) ([]walRecord, int64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: reading WAL: %w", err)
 	}
-	var recs []walRecord
-	off := 0
-	good := 0
-	for {
-		if off == len(b) {
-			break // clean end
-		}
-		if off+8 > len(b) {
-			break // torn frame header
-		}
-		n := int(binary.LittleEndian.Uint32(b[off:]))
-		sum := binary.LittleEndian.Uint32(b[off+4:])
-		if n <= 0 || off+8+n > len(b) {
-			break // torn or nonsense payload length
-		}
-		payload := b[off+8 : off+8+n]
-		if crc32.Checksum(payload, crcTable) != sum {
-			break // corrupt record: everything after is untrusted
-		}
-		var r walRecord
-		if err := json.Unmarshal(payload, &r); err != nil {
-			break
-		}
-		recs = append(recs, r)
-		off += 8 + n
-		good = off
-	}
+	recs, good := parseWAL(b)
 	var truncated int64
 	if good < len(b) {
 		truncated = int64(len(b) - good)
@@ -260,8 +234,35 @@ func (s *Store) replayWAL(rep *RecoveryReport) ([]walRecord, int64, error) {
 			return nil, 0, fmt.Errorf("serve: truncating torn WAL tail: %w", err)
 		}
 	}
-	_ = rep
 	return recs, truncated, nil
+}
+
+// parseWAL decodes the WAL's frames in order and returns their records and
+// the length of the prefix they occupy. It stops at the first frame that is
+// torn, fails its CRC or does not decode: everything from there on is
+// untrusted.
+func parseWAL(b []byte) (recs []walRecord, good int) {
+	for good < len(b) {
+		if len(b)-good < 8 {
+			break // torn frame header
+		}
+		n := int(binary.LittleEndian.Uint32(b[good:]))
+		sum := binary.LittleEndian.Uint32(b[good+4:])
+		if n <= 0 || n > len(b)-good-8 {
+			break // torn or nonsense payload length
+		}
+		payload := b[good+8 : good+8+n]
+		if crc32.Checksum(payload, crcTable) != sum {
+			break // corrupt record
+		}
+		var r walRecord
+		if err := json.Unmarshal(payload, &r); err != nil {
+			break
+		}
+		recs = append(recs, r)
+		good += 8 + n
+	}
+	return recs, good
 }
 
 // loadMonthFile reads and doubly verifies one committed month: the file's
