@@ -55,43 +55,69 @@ func ReproduceCooccurrence(d *mic.Dataset, models []*Cooccurrence) (*SeriesSet, 
 	for i, m := range models {
 		phis[i] = m.Phi
 	}
-	return reproduceParallel(d, phis, true, 1)
+	return reproduceParallel(d, phis, true, make([]MonthSums, len(models)), 1)
 }
 
 // ReproduceParallel is Reproduce with the months distributed over a bounded
 // worker pool (workers ≤ 0 means GOMAXPROCS). Each month accumulates into
 // its own dense accumulator in record order — exactly the serial addition
 // order for that month — and each month owns a distinct series slot, so the
-// result is bit-identical to Reproduce's for every worker count.
+// result is bit-identical to Reproduce's for every worker count. It is
+// ReproduceMonths with nothing kept from an earlier call.
 func ReproduceParallel(d *mic.Dataset, models []*Model, workers int) (*SeriesSet, error) {
+	return ReproduceMonths(d, models, make([]MonthSums, len(models)), workers)
+}
+
+// MonthSums is one month's reproduced pair counts (Eq. 7). They depend only
+// on the month's records and the model they were reproduced with, so a
+// caller that still holds both unchanged can hand them back to
+// ReproduceMonths instead of reproducing the month again. The zero value
+// means "not reproduced yet".
+type MonthSums struct {
+	pairs []pairValue
+	done  bool
+}
+
+// Reproduced reports whether s holds a month's sums.
+func (s MonthSums) Reproduced() bool { return s.done }
+
+// ReproduceMonths is ReproduceParallel with per-month reuse: sums[t] that
+// already holds sums must come from an earlier call over the same records
+// of month t and the same models[t], and is placed as is; every other entry
+// is reproduced on the pool and stored back into sums[t]. The merge only
+// places each month's values in its own slot — it adds no floats across
+// months — so the result is bit-identical to ReproduceParallel's.
+func ReproduceMonths(d *mic.Dataset, models []*Model, sums []MonthSums, workers int) (*SeriesSet, error) {
 	phis := make([]map[mic.DiseaseID]map[mic.MedicineID]float64, len(models))
 	for i, m := range models {
 		phis[i] = m.Phi
 	}
-	return reproduceParallel(d, phis, false, workers)
+	return reproduceParallel(d, phis, false, sums, workers)
 }
 
-// reproduceParallel runs the streaming kernel over every month: phis[t] is
-// month t's φ, and unit selects the cooccurrence rule (q = 1 for every
-// distinct disease of the record) over the model's responsibilities.
-func reproduceParallel(d *mic.Dataset, phis []map[mic.DiseaseID]map[mic.MedicineID]float64, unit bool, workers int) (*SeriesSet, error) {
-	if len(phis) != d.T() {
+// reproduceParallel runs the streaming kernel over every month whose sums
+// are missing: phis[t] is month t's φ, and unit selects the cooccurrence
+// rule (q = 1 for every distinct disease of the record) over the model's
+// responsibilities. It then merges all of sums into one SeriesSet.
+func reproduceParallel(d *mic.Dataset, phis []map[mic.DiseaseID]map[mic.MedicineID]float64, unit bool, sums []MonthSums, workers int) (*SeriesSet, error) {
+	if len(phis) != d.T() || len(sums) != d.T() {
 		return nil, errors.New("medmodel: one model per month required")
 	}
-	s := &SeriesSet{T: d.T(), Pairs: make(map[mic.Pair][]float64)}
+	todo := make([]int, 0, len(sums))
+	for t := range sums {
+		if !sums[t].done {
+			todo = append(todo, t)
+		}
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > d.T() {
-		workers = d.T()
-	}
-	// locals[t] holds month t's pair sums. Each worker reuses one kernel's
-	// scratch across the months it takes.
-	locals := make([][]pairValue, d.T())
+	workers = min(workers, len(todo))
+	// Each worker reuses one kernel's scratch across the months it takes.
 	if workers <= 1 {
 		var k reproKernel
-		for t, month := range d.Months {
-			locals[t] = k.month(month, phis[t], unit)
+		for _, t := range todo {
+			sums[t] = MonthSums{pairs: k.month(d.Months[t], phis[t], unit), done: true}
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -102,11 +128,11 @@ func reproduceParallel(d *mic.Dataset, phis []map[mic.DiseaseID]map[mic.Medicine
 				defer wg.Done()
 				var k reproKernel
 				for t := range next {
-					locals[t] = k.month(d.Months[t], phis[t], unit)
+					sums[t] = MonthSums{pairs: k.month(d.Months[t], phis[t], unit), done: true}
 				}
 			}()
 		}
-		for t := range d.Months {
+		for _, t := range todo {
 			next <- t
 		}
 		close(next)
@@ -114,8 +140,9 @@ func reproduceParallel(d *mic.Dataset, phis []map[mic.DiseaseID]map[mic.Medicine
 	}
 	// Serial merge in month order: each month writes only its own slot, so
 	// the merge is pure placement — no cross-month float accumulation.
-	for t, local := range locals {
-		for _, pv := range local {
+	s := &SeriesSet{T: d.T(), Pairs: make(map[mic.Pair][]float64)}
+	for t := range sums {
+		for _, pv := range sums[t].pairs {
 			series, ok := s.Pairs[pv.pair]
 			if !ok {
 				series = make([]float64, s.T)

@@ -114,6 +114,9 @@ type Core struct {
 	closing bool
 
 	ds *mic.Dataset // owned by the fold goroutine after NewCore returns
+	// analyzer keeps each folded month's filtered records, fingerprint and
+	// pair sums across folds; like ds it belongs to the fold goroutine.
+	analyzer *trend.Analyzer
 }
 
 type foldTask struct {
@@ -159,15 +162,16 @@ func NewCore(opts CoreOptions) (*Core, *RecoveryReport, error) {
 		opts.Trend.Metrics = opts.Metrics
 	}
 	c := &Core{
-		store:   store,
-		report:  rep,
-		opts:    opts,
-		metrics: opts.Metrics,
-		log:     opts.Log,
-		lin:     newLineageTracker(opts.Trace, opts.Metrics, opts.LineageDepth),
-		queue:   make(chan *foldTask, opts.QueueDepth),
-		done:    make(chan struct{}),
-		ds:      ds,
+		store:    store,
+		report:   rep,
+		opts:     opts,
+		metrics:  opts.Metrics,
+		log:      opts.Log,
+		lin:      newLineageTracker(opts.Trace, opts.Metrics, opts.LineageDepth),
+		queue:    make(chan *foldTask, opts.QueueDepth),
+		done:     make(chan struct{}),
+		ds:       ds,
+		analyzer: trend.NewAnalyzer(opts.Trend),
 	}
 	store.SetCommitObserver(c.lin.commitObserver)
 	go c.foldLoop()
@@ -371,9 +375,11 @@ func (c *Core) publish(e *Epoch) {
 
 // fold merges one ingested month into the corpus and re-runs the
 // checkpointed analysis. Every month already committed is reloaded from the
-// store, so the incremental cost is one month's fit plus detection. On
-// terminal failure the merge is unwound and the previous epoch remains
-// current — a failed fold is invisible to readers.
+// store, and the analyzer keeps each committed month's filtered records,
+// fingerprint and pair sums, so the incremental cost is one month's filter,
+// fit and reproduction plus detection over the whole corpus. On terminal
+// failure the merge is unwound and the previous epoch remains current — a
+// failed fold is invisible to readers.
 func (c *Core) fold(task *foldTask) foldResult {
 	next := c.ds.T()
 	if task.want >= 0 && task.want != next {
@@ -516,7 +522,7 @@ func (c *Core) remapMonth(in *mic.Dataset, at int) *mic.Monthly {
 // so the retry policy covers them; pipeline-semantic errors (empty corpus,
 // context expiry) stay terminal.
 func (c *Core) analyze(ctx context.Context) (*trend.Analysis, error) {
-	analysis, err := trend.Analyze(ctx, c.ds, c.opts.Trend)
+	analysis, err := c.analyzer.Analyze(ctx, c.ds)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, mic.ErrEmptyDataset) {
 			return nil, err

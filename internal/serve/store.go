@@ -337,6 +337,14 @@ func (s *Store) SaveMonth(cp trend.MonthCheckpoint) error {
 	st := s.staged[cp.Month]
 	if st == nil {
 		st = &monthState{Month: cp.Month}
+		if cur := s.months[cp.Month]; cur != nil {
+			// A refit of a committed month (its checkpoint failed to load)
+			// keeps the committed records section: without it recovery would
+			// end the servable prefix here. Copied, so a failed commit leaves
+			// the committed state as it was.
+			prev := *cur
+			st = &prev
+		}
 	}
 	st.DataHash = cp.DataHash
 	st.Model = cp.Model

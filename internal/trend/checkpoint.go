@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 
@@ -67,44 +66,69 @@ type Checkpointer interface {
 // new codes and does not affect the fitted Φ — so an incremental store stays
 // valid as the corpus grows.
 func HashMonth(month *mic.Monthly, em medmodel.FitOptions) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
 	em = em.WithDefaults()
-	put(uint64(month.Month))
-	put(uint64(em.MaxIter))
-	put(math.Float64bits(em.Tol))
-	put(math.Float64bits(em.PriorWeight))
-	put(uint64(len(month.Records)))
+	h := uint64(fnvOffset64)
+	h = fnvWord(h, uint64(month.Month))
+	h = fnvWord(h, uint64(em.MaxIter))
+	h = fnvWord(h, math.Float64bits(em.Tol))
+	h = fnvWord(h, math.Float64bits(em.PriorWeight))
+	h = fnvWord(h, uint64(len(month.Records)))
 	for i := range month.Records {
 		r := &month.Records[i]
-		put(uint64(uint32(r.Hospital)))
-		put(uint64(uint32(r.Patient)))
-		put(uint64(len(r.Diseases)))
+		h = fnvWord(h, uint64(uint32(r.Hospital)))
+		h = fnvWord(h, uint64(uint32(r.Patient)))
+		h = fnvWord(h, uint64(len(r.Diseases)))
 		for _, dc := range r.Diseases {
-			put(uint64(uint32(dc.Disease)))
-			put(uint64(dc.Count))
+			h = fnvWord(h, uint64(uint32(dc.Disease)))
+			h = fnvWord(h, uint64(dc.Count))
 		}
-		put(uint64(len(r.Medicines)))
+		h = fnvWord(h, uint64(len(r.Medicines)))
 		for _, m := range r.Medicines {
-			put(uint64(uint32(m)))
+			h = fnvWord(h, uint64(uint32(m)))
 		}
 	}
-	return h.Sum64()
+	return h
+}
+
+// FNV-1a's 64-bit parameters, as hash/fnv uses them.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvPrimePow[k] is fnvPrime64^k (mod 2^64). XOR with a zero byte changes
+// nothing, so folding k zero bytes into an FNV-1a state is one
+// multiplication by it.
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime64
+	}
+	return p
+}()
+
+// fnvWord folds v's eight little-endian bytes into the FNV-1a state h —
+// exactly what writing them to a hash/fnv New64a would do. The values
+// hashed are mostly small, so the zero high bytes are folded in with one
+// multiplication instead of one per byte.
+func fnvWord(h, v uint64) uint64 {
+	n := 8
+	for ; v != 0; v >>= 8 {
+		h ^= v & 0xff
+		h *= fnvPrime64
+		n--
+	}
+	return h * fnvPrimePow[n]
 }
 
 // fitModels runs the model stage: medmodel.FitAll when no Checkpointer is
 // configured, and the checkpoint-aware variant otherwise, which loads every
-// month whose saved state matches the current data, fits only the rest, and
-// commits each fresh fit back to the store. The returned models and failures
-// are byte-identical to a run that fitted every month from scratch (fits are
-// deterministic, and the store round-trips float bits exactly).
-func fitModels(ctx context.Context, d *mic.Dataset, opts Options, ins *pipelineInstruments) ([]*medmodel.Model, []medmodel.MonthError, error) {
+// month whose saved state matches the current data (hashes[i] is month i's
+// HashMonth), fits only the rest, and commits each fresh fit back to the
+// store. The returned models and failures are byte-identical to a run that
+// fitted every month from scratch (fits are deterministic, and the store
+// round-trips float bits exactly).
+func fitModels(ctx context.Context, d *mic.Dataset, hashes []uint64, opts Options, ins *pipelineInstruments) ([]*medmodel.Model, []medmodel.MonthError, error) {
 	ckpt := opts.Checkpoint
 	if ckpt == nil {
 		return medmodel.FitAll(ctx, d, opts.EM)
@@ -113,10 +137,8 @@ func fitModels(ctx context.Context, d *mic.Dataset, opts Options, ins *pipelineI
 	models := make([]*medmodel.Model, d.T())
 	var fails []medmodel.MonthError
 	loaded := make([]bool, d.T())
-	hashes := make([]uint64, d.T())
 	reloaded := 0
-	for i, month := range d.Months {
-		hashes[i] = HashMonth(month, opts.EM)
+	for i := range d.Months {
 		if err := faultpoint.Inject("trend/ckpt-load", monthDetail(i)); err != nil {
 			continue // damaged entry: refit this month
 		}

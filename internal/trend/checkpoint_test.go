@@ -2,7 +2,11 @@ package trend
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"maps"
+	"math"
 	"reflect"
 	"testing"
 
@@ -39,6 +43,13 @@ func (m *memCheckpointer) SaveMonth(cp MonthCheckpoint) error {
 	m.saves++
 	m.months[cp.Month] = cp
 	return nil
+}
+
+// clone returns a checkpointer holding the same saved months.
+func (m *memCheckpointer) clone() *memCheckpointer {
+	c := newMemCheckpointer()
+	maps.Copy(c.months, m.months)
+	return c
 }
 
 func genTiny(t *testing.T) *mic.Dataset {
@@ -277,5 +288,73 @@ func TestHashMonthSensitivity(t *testing.T) {
 	clone.Records[0].Medicines = append(clone.Records[0].Medicines, 0)
 	if HashMonth(clone, em) == base {
 		t.Fatal("hash ignores a medicine bag change")
+	}
+}
+
+// refHashMonth is HashMonth written over hash/fnv: the reference byte stream
+// (little-endian words) checkpoint files on disk were fingerprinted with.
+func refHashMonth(month *mic.Monthly, em medmodel.FitOptions) uint64 {
+	h := fnv.New64a()
+	put := func(v uint64) {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	em = em.WithDefaults()
+	put(uint64(month.Month))
+	put(uint64(em.MaxIter))
+	put(math.Float64bits(em.Tol))
+	put(math.Float64bits(em.PriorWeight))
+	put(uint64(len(month.Records)))
+	for i := range month.Records {
+		r := &month.Records[i]
+		put(uint64(uint32(r.Hospital)))
+		put(uint64(uint32(r.Patient)))
+		put(uint64(len(r.Diseases)))
+		for _, dc := range r.Diseases {
+			put(uint64(uint32(dc.Disease)))
+			put(uint64(dc.Count))
+		}
+		put(uint64(len(r.Medicines)))
+		for _, m := range r.Medicines {
+			put(uint64(uint32(m)))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestHashMonthMatchesFNV pins HashMonth's value, which checkpoint files on
+// disk store and the facade exports: it must equal hash/fnv's FNV-1a over
+// the same byte stream on every generated month, under default and
+// non-default fit options, and a fixed month keeps its golden fingerprint.
+func TestHashMonthMatchesFNV(t *testing.T) {
+	ds := genTiny(t)
+	smoothed := medmodel.FitOptions{MaxIter: 40, Tol: 1e-7, PriorWeight: 0.5}
+	// Words with zero bytes between nonzero ones, all-ones words and a
+	// count past 32 bits, next to the generated months' small ids.
+	edge := &mic.Monthly{Month: 1 << 16, Records: []mic.Record{
+		{Hospital: 1 << 24, Patient: math.MaxInt32,
+			Diseases:  []mic.DiseaseCount{{Disease: 0x01000001, Count: 1 << 40}, {Disease: -1, Count: -1}},
+			Medicines: []mic.MedicineID{0x00ff0000, 0, 256}},
+	}}
+	months := append([]*mic.Monthly{edge}, ds.Months...)
+	for _, em := range []medmodel.FitOptions{{}, smoothed} {
+		for i, m := range months {
+			if got, want := HashMonth(m, em), refHashMonth(m, em); got != want {
+				t.Fatalf("month %d: HashMonth = %#x, hash/fnv = %#x", i, got, want)
+			}
+		}
+	}
+	golden := &mic.Monthly{Month: 3, Records: []mic.Record{
+		{Hospital: 1, Patient: 42,
+			Diseases:  []mic.DiseaseCount{{Disease: 5, Count: 2}, {Disease: 9, Count: 1}},
+			Medicines: []mic.MedicineID{7, 3}},
+		{Hospital: 0, Patient: -1,
+			Diseases:  []mic.DiseaseCount{{Disease: 0, Count: 1}},
+			Medicines: []mic.MedicineID{11}},
+	}}
+	const want uint64 = 0x8f146da73ad17964
+	if got := HashMonth(golden, medmodel.FitOptions{}); got != want {
+		t.Fatalf("golden month: HashMonth = %#x, want %#x", got, want)
 	}
 }

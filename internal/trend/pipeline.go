@@ -486,7 +486,17 @@ func (ins *pipelineInstruments) finish(analysis *Analysis) {
 	}
 }
 
-// Analyze runs the full two-stage pipeline.
+// Analyze runs the full two-stage pipeline over ds once. It is
+// NewAnalyzer(opts).Analyze(ctx, ds): a fresh Analyzer keeps nothing from
+// an earlier call, so every month is filtered and reproduced here. Its
+// failure semantics are the method's.
+func Analyze(ctx context.Context, ds *mic.Dataset, opts Options) (*Analysis, error) {
+	return NewAnalyzer(opts).Analyze(ctx, ds)
+}
+
+// Analyze runs the full two-stage pipeline over ds, reusing what each month
+// contributed on its own to an earlier call (see Analyzer). The result is
+// byte-identical to a fresh Analyzer's.
 //
 // Failure semantics: the pipeline degrades instead of failing atomically. A
 // month whose EM fit errors or panics falls back to the cooccurrence model;
@@ -497,12 +507,12 @@ func (ins *pipelineInstruments) finish(analysis *Analysis) {
 // corpus-level problems (reproduction) and for ctx: when ctx is cancelled
 // mid-scan, Analyze stops within one in-flight model fit and returns the
 // detections completed so far alongside ctx's error.
-func Analyze(ctx context.Context, ds *mic.Dataset, opts Options) (*Analysis, error) {
+func (a *Analyzer) Analyze(ctx context.Context, ds *mic.Dataset) (*Analysis, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts, ins := setupPipeline(ctx, opts)
-	analysis, jobs, valFails, err := prepare(ctx, ds, opts, ins)
+	opts, ins := setupPipeline(ctx, a.opts)
+	analysis, jobs, valFails, err := a.prepare(ctx, ds, opts, ins)
 	if err != nil {
 		return nil, err
 	}
@@ -577,15 +587,16 @@ func valProvenance(valFails []Failure) []SeriesProvenance {
 // model stage (with cooccurrence fallbacks and month provenance), the
 // reproduce stage, and series validation — exactly as Analyze always has, so
 // Surveil's event stream, metrics, spans, and failure records match Analyze's
-// on the stages they share. opts must already carry its defaults
+// on the stages they share. Filtering and reproduction go through the
+// Analyzer's per-month state. opts must already carry its defaults
 // (setupPipeline). The returned jobs are the validated detection jobs; the
 // validation failures are already appended to the analysis but their
 // provenance entries are the caller's (Analyze lists detection jobs first).
-func prepare(ctx context.Context, ds *mic.Dataset, opts Options, ins *pipelineInstruments) (*Analysis, []Detection, []Failure, error) {
-	filtered := mic.FilterDataset(ds, mic.FilterOptions{MinMonthlyFreq: opts.MinMonthlyFreq})
+func (a *Analyzer) prepare(ctx context.Context, ds *mic.Dataset, opts Options, ins *pipelineInstruments) (*Analysis, []Detection, []Failure, error) {
+	filtered, hashes := a.filterMonths(ds, opts, ins)
 	analysis := &Analysis{}
 	endModel := ins.stage("model", len(filtered.Months))
-	models, monthFails, err := fitModels(ctx, filtered, opts, ins)
+	models, monthFails, err := fitModels(ctx, filtered, hashes, opts, ins)
 	endModel(len(filtered.Months)-len(monthFails), err)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("trend: fitting medication models: %w", err)
@@ -618,7 +629,7 @@ func prepare(ctx context.Context, ds *mic.Dataset, opts Options, ins *pipelineIn
 		}
 	}
 	endRepro := ins.stage("reproduce", -1)
-	series, err := medmodel.ReproduceParallel(filtered, models, opts.Workers)
+	series, err := a.reproduce(filtered, models, opts.Workers, ins)
 	if err != nil {
 		endRepro(0, err)
 		return nil, nil, nil, fmt.Errorf("trend: reproducing series: %w", err)

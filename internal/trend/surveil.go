@@ -248,7 +248,7 @@ func Surveil(ctx context.Context, ds *mic.Dataset, opts SurveilOptions) (*Survei
 	if analysis == nil || analysis.Series == nil {
 		var valFails []Failure
 		var err error
-		analysis, _, valFails, err = prepare(ctx, ds, popts, ins)
+		analysis, _, valFails, err = NewAnalyzer(opts.Pipeline).prepare(ctx, ds, popts, ins)
 		if err != nil {
 			return nil, err
 		}
