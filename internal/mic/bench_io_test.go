@@ -164,6 +164,35 @@ func TestCompressionRatio(t *testing.T) {
 	}
 }
 
+// TestReadAllocsPerRecord pins the JSONL record fast path's allocation
+// profile: a strict read of a generated month (10k records nominal, ~6k
+// drawn) allocates per read (buffer, header, slab chunks, the month's
+// record slice), not per line.
+func TestReadAllocsPerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not representative under -race")
+	}
+	ds, _, err := micgen.Generate(micgen.Config{Seed: 7, Months: 1, RecordsPerMonth: 10000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := mic.Write(&buf, ds); err != nil {
+		t.Fatal(err)
+	}
+	body, records := buf.Bytes(), ds.NumRecords()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := mic.ReadWithStats(bytes.NewReader(body), mic.ReadOptions{Strict: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perRecord := allocs / float64(records)
+	t.Logf("strict JSONL read of %d records: %.0f allocations, %.4f per record", records, allocs, perRecord)
+	if perRecord > 0.1 {
+		t.Fatalf("strict JSONL read allocates %.3f times per record, want ≤ 0.1", perRecord)
+	}
+}
+
 // peakMemBytes reports the process's peak memory: VmHWM (peak resident
 // set) from /proc/self/status where the kernel exposes it, else the Go
 // runtime's OS-reserved total (runtime.MemStats.Sys) as a labelled proxy.

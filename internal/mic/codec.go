@@ -197,7 +197,7 @@ func Read(r io.Reader) (*Dataset, error) {
 // and counted, keeping the rest of the corpus usable.
 func ReadWithStats(r io.Reader, opts ReadOptions) (*Dataset, ReadStats, error) {
 	var stats ReadStats
-	br := bufio.NewReaderSize(capDecoded(r, opts.MaxBytes), 1<<20)
+	br := bufio.NewReaderSize(capDecoded(r, opts.MaxBytes), readBufferSize)
 	headerLine, rerr := readLine(br)
 	// A failed read reports its own error, not the parse error of the
 	// partial line it left.
@@ -226,6 +226,7 @@ func ReadWithStats(r io.Reader, opts ReadOptions) (*Dataset, ReadStats, error) {
 	for t := range d.Months {
 		d.Months[t] = &Monthly{Month: t}
 	}
+	dec := recordDecoder{d: d, months: hdr.Months}
 	lineNo := 1
 	for rerr == nil {
 		var line []byte
@@ -237,7 +238,7 @@ func ReadWithStats(r io.Reader, opts ReadOptions) (*Dataset, ReadStats, error) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		if err := decodeRecordLine(d, hdr.Months, line); err != nil {
+		if err := dec.decode(line); err != nil {
 			if opts.Strict {
 				return nil, stats, fmt.Errorf("mic: line %d: %w", lineNo, err)
 			}
@@ -260,9 +261,15 @@ func ReadWithStats(r io.Reader, opts ReadOptions) (*Dataset, ReadStats, error) {
 // memory.
 const maxLineBytes = 4 << 20
 
+// readBufferSize sizes the one buffered reader a JSONL read uses; readLine
+// joins a longer line from fragments.
+const readBufferSize = 64 << 10
+
 // readLine returns the next line (without framing requirements on the final
-// line); data may accompany io.EOF. A line longer than maxLineBytes fails
-// with an error wrapping ErrTooLarge, whatever the read's strictness.
+// line); data may accompany io.EOF. A line that fits in br's buffer is
+// returned in place, valid until the next read; only a longer one is
+// copied. A line longer than maxLineBytes fails with an error wrapping
+// ErrTooLarge, whatever the read's strictness.
 func readLine(br *bufio.Reader) ([]byte, error) {
 	var line []byte
 	for {
@@ -274,6 +281,9 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 		if n > maxLineBytes {
 			return nil, fmt.Errorf("%w: line longer than %d bytes", ErrTooLarge, maxLineBytes)
 		}
+		if err != bufio.ErrBufferFull && line == nil {
+			return frag, err
+		}
 		line = append(line, frag...)
 		if err != bufio.ErrBufferFull {
 			return line, err
@@ -281,24 +291,31 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 	}
 }
 
-// decodeRecordLine parses and validates one record line, appending it to its
-// month on success.
+// decodeRecordLine parses one record line with encoding/json, the reference
+// for the fast path in recordDecoder, and appends it to its month on
+// success.
 func decodeRecordLine(d *Dataset, months int, line []byte) error {
 	var fr fileRecord
 	if err := json.Unmarshal(line, &fr); err != nil {
 		return err
 	}
-	if fr.Month < 0 || fr.Month >= months {
-		return fmt.Errorf("record month %d out of range [0,%d)", fr.Month, months)
-	}
 	rec := Record{Hospital: HospitalID(fr.Hospital), Patient: fr.Patient, Medicines: fr.Medicines}
 	for _, pair := range fr.Diseases {
 		rec.Diseases = append(rec.Diseases, DiseaseCount{Disease: DiseaseID(pair[0]), Count: int(pair[1])})
 	}
+	return appendRecord(d, months, fr.Month, rec)
+}
+
+// appendRecord validates a decoded record of month t and appends it to that
+// month.
+func appendRecord(d *Dataset, months, t int, rec Record) error {
+	if t < 0 || t >= months {
+		return fmt.Errorf("record month %d out of range [0,%d)", t, months)
+	}
 	if err := d.CheckRecord(&rec); err != nil {
 		return err
 	}
-	m := d.Months[fr.Month]
+	m := d.Months[t]
 	m.Records = append(m.Records, rec)
 	return nil
 }

@@ -12,7 +12,7 @@ import (
 
 // testDataset builds a small dataset with edge shapes: empty months, empty
 // bags, unknown (-1) patients, descending bag ids, and multi-count diseases.
-func testDataset(t *testing.T) *Dataset {
+func testDataset(t testing.TB) *Dataset {
 	t.Helper()
 	d := NewDataset()
 	for i := 0; i < 7; i++ {

@@ -1,7 +1,6 @@
 package mic
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
 	"fmt"
@@ -266,18 +265,21 @@ func WriteDatasetFile(path string, format Format, d *Dataset, opts StorageOption
 // the first bytes: HTTP ingest bodies and pipes take this path. It returns
 // the format decoded.
 func ReadAuto(r io.Reader, opts StorageOptions) (*Dataset, ReadStats, Format, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	prefix, err := br.Peek(sniffLen)
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF && len(prefix) == 0 {
+	// The sniffed bytes are read unbuffered and put back in front of the
+	// stream, so the backend's own reader is the only buffer a read has.
+	var head [sniffLen]byte
+	n, err := io.ReadFull(r, head[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF && n == 0 {
 		return nil, ReadStats{}, FormatAuto, fmt.Errorf("mic: sniffing stream: %w", err)
 	}
+	prefix := head[:n]
 	format, err := SniffFormat(prefix)
 	if err != nil {
 		return nil, ReadStats{}, FormatAuto, err
 	}
-	var src io.Reader = br
+	src := io.MultiReader(bytes.NewReader(prefix), r)
 	if format == FormatJSONL && len(prefix) >= 2 && prefix[0] == 0x1f && prefix[1] == 0x8b {
-		gz, err := gzip.NewReader(br)
+		gz, err := gzip.NewReader(src)
 		if err != nil {
 			return nil, ReadStats{}, format, fmt.Errorf("mic: gunzipping stream: %w", err)
 		}
