@@ -179,29 +179,9 @@ func TestAllocGuardRails(t *testing.T) {
 		t.Errorf("medmodel.Fit: %.0f allocs, budget 161", emAllocs)
 	}
 
-	// One warm-started exact change point scan (the BenchmarkExactScanParallel
-	// workload), serial and sharded.
+	// One prefix-checkpointed exact scan (the BenchmarkExactScanPrefix
+	// workload). Its checkpoint resumes reuse the scanner's buffers.
 	y := syntheticBreakSeries(43, 20)
-	scan := func(workers int) float64 {
-		return testing.AllocsPerRun(1, func() {
-			if _, err := changepoint.DetectExactParallel(y, true, changepoint.ParallelOptions{Workers: workers, WarmStart: true}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	serial, sharded := scan(1), scan(8)
-	t.Logf("warm exact scan: %.0f allocs serial, %.0f with 8 workers", serial, sharded)
-	if serial > 2720 { // measured baseline: 2590
-		t.Errorf("warm exact scan (serial): %.0f allocs, budget 2720", serial)
-	}
-	if sharded > 3060 { // measured baseline: 2914
-		t.Errorf("warm exact scan (8 workers): %.0f allocs, budget 3060", sharded)
-	}
-
-	// One prefix-checkpointed exact scan of the same series. The scan fits
-	// several times fewer models, and its checkpoint resumes reuse the
-	// scanner's buffers, so its allocation budget sits far below the warm
-	// scan's.
 	prefixAllocs := testing.AllocsPerRun(1, func() {
 		if _, err := changepoint.DetectExactPrefix(y, true, changepoint.PrefixOptions{Workers: 1}); err != nil {
 			t.Fatal(err)

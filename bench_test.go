@@ -374,46 +374,6 @@ func BenchmarkBinaryScan(b *testing.B) {
 	b.ReportMetric(float64(fits), "fits")
 }
 
-// BenchmarkExactScanWarm measures the warm-started exact scan at one worker:
-// the pure warm-start saving over BenchmarkExactScan, with no goroutine
-// parallelism in play.
-func BenchmarkExactScanWarm(b *testing.B) {
-	y := syntheticBreakSeries(43, 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var fits int
-	for i := 0; i < b.N; i++ {
-		res, err := changepoint.DetectExactParallel(y, true, changepoint.ParallelOptions{
-			Workers: 1, WarmStart: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fits = res.Fits
-	}
-	b.ReportMetric(float64(fits), "fits")
-}
-
-// BenchmarkExactScanParallel measures the candidate-sharded warm scan at 8
-// workers on the BenchmarkExactScan series — warm starts and goroutine
-// parallelism compounding (the latter only on multi-core hardware).
-func BenchmarkExactScanParallel(b *testing.B) {
-	y := syntheticBreakSeries(43, 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var fits int
-	for i := 0; i < b.N; i++ {
-		res, err := changepoint.DetectExactParallel(y, true, changepoint.ParallelOptions{
-			Workers: 8, WarmStart: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fits = res.Fits
-	}
-	b.ReportMetric(float64(fits), "fits")
-}
-
 // BenchmarkExactScanPrefix measures the prefix-checkpointed exact scan at one
 // worker on the BenchmarkExactScan series: shared-parameter AIC ladders
 // scored by checkpoint resumes screen the candidate set down to a handful of

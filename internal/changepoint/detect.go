@@ -18,6 +18,11 @@ import (
 	"mictrend/internal/ssm"
 )
 
+// scanFault is the fault-injection site every candidate fit passes through,
+// in the serial and the prefix scans alike; its detail is the candidate
+// month being fitted.
+const scanFault = "changepoint/candidate"
+
 // AICFunc scores the model with a change point at cp (ssm.NoChangePoint for
 // the intervention-free model) against a fixed series.
 type AICFunc func(cp int) (float64, error)
@@ -32,12 +37,10 @@ type Result struct {
 	NoChangeAIC float64
 	// Fits counts distinct model fits performed, the cost measure behind
 	// the paper's Table V. In the memoized serial searches it is the cache
-	// miss count; in the parallel exact scan every evaluated candidate is
-	// fitted exactly once (plus, under WarmStart, the refinement pass's
-	// cold refits of the near-winning candidates). Either way the count
-	// depends only on the series, its length, and the search method — never
-	// on worker scheduling — so it is deterministic under concurrent
-	// evaluation.
+	// miss count; in the prefix scan it counts the anchor, probe, contender
+	// and cold refinement fits. Either way the count depends only on the
+	// series, its length, and the search method — never on worker
+	// scheduling — so it is deterministic under concurrent evaluation.
 	Fits int
 }
 
@@ -45,10 +48,8 @@ type Result struct {
 func (r Result) Detected() bool { return r.ChangePoint != ssm.NoChangePoint }
 
 // evaluator memoizes AIC evaluations so shared endpoints in the binary
-// search cost one fit. It backs the serial searches only and is not safe
-// for concurrent use; ExactParallel needs no memo (each candidate is
-// evaluated exactly once) and shards candidates across private
-// FitEvaluators instead.
+// search cost one fit. It backs the serial searches and is not safe for
+// concurrent use.
 type evaluator struct {
 	f     AICFunc
 	cache map[int]float64
@@ -220,10 +221,9 @@ func findWithin(e *evaluator, left, right int) (int, error) {
 // the filtering kernel. Concurrency contract: the returned function is NOT
 // goroutine-safe (the workspace is mutable scratch) and neither are the
 // Exact/Binary drivers that consume it. The goroutine-safe entry points are
-// the Detect* functions — each call builds its own evaluator, so any number
-// of searches over different series may run concurrently — and
-// ExactParallel/DetectExactParallelContext, which parallelize within one
-// search by giving each worker a private evaluator via SSMFitEvaluator.
+// Detect and the Detect* functions — each call builds its own evaluator, so
+// any number of searches over different series may run concurrently — and
+// ExactPrefix, whose contender workers each own a private workspace.
 func SSMEvaluator(y []float64, seasonal bool) AICFunc {
 	return SSMEvaluatorStats(y, seasonal, nil)
 }
@@ -258,21 +258,10 @@ func ContextAIC(ctx context.Context, f AICFunc) AICFunc {
 
 // DetectExact runs Algorithm 1 on y with the structural model.
 func DetectExact(y []float64, seasonal bool) (Result, error) {
-	return DetectExactContext(context.Background(), y, seasonal)
-}
-
-// DetectExactContext is DetectExact bounded by ctx: cancellation surfaces as
-// the context's error within one in-flight fit.
-func DetectExactContext(ctx context.Context, y []float64, seasonal bool) (Result, error) {
-	return Exact(len(y), ContextAIC(ctx, SSMEvaluator(y, seasonal)))
+	return Exact(len(y), SSMEvaluator(y, seasonal))
 }
 
 // DetectBinary runs Algorithm 2 on y with the structural model.
 func DetectBinary(y []float64, seasonal bool) (Result, error) {
-	return DetectBinaryContext(context.Background(), y, seasonal)
-}
-
-// DetectBinaryContext is DetectBinary bounded by ctx.
-func DetectBinaryContext(ctx context.Context, y []float64, seasonal bool) (Result, error) {
-	return Binary(len(y), ContextAIC(ctx, SSMEvaluator(y, seasonal)))
+	return Binary(len(y), SSMEvaluator(y, seasonal))
 }

@@ -283,11 +283,10 @@ func TestDetectContextAlreadyCancelled(t *testing.T) {
 	for i := range y {
 		y[i] = float64(i)
 	}
-	if _, err := DetectExactContext(ctx, y, false); !errors.Is(err, context.Canceled) {
-		t.Fatalf("exact err = %v, want context.Canceled", err)
-	}
-	if _, err := DetectBinaryContext(ctx, y, false); !errors.Is(err, context.Canceled) {
-		t.Fatalf("binary err = %v, want context.Canceled", err)
+	for _, method := range []SearchMethod{SearchExact, SearchBinary} {
+		if _, err := Detect(ctx, y, DetectOptions{Method: method}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v err = %v, want context.Canceled", method, err)
+		}
 	}
 }
 

@@ -20,9 +20,10 @@ const (
 	SearchExact SearchMethod = iota
 	// SearchBinary is the approximate Algorithm 2 (O(log T) fits).
 	SearchBinary
-	// SearchExactParallel is Algorithm 1 on the candidate-sharded,
-	// warm-started scan: identical selection to SearchExact (the refinement
-	// pass compares contenders at serial AICs), different Fits accounting.
+	// SearchExactParallel named the candidate-sharded warm scan, which the
+	// prefix scan superseded; Detect now runs SearchExactPrefix for it.
+	//
+	// Deprecated: use SearchExactPrefix.
 	SearchExactParallel
 	// SearchExactPrefix is Algorithm 1 on the prefix-checkpointed evaluator:
 	// shared-parameter AIC ladders scored by checkpoint resumes replace the
@@ -53,13 +54,9 @@ type DetectOptions struct {
 	Method SearchMethod
 	// Seasonal enables the 12-month seasonal component.
 	Seasonal bool
-	// Workers is the shard worker count for SearchExactParallel (≤0 =
-	// GOMAXPROCS); ignored by the serial methods. Any value yields identical
-	// results.
+	// Workers bounds the prefix scan's concurrent contender fits (≤0 = 1);
+	// ignored by the serial methods. Any value yields identical results.
 	Workers int
-	// Grain overrides the parallel scan's shard size (0 = DefaultGrain);
-	// ignored by the serial methods.
-	Grain int
 	// Stats, when non-nil, accumulates the search's optimizer accounting
 	// (Kalman likelihood evaluations, multi-start restarts, failures). It
 	// never changes results.
@@ -75,18 +72,18 @@ type DetectOptions struct {
 	// never changes the search's numerics, and the record is deterministic
 	// under the same contract as Result.
 	Provenance *Provenance
-	// Trace, when non-nil, receives intra-scan spans (exact-parallel shard
-	// and refit spans; the serial methods emit none). Deliveries are
-	// panic-isolated like Observer's and may arrive from concurrent workers;
-	// a nil Trace costs nothing.
+	// Trace, when non-nil, receives intra-scan spans (the prefix scan's
+	// scan/prefix, scan/contenders and scan/refit spans; the serial methods
+	// emit none). Deliveries are panic-isolated like Observer's; a nil Trace
+	// costs nothing.
 	Trace obs.SpanObserver
 }
 
 // ScanEvaluations returns how many distinct models the exact scan evaluates
 // for a series of length n: every admissible candidate plus the
-// intervention-free model. For the warm parallel scan,
-// Result.Fits − ScanEvaluations(n) is the refinement pass's cold refit
-// count; for the serial exact scan Result.Fits equals it exactly.
+// intervention-free model. For the serial exact scan Result.Fits equals it
+// exactly; the prefix scan's Result.Fits is its own budget and may fall
+// below or exceed it.
 func ScanEvaluations(n int) int {
 	if c := maxCandidate(n); c >= 0 {
 		return c + 2
@@ -95,10 +92,11 @@ func ScanEvaluations(n int) int {
 }
 
 // Detect runs the selected change point search on series. It consolidates
-// the DetectExact/DetectBinary/DetectExactParallel entry points behind one
+// the DetectExact/DetectBinary/DetectExactPrefix entry points behind one
 // options struct: each method produces byte-identical results to its
 // dedicated function, with observability (DetectOptions.Stats,
 // DetectOptions.Observer) threaded through without touching the numerics.
+// The deprecated SearchExactParallel runs the prefix scan.
 // Cancellation surfaces as ctx's error within one in-flight model fit.
 func Detect(ctx context.Context, series []float64, opts DetectOptions) (Result, error) {
 	if ctx == nil {
@@ -120,14 +118,7 @@ func Detect(ctx context.Context, series []float64, opts DetectOptions) (Result, 
 	switch opts.Method {
 	case SearchBinary:
 		res, err = binary(len(series), ContextAIC(ctx, SSMEvaluatorStats(series, opts.Seasonal, opts.Stats)), opts.Provenance)
-	case SearchExactParallel:
-		res, err = ExactParallel(ctx, len(series), ParallelOptions{
-			Workers: opts.Workers, WarmStart: true, Grain: opts.Grain,
-			Provenance: opts.Provenance, Trace: obs.GuardSpans(opts.Trace, nil),
-		}, func() FitEvaluator {
-			return SSMFitEvaluatorStats(series, opts.Seasonal, opts.Stats)
-		})
-	case SearchExactPrefix:
+	case SearchExactParallel, SearchExactPrefix:
 		res, err = ExactPrefix(ctx, series, opts.Seasonal, PrefixOptions{
 			Workers: opts.Workers, Stats: opts.Stats,
 			Provenance: opts.Provenance, Trace: obs.GuardSpans(opts.Trace, nil),

@@ -43,6 +43,15 @@ const prefixFault = "changepoint/prefix-resume"
 // regression tests pin.
 const prefixScreenMargin = 6.0
 
+// refineMargin is the refinement band: contenders whose warm AIC is within
+// this margin of the provisional winner are refitted cold before the final
+// reduction. Warm-fit slack is on the order of the scan tolerance (~1e-4,
+// occasionally ~1e-2 on a multimodal likelihood), so a margin of 1 — the
+// conventional "indistinguishable models" AIC gap — comfortably pulls the
+// true winner into the cold-refit set while keeping the set small: the AIC
+// valley is steep away from its bottom.
+const refineMargin = 1.0
+
 // PrefixOptions configures the prefix-checkpointed exact scan.
 type PrefixOptions struct {
 	// Workers bounds the concurrency of the contender warm fits (≤0 = 1).
@@ -65,9 +74,9 @@ type PrefixOptions struct {
 }
 
 // ExactPrefix is Algorithm 1 on the prefix-checkpointed evaluator: the same
-// selection contract as Exact/ExactParallel — the AIC-minimizing candidate,
-// ties preferring no change point, compared at cold-fit AICs — at a fit
-// budget that is O(1) model fits plus O(contenders) instead of one fit per
+// selection contract as Exact — the AIC-minimizing candidate, ties
+// preferring no change point, compared at cold-fit AICs — at a fit budget
+// that is O(1) model fits plus O(contenders) instead of one fit per
 // candidate. Result.Fits counts the fits actually performed (anchors,
 // contenders, refits) and is deterministic for a fixed series — Workers
 // never changes it.
@@ -384,9 +393,9 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 	}
 	fits += len(survivors)
 
-	// Cold refinement, exactly the warm parallel scan's: contenders within
-	// refineMargin of the provisional winner are refitted cold so the final
-	// comparison uses the serial scan's AICs.
+	// Cold refinement: contenders within refineMargin of the provisional
+	// winner are refitted cold so the final comparison uses the serial
+	// scan's AICs.
 	provisional2 := aic0
 	for _, aic := range warmAIC {
 		if aic < provisional2 {

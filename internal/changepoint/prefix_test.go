@@ -3,11 +3,14 @@ package changepoint
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"mictrend/internal/faultpoint"
+	"mictrend/internal/obs"
 	"mictrend/internal/ssm"
 )
 
@@ -70,7 +73,8 @@ func TestExactPrefixEquivalence(t *testing.T) {
 
 // TestExactPrefixProvenance checks the scan's decision record: the full
 // ladder in serial order, the no-intervention model cold, every candidate
-// tagged prefix/warm/refit, and a refit-path winner carrying both AICs.
+// tagged prefix/warm/refit, a refit-path winner carrying both AICs, and a
+// record identical for any worker count.
 func TestExactPrefixProvenance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real scan")
@@ -80,6 +84,13 @@ func TestExactPrefixProvenance(t *testing.T) {
 	res, err := ExactPrefix(context.Background(), y, false, PrefixOptions{Provenance: &prov})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var wide Provenance
+	if _, err := ExactPrefix(context.Background(), y, false, PrefixOptions{Workers: 4, Provenance: &wide}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(wide, prov) {
+		t.Fatalf("provenance not worker-invariant:\n%+v\n%+v", wide, prov)
 	}
 	if prov.Method != "exact-prefix" || prov.N != len(y) {
 		t.Fatalf("header = %s/%d, want exact-prefix/%d", prov.Method, prov.N, len(y))
@@ -121,9 +132,11 @@ func TestExactPrefixProvenance(t *testing.T) {
 	}
 }
 
-// TestExactPrefixFaultInjection covers the checkpoint-resume fault site: an
-// injected failure at one resume aborts the scan with the injected error
-// (the pipeline degrades that series), and a reset restores clean scans.
+// TestExactPrefixFaultInjection covers both fault sites: an injected failure
+// at one checkpoint resume aborts the scan with the injected error (the
+// pipeline degrades that series), a failure at the winning candidate's fit
+// surfaces exactly the error the serial scan returns for it, and a reset
+// restores clean scans.
 func TestExactPrefixFaultInjection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real scan")
@@ -139,8 +152,19 @@ func TestExactPrefixFaultInjection(t *testing.T) {
 		t.Fatalf("err = %v, want the injected resume failure", err)
 	}
 	faultpoint.Reset()
-	if _, err := ExactPrefix(context.Background(), y, false, PrefixOptions{}); err != nil {
+	clean, err := ExactPrefix(context.Background(), y, false, PrefixOptions{})
+	if err != nil {
 		t.Fatalf("clean scan after reset failed: %v", err)
+	}
+
+	victim := strconv.Itoa(clean.ChangePoint)
+	faultpoint.Enable(scanFault, faultpoint.Spec{
+		Match: func(detail string) bool { return detail == victim },
+	})
+	_, serialErr := DetectExact(y, false)
+	_, prefixErr := ExactPrefix(context.Background(), y, false, PrefixOptions{Workers: 4})
+	if serialErr == nil || prefixErr == nil || prefixErr.Error() != serialErr.Error() {
+		t.Fatalf("candidate fault: prefix err = %v, serial err = %v", prefixErr, serialErr)
 	}
 }
 
@@ -214,16 +238,230 @@ func TestExactPrefixCancellation(t *testing.T) {
 	}
 }
 
-// TestExactPrefixShortSeries pins the degenerate lengths: the prefix scan
-// errors exactly where the serial scan does.
+// TestExactPrefixShortSeries pins the degenerate lengths to the serial
+// scan: length 1 is rejected, lengths 2…5 fail with the serial scan's error,
+// and at the first admissible length of each model the prefix scan selects
+// exactly the serial ChangePoint, AIC and NoChangeAIC.
 func TestExactPrefixShortSeries(t *testing.T) {
 	if _, err := ExactPrefix(context.Background(), []float64{1}, false, PrefixOptions{}); err == nil {
 		t.Fatal("length 1 accepted")
 	}
-	y := []float64{1, 2, 3, 4}
+	type tc struct {
+		n        int
+		seasonal bool
+	}
+	cases := []tc{{2, false}, {3, false}, {4, false}, {5, false}, {2, true}, {5, true}}
+	if !testing.Short() {
+		// The first lengths the structural models accept.
+		cases = append(cases, tc{6, false}, tc{18, true})
+	}
+	for _, c := range cases {
+		y := randomSeries(uint64(c.n), c.n)
+		want, serialErr := DetectExact(y, c.seasonal)
+		got, prefixErr := ExactPrefix(context.Background(), y, c.seasonal, PrefixOptions{})
+		if (serialErr == nil) != (prefixErr == nil) ||
+			(serialErr != nil && serialErr.Error() != prefixErr.Error()) {
+			t.Fatalf("n=%d seasonal=%v: serial err = %v, prefix err = %v", c.n, c.seasonal, serialErr, prefixErr)
+		}
+		if c.n <= 5 && prefixErr == nil {
+			t.Fatalf("n=%d seasonal=%v: a series this short fitted", c.n, c.seasonal)
+		}
+		if c.n > 5 && prefixErr != nil {
+			t.Fatalf("n=%d seasonal=%v: first admissible length rejected: %v", c.n, c.seasonal, prefixErr)
+		}
+		if got.ChangePoint != want.ChangePoint || got.AIC != want.AIC || got.NoChangeAIC != want.NoChangeAIC {
+			t.Fatalf("n=%d seasonal=%v: prefix %+v != serial %+v", c.n, c.seasonal, got, want)
+		}
+	}
+}
+
+// TestExactParallelEquivalence pins the deprecated SearchExactParallel name
+// to the scan it now runs: Detect returns SearchExactPrefix's Result exactly,
+// Fits included, for any worker count.
+func TestExactParallelEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real scans")
+	}
+	for _, seasonal := range []bool{false, true} {
+		y := randomSeries(5, 24)
+		want, err := Detect(context.Background(), y, DetectOptions{Method: SearchExactPrefix, Seasonal: seasonal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{0, 1, 4} {
+			got, err := Detect(context.Background(), y, DetectOptions{
+				Method: SearchExactParallel, Seasonal: seasonal, Workers: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resultsEqual(got, want) {
+				t.Fatalf("seasonal=%v workers=%d: exact-parallel %+v != exact-prefix %+v", seasonal, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestExactParallelEdgeLengths pins the deprecated SearchExactParallel name
+// at the degenerate series lengths to the serial scan: length 1 is rejected,
+// lengths 2…5 fail with the serial scan's error, and at the first admissible
+// length of each model it selects exactly the serial ChangePoint, AIC and
+// NoChangeAIC.
+func TestExactParallelEdgeLengths(t *testing.T) {
+	parallel := func(y []float64, seasonal bool) (Result, error) {
+		return Detect(context.Background(), y, DetectOptions{
+			Method: SearchExactParallel, Seasonal: seasonal, Workers: 8,
+		})
+	}
+	if _, err := parallel([]float64{1}, false); err == nil {
+		t.Fatal("length 1 accepted")
+	}
+	type tc struct {
+		n        int
+		seasonal bool
+	}
+	cases := []tc{{2, false}, {3, false}, {4, false}, {5, false}, {2, true}, {5, true}}
+	if !testing.Short() {
+		cases = append(cases, tc{6, false}, tc{18, true})
+	}
+	for _, c := range cases {
+		y := randomSeries(uint64(c.n), c.n)
+		want, serialErr := DetectExact(y, c.seasonal)
+		got, err := parallel(y, c.seasonal)
+		if (serialErr == nil) != (err == nil) || (serialErr != nil && serialErr.Error() != err.Error()) {
+			t.Fatalf("n=%d seasonal=%v: serial err = %v, exact-parallel err = %v", c.n, c.seasonal, serialErr, err)
+		}
+		if c.n <= 5 && err == nil {
+			t.Fatalf("n=%d seasonal=%v: a series this short fitted", c.n, c.seasonal)
+		}
+		if c.n > 5 && err != nil {
+			t.Fatalf("n=%d seasonal=%v: first admissible length rejected: %v", c.n, c.seasonal, err)
+		}
+		if got.ChangePoint != want.ChangePoint || got.AIC != want.AIC || got.NoChangeAIC != want.NoChangeAIC {
+			t.Fatalf("n=%d seasonal=%v: exact-parallel %+v != serial %+v", c.n, c.seasonal, got, want)
+		}
+	}
+}
+
+// TestExactParallelFaultMatchesSerial injects a fit failure at the winning
+// candidate (through the shared changepoint/candidate fault site) and checks
+// the deprecated SearchExactParallel name surfaces exactly the error the
+// serial scan returns, for any worker count, and leaks no goroutines.
+func TestExactParallelFaultMatchesSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real scans")
+	}
+	y := randomSeries(1, 26)
+	clean, err := DetectExact(y, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !clean.Detected() {
+		t.Fatal("test series should carry a detectable break")
+	}
+	faultpoint.Reset()
+	defer faultpoint.Reset()
+	victim := strconv.Itoa(clean.ChangePoint)
+	faultpoint.Enable(scanFault, faultpoint.Spec{
+		Match: func(detail string) bool { return detail == victim },
+	})
 	_, serialErr := DetectExact(y, false)
-	_, prefixErr := ExactPrefix(context.Background(), y, false, PrefixOptions{})
-	if (serialErr == nil) != (prefixErr == nil) {
-		t.Fatalf("serial err = %v, prefix err = %v; the scans disagree on admissibility", serialErr, prefixErr)
+	if serialErr == nil || !errors.Is(serialErr, faultpoint.ErrInjected) {
+		t.Fatalf("serial err = %v, want injected fault", serialErr)
+	}
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{1, 4} {
+		_, err := Detect(context.Background(), y, DetectOptions{Method: SearchExactParallel, Workers: workers})
+		if err == nil || !errors.Is(err, faultpoint.ErrInjected) {
+			t.Fatalf("workers %d: exact-parallel err = %v, want injected fault", workers, err)
+		}
+		if err.Error() != serialErr.Error() {
+			t.Fatalf("workers %d: exact-parallel error %q != serial error %q", workers, err, serialErr)
+		}
+	}
+	if after := waitGoroutines(before); after > before {
+		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
+	}
+}
+
+// TestExactParallelWarmProvenanceDeterministic pins the deprecated
+// SearchExactParallel name's decision record: identical for every worker
+// count and to SearchExactPrefix's, refit rungs carry both AICs, and the
+// selected candidate's rung holds the result's exact AIC.
+func TestExactParallelWarmProvenanceDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real scans")
+	}
+	y := randomSeries(7, 30)
+	var want Provenance
+	if _, err := Detect(context.Background(), y, DetectOptions{Method: SearchExactPrefix, Provenance: &want}); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 5, 8} {
+		var p Provenance
+		res, err := Detect(context.Background(), y, DetectOptions{
+			Method: SearchExactParallel, Workers: workers, Provenance: &p,
+		})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(p, want) {
+			t.Fatalf("workers %d: exact-parallel provenance differs from exact-prefix:\n%+v\n%+v", workers, p, want)
+		}
+		selected := false
+		for i, c := range p.Candidates {
+			if c.Path == PathRefit && c.WarmAIC == 0 {
+				t.Fatalf("refit rung %d lost its warm AIC: %+v", i, c)
+			}
+			if c.CP == res.ChangePoint {
+				selected = true
+				if c.AIC != res.AIC {
+					t.Fatalf("selected rung AIC %v != result AIC %v", c.AIC, res.AIC)
+				}
+			}
+		}
+		if !selected {
+			t.Fatalf("workers %d: no rung for the selected change point %d", workers, res.ChangePoint)
+		}
+	}
+}
+
+// TestExactPrefixScanSpans pins the intra-scan span contract: every span is
+// on the scan lane, the prefix, contender and refit phases each emit theirs,
+// and the span sequence's content is worker-invariant.
+func TestExactPrefixScanSpans(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real scans")
+	}
+	y := randomSeries(1, 26)
+	spans := func(workers int) []string {
+		tr := obs.NewTracer()
+		if _, err := ExactPrefix(context.Background(), y, false, PrefixOptions{
+			Workers: workers, Trace: tr.Observe,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, sp := range tr.Spans() {
+			if sp.Cat != "scan" || sp.TID != obs.LaneScan || sp.Err != "" {
+				t.Fatalf("span off the scan lane or failed: %+v", sp)
+			}
+			out = append(out, sp.Name+" "+sp.Detail)
+		}
+		return out
+	}
+	base := spans(1)
+	seen := map[string]bool{}
+	for _, s := range base {
+		name, _, _ := strings.Cut(s, " ")
+		seen[name] = true
+	}
+	for _, name := range []string{"scan/prefix", "scan/contenders", "scan/refit"} {
+		if !seen[name] {
+			t.Fatalf("no %s span in %v", name, base)
+		}
+	}
+	if got := spans(4); !reflect.DeepEqual(got, base) {
+		t.Fatalf("span content not worker-invariant:\n%v\n%v", got, base)
 	}
 }

@@ -2,18 +2,18 @@ package changepoint
 
 // Decision provenance for the change point searches: a complete, replayable
 // record of why a search selected the model it did. The record is
-// deterministic under the same contract as Result — for the exact scans its
-// content depends only on the series, its length, and (under WarmStart) the
-// shard grain, never on worker count or scheduling — so provenance from a
-// parallel run can be diffed against a serial run's.
+// deterministic under the same contract as Result — its content depends only
+// on the series, its length, and the search method, never on worker count or
+// scheduling — so provenance from a multi-worker prefix scan can be diffed
+// against a one-worker run's.
 
 // Evaluation paths a candidate's AIC can arrive through.
 const (
 	// PathCold marks a cold fit at estimation tolerances — the serial exact
-	// scan's only path, and the parallel scan's path at shard starts.
+	// scan's only path, and the prefix scan's no-intervention fit.
 	PathCold = "cold"
-	// PathWarm marks a warm-started fit at scan tolerances inside a parallel
-	// shard's warm chain.
+	// PathWarm marks a prefix-scan contender fitted warm, at scan
+	// tolerances, from the final ladder anchor.
 	PathWarm = "warm"
 	// PathRefit marks a candidate whose warm AIC landed within the refinement
 	// margin of the provisional winner and was refitted cold; AIC holds the
@@ -36,8 +36,8 @@ type CandidateEval struct {
 	CP int `json:"cp"`
 	// AIC is the score the final reduction compared for this candidate.
 	AIC float64 `json:"aic"`
-	// Path is how AIC was computed: PathCold, PathWarm, PathRefit, or
-	// PathProbe.
+	// Path is how AIC was computed: PathCold, PathWarm, PathRefit,
+	// PathProbe, or PathPrefix.
 	Path string `json:"path"`
 	// WarmAIC is the warm-tolerance AIC a PathRefit candidate scored before
 	// its cold refit; zero (and omitted from JSON) on every other path.
@@ -60,11 +60,11 @@ type BinaryStep struct {
 }
 
 // Provenance records a change point search's full decision trail. Pass an
-// empty value via DetectOptions.Provenance (or ParallelOptions.Provenance)
+// empty value via DetectOptions.Provenance (or PrefixOptions.Provenance)
 // and the search fills it; recording never changes the search's numerics or
 // its Result. A nil *Provenance disables recording at zero cost.
 type Provenance struct {
-	// Method is the search that ran ("exact", "binary", "exact-parallel").
+	// Method is the search that ran ("exact", "binary", "exact-prefix").
 	Method string `json:"method"`
 	// N is the series length searched.
 	N int `json:"n"`

@@ -2,24 +2,10 @@ package changepoint
 
 import (
 	"context"
-	"fmt"
-	"reflect"
-	"strings"
-	"sync/atomic"
 	"testing"
 
-	"mictrend/internal/obs"
 	"mictrend/internal/ssm"
 )
-
-// ladderAICs extracts the (cp, aic) pairs of a ladder in recorded order.
-func ladderAICs(p *Provenance) []CandidateEval {
-	out := make([]CandidateEval, len(p.Candidates))
-	for i, c := range p.Candidates {
-		out[i] = CandidateEval{CP: c.CP, AIC: c.AIC}
-	}
-	return out
-}
 
 // TestExactProvenanceLadder pins the serial record: one cold rung per
 // evaluation in serial order (no-change first, then candidates ascending),
@@ -133,144 +119,6 @@ func TestBinaryProvenanceTrail(t *testing.T) {
 	}
 }
 
-// TestExactParallelColdProvenanceMatchesSerial is the acceptance criterion:
-// for any worker split, the cold parallel scan's AIC ladder matches the
-// serial scan's byte for byte (same rungs, same order, identical floats).
-func TestExactParallelColdProvenanceMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real scans")
-	}
-	y := randomSeries(3, 26)
-	var serial Provenance
-	if _, err := exact(len(y), SSMEvaluator(y, false), &serial); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 3, 8} {
-		for _, grain := range []int{1, 4, DefaultGrain} {
-			var p Provenance
-			_, err := ExactParallel(context.Background(), len(y), ParallelOptions{
-				Workers: workers, Grain: grain, Provenance: &p,
-			}, func() FitEvaluator { return SSMFitEvaluator(y, false) })
-			if err != nil {
-				t.Fatalf("workers %d grain %d: %v", workers, grain, err)
-			}
-			if !reflect.DeepEqual(ladderAICs(&p), ladderAICs(&serial)) {
-				t.Fatalf("workers %d grain %d: cold parallel ladder diverges from serial:\n%v\n%v",
-					workers, grain, ladderAICs(&p), ladderAICs(&serial))
-			}
-			for i, c := range p.Candidates {
-				if c.Path != PathCold {
-					t.Fatalf("workers %d grain %d rung %d: path %q, want cold", workers, grain, i, c.Path)
-				}
-			}
-		}
-	}
-}
-
-// TestExactParallelWarmProvenanceDeterministic pins the warm record's
-// contract: identical for every worker count at a fixed grain, paths follow
-// the shard geometry (cold at shard starts, warm inside, refit for the
-// refinement set), refit rungs carry both AICs, and the selected candidate's
-// rung holds the result's exact AIC.
-func TestExactParallelWarmProvenanceDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real scans")
-	}
-	y := randomSeries(7, 30)
-	const grain = DefaultGrain
-	var base *Provenance
-	for _, workers := range []int{1, 2, 5, 8} {
-		var p Provenance
-		res, err := ExactParallel(context.Background(), len(y), ParallelOptions{
-			Workers: workers, WarmStart: true, Grain: grain, Provenance: &p,
-		}, func() FitEvaluator { return SSMFitEvaluator(y, false) })
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		if base == nil {
-			base = &p
-			refits := 0
-			for i, c := range p.Candidates {
-				switch c.Path {
-				case PathCold:
-					if i%grain != 0 {
-						t.Fatalf("rung %d cold off a shard boundary", i)
-					}
-				case PathWarm:
-					if i%grain == 0 {
-						t.Fatalf("rung %d warm at a shard boundary", i)
-					}
-				case PathRefit:
-					refits++
-					if c.WarmAIC == 0 {
-						t.Fatalf("refit rung %d lost its warm AIC: %+v", i, c)
-					}
-				default:
-					t.Fatalf("rung %d unknown path %q", i, c.Path)
-				}
-				if c.CP == res.ChangePoint && c.AIC != res.AIC {
-					t.Fatalf("selected rung AIC %v != result AIC %v", c.AIC, res.AIC)
-				}
-			}
-			if want := res.Fits - ScanEvaluations(len(y)); refits != want {
-				t.Fatalf("%d refit rungs, want %d (Fits − ScanEvaluations)", refits, want)
-			}
-			continue
-		}
-		if !reflect.DeepEqual(p.Candidates, base.Candidates) {
-			t.Fatalf("workers %d: warm ladder not worker-invariant", workers)
-		}
-	}
-}
-
-// TestExactParallelScanSpans pins the intra-scan span contract: shard spans
-// arrive in shard order regardless of worker count, their content (name,
-// lane, detail) is worker-invariant, and the warm refinement's refits emit
-// one span each.
-func TestExactParallelScanSpans(t *testing.T) {
-	details := func(workers int) (shards, refits []string) {
-		tr := obs.NewTracer()
-		_, err := ExactParallel(context.Background(), 43, ParallelOptions{
-			Workers: workers, WarmStart: true, Trace: tr.Observe,
-		}, syntheticEvaluator(new(atomic.Int64), 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, sp := range tr.Spans() {
-			if sp.Cat != "scan" || sp.TID != obs.LaneScan {
-				t.Fatalf("span off the scan lane: %+v", sp)
-			}
-			switch sp.Name {
-			case "scan/shard":
-				shards = append(shards, sp.Detail)
-			case "scan/refit":
-				refits = append(refits, sp.Detail)
-			default:
-				t.Fatalf("unexpected span %q", sp.Name)
-			}
-		}
-		return shards, refits
-	}
-	baseShards, baseRefits := details(1)
-	if len(baseShards) == 0 {
-		t.Fatal("no shard spans emitted")
-	}
-	for i, d := range baseShards {
-		if want := fmt.Sprintf("shard %d [", i); !strings.HasPrefix(d, want) {
-			t.Fatalf("shard span %d detail %q, want prefix %q", i, d, want)
-		}
-	}
-	if len(baseRefits) == 0 {
-		t.Fatal("warm scan refined nothing: refit spans missing")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		shards, refits := details(workers)
-		if !reflect.DeepEqual(shards, baseShards) || !reflect.DeepEqual(refits, baseRefits) {
-			t.Fatalf("workers %d: span content not worker-invariant", workers)
-		}
-	}
-}
-
 // TestDetectProvenanceSelectedParams pins the Detect-level additions: the
 // record carries the model flavor and a parameter vector for the selected
 // configuration, for every search method.
@@ -279,7 +127,7 @@ func TestDetectProvenanceSelectedParams(t *testing.T) {
 		t.Skip("runs real scans")
 	}
 	y := randomSeries(5, 24)
-	for _, method := range []SearchMethod{SearchExact, SearchBinary, SearchExactParallel} {
+	for _, method := range []SearchMethod{SearchExact, SearchBinary, SearchExactPrefix} {
 		var p Provenance
 		res, err := Detect(context.Background(), y, DetectOptions{Method: method, Provenance: &p})
 		if err != nil {

@@ -6,50 +6,10 @@ import (
 	"mictrend/internal/changepoint"
 )
 
-// TestWarmScanSelectionMatchesColdOnCorpus is the warm-start regression gate:
-// across every sampled corpus series (disease, medicine, and prescription
-// level), the warm-started parallel exact scan must select exactly the change
-// point the cold serial scan selects. Warm starts may move a candidate's AIC
-// by a small basin gap on a multimodal likelihood, but if that ever flips a
-// selection on this corpus the speedup is no longer a free lunch and this
-// test is the tripwire.
-func TestWarmScanSelectionMatchesColdOnCorpus(t *testing.T) {
-	env := testEnv(t)
-	sample, err := env.SampleSeries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sample) == 0 {
-		t.Fatal("corpus sample is empty")
-	}
-	seasonal := env.Config.Months >= 24
-	for _, s := range sample {
-		cold, err := changepoint.DetectExact(s.Values, seasonal)
-		if err != nil {
-			t.Fatalf("%v d%d/m%d: cold scan: %v", s.Kind, s.Disease, s.Medicine, err)
-		}
-		warm, err := changepoint.DetectExactParallel(s.Values, seasonal, changepoint.ParallelOptions{
-			Workers: 4, WarmStart: true,
-		})
-		if err != nil {
-			t.Fatalf("%v d%d/m%d: warm scan: %v", s.Kind, s.Disease, s.Medicine, err)
-		}
-		if warm.ChangePoint != cold.ChangePoint {
-			t.Errorf("%v d%d/m%d: warm scan selected month %d, cold selected %d (cold AIC %v vs no-change %v)",
-				s.Kind, s.Disease, s.Medicine, warm.ChangePoint, cold.ChangePoint, cold.AIC, cold.NoChangeAIC)
-		}
-		if warm.NoChangeAIC != cold.NoChangeAIC {
-			t.Errorf("%v d%d/m%d: warm NoChangeAIC %v != cold %v (the no-intervention fit must stay cold)",
-				s.Kind, s.Disease, s.Medicine, warm.NoChangeAIC, cold.NoChangeAIC)
-		}
-	}
-}
-
-// TestPrefixScanSelectionMatchesColdOnCorpus is the same tripwire for the
-// prefix-checkpointed scan, with a stronger pin: the scan's screening and
-// refinement must reproduce the cold serial scan's selection byte for byte —
-// change point, winning AIC, and no-change AIC — on every sampled corpus
-// series. A divergence means a true winner slipped past the ladder screen
+// TestPrefixScanSelectionMatchesColdOnCorpus is the corpus tripwire for the
+// prefix-checkpointed scan: the scan's screening and refinement must
+// reproduce the cold serial scan's selection byte for byte — change point,
+// winning AIC, and no-change AIC — on every sampled corpus series. A divergence means a true winner slipped past the ladder screen
 // (prefixScreenMargin too tight) or skipped its cold refit (refineMargin too
 // tight), and the fit savings are no longer free.
 func TestPrefixScanSelectionMatchesColdOnCorpus(t *testing.T) {

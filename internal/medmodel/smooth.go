@@ -1,7 +1,6 @@
 package medmodel
 
 import (
-	"context"
 	"math"
 	"sort"
 
@@ -196,33 +195,6 @@ func logLikelihoodSorted(recs []*mic.Record, thetas [][]thetaEntry, phi map[mic.
 		}
 	}
 	return ll
-}
-
-// FitAllSmoothed fits one model per month, chaining each month's prior to
-// the previous month's posterior. The chain is inherently serial, so ctx is
-// checked between months: cancellation returns the months fitted so far with
-// ctx's error.
-//
-// Deprecated: set FitOptions.PriorWeight and call FitAll, which runs the same
-// serial chain but degrades per month (MonthError) instead of failing fast.
-// This wrapper preserves the old fail-fast contract by returning the first
-// month failure as its error.
-func FitAllSmoothed(ctx context.Context, d *mic.Dataset, opts FitOptions, priorWeight float64) ([]*Model, error) {
-	opts.PriorWeight = priorWeight
-	if priorWeight <= 0 {
-		// FitAll would treat 0 as "independent months, parallel"; the old
-		// contract was a serial chain that reduces to plain fits. The models
-		// are identical either way, but keep it serial for faithfulness.
-		opts.Workers = 1
-	}
-	models, monthErrs, err := FitAll(ctx, d, opts)
-	if err != nil {
-		return models, err
-	}
-	if len(monthErrs) > 0 {
-		return nil, monthErrs[0].Err
-	}
-	return models, nil
 }
 
 // blendPrior mixes prior rows into phi so the EM support covers both. Both

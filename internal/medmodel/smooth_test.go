@@ -132,9 +132,9 @@ func TestFitAllSmoothedChains(t *testing.T) {
 	}
 	d.Months = []*mic.Monthly{m0, m1}
 
-	smoothed, err := FitAllSmoothed(context.Background(), d, FitOptions{}, 5)
-	if err != nil {
-		t.Fatal(err)
+	smoothed, fails, err := FitAll(context.Background(), d, FitOptions{PriorWeight: 5})
+	if err != nil || len(fails) != 0 {
+		t.Fatal(err, fails)
 	}
 	plain, fails, err := FitAll(context.Background(), d, FitOptions{})
 	if err != nil {

@@ -156,7 +156,7 @@ func TestAnalyzeExactCandidateFaultDegradesOneSeries(t *testing.T) {
 	if f.Stage != StageDetect || f.Panicked {
 		t.Fatalf("failure = %+v, want a non-panic StageDetect entry", f)
 	}
-	victim := seriesKey(Detection{Kind: f.Kind, Disease: f.Disease, Medicine: f.Medicine})
+	victim := f.Key().String()
 
 	cleanDets := detectionsByKey(clean)
 	faultyDets := detectionsByKey(faulty)

@@ -58,7 +58,7 @@ func EmergingTrends(dets []Detection, seasonal bool, horizon int) ([]Emerging, e
 			ChangePoint: det.Result.ChangePoint,
 		})
 		if err != nil {
-			keepErr(fmt.Errorf("trend: projecting %s: %w", seriesKey(det), err))
+			keepErr(fmt.Errorf("trend: projecting %s: %w", det.Key(), err))
 			continue
 		}
 		slope := fit.Lambda * fit.Scale
@@ -67,7 +67,7 @@ func EmergingTrends(dets []Detection, seasonal bool, horizon int) ([]Emerging, e
 		}
 		mean, _, err := fit.Forecast(horizon)
 		if err != nil {
-			keepErr(fmt.Errorf("trend: projecting %s: %w", seriesKey(det), err))
+			keepErr(fmt.Errorf("trend: projecting %s: %w", det.Key(), err))
 			continue
 		}
 		e := Emerging{

@@ -48,7 +48,7 @@ func detectionsByKey(a *Analysis) map[string]Detection {
 	out := make(map[string]Detection)
 	for _, group := range [][]Detection{a.Diseases, a.Medicines, a.Prescriptions} {
 		for _, det := range group {
-			out[seriesKey(det)] = det
+			out[det.Key().String()] = det
 		}
 	}
 	return out
@@ -57,12 +57,12 @@ func detectionsByKey(a *Analysis) map[string]Detection {
 // pickVictim returns the key of a mid-list series to sabotage.
 func pickVictim(a *Analysis) string {
 	if len(a.Medicines) > 0 {
-		return seriesKey(a.Medicines[len(a.Medicines)/2])
+		return a.Medicines[len(a.Medicines)/2].Key().String()
 	}
 	if len(a.Prescriptions) > 0 {
-		return seriesKey(a.Prescriptions[0])
+		return a.Prescriptions[0].Key().String()
 	}
-	return seriesKey(a.Diseases[0])
+	return a.Diseases[0].Key().String()
 }
 
 // TestInjectedFailureDegradesOneSeries is the acceptance-criteria test: an
@@ -109,7 +109,7 @@ func TestInjectedFailureDegradesOneSeries(t *testing.T) {
 			if f.Stage != StageDetect || f.Panicked != tc.panicked {
 				t.Fatalf("failure = %+v, want StageDetect with Panicked=%v", f, tc.panicked)
 			}
-			if got := seriesKey(Detection{Kind: f.Kind, Disease: f.Disease, Medicine: f.Medicine}); got != victim {
+			if got := f.Key().String(); got != victim {
 				t.Fatalf("failed series = %s, want %s", got, victim)
 			}
 
@@ -168,7 +168,7 @@ func TestPrefixResumePanicDegradesOneSeries(t *testing.T) {
 	if f.Stage != StageDetect || !f.Panicked {
 		t.Fatalf("failure = %+v, want a StageDetect panic", f)
 	}
-	victim := seriesKey(Detection{Kind: f.Kind, Disease: f.Disease, Medicine: f.Medicine})
+	victim := f.Key().String()
 
 	cleanDets := detectionsByKey(clean)
 	faultyDets := detectionsByKey(faulty)
@@ -319,7 +319,7 @@ func TestValidateJobsRejectsNonFinite(t *testing.T) {
 	nan := Detection{Kind: KindDisease, Disease: 2, Series: []float64{1, math.NaN(), 3}}
 	inf := Detection{Kind: KindPrescription, Disease: 3, Medicine: 4, Series: []float64{1, 2, math.Inf(1)}}
 	valid, fails := validateJobs([]Detection{good, nan, inf})
-	if len(valid) != 1 || seriesKey(valid[0]) != "medicine:1" {
+	if len(valid) != 1 || valid[0].Key().String() != "medicine:1" {
 		t.Fatalf("valid = %v, want only medicine:1", valid)
 	}
 	if len(fails) != 2 {

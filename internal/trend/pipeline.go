@@ -10,12 +10,10 @@ package trend
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -34,15 +32,12 @@ type Method = changepoint.SearchMethod
 
 // Search methods.
 const (
-	// MethodExact is Algorithm 1. The pipeline runs it on the warm-started
-	// parallel scan (selection identical to the serial scan) whenever the
-	// worker budget grants a scan more than one token.
+	// MethodExact is Algorithm 1. The pipeline runs it on the prefix scan
+	// (selection identical to the serial scan), whose contender fits use the
+	// idle tokens the worker budget grants.
 	MethodExact = changepoint.SearchExact
 	// MethodBinary is Algorithm 2.
 	MethodBinary = changepoint.SearchBinary
-	// MethodExactParallel requests the parallel scan explicitly; within the
-	// pipeline it behaves exactly like MethodExact (same scan, same budget).
-	MethodExactParallel = changepoint.SearchExactParallel
 )
 
 // SeriesKind distinguishes the three series families of the paper.
@@ -142,8 +137,8 @@ type Options struct {
 	// Trace, when non-nil, receives the run's timed spans: one stage span per
 	// pipeline stage, one em/month span per month, one detect/series span per
 	// series (degraded series carry their failure stage), and the exact
-	// scans' shard/refit spans. Wire obs.NewTracer().Observe here and write
-	// the collected spans with Tracer.WriteTrace. Span content is
+	// scans' prefix/contenders/refit spans. Wire obs.NewTracer().Observe here
+	// and write the collected spans with Tracer.WriteTrace. Span content is
 	// deterministic for a given input — only timestamps vary — and per-unit
 	// spans arrive in serial order. Deliveries are panic-isolated like
 	// Observer's (a panicking sink is muted and recorded as a StageObserver
@@ -273,11 +268,6 @@ func (f Failure) String() string {
 	return s
 }
 
-// seriesKey identifies a job's series for failure reports and fault points.
-//
-// Deprecated: it remains as a shim over the typed key; use Detection.Key.
-func seriesKey(det Detection) string { return det.Key().String() }
-
 // Analysis is the full pipeline output.
 type Analysis struct {
 	// Models holds the fitted medication model per month. Months whose EM
@@ -402,53 +392,6 @@ func (ins *pipelineInstruments) stage(name string, total int) func(done int, err
 			}
 			ins.deliver(e)
 		}
-	}
-}
-
-// seriesDone accounts one finished detection job. detectAll invokes it
-// through a sequencer in job-index order, so the registry merges and the
-// SeriesDone stream are deterministic for any worker split.
-func (ins *pipelineInstruments) seriesDone(job Detection, res changepoint.Result, failErr string, cancelled bool, stats *ssm.FitStats, began time.Time, dur time.Duration, idx, total int) {
-	if ins == nil || cancelled {
-		return
-	}
-	if ins.trace != nil {
-		sp := obs.SpanEvent{
-			Cat: "detect", Name: "detect/series", TID: obs.LaneDetect,
-			Start: began, Duration: dur, Month: -1, Series: seriesKey(job),
-		}
-		switch {
-		case failErr != "":
-			// Degraded series: the span carries the failure stage and message.
-			sp.Err = failErr
-			sp.Detail = "stage=" + StageDetect.String()
-		case res.Detected():
-			sp.Detail = "cp=" + strconv.Itoa(res.ChangePoint)
-		default:
-			sp.Detail = "cp=none"
-		}
-		ins.trace(sp)
-	}
-	if m := ins.metrics; m != nil {
-		ins.addFitStats(stats)
-		m.Counter("scan/series").Inc()
-		if failErr == "" {
-			m.Counter("scan/fits").Add(int64(res.Fits))
-			if ins.exact {
-				evals := changepoint.ScanEvaluations(len(job.Series))
-				m.Counter("scan/candidates").Add(int64(evals))
-				if refits := res.Fits - evals; refits > 0 {
-					m.Counter("scan/warm_refits").Add(int64(refits))
-				}
-			}
-		}
-		m.Timer("time/scan/series").Observe(dur)
-	}
-	if ins.deliver != nil {
-		ins.deliver(obs.Event{
-			Kind: obs.SeriesDone, Stage: "detect", Series: seriesKey(job),
-			Month: -1, Done: idx + 1, Total: total, Duration: dur, Err: failErr,
-		})
 	}
 }
 
@@ -762,237 +705,23 @@ func shardJobs(jobs []Detection, shards int) [][]int {
 	return lists
 }
 
-// detectAll runs change point detection over the jobs with a two-level
-// worker budget: a shared pool of Options.Workers tokens admits series
-// (level one), and each admitted exact scan opportunistically claims idle
-// tokens to shard its own candidate set (level two, see workerBudget). A
-// wide batch behaves like the old flat pool; a narrow batch or a draining
-// tail moves the idle tokens into intra-series scan parallelism.
-//
-// The pool is fault-tolerant and cancellable: a worker panic or a failed
-// search is confined to its series (recorded as a Failure), and cancelling
-// ctx stops dispatch immediately — in-flight searches abort within one model
-// fit — returning the detections completed so far with ctx's error. Results
-// are independent per series and assembled by job index, and the scan
-// itself is worker-count-invariant, so detections are deterministic under
-// any Workers/ScanWorkers split and byte-identical for the surviving series
-// whether or not other series failed.
+// detectAll runs change point detection over the pipeline's jobs through
+// scanAll, one dispatcher per shard of the series universe (see shardJobs),
+// and returns the surviving detections in job order.
 func detectAll(ctx context.Context, jobs []Detection, opts Options, ins *pipelineInstruments) ([]Detection, []Failure, []SeriesProvenance, int, error) {
-	type outcome struct {
-		i         int
-		det       Detection
-		fail      *Failure
-		cancelled bool
-		stats     *ssm.FitStats
-		prov      *changepoint.Provenance
-		began     time.Time
-		dur       time.Duration
+	scans := make([]scanJob, len(jobs))
+	for i, job := range jobs {
+		scans[i] = scanJob{key: job.Key(), series: job.Series}
 	}
-	var trace obs.SpanObserver
-	if ins != nil {
-		trace = ins.trace
-	}
-	budget := newWorkerBudget(opts.Workers)
-	out := make(chan outcome)
-	run := func(i int, wg *sync.WaitGroup) {
-		defer wg.Done()
-		defer budget.release(1)
-		if ctx.Err() != nil {
-			out <- outcome{i: i, cancelled: true}
-			return
-		}
-		o := outcome{i: i}
-		if ins != nil {
-			if ins.metrics != nil {
-				o.stats = &ssm.FitStats{}
-			}
-			o.began = time.Now()
-			o.det, o.fail, o.cancelled, o.prov = runDetection(ctx, jobs[i], opts, budget, o.stats, trace)
-			o.dur = time.Since(o.began)
-		} else {
-			o.det, o.fail, o.cancelled, o.prov = runDetection(ctx, jobs[i], opts, budget, nil, nil)
-		}
-		out <- o
-	}
-	// Partition the series universe into shards — by disease for disease-
-	// and prescription-kind series, by medicine for medicine-kind ones — and
-	// give each shard its own dispatcher over the shared budget. Outcomes
-	// carry their global job index, so assembly below is shard-agnostic and
-	// the analysis is byte-identical for any Shards value.
-	shardLists := shardJobs(jobs, opts.Shards)
-	go func() {
-		var dwg, wg sync.WaitGroup
-		defer func() {
-			dwg.Wait()
-			wg.Wait()
-			close(out)
-		}()
-		for _, list := range shardLists {
-			dwg.Add(1)
-			go func(list []int) {
-				defer dwg.Done()
-				for _, i := range list {
-					if budget.acquire(ctx) != nil {
-						return
-					}
-					wg.Add(1)
-					go run(i, &wg)
-				}
-			}(list)
-		}
-	}()
-
-	dets := make([]Detection, len(jobs))
-	done := make([]bool, len(jobs))
-	var scanProvs []*changepoint.Provenance
-	var failAt []*Failure
-	if opts.Explain {
-		scanProvs = make([]*changepoint.Provenance, len(jobs))
-		failAt = make([]*Failure, len(jobs))
-	}
-	var failures []Failure
-	totalFits := 0
-	var seq *obs.Sequencer
-	if ins != nil {
-		seq = obs.NewSequencer()
-	}
-	for o := range out {
-		switch {
-		case o.cancelled:
-		case o.fail != nil:
-			failures = append(failures, *o.fail)
-		default:
-			dets[o.i] = o.det
-			done[o.i] = true
-			totalFits += o.det.Result.Fits
-		}
-		if opts.Explain && !o.cancelled {
-			scanProvs[o.i] = o.prov
-			failAt[o.i] = o.fail
-		}
-		if seq != nil {
-			o := o
-			seq.Done(o.i, func() {
-				failErr := ""
-				if o.fail != nil {
-					failErr = o.fail.Err
-				}
-				ins.seriesDone(jobs[o.i], o.det.Result, failErr, o.cancelled, o.stats, o.began, o.dur, o.i, len(jobs))
-			})
+	results, ok, failures, provs, totalFits, err := scanAll(ctx, detectStage, scans, shardJobs(jobs, opts.Shards), opts, ins)
+	dets := make([]Detection, 0, len(jobs))
+	for i, job := range jobs {
+		if ok[i] {
+			job.Result = results[i]
+			dets = append(dets, job)
 		}
 	}
-	results := make([]Detection, 0, len(jobs))
-	for i, ok := range done {
-		if ok {
-			results = append(results, dets[i])
-		}
-	}
-	// Assemble the per-series provenance in job order. Cancelled jobs (no
-	// outcome, or an unprocessed one) get no entry; failed jobs keep their
-	// partial ladder alongside the failure link.
-	var provs []SeriesProvenance
-	if opts.Explain {
-		for i, job := range jobs {
-			f := failAt[i]
-			if !done[i] && f == nil {
-				continue
-			}
-			sp := SeriesProvenance{
-				Kind: job.Kind.String(), Disease: job.Disease, Medicine: job.Medicine,
-				Key: seriesKey(job), Scan: scanProvs[i],
-			}
-			if f != nil {
-				sp.Failure = f.Err
-				sp.FailureStage = f.Stage.String()
-			}
-			provs = append(provs, sp)
-		}
-	}
-	return results, failures, provs, totalFits, ctx.Err()
-}
-
-// runDetection searches one series with panic isolation: a crash anywhere in
-// the model fitting stack fails this series only (the parallel scan
-// re-panics shard crashes on this goroutine, so the recover here covers
-// them too). The cancelled return distinguishes a context abort (not a
-// series failure) from a genuine one. budget supplies the scan's level-two
-// extra workers; nil runs the scan serially. trace receives the scan's
-// shard/refit spans; prov is the series' decision provenance (non-nil only
-// under Options.Explain, and kept — possibly partial — on failure).
-func runDetection(ctx context.Context, job Detection, opts Options, budget *workerBudget, stats *ssm.FitStats, trace obs.SpanObserver) (det Detection, fail *Failure, cancelled bool, prov *changepoint.Provenance) {
-	det = job
-	res, fail, cancelled, prov := runScan(ctx, job.Key(), StageDetect, "trend/detect", job.Series, opts, budget, stats, trace)
-	if fail == nil && !cancelled {
-		det.Result = res
-	}
-	return det, fail, cancelled, prov
-}
-
-// runScan searches one series — leaf or aggregate — with the panic isolation,
-// fault-point, cancellation, and level-two budget semantics documented on
-// runDetection. key identifies the series in failure records and fault-point
-// matches; stage tags the failure (StageDetect for pipeline jobs,
-// StageSurveil for hierarchy scans) and site names the fault point.
-func runScan(ctx context.Context, key SeriesKey, stage FailureStage, site string, series []float64, opts Options, budget *workerBudget, stats *ssm.FitStats, trace obs.SpanObserver) (res changepoint.Result, fail *Failure, cancelled bool, prov *changepoint.Provenance) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = changepoint.Result{}
-			fail = scanFailure(key, stage, fmt.Errorf("panic: %v", r))
-			fail.Panicked = true
-			cancelled = false
-		}
-	}()
-	if opts.Explain {
-		prov = &changepoint.Provenance{}
-	}
-	if err := faultpoint.Inject(site, key.String()); err != nil {
-		return res, scanFailure(key, stage, err), false, prov
-	}
-	dopts := changepoint.DetectOptions{
-		Seasonal: opts.Seasonal, Stats: stats, Provenance: prov, Trace: trace,
-	}
-	if opts.Method == MethodBinary {
-		dopts.Method = changepoint.SearchBinary
-	} else {
-		// Level two of the worker budget: claim idle tokens (beyond this
-		// series' own) for the scan's contender workers, returning them as
-		// soon as the scan finishes. The scan's result does not depend on
-		// how many we get.
-		dopts.Method = changepoint.SearchExactPrefix
-		dopts.Workers = 1
-		if budget != nil {
-			target := opts.ScanWorkers
-			if target <= 0 {
-				target = opts.Workers
-			}
-			if extra := budget.tryAcquire(target - 1); extra > 0 {
-				defer budget.release(extra)
-				dopts.Workers += extra
-			}
-		}
-	}
-	res, err := changepoint.Detect(ctx, series, dopts)
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return changepoint.Result{}, nil, true, prov
-		}
-		return changepoint.Result{}, scanFailure(key, stage, err), false, prov
-	}
-	return res, nil, false, prov
-}
-
-// scanFailure builds the failure record for a series scan, extracting the
-// multi-start attempt count when the fit stack provides one.
-func scanFailure(key SeriesKey, stage FailureStage, err error) *Failure {
-	f := &Failure{
-		Stage: stage, Kind: key.Kind, Disease: key.Disease, Medicine: key.Medicine, Node: key.Node,
-		Month: -1, Err: err.Error(),
-	}
-	var oe *ssm.OptimizationError
-	if errors.As(err, &oe) {
-		f.Attempts = oe.Attempts
-	}
-	return f
+	return dets, failures, provs, totalFits, err
 }
 
 // DetectedChangePoints returns the subset of detections with a change point,

@@ -13,15 +13,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"sync"
-	"time"
 
 	"mictrend/internal/changepoint"
 	"mictrend/internal/faultpoint"
 	"mictrend/internal/medmodel"
 	"mictrend/internal/mic"
-	"mictrend/internal/obs"
 	"mictrend/internal/ssm"
 )
 
@@ -280,7 +276,7 @@ func Surveil(ctx context.Context, ds *mic.Dataset, opts SurveilOptions) (*Survei
 		aggJobs[i] = scanJob{key: nodes[i].Key, series: nodes[i].Series}
 	}
 	endAgg := ins.stage("surveil", len(aggJobs))
-	aggRes, aggOK, aggFails, aggProvs, aggFits, aerr := scanAll(ctx, "surveil", aggJobs, popts, ins)
+	aggRes, aggOK, aggFails, aggProvs, aggFits, aerr := scanAll(ctx, surveilStage, aggJobs, nil, popts, ins)
 	done := 0
 	for i := range nodes {
 		if aggOK[i] {
@@ -291,9 +287,7 @@ func Surveil(ctx context.Context, ds *mic.Dataset, opts SurveilOptions) (*Survei
 	endAgg(done, aerr)
 	surv.Failures = append(surv.Failures, aggFails...)
 	surv.AggregateFits = aggFits
-	if popts.Explain {
-		surv.Provenance = append(surv.Provenance, scanProvenance(aggJobs, aggOK, aggFails, aggProvs)...)
-	}
+	surv.Provenance = append(surv.Provenance, aggProvs...)
 
 	// Attribute down: cross-link child change points (from the reused
 	// Analysis and the class scans above), drill-scanning only the leaf
@@ -333,7 +327,7 @@ func Surveil(ctx context.Context, ds *mic.Dataset, opts SurveilOptions) (*Survei
 		}
 		if len(drillJobs) > 0 {
 			endDrill := ins.stage("surveil-drill", len(drillJobs))
-			dRes, dOK, dFails, dProvs, dFits, derr := scanAll(ctx, "surveil-drill", drillJobs, popts, ins)
+			dRes, dOK, dFails, dProvs, dFits, derr := scanAll(ctx, drillStage, drillJobs, nil, popts, ins)
 			ddone := 0
 			for i := range drillJobs {
 				if dOK[i] {
@@ -344,9 +338,7 @@ func Surveil(ctx context.Context, ds *mic.Dataset, opts SurveilOptions) (*Survei
 			endDrill(ddone, derr)
 			surv.Failures = append(surv.Failures, dFails...)
 			surv.DrillFits = dFits
-			if popts.Explain {
-				surv.Provenance = append(surv.Provenance, scanProvenance(drillJobs, dOK, dFails, dProvs)...)
-			}
+			surv.Provenance = append(surv.Provenance, dProvs...)
 			aerr = derr
 		}
 	}
@@ -463,142 +455,6 @@ func addSeries(dst, src []float64) []float64 {
 	return dst
 }
 
-// scanJob is one aggregate or drill-down series to scan.
-type scanJob struct {
-	key    SeriesKey
-	series []float64
-}
-
-// scanAll runs change point scans over the jobs on the shared two-level
-// worker budget with the same fault tolerance, cancellation, and
-// serial-order event delivery as detectAll; results assemble by job index so
-// the outcome is worker-count invariant. stage names the observer stage and
-// metrics family.
-func scanAll(ctx context.Context, stage string, jobs []scanJob, opts Options, ins *pipelineInstruments) (results []changepoint.Result, ok []bool, failures []Failure, provs []*changepoint.Provenance, totalFits int, err error) {
-	type outcome struct {
-		i         int
-		res       changepoint.Result
-		fail      *Failure
-		cancelled bool
-		stats     *ssm.FitStats
-		prov      *changepoint.Provenance
-		began     time.Time
-		dur       time.Duration
-	}
-	var trace obs.SpanObserver
-	if ins != nil {
-		trace = ins.trace
-	}
-	budget := newWorkerBudget(opts.Workers)
-	out := make(chan outcome)
-	run := func(i int, wg *sync.WaitGroup) {
-		defer wg.Done()
-		defer budget.release(1)
-		if ctx.Err() != nil {
-			out <- outcome{i: i, cancelled: true}
-			return
-		}
-		o := outcome{i: i}
-		if ins != nil {
-			if ins.metrics != nil {
-				o.stats = &ssm.FitStats{}
-			}
-			o.began = time.Now()
-			o.res, o.fail, o.cancelled, o.prov = runScan(ctx, jobs[i].key, StageSurveil, "trend/surveil", jobs[i].series, opts, budget, o.stats, trace)
-			o.dur = time.Since(o.began)
-		} else {
-			o.res, o.fail, o.cancelled, o.prov = runScan(ctx, jobs[i].key, StageSurveil, "trend/surveil", jobs[i].series, opts, budget, nil, nil)
-		}
-		out <- o
-	}
-	go func() {
-		var wg sync.WaitGroup
-		defer func() {
-			wg.Wait()
-			close(out)
-		}()
-		for i := range jobs {
-			if budget.acquire(ctx) != nil {
-				return
-			}
-			wg.Add(1)
-			go run(i, &wg)
-		}
-	}()
-
-	results = make([]changepoint.Result, len(jobs))
-	ok = make([]bool, len(jobs))
-	if opts.Explain {
-		provs = make([]*changepoint.Provenance, len(jobs))
-	}
-	var seq *obs.Sequencer
-	if ins != nil {
-		seq = obs.NewSequencer()
-	}
-	for o := range out {
-		switch {
-		case o.cancelled:
-		case o.fail != nil:
-			failures = append(failures, *o.fail)
-		default:
-			results[o.i] = o.res
-			ok[o.i] = true
-			totalFits += o.res.Fits
-		}
-		if opts.Explain && !o.cancelled {
-			provs[o.i] = o.prov
-		}
-		if seq != nil {
-			o := o
-			seq.Done(o.i, func() {
-				failErr := ""
-				if o.fail != nil {
-					failErr = o.fail.Err
-				}
-				ins.scanDone(stage, jobs[o.i].key, o.res, failErr, o.cancelled, o.stats, o.began, o.dur, o.i, len(jobs))
-			})
-		}
-	}
-	return results, ok, failures, provs, totalFits, ctx.Err()
-}
-
-// scanDone accounts one finished aggregate/drill scan, mirroring seriesDone.
-func (ins *pipelineInstruments) scanDone(stage string, key SeriesKey, res changepoint.Result, failErr string, cancelled bool, stats *ssm.FitStats, began time.Time, dur time.Duration, idx, total int) {
-	if ins == nil || cancelled {
-		return
-	}
-	if ins.trace != nil {
-		sp := obs.SpanEvent{
-			Cat: "surveil", Name: stage + "/series", TID: obs.LaneDetect,
-			Start: began, Duration: dur, Month: -1, Series: key.String(),
-		}
-		switch {
-		case failErr != "":
-			sp.Err = failErr
-			sp.Detail = "stage=" + StageSurveil.String()
-		case res.Detected():
-			sp.Detail = "cp=" + strconv.Itoa(res.ChangePoint)
-		default:
-			sp.Detail = "cp=none"
-		}
-		ins.trace(sp)
-	}
-	if m := ins.metrics; m != nil {
-		ins.addFitStats(stats)
-		m.Counter(stage + "/series").Inc()
-		if failErr == "" {
-			m.Counter(stage + "/fits").Add(int64(res.Fits))
-		}
-		m.Timer("time/" + stage + "/series").Observe(dur)
-	}
-	if ins.deliver != nil {
-		ins.deliver(obs.Event{
-			Kind: obs.SeriesDone, Stage: stage, Series: key.String(),
-			Month: -1, Done: idx + 1, Total: total, Duration: dur, Err: failErr,
-		})
-	}
-}
-
 // finishSurveil folds the run-level accounting into the surveillance tree:
 // observer-panic failures, failure counters, detection/offset counters, and
 // the fault-injection trip delta.
@@ -626,32 +482,6 @@ func (ins *pipelineInstruments) finishSurveil(surv *Surveillance) {
 		m.Counter("surveil/offset_pairs").Add(int64(len(surv.Offsets)))
 		m.Counter("surveil/total_fits").Add(int64(surv.AggregateFits + surv.DrillFits))
 	}
-}
-
-// scanProvenance builds the provenance entries for a scan batch, in job
-// order, linking failures like the detect stage does.
-func scanProvenance(jobs []scanJob, ok []bool, failures []Failure, provs []*changepoint.Provenance) []SeriesProvenance {
-	failFor := make(map[SeriesKey]*Failure, len(failures))
-	for i := range failures {
-		failFor[failures[i].Key()] = &failures[i]
-	}
-	var out []SeriesProvenance
-	for i, job := range jobs {
-		f := failFor[job.key]
-		if !ok[i] && f == nil {
-			continue // cancelled
-		}
-		sp := SeriesProvenance{
-			Kind: job.key.Kind.String(), Disease: job.key.Disease, Medicine: job.key.Medicine,
-			Key: job.key.String(), Scan: provs[i],
-		}
-		if f != nil {
-			sp.Failure = f.Err
-			sp.FailureStage = f.Stage.String()
-		}
-		out = append(out, sp)
-	}
-	return out
 }
 
 // windowDelta is the change of s's w-month mean level across the break at

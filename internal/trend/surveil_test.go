@@ -462,9 +462,4 @@ func TestSeriesKeyRoundTrip(t *testing.T) {
 	if _, err := ParseSeriesKey("nonsense"); err == nil {
 		t.Fatal("junk key should not parse")
 	}
-	// The legacy shim must agree with the typed rendering.
-	det := Detection{Kind: KindPrescription, Disease: 3, Medicine: 11}
-	if seriesKey(det) != det.Key().String() {
-		t.Fatal("seriesKey shim diverged from typed key")
-	}
 }

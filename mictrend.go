@@ -66,7 +66,7 @@
 // WritePrometheus) and over expvar (Metrics.PublishExpvar).
 //
 // Deeper inspection is options-first too: a Tracer collects timed spans of
-// every stage, month fit, series detection, and scan shard as a
+// every stage, month fit, series detection, and scan phase as a
 // Perfetto-loadable Chrome trace, and Explain records why each change point
 // was (or was not) selected:
 //
@@ -84,7 +84,7 @@
 // options-first shape:
 //
 //	res, err := mictrend.DetectChangePoint(ctx, series, mictrend.DetectOptions{
-//		Method:   mictrend.SearchExactParallel,
+//		Method:   mictrend.SearchExactPrefix,
 //		Seasonal: true,
 //	})
 package mictrend
@@ -535,15 +535,16 @@ const (
 	SearchExact = changepoint.SearchExact
 	// SearchBinary is the approximate Algorithm 2 (O(log T) fits).
 	SearchBinary = changepoint.SearchBinary
-	// SearchExactParallel is Algorithm 1 on the candidate-sharded,
-	// warm-started scan; it selects the same change point as SearchExact for
-	// any worker count.
+	// SearchExactParallel named the candidate-sharded warm scan, which the
+	// prefix scan superseded; it now runs SearchExactPrefix.
+	//
+	// Deprecated: use SearchExactPrefix.
 	SearchExactParallel = changepoint.SearchExactParallel
 	// SearchExactPrefix is Algorithm 1 on the prefix-checkpointed evaluator:
 	// shared-parameter AIC ladders scored by checkpoint resumes screen the
 	// candidates down to a handful of real fits. Selection is byte-identical
-	// to SearchExact for any worker count; the pipeline's exact method uses
-	// it by default.
+	// to SearchExact for any worker count; the pipeline's exact method runs
+	// it.
 	SearchExactPrefix = changepoint.SearchExactPrefix
 )
 
@@ -570,14 +571,13 @@ func DetectChangePointBinary(series []float64, seasonal bool) (ChangePointResult
 	return DetectChangePoint(context.Background(), series, DetectOptions{Method: SearchBinary, Seasonal: seasonal})
 }
 
-// DetectChangePointExactParallel runs Algorithm 1 with the candidate-sharded,
-// warm-started parallel scan: workers (0 = GOMAXPROCS) shard the candidate
-// months, each seeding its fits from the previous candidate's optimum. The
-// selected change point matches the serial exact scan; see
-// changepoint.ParallelOptions for the exact determinism contract.
+// DetectChangePointExactParallel runs Algorithm 1 on the prefix scan, with
+// workers (≤0 = 1) bounding its concurrent contender fits. The
+// candidate-sharded warm scan it once named is gone; the selection contract
+// is unchanged.
 //
 // Deprecated: use DetectChangePoint with DetectOptions{Method:
-// SearchExactParallel, Workers: workers}.
+// SearchExactPrefix, Workers: workers}.
 func DetectChangePointExactParallel(series []float64, seasonal bool, workers int) (ChangePointResult, error) {
 	return DetectChangePoint(context.Background(), series, DetectOptions{
 		Method: SearchExactParallel, Seasonal: seasonal, Workers: workers,
@@ -624,17 +624,18 @@ const (
 )
 
 // Change point search methods for AnalysisOptions.Method. These are the
-// same constants as the Search* values; the pipeline runs MethodExact (and
-// MethodExactParallel) on the warm-started parallel scan under its worker
-// budget.
+// same constants as the Search* values; the pipeline runs MethodExact on the
+// prefix scan under its worker budget.
 const (
 	// MethodExact is the paper's Algorithm 1.
 	MethodExact = trend.MethodExact
 	// MethodBinary is the paper's Algorithm 2.
 	MethodBinary = trend.MethodBinary
-	// MethodExactParallel requests the parallel scan explicitly; within the
-	// pipeline it behaves exactly like MethodExact.
-	MethodExactParallel = trend.MethodExactParallel
+	// MethodExactParallel behaves exactly like MethodExact within the
+	// pipeline.
+	//
+	// Deprecated: use MethodExact.
+	MethodExactParallel = changepoint.SearchExactParallel
 )
 
 // Series kinds.
