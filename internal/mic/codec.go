@@ -291,23 +291,26 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 	}
 }
 
-// decodeRecordLine parses one record line with encoding/json, the reference
-// for the fast path in recordDecoder, and appends it to its month on
-// success.
-func decodeRecordLine(d *Dataset, months int, line []byte) error {
+// parseRecordLine parses one record line with encoding/json, the reference
+// for the fast path in recordDecoder and its fallback.
+func parseRecordLine(line []byte) (int, Record, error) {
 	var fr fileRecord
 	if err := json.Unmarshal(line, &fr); err != nil {
-		return err
+		return 0, Record{}, err
 	}
 	rec := Record{Hospital: HospitalID(fr.Hospital), Patient: fr.Patient, Medicines: fr.Medicines}
 	for _, pair := range fr.Diseases {
 		rec.Diseases = append(rec.Diseases, DiseaseCount{Disease: DiseaseID(pair[0]), Count: int(pair[1])})
 	}
-	return appendRecord(d, months, fr.Month, rec)
+	return fr.Month, rec, nil
 }
 
 // appendRecord validates a decoded record of month t and appends it to that
-// month.
+// month. A month's first record sizes its Records for the records month t-1
+// holds by then, plus an eighth, so months written in order and of similar
+// size are copied once rather than at every step of append's growth. Each
+// month lends its count to one other month only, so the capacity reserved
+// this way stays within 1.125× the records decoded.
 func appendRecord(d *Dataset, months, t int, rec Record) error {
 	if t < 0 || t >= months {
 		return fmt.Errorf("record month %d out of range [0,%d)", t, months)
@@ -316,6 +319,11 @@ func appendRecord(d *Dataset, months, t int, rec Record) error {
 		return err
 	}
 	m := d.Months[t]
+	if cap(m.Records) == 0 && t > 0 {
+		if n := len(d.Months[t-1].Records); n > 0 {
+			m.Records = make([]Record, 0, n+n/8)
+		}
+	}
 	m.Records = append(m.Records, rec)
 	return nil
 }

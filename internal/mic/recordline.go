@@ -15,7 +15,7 @@ const (
 // Lines of the canonical shape Write emits —
 // {"t":…,"h":…,"p":…,"d":[[…,…],…]|null,"m":[…]|null}, keys in that order,
 // no whitespace inside, only whitespace after the closing brace — are parsed
-// in place. Every other line goes to decodeRecordLine, so encoding/json still
+// in place. Every other line goes to parseRecordLine, so encoding/json still
 // decides what such a line means and which error it gets. On the lines the
 // fast path accepts it yields exactly the record encoding/json yields.
 //
@@ -35,12 +35,17 @@ type recordDecoder struct {
 func (dec *recordDecoder) decode(line []byte) error {
 	t, rec, ok := dec.parse(line)
 	if !ok {
-		return decodeRecordLine(dec.d, dec.months, line)
+		var err error
+		if t, rec, err = parseRecordLine(line); err != nil {
+			return err
+		}
 	}
 	if err := appendRecord(dec.d, dec.months, t, rec); err != nil {
-		// The rejected record's entries are the slabs' tails.
-		dec.diseases = dec.diseases[:len(dec.diseases)-len(rec.Diseases)]
-		dec.medicines = dec.medicines[:len(dec.medicines)-len(rec.Medicines)]
+		if ok {
+			// The rejected record's entries are the slabs' tails.
+			dec.diseases = dec.diseases[:len(dec.diseases)-len(rec.Diseases)]
+			dec.medicines = dec.medicines[:len(dec.medicines)-len(rec.Medicines)]
+		}
 		return err
 	}
 	return nil

@@ -96,6 +96,16 @@ func errText(err error) string {
 	return err.Error()
 }
 
+// decodeRecordLine is the encoding/json reference decoder: it parses one
+// record line with parseRecordLine and appends it to its month on success.
+func decodeRecordLine(d *Dataset, months int, line []byte) error {
+	t, rec, err := parseRecordLine(line)
+	if err != nil {
+		return err
+	}
+	return appendRecord(d, months, t, rec)
+}
+
 // TestRecordFastPathMatchesJSON pins the fast record decoder to the
 // encoding/json reference: for every line, decoding through the fast path
 // (and its fallback) yields the same records — nil and empty bags included —
@@ -215,4 +225,46 @@ func FuzzDecodeRecordLine(f *testing.F) {
 			t.Fatalf("%q: decoded records differ from the reference", line)
 		}
 	})
+}
+
+// TestReadRecordCapacityBounded pins the Records sizing to the records a
+// body sends: months that each take their first record right after a large
+// month must not each reserve that month's count. The body sends n records
+// to month 0, then alternates one record to month 0 and one to month k for
+// k = 1…m; the capacity of every month's Records together stays within a
+// small multiple of the records decoded.
+func TestReadRecordCapacityBounded(t *testing.T) {
+	const n, m = 1000, 200
+	d := NewDataset()
+	d.AddHospital(Hospital{Code: "H"})
+	for k := 0; k <= m; k++ {
+		d.Months = append(d.Months, &Monthly{Month: k})
+	}
+	var body bytes.Buffer
+	if err := Write(&body, d); err != nil {
+		t.Fatal(err)
+	}
+	line := func(month int) { fmt.Fprintf(&body, "{\"t\":%d,\"h\":0,\"p\":1,\"d\":null,\"m\":null}\n", month) }
+	for i := 0; i < n; i++ {
+		line(0)
+	}
+	for k := 1; k <= m; k++ {
+		line(0)
+		line(k)
+	}
+	got, err := Read(&body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, capacity := 0, 0
+	for _, month := range got.Months {
+		records += len(month.Records)
+		capacity += cap(month.Records)
+	}
+	if records != n+2*m {
+		t.Fatalf("decoded %d records, want %d", records, n+2*m)
+	}
+	if capacity > 3*records {
+		t.Fatalf("months reserve %d records for %d decoded", capacity, records)
+	}
 }

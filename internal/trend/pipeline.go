@@ -294,6 +294,10 @@ type Analysis struct {
 	// them with WriteExplain.
 	MonthProvenance  []MonthProvenance
 	SeriesProvenance []SeriesProvenance
+
+	// scan records the scan options Analyze ran with, so Surveil reuses the
+	// leaf scans only when its own scans would reproduce them.
+	scan scanConfig
 }
 
 // pipelineInstruments carries Analyze's observability wiring: the guarded,
@@ -464,6 +468,7 @@ func (a *Analyzer) Analyze(ctx context.Context, ds *mic.Dataset) (*Analysis, err
 	endDetect(len(results), derr)
 	analysis.Failures = append(analysis.Failures, detFails...)
 	analysis.TotalFits = totalFits
+	analysis.scan = scanConfigOf(opts)
 	if opts.Explain {
 		analysis.SeriesProvenance = seriesProvs
 		analysis.SeriesProvenance = append(analysis.SeriesProvenance, valProvenance(valFails)...)
@@ -707,13 +712,14 @@ func shardJobs(jobs []Detection, shards int) [][]int {
 
 // detectAll runs change point detection over the pipeline's jobs through
 // scanAll, one dispatcher per shard of the series universe (see shardJobs),
-// and returns the surviving detections in job order.
+// scanning each distinct series once, and returns the surviving detections
+// in job order.
 func detectAll(ctx context.Context, jobs []Detection, opts Options, ins *pipelineInstruments) ([]Detection, []Failure, []SeriesProvenance, int, error) {
 	scans := make([]scanJob, len(jobs))
 	for i, job := range jobs {
 		scans[i] = scanJob{key: job.Key(), series: job.Series}
 	}
-	results, ok, failures, provs, totalFits, err := scanAll(ctx, detectStage, scans, shardJobs(jobs, opts.Shards), opts, ins)
+	results, ok, failures, provs, totalFits, err := scanAll(ctx, detectStage, scans, shardJobs(jobs, opts.Shards), newScanMemo(), opts, ins)
 	dets := make([]Detection, 0, len(jobs))
 	for i, job := range jobs {
 		if ok[i] {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -36,7 +37,10 @@ type scanStage struct {
 	// site is the fault-injection point, matched on the series key.
 	site string
 	// costs adds the exact scans' family+"/candidates" and
-	// family+"/warm_refits" counters.
+	// family+"/warm_refits" counters: Algorithm 1's ScanEvaluations(n) per
+	// series, and the prefix scan's fits in excess of it (anchors, probes,
+	// contenders and refits beyond the serial scan's count; 0 when it spent
+	// fewer).
 	costs bool
 }
 
@@ -48,6 +52,22 @@ var (
 	drillStage   = scanStage{name: "surveil-drill", family: "surveil-drill", cat: "surveil", failure: StageSurveil, site: "trend/surveil"}
 )
 
+// scanOutcome is one job's finished (or cancelled) scan as scanAll collects
+// it.
+type scanOutcome struct {
+	i         int
+	res       changepoint.Result
+	fail      *Failure
+	cancelled bool
+	stats     *ssm.FitStats
+	prov      *changepoint.Provenance
+	// memo is the representative's key when the result was copied from the
+	// scan memo instead of scanned.
+	memo  string
+	began time.Time
+	dur   time.Duration
+}
+
 // scanAll runs change point scans over jobs with a two-level worker budget:
 // a shared pool of Options.Workers tokens admits series (level one), and
 // each admitted exact scan opportunistically claims idle tokens for its
@@ -56,6 +76,15 @@ var (
 // intra-series scan parallelism. shards partitions the job indices, each
 // list with its own dispatcher over the shared budget; nil runs one
 // dispatcher over every job in order.
+//
+// Each distinct series is scanned once (see scanMemo). Only the jobs that
+// represent their series in memo — the lowest job index holding it, unless
+// memo already holds it from a seed or an earlier stage — go to the pool.
+// Every other job then copies its representative's successful scan after
+// its own fault-point check, as soon as that scan is in, or is scanned
+// itself once the pool drains when that scan failed, panicked or was
+// cancelled. Results and every logical count, Fits included, are those of
+// scanning each job.
 //
 // The pool is fault-tolerant and cancellable: a worker panic or a failed
 // search is confined to its series (recorded as a Failure), and cancelling
@@ -67,43 +96,98 @@ var (
 // surviving series, whether or not other series failed. provs (Explain
 // only) lists one entry per job that finished or failed, in job order;
 // failed jobs keep their partial ladder alongside the failure.
-func scanAll(ctx context.Context, st scanStage, jobs []scanJob, shards [][]int, opts Options, ins *pipelineInstruments) (results []changepoint.Result, ok []bool, failures []Failure, provs []SeriesProvenance, totalFits int, err error) {
-	type outcome struct {
-		i         int
-		res       changepoint.Result
-		fail      *Failure
-		cancelled bool
-		stats     *ssm.FitStats
-		prov      *changepoint.Provenance
-		began     time.Time
-		dur       time.Duration
-	}
+func scanAll(ctx context.Context, st scanStage, jobs []scanJob, shards [][]int, memo *scanMemo, opts Options, ins *pipelineInstruments) (results []changepoint.Result, ok []bool, failures []Failure, provs []SeriesProvenance, totalFits int, err error) {
 	var trace obs.SpanObserver
 	if ins != nil {
 		trace = ins.trace
 	}
-	budget := newWorkerBudget(opts.Workers)
-	out := make(chan outcome)
-	run := func(i int, wg *sync.WaitGroup) {
-		defer wg.Done()
-		defer budget.release(1)
-		if ctx.Err() != nil {
-			out <- outcome{i: i, cancelled: true}
-			return
+	// Group the jobs by content: entry[i] is job i's memo entry, owner[i]
+	// reports whether job i is the one that scans it, and dups[e] lists in
+	// job order the jobs that repeat the series of an entry added here.
+	base := len(memo.entries)
+	entry := make([]int, len(jobs))
+	owner := make([]bool, len(jobs))
+	dups := make(map[int][]int)
+	for i, job := range jobs {
+		entry[i], owner[i] = memo.claim(job.key, job.series)
+		if !owner[i] && entry[i] >= base {
+			dups[entry[i]] = append(dups[entry[i]], i)
 		}
-		o := outcome{i: i}
-		if ins != nil {
-			if ins.metrics != nil {
-				o.stats = &ssm.FitStats{}
-			}
-			o.began = time.Now()
-		}
-		o.res, o.fail, o.cancelled, o.prov = runScan(ctx, st, jobs[i], opts, budget, o.stats, trace)
-		if ins != nil {
-			o.dur = time.Since(o.began)
-		}
-		out <- o
 	}
+	// reuse resolves duplicate job i from its representative's successful
+	// scan e. A cancel seen during its fault check cancels it, as one seen
+	// during a scan cancels that scan.
+	reuse := func(i int, e memoEntry) scanOutcome {
+		o := scanOutcome{i: i, memo: e.key.String()}
+		if ctx.Err() != nil {
+			o.cancelled = true
+			return o
+		}
+		o.began = time.Now()
+		o.res, o.fail, o.prov = reuseScan(st, jobs[i], e, opts.Explain)
+		o.dur = time.Since(o.began)
+		o.cancelled = o.fail == nil && ctx.Err() != nil
+		return o
+	}
+
+	budget := newWorkerBudget(opts.Workers)
+	// dispatch scans the listed jobs on the pool, one dispatcher per list,
+	// and closes the returned channel once every admitted scan reported. A
+	// representative that succeeds enters its scan in memo and resolves its
+	// duplicates before it returns its worker token, so they report right
+	// after it and a one-worker run stays strictly in order.
+	dispatch := func(lists [][]int) <-chan scanOutcome {
+		out := make(chan scanOutcome)
+		run := func(i int, wg *sync.WaitGroup) {
+			defer wg.Done()
+			defer budget.release(1)
+			if ctx.Err() != nil {
+				out <- scanOutcome{i: i, cancelled: true}
+				return
+			}
+			o := scanOutcome{i: i}
+			if ins != nil {
+				if ins.metrics != nil {
+					o.stats = &ssm.FitStats{}
+				}
+				o.began = time.Now()
+			}
+			o.res, o.fail, o.cancelled, o.prov = runScan(ctx, st, jobs[i], opts, budget, o.stats, trace)
+			if ins != nil {
+				o.dur = time.Since(o.began)
+			}
+			out <- o
+			if owner[i] && o.fail == nil && !o.cancelled {
+				memo.done(entry[i], o.res, o.prov)
+				for _, j := range dups[entry[i]] {
+					out <- reuse(j, memo.entries[entry[i]])
+				}
+			}
+		}
+		go func() {
+			var dwg, wg sync.WaitGroup
+			defer func() {
+				dwg.Wait()
+				wg.Wait()
+				close(out)
+			}()
+			for _, list := range lists {
+				dwg.Add(1)
+				go func(list []int) {
+					defer dwg.Done()
+					for _, i := range list {
+						if budget.acquire(ctx) != nil {
+							return
+						}
+						wg.Add(1)
+						go run(i, &wg)
+					}
+				}(list)
+			}
+		}()
+		return out
+	}
+
 	if shards == nil {
 		all := make([]int, len(jobs))
 		for i := range all {
@@ -111,27 +195,14 @@ func scanAll(ctx context.Context, st scanStage, jobs []scanJob, shards [][]int, 
 		}
 		shards = [][]int{all}
 	}
-	go func() {
-		var dwg, wg sync.WaitGroup
-		defer func() {
-			dwg.Wait()
-			wg.Wait()
-			close(out)
-		}()
-		for _, list := range shards {
-			dwg.Add(1)
-			go func(list []int) {
-				defer dwg.Done()
-				for _, i := range list {
-					if budget.acquire(ctx) != nil {
-						return
-					}
-					wg.Add(1)
-					go run(i, &wg)
-				}
-			}(list)
+	reps := make([][]int, len(shards))
+	for s, list := range shards {
+		for _, i := range list {
+			if owner[i] {
+				reps[s] = append(reps[s], i)
+			}
 		}
-	}()
+	}
 
 	results = make([]changepoint.Result, len(jobs))
 	ok = make([]bool, len(jobs))
@@ -145,7 +216,11 @@ func scanAll(ctx context.Context, st scanStage, jobs []scanJob, shards [][]int, 
 	if ins != nil {
 		seq = obs.NewSequencer()
 	}
-	for o := range out {
+	hits := 0
+	// rescan lists the duplicates whose representative failed, panicked or
+	// was cancelled; they are scanned themselves once the pool drains.
+	var rescan []int
+	collect := func(o scanOutcome) {
 		switch {
 		case o.cancelled:
 		case o.fail != nil:
@@ -154,24 +229,47 @@ func scanAll(ctx context.Context, st scanStage, jobs []scanJob, shards [][]int, 
 			results[o.i] = o.res
 			ok[o.i] = true
 			totalFits += o.res.Fits
+			if o.memo != "" {
+				hits++
+			}
+		}
+		if owner[o.i] && !ok[o.i] {
+			rescan = append(rescan, dups[entry[o.i]]...)
 		}
 		if opts.Explain && !o.cancelled {
 			scanProvs[o.i] = o.prov
 			failAt[o.i] = o.fail
 		}
 		if seq != nil {
-			o := o
 			seq.Done(o.i, func() {
-				if o.cancelled {
-					return
+				if !o.cancelled {
+					ins.scanDone(st, jobs[o.i], o, len(jobs))
 				}
-				failErr := ""
-				if o.fail != nil {
-					failErr = o.fail.Err
-				}
-				ins.scanDone(st, jobs[o.i], o.res, failErr, o.stats, o.began, o.dur, o.i, len(jobs))
 			})
 		}
+	}
+	// Duplicates of a seeded or earlier stage's entry are resolved up front.
+	for i := range jobs {
+		if owner[i] || entry[i] >= base {
+			continue
+		}
+		if e := memo.entries[entry[i]]; e.ok {
+			collect(reuse(i, e))
+		} else {
+			rescan = append(rescan, i)
+		}
+	}
+	for o := range dispatch(reps) {
+		collect(o)
+	}
+	slices.Sort(rescan)
+	if len(rescan) > 0 {
+		for o := range dispatch([][]int{rescan}) {
+			collect(o)
+		}
+	}
+	if ins != nil && ins.metrics != nil {
+		ins.metrics.Counter(st.family + "/memo_hits").Add(int64(hits))
 	}
 	if opts.Explain {
 		for i, job := range jobs {
@@ -196,47 +294,90 @@ func scanAll(ctx context.Context, st scanStage, jobs []scanJob, shards [][]int, 
 // scanDone accounts one finished scan: its per-series span, its metrics, and
 // its SeriesDone event. scanAll invokes it through a sequencer in job-index
 // order, so the registry merges and the SeriesDone stream are deterministic
-// for any worker split.
-func (ins *pipelineInstruments) scanDone(st scanStage, job scanJob, res changepoint.Result, failErr string, stats *ssm.FitStats, began time.Time, dur time.Duration, idx, total int) {
+// for any worker split. A memo hit keeps its span, its event and its logical
+// counts; it adds no fit statistics, since it fitted nothing.
+func (ins *pipelineInstruments) scanDone(st scanStage, job scanJob, o scanOutcome, total int) {
 	key := job.key.String()
+	failErr := ""
+	if o.fail != nil {
+		failErr = o.fail.Err
+	}
 	if ins.trace != nil {
 		sp := obs.SpanEvent{
 			Cat: st.cat, Name: st.name + "/series", TID: obs.LaneDetect,
-			Start: began, Duration: dur, Month: -1, Series: key,
+			Start: o.began, Duration: o.dur, Month: -1, Series: key,
 		}
 		switch {
 		case failErr != "":
 			// Degraded series: the span carries the failure stage and message.
 			sp.Err = failErr
 			sp.Detail = "stage=" + st.failure.String()
-		case res.Detected():
-			sp.Detail = "cp=" + strconv.Itoa(res.ChangePoint)
+		case o.res.Detected():
+			sp.Detail = "cp=" + strconv.Itoa(o.res.ChangePoint)
 		default:
 			sp.Detail = "cp=none"
+		}
+		if failErr == "" && o.memo != "" {
+			sp.Detail += " memo=" + o.memo
 		}
 		ins.trace(sp)
 	}
 	if m := ins.metrics; m != nil {
-		ins.addFitStats(stats)
+		ins.addFitStats(o.stats)
 		m.Counter(st.family + "/series").Inc()
 		if failErr == "" {
-			m.Counter(st.family + "/fits").Add(int64(res.Fits))
+			m.Counter(st.family + "/fits").Add(int64(o.res.Fits))
 			if st.costs && ins.exact {
 				evals := changepoint.ScanEvaluations(len(job.series))
 				m.Counter(st.family + "/candidates").Add(int64(evals))
-				if refits := res.Fits - evals; refits > 0 {
+				if refits := o.res.Fits - evals; refits > 0 {
 					m.Counter(st.family + "/warm_refits").Add(int64(refits))
 				}
 			}
 		}
-		m.Timer("time/" + st.family + "/series").Observe(dur)
+		m.Timer("time/" + st.family + "/series").Observe(o.dur)
 	}
 	if ins.deliver != nil {
 		ins.deliver(obs.Event{
 			Kind: obs.SeriesDone, Stage: st.name, Series: key,
-			Month: -1, Done: idx + 1, Total: total, Duration: dur, Err: failErr,
+			Month: -1, Done: o.i + 1, Total: total, Duration: o.dur, Err: failErr,
 		})
 	}
+}
+
+// reuseScan resolves a duplicate job from its representative's successful
+// scan e. The job's own fault point runs first, with runScan's panic
+// isolation, so keyed faults still fail exactly their key; then the job
+// takes e's Result whole, Fits included, and under Explain a deep copy of
+// its provenance.
+func reuseScan(st scanStage, job scanJob, e memoEntry, explain bool) (res changepoint.Result, fail *Failure, prov *changepoint.Provenance) {
+	defer func() {
+		if r := recover(); r != nil {
+			res = changepoint.Result{}
+			fail = scanFailure(job.key, st.failure, fmt.Errorf("panic: %v", r))
+			fail.Panicked = true
+		}
+	}()
+	if explain {
+		prov = &changepoint.Provenance{}
+	}
+	if err := faultpoint.Inject(st.site, job.key.String()); err != nil {
+		return res, scanFailure(job.key, st.failure, err), prov
+	}
+	return e.res, nil, cloneProvenance(e.prov)
+}
+
+// cloneProvenance deep-copies a scan's provenance, so no two series'
+// records share a ladder.
+func cloneProvenance(p *changepoint.Provenance) *changepoint.Provenance {
+	if p == nil {
+		return nil
+	}
+	c := *p
+	c.Candidates = slices.Clone(p.Candidates)
+	c.Steps = slices.Clone(p.Steps)
+	c.Params = slices.Clone(p.Params)
+	return &c
 }
 
 // runScan searches one series — leaf or aggregate — with panic isolation: a

@@ -68,7 +68,8 @@ func recordAccounting(opts *Options) func(failures []Failure) scanAccounting {
 // failure stages. Analyze runs with one injected detect failure; a
 // standalone Surveil (no reused Analysis, so detected classes drill down to
 // their medicines) runs with one injected failure on a class-group scan and
-// one on a drill-down scan. perfbench reads scan/series, scan/total_fits,
+// one on a drill-down scan. Every stage registers its <family>/memo_hits
+// counter, hits or not. perfbench reads scan/series, scan/total_fits,
 // surveil/total_fits and time/stage/detect by name.
 func TestScanAccountingNames(t *testing.T) {
 	if testing.Short() {
@@ -116,7 +117,7 @@ func TestScanAccountingNames(t *testing.T) {
 		Counters: []string{
 			"em/iterations", "em/months_fitted", "kalman/steady_hits",
 			"pipeline/failures/detect", "scan/candidates", "scan/fits",
-			"scan/prefix_resumes", "scan/series", "scan/total_fits",
+			"scan/memo_hits", "scan/prefix_resumes", "scan/series", "scan/total_fits",
 			"scan/warm_refits", "ssm/fit_failures", "ssm/lik_evals",
 			"ssm/restarts", "ssm/starts", "trend/months_prepared",
 			"trend/months_reproduced",
@@ -139,8 +140,9 @@ func TestScanAccountingNames(t *testing.T) {
 			"em/iterations", "em/months_fitted", "kalman/steady_hits",
 			"pipeline/failures/surveil", "scan/prefix_resumes",
 			"ssm/fit_failures", "ssm/lik_evals", "ssm/restarts", "ssm/starts",
-			"surveil-drill/fits", "surveil-drill/series", "surveil/detections",
-			"surveil/fits", "surveil/nodes", "surveil/offset_pairs",
+			"surveil-drill/fits", "surveil-drill/memo_hits", "surveil-drill/series",
+			"surveil/detections", "surveil/fits", "surveil/memo_hits",
+			"surveil/nodes", "surveil/offset_pairs",
 			"surveil/series", "surveil/total_fits", "trend/months_prepared",
 			"trend/months_reproduced",
 		},

@@ -72,7 +72,10 @@ type SurveilOptions struct {
 	Pipeline Options
 	// Analysis, when non-nil, reuses a completed Analyze run: its models and
 	// reproduced series feed the roll-up, and its leaf detections cross-link
-	// into the attribution (no drill-down scans needed). Nil runs the model
+	// into the attribution (no drill-down scans needed). When Analyze ran it
+	// with the same Method, Seasonal and Explain, a node whose series equals
+	// a leaf's bit for bit takes that leaf's scan instead of repeating it;
+	// the result, Fits included, is the same either way. Nil runs the model
 	// and reproduce stages here — identically to Analyze — but skips the
 	// flat per-leaf detection stage; that is the cheap detect-high path.
 	Analysis *Analysis
@@ -270,13 +273,21 @@ func Surveil(ctx context.Context, ds *mic.Dataset, opts SurveilOptions) (*Survei
 		return nil
 	}
 
+	// One memo serves both scan stages. A reused Analysis seeds it with its
+	// leaf scans when they ran with these scan options, so a single-member
+	// roll-up copies its member's scan instead of repeating it.
+	memo := newScanMemo()
+	if analysis.scan == scanConfigOf(popts) {
+		memo.seed(analysis)
+	}
+
 	// Detect high: scan the aggregate set (far smaller than the leaf set).
 	aggJobs := make([]scanJob, len(nodes))
 	for i := range nodes {
 		aggJobs[i] = scanJob{key: nodes[i].Key, series: nodes[i].Series}
 	}
 	endAgg := ins.stage("surveil", len(aggJobs))
-	aggRes, aggOK, aggFails, aggProvs, aggFits, aerr := scanAll(ctx, surveilStage, aggJobs, nil, popts, ins)
+	aggRes, aggOK, aggFails, aggProvs, aggFits, aerr := scanAll(ctx, surveilStage, aggJobs, nil, memo, popts, ins)
 	done := 0
 	for i := range nodes {
 		if aggOK[i] {
@@ -327,7 +338,7 @@ func Surveil(ctx context.Context, ds *mic.Dataset, opts SurveilOptions) (*Survei
 		}
 		if len(drillJobs) > 0 {
 			endDrill := ins.stage("surveil-drill", len(drillJobs))
-			dRes, dOK, dFails, dProvs, dFits, derr := scanAll(ctx, drillStage, drillJobs, nil, popts, ins)
+			dRes, dOK, dFails, dProvs, dFits, derr := scanAll(ctx, drillStage, drillJobs, nil, memo, popts, ins)
 			ddone := 0
 			for i := range drillJobs {
 				if dOK[i] {
