@@ -109,31 +109,6 @@ func TestInstrumentationAllocFree(t *testing.T) {
 		t.Errorf("LogLikFilter with workspace allocates %.0f/op, want 0", n)
 	}
 
-	// The steady-state fast path must be equally free: once the covariance
-	// recursion converges (a long non-seasonal no-intervention model), the
-	// precomputed-gain steps may not allocate either.
-	long := syntheticBreakSeries(120, 200) // break beyond the horizon: a plain random walk
-	sfit, err := ssm.FitConfig(long, ssm.Config{Seasonal: false, ChangePoint: ssm.NoChangePoint})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm, sscaled := sfit.Model, sfit.Scaled
-	sws := kalman.NewWorkspace()
-	res, err := sm.LogLikFilterOpts(sscaled, sws, kalman.LogLikOptions{SteadyTol: ssm.DefaultSteadyTol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SteadySteps == 0 {
-		t.Fatal("steady-state path never engaged on the long non-seasonal model")
-	}
-	if n := testing.AllocsPerRun(20, func() {
-		if _, err := sm.LogLikFilterOpts(sscaled, sws, kalman.LogLikOptions{SteadyTol: ssm.DefaultSteadyTol}); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("steady-state LogLikFilterOpts allocates %.0f/op, want 0", n)
-	}
-
 	// Enabling FitStats must cost at most a constant few allocations per
 	// whole fit (the deferred flush), never per likelihood evaluation.
 	base := testing.AllocsPerRun(10, func() {

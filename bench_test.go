@@ -245,13 +245,8 @@ func BenchmarkGenerateCorpus(b *testing.B) {
 // pays hundreds of times per fit. The workspace sub-benchmark is the
 // allocation-free workspace kernel (0 allocs/op once its buffers exist); the
 // filter sub-benchmark runs the same model through the full Filter, the path
-// the likelihood search used before the workspace kernel existed; the steady
-// sub-benchmark runs a long non-seasonal model with the steady-state switch
-// enabled, reporting the step at which the covariance recursion converged
-// and the precomputed-gain fast path took over; the seasonal-steady
-// sub-benchmark runs the workspace model with the same switch at
-// ssm.DefaultSteadyTol, the configuration of the prefix scan's contender
-// fits, on the seasonal path; the nonseasonal sub-benchmark is one
+// the likelihood search used before the workspace kernel existed; the
+// nonseasonal sub-benchmark is one
 // evaluation of the 43-month level plus slope-shift model (two states,
 // T = I), which runs on the small-state path.
 func BenchmarkKalmanLogLik(b *testing.B) {
@@ -279,45 +274,6 @@ func BenchmarkKalmanLogLik(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := m.Filter(scaled); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("steady", func(b *testing.B) {
-		long := syntheticBreakSeries(120, 200) // no break inside the horizon
-		sfit, err := ssm.FitConfig(long, ssm.Config{Seasonal: false, ChangePoint: ssm.NoChangePoint})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sm, sscaled := sfit.Model, sfit.Scaled
-		ws := kalman.NewWorkspace()
-		opts := kalman.LogLikOptions{SteadyTol: ssm.DefaultSteadyTol}
-		res, err := sm.LogLikFilterOpts(sscaled, ws, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.SteadySteps == 0 {
-			b.Fatal("steady-state path never engaged")
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sm.LogLikFilterOpts(sscaled, ws, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(sscaled)-res.SteadySteps), "entry_step")
-	})
-	b.Run("seasonal-steady", func(b *testing.B) {
-		ws := kalman.NewWorkspace()
-		opts := kalman.LogLikOptions{SteadyTol: ssm.DefaultSteadyTol}
-		if _, err := m.LogLikFilterOpts(scaled, ws, opts); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.LogLikFilterOpts(scaled, ws, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -379,13 +335,20 @@ func BenchmarkBinaryScan(b *testing.B) {
 // scored by checkpoint resumes screen the candidate set down to a handful of
 // contender fits, with selection byte-identical to BenchmarkExactScan's. The
 // fits metric is the scan's whole fit budget per series.
-func BenchmarkExactScanPrefix(b *testing.B) {
+func BenchmarkExactScanPrefix(b *testing.B) { benchExactScanPrefix(b, true) }
+
+// BenchmarkExactScanPrefixNonSeasonal is BenchmarkExactScanPrefix with the
+// non-seasonal model, whose every likelihood evaluation runs on the
+// small-state Kalman path.
+func BenchmarkExactScanPrefixNonSeasonal(b *testing.B) { benchExactScanPrefix(b, false) }
+
+func benchExactScanPrefix(b *testing.B, seasonal bool) {
 	y := syntheticBreakSeries(43, 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var fits int
 	for i := 0; i < b.N; i++ {
-		res, err := changepoint.DetectExactPrefix(y, true, changepoint.PrefixOptions{
+		res, err := changepoint.DetectExactPrefix(y, seasonal, changepoint.PrefixOptions{
 			Workers: 1,
 		})
 		if err != nil {

@@ -59,7 +59,7 @@ type PrefixOptions struct {
 	// refinement, and the reduction are serial and deterministic.
 	Workers int
 	// Stats, when non-nil, accumulates optimizer accounting plus the scan's
-	// PrefixResumes and SteadyHits counts. It never changes results.
+	// PrefixResumes count. It never changes results.
 	Stats *ssm.FitStats
 	// Provenance, when non-nil, is filled with the scan's AIC ladder: every
 	// candidate in serial order, tagged PathPrefix (screened out at its
@@ -98,20 +98,18 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 	}
 
 	ws := kalman.NewWorkspace()
-	fit := func(cp int, start []float64, steadyTol float64, ws *kalman.Workspace) (float64, []float64, error) {
+	fit := func(cp int, start []float64, ws *kalman.Workspace) (float64, []float64, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, nil, err
 		}
 		if err := faultpoint.Inject(scanFault, strconv.Itoa(cp)); err != nil {
 			return 0, nil, err
 		}
-		return ssm.AICAtOptions(y, seasonal, cp, ws, ssm.FitOptions{
-			Start: start, Stats: opts.Stats, SteadyTol: steadyTol,
-		})
+		return ssm.AICAtOptions(y, seasonal, cp, ws, ssm.FitOptions{Start: start, Stats: opts.Stats})
 	}
 
 	fits := 0
-	aic0, theta0, err := fit(ssm.NoChangePoint, nil, 0, ws)
+	aic0, theta0, err := fit(ssm.NoChangePoint, nil, ws)
 	if err != nil {
 		return Result{}, err
 	}
@@ -191,7 +189,7 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 		if _, done := warm[cp]; done {
 			continue
 		}
-		aic, opt, err := fit(cp, nil, 0, ws)
+		aic, opt, err := fit(cp, nil, ws)
 		if err != nil {
 			return Result{}, err
 		}
@@ -258,7 +256,7 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 		if _, fitted := warm[argmin]; fitted {
 			break
 		}
-		aicA, thetaA, err := fit(argmin, theta, ssm.DefaultSteadyTol, ws)
+		aicA, thetaA, err := fit(argmin, theta, ws)
 		if err != nil {
 			return Result{}, err
 		}
@@ -341,7 +339,7 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 							record(i, nil, r)
 						}
 					}()
-					return fit(survivors[i], theta1, ssm.DefaultSteadyTol, wws)
+					return fit(survivors[i], theta1, wws)
 				}()
 				if panicked {
 					return
@@ -413,7 +411,7 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 		if opts.Trace != nil {
 			began = time.Now()
 		}
-		aic, _, err := fit(cp, nil, 0, ws)
+		aic, _, err := fit(cp, nil, ws)
 		if err != nil {
 			return Result{}, err
 		}

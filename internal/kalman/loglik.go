@@ -20,22 +20,16 @@ import (
 // intervention block give T only O(n) nonzeros, so T·a, T·P and the fused
 // T·P·Lᵀ products cost O(n·nnz) instead of the dense n³.
 //
-// LogLikFilterOpts additionally offers an opt-in steady-state fast path: for
-// a time-invariant model the filtered covariance converges to the solution of
-// a discrete algebraic Riccati equation, after which the gain and innovation
-// variance are constants and each step needs only the innovation and the
-// state update — see DESIGN.md ("Steady-state fast path") for the recursion.
-//
 // Two kinds of model skip the generic sparse machinery; each specialised
 // kernel repeats the generic recursion term for term and so matches it bit
-// for bit. Non-seasonal structural models (at most two states, T = I) with
-// no options set run on fixed-size arrays (logLikSmall, small.go — see
-// DESIGN.md, "Small-state Kalman path"). Seasonal structural models, whose
-// T is the level, dummy-seasonal and intervention pattern ssm builds, run
-// on flat buffers with T's products as index arithmetic (logLikSeasonal,
-// seasonal.go — DESIGN.md, "Seasonal Kalman path"); with SteadyTol set they
-// hand the run to the generic kernel once the covariance converges. Both
-// need OnStep nil and no missing observations; kernelFor makes the choice.
+// for bit. Non-seasonal structural models (at most two states, T = I) run
+// on fixed-size arrays (logLikSmall, small.go — see DESIGN.md, "Small-state
+// Kalman path"). Seasonal structural models, whose T is the level,
+// dummy-seasonal and intervention pattern ssm builds, run on flat buffers
+// with T's products as index arithmetic (logLikSeasonal, seasonal.go —
+// DESIGN.md, "Seasonal Kalman path"). Both need OnStep nil and no missing
+// observations; kernelFor makes the choice from the model's shape alone.
+// Every path is exact.
 //
 // Every path also returns Σ log F and Σ V²/F over the contributing
 // observations, so the concentrated likelihood needs no second pass.
@@ -58,31 +52,15 @@ type LogLikResult struct {
 	// observations, accumulated in ascending time order: the two sums the
 	// concentrated (profile) likelihood is built from.
 	SumLogF, SumV2F float64
-	// SteadyEntry is the first step handled by the steady-state fast path,
-	// −1 when the fast path never engaged (or was not requested).
-	SteadyEntry int
-	// SteadySteps counts the steps handled by the steady-state fast path.
-	SteadySteps int
 }
 
 // LogLikOptions tunes a LogLikFilterOpts run. The zero value reproduces
 // LogLikFilter exactly.
 type LogLikOptions struct {
-	// SteadyTol, when positive, enables the steady-state fast path: once the
-	// filtered covariance P stops moving — relative Frobenius delta of one
-	// update at most SteadyTol, measured over the entries the update actually
-	// touched so inert diffuse blocks cannot mask live ones — and the
-	// observation row is bitwise constant, the filter freezes the gain and
-	// innovation variance and each remaining step collapses to a few dot
-	// products with no covariance propagation. The log-likelihood then
-	// differs from the exact recursion by O(SteadyTol) per step; zero keeps
-	// the exact (bitwise Filter-identical) recursion throughout.
-	SteadyTol float64
 	// OnStep, when non-nil, is invoked after every completed step t with the
 	// one-step-ahead predicted state a_{t+1} and covariance P_{t+1}. The
 	// slices/matrix are workspace-owned: callers must copy what they keep.
-	// While the steady fast path is active P is frozen at its converged
-	// value. The prefix-checkpointed candidate scan uses this hook to record
+	// The prefix-checkpointed candidate scan uses this hook to record
 	// filter state at every candidate boundary in a single pass.
 	OnStep func(t int, a []float64, p *linalg.Matrix)
 }
@@ -128,12 +106,6 @@ type Workspace struct {
 
 	// Covariance matrices and the constant RQRᵀ term (n×n; rq is n×r).
 	p, tp, next, rqr, rq *linalg.Matrix
-
-	// Steady-state fast-path scratch, sized lazily and only when a caller
-	// asks for it (LogLikOptions.SteadyTol > 0): the frozen observation row
-	// and gain, and the previous covariance for the convergence delta.
-	steadyZ, steadyK []float64
-	pPrev            *linalg.Matrix
 
 	// Seasonal-kernel scratch, flat row-major n×n: the covariance and its
 	// double buffer, P·Tᵀ, the product L·(P·Tᵀ)ᵀ, and RQRᵀ. seasonalNS is
@@ -382,16 +354,15 @@ func (m *Model) LogLikFilter(y []float64, ws *Workspace) (LogLikResult, error) {
 	return m.LogLikFilterOpts(y, ws, LogLikOptions{})
 }
 
-// LogLikFilterOpts is LogLikFilter with options: an opt-in steady-state fast
-// path (SteadyTol) and a per-step state callback (OnStep). With the zero
-// options it is exactly LogLikFilter.
+// LogLikFilterOpts is LogLikFilter with options: a per-step state callback
+// (OnStep). With the zero options it is exactly LogLikFilter.
 //
 // When y has no missing values and OnStep is nil, two model shapes run on
 // specialised kernels whose results are bitwise the generic recursion's:
 // models with at most two states and T = I — every non-seasonal structural
-// fit — on fixed-size scalars (logLikSmall) when SteadyTol is 0, and the
-// structural seasonal model — every seasonal fit, with or without
-// interventions — on the seasonal kernel (logLikSeasonal) at any SteadyTol.
+// fit — on fixed-size scalars (logLikSmall), and the structural seasonal
+// model — every seasonal fit, with or without interventions — on the
+// seasonal kernel (logLikSeasonal).
 func (m *Model) LogLikFilterOpts(y []float64, ws *Workspace, opts LogLikOptions) (LogLikResult, error) {
 	if ws == nil {
 		ws = NewWorkspace()
@@ -403,7 +374,7 @@ func (m *Model) LogLikFilterOpts(y []float64, ws *Workspace, opts LogLikOptions)
 	case smallKernel:
 		return m.logLikSmall(y, ws)
 	case seasonalKernel:
-		return m.logLikSeasonal(y, ws, ns, opts.SteadyTol)
+		return m.logLikSeasonal(y, ws, ns)
 	}
 	return m.logLikGeneric(y, ws, opts)
 }
@@ -440,33 +411,12 @@ func (m *Model) logLikGeneric(y []float64, ws *Workspace, opts LogLikOptions) (L
 	ws.prepareRun(m, steps)
 	ws.loadT(m.T)
 
-	steadyTol := opts.SteadyTol
-	useSteady := steadyTol > 0
-	if useSteady {
-		if cap(ws.steadyZ) < n {
-			ws.steadyZ = make([]float64, n)
-			ws.steadyK = make([]float64, n)
-		}
-		ws.steadyZ = ws.steadyZ[:n]
-		ws.steadyK = ws.steadyK[:n]
-		if ws.pPrev == nil || ws.pPrev.Rows() != n {
-			ws.pPrev = linalg.NewMatrix(n, n)
-		}
-	}
-	// steadyReady: P converged at the end of the previous step and the row it
-	// converged under is saved in steadyZ. steadyActive: the frozen gain and
-	// innovation variance are armed. Any step the fast path cannot take (row
-	// changed, missing observation) drops back to the exact recursion and
-	// requires re-convergence.
-	var steadyReady, steadyActive bool
-	var steadyF, steadyLogF float64
-
 	copy(ws.a, m.A1)
 	ws.p.CopyFrom(m.P1)
 	a := ws.a
 	p, next := ws.p, ws.next
 
-	res := LogLikResult{V: ws.v, F: ws.f, Contributed: ws.contributed, SteadyEntry: -1}
+	res := LogLikResult{V: ws.v, F: ws.f, Contributed: ws.contributed}
 	for t := 0; t < steps; t++ {
 		z := m.Z(t)
 		if len(z) != n {
@@ -478,61 +428,6 @@ func (m *Model) logLikGeneric(y []float64, ws *Workspace, opts LogLikOptions) (L
 				ws.zIdx = append(ws.zIdx, i)
 			}
 		}
-
-		if useSteady && (steadyActive || steadyReady) && !math.IsNaN(y[t]) && floatsEqual(z, ws.steadyZ) {
-			if !steadyActive {
-				// Arm the fast path: freeze F and K at the converged P. This
-				// is the same arithmetic the exact step below would perform.
-				for i := 0; i < n; i++ {
-					pi := p.Row(i)
-					var s float64
-					for _, j := range ws.zIdx {
-						s += pi[j] * z[j]
-					}
-					ws.pzt[i] = s
-				}
-				f := m.H
-				for _, i := range ws.zIdx {
-					f += z[i] * ws.pzt[i]
-				}
-				if f <= 0 || math.IsNaN(f) {
-					return LogLikResult{}, ErrDegenerate
-				}
-				ws.mulVecT(ws.tpz, ws.pzt)
-				for i := 0; i < n; i++ {
-					ws.steadyK[i] = ws.tpz[i] / f
-				}
-				steadyF = f
-				steadyLogF = math.Log(f)
-				steadyActive = true
-				if res.SteadyEntry < 0 {
-					res.SteadyEntry = t
-				}
-			}
-			// Steady step: innovation, likelihood increment, and state update
-			// with the frozen gain — no covariance propagation.
-			var zaDot float64
-			for _, i := range ws.zIdx {
-				zaDot += z[i] * a[i]
-			}
-			v := y[t] - zaDot
-			res.V[t] = v
-			res.F[t] = steadyF
-			if t >= m.DiffuseCount && !skipContains(m.SkipLik, t) {
-				res.contribute(t, v, steadyF, steadyLogF)
-			}
-			ws.mulVecT(ws.ta, a)
-			for i := 0; i < n; i++ {
-				a[i] = ws.ta[i] + ws.steadyK[i]*v
-			}
-			res.SteadySteps++
-			if opts.OnStep != nil {
-				opts.OnStep(t, a, p)
-			}
-			continue
-		}
-		steadyActive = false
-		steadyReady = false
 
 		if math.IsNaN(y[t]) {
 			// Missing observation: pure prediction step.
@@ -596,9 +491,6 @@ func (m *Model) logLikGeneric(y []float64, ws *Workspace, opts LogLikOptions) (L
 		for i := 0; i < n; i++ {
 			a[i] = ws.ta[i] + ws.k[i]*v
 		}
-		if useSteady {
-			ws.pPrev.CopyFrom(p)
-		}
 		ws.mulTransT(ws.tp, p)
 		ws.buildL(z)
 		lPtr, lIdx, lVal := ws.lPtr, ws.lIdx, ws.lVal
@@ -618,45 +510,11 @@ func (m *Model) logLikGeneric(y []float64, ws *Workspace, opts LogLikOptions) (L
 			}
 		}
 		p.AddSymmetrizeTrans(next, ws.rqr)
-		if useSteady && t >= m.DiffuseCount {
-			// Convergence test on the entries this update moved: the diffuse
-			// intervention block is exactly inert before its regressor
-			// activates, and its 1e7 prior would otherwise swamp the relative
-			// norm and declare convergence while the live block still moves.
-			var num, den float64
-			for i := 0; i < n; i++ {
-				pi, qi := p.Row(i), ws.pPrev.Row(i)
-				for j := 0; j < n; j++ {
-					if d := pi[j] - qi[j]; d != 0 {
-						num += d * d
-						den += pi[j] * pi[j]
-					}
-				}
-			}
-			if num == 0 || num <= steadyTol*steadyTol*den {
-				steadyReady = true
-				copy(ws.steadyZ, z)
-			}
-		}
 		if opts.OnStep != nil {
 			opts.OnStep(t, a, p)
 		}
 	}
 	return res, nil
-}
-
-// floatsEqual reports bitwise equality of two equal-length rows (NaN never
-// matches, which safely disarms the fast path).
-func floatsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // skipContains reports whether t is listed in skip. The list holds at most

@@ -237,3 +237,38 @@ func TestWorkspaceResizes(t *testing.T) {
 	compareFastPath(t, "big-short", big, yShort, ws)
 	compareFastPath(t, "small-long", small, yLong, ws)
 }
+
+// TestLogLikFilterOptsOnStep checks the checkpoint hook fires once per step
+// with the post-update state.
+func TestLogLikFilterOptsOnStep(t *testing.T) {
+	m := localLevelModel(1, 0.5)
+	y := testSeries(120, 37)
+	calls := 0
+	var lastA float64
+	var lastP *linalg.Matrix
+	_, err := m.LogLikFilterOpts(y, nil, LogLikOptions{
+		OnStep: func(step int, a []float64, p *linalg.Matrix) {
+			if step != calls {
+				t.Fatalf("OnStep(%d) after %d calls, want ascending steps", step, calls)
+			}
+			calls++
+			lastA = a[0]
+			lastP = p
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != len(y) {
+		t.Fatalf("OnStep fired %d times, want %d", calls, len(y))
+	}
+	// The final callback state is the one-step-ahead prediction the
+	// smoother/forecaster would start from; for the local level it must
+	// track the series scale.
+	if math.Abs(lastA-y[len(y)-1]) > 10 {
+		t.Fatalf("final predicted level %v far from series end %v", lastA, y[len(y)-1])
+	}
+	if lastP == nil || lastP.Rows() != 1 {
+		t.Fatal("OnStep covariance missing")
+	}
+}

@@ -18,13 +18,13 @@ const (
 
 // kernelFor picks the kernel LogLikFilterOpts runs for m over y with opts,
 // and for the seasonal kernel the number of seasonal dummy states. The fast
-// kernels take no OnStep callback and no missing observations, the small one
-// no steady-state switch either; everything else runs the generic kernel.
+// kernels take no OnStep callback and no missing observations; everything
+// else runs the generic kernel.
 func (m *Model) kernelFor(y []float64, opts LogLikOptions) (kernel, int) {
 	if opts.OnStep != nil || hasNaN(y) {
 		return genericKernel, 0
 	}
-	if m.Dim() <= 2 && opts.SteadyTol <= 0 && isIdentity(m.T) {
+	if m.Dim() <= 2 && isIdentity(m.T) {
 		return smallKernel, 0
 	}
 	if ns := seasonalStates(m.T); ns > 0 {
@@ -104,16 +104,9 @@ func (ws *Workspace) prepareSeasonal(n int) {
 //     of z, with the structure cached per pattern, exactly as buildL does;
 //   - each entry of L·(P·Tᵀ)ᵀ adds its terms in ascending column order
 //     from 0, and the symmetrisation groups them as AddSymmetrizeTrans.
-//
-// With steadyTol > 0 the kernel runs the generic convergence test on every
-// step past the burn-in — the same entries, in the same row-major order —
-// and the moment P would be declared converged with a step still to come,
-// it hands the whole run to logLikGeneric, so the steady-state entry and
-// step count come from the generic kernel.
-func (m *Model) logLikSeasonal(y []float64, ws *Workspace, ns int, steadyTol float64) (LogLikResult, error) {
+func (m *Model) logLikSeasonal(y []float64, ws *Workspace, ns int) (LogLikResult, error) {
 	n := m.Dim()
-	steps := len(y)
-	ws.prepareRun(m, steps)
+	ws.prepareRun(m, len(y))
 	ws.prepareSeasonal(n)
 	// The seasonal shape alone determines T, so T's sparse form, and the L
 	// structure built from it per observation-row pattern, carry over from
@@ -135,7 +128,7 @@ func (m *Model) logLikSeasonal(y []float64, ws *Workspace, ns int, steadyTol flo
 	a, ta, pzt, k := ws.a, ws.ta, ws.pzt, ws.k
 	copy(a, m.A1)
 
-	res := LogLikResult{V: ws.v, F: ws.f, Contributed: ws.contributed, SteadyEntry: -1}
+	res := LogLikResult{V: ws.v, F: ws.f, Contributed: ws.contributed}
 	for t, yt := range y {
 		z := m.Z(t)
 		if len(z) != n {
@@ -191,9 +184,6 @@ func (m *Model) logLikSeasonal(y []float64, ws *Workspace, ns int, steadyTol flo
 		ws.buildL(z)
 		mulLTransFlat(next, tp, ws.lPtr, ws.lIdx, ws.lVal, n)
 		addSymmetrizeTransFlat(pNew, next, rqr, n)
-		if steadyTol > 0 && t >= m.DiffuseCount && t+1 < steps && converged(pNew, p, steadyTol) {
-			return m.logLikGeneric(y, ws, LogLikOptions{SteadyTol: steadyTol})
-		}
 		p, pNew = pNew, p
 	}
 	return res, nil
@@ -215,20 +205,6 @@ func seasonalMulVec(dst, x []float64, ns int, minus float64) {
 	for j := ns + 1; j < len(dst); j++ {
 		dst[j] = 0 + x[j]
 	}
-}
-
-// converged is the generic kernel's steady-state test on flat covariances:
-// the relative Frobenius delta from prev to cur over the entries that moved,
-// accumulated row-major, at most tol.
-func converged(cur, prev []float64, tol float64) bool {
-	var num, den float64
-	for i, c := range cur {
-		if d := c - prev[i]; d != 0 {
-			num += d * d
-			den += c * c
-		}
-	}
-	return num == 0 || num <= tol*tol*den
 }
 
 // seasonalMulTransT stores P·Tᵀ into tp for the seasonal transition with ns

@@ -10,10 +10,6 @@ import (
 	"mictrend/internal/linalg"
 )
 
-// defaultSteadyTol is ssm.DefaultSteadyTol, the tolerance the prefix scan's
-// contender fits pass (ssm imports this package, so the test cannot).
-const defaultSteadyTol = 1e-5
-
 // randomSeasonalModel draws a model the seasonal path accepts, in the spirit
 // of randomSmallModel: periods 2–13, zero to two slope or level-shift
 // interventions from any change point (including 0 and past the end),
@@ -168,9 +164,8 @@ func requireSameResult(t *testing.T, label string, got LogLikResult, gotErr erro
 	same("LogLik", got.LogLik, want.LogLik)
 	same("SumLogF", got.SumLogF, want.SumLogF)
 	same("SumV2F", got.SumV2F, want.SumV2F)
-	if got.LikCount != want.LikCount || got.SteadyEntry != want.SteadyEntry || got.SteadySteps != want.SteadySteps {
-		t.Fatalf("%s: counts (%d, %d, %d) != generic (%d, %d, %d)", label,
-			got.LikCount, got.SteadyEntry, got.SteadySteps, want.LikCount, want.SteadyEntry, want.SteadySteps)
+	if got.LikCount != want.LikCount {
+		t.Fatalf("%s: LikCount %d != generic %d", label, got.LikCount, want.LikCount)
 	}
 	steps := len(want.V)
 	if len(got.V) != steps || len(got.F) != steps || len(got.Contributed) != steps {
@@ -183,33 +178,28 @@ func requireSameResult(t *testing.T, label string, got LogLikResult, gotErr erro
 		if got.Contributed[i] != want.Contributed[i] {
 			t.Fatalf("%s: Contributed[%d] %v != generic %v", label, i, got.Contributed[i], want.Contributed[i])
 		}
-		if want.Contributed[i] && want.SteadySteps == 0 {
+		if want.Contributed[i] {
 			sumLogF += math.Log(want.F[i])
 			sumV2F += want.V[i] * want.V[i] / want.F[i]
 		}
 	}
-	if want.SteadySteps == 0 {
-		// The sums equal a second pass over the contributing terms (the
-		// steady path reuses log F, so it is compared field by field only).
-		same("SumLogF vs pass", want.SumLogF, sumLogF)
-		same("SumV2F vs pass", want.SumV2F, sumV2F)
-	}
+	// The sums equal a second pass over the contributing terms.
+	same("SumLogF vs pass", want.SumLogF, sumLogF)
+	same("SumV2F vs pass", want.SumV2F, sumV2F)
 	return false
 }
 
 // TestSeasonalPathMatchesGeneric pins the seasonal path to the generic
-// sparse kernel bit for bit on random seasonal models, at SteadyTol 0 and at
-// the contender fits' tolerance: every output field, and the error
-// (ErrDegenerate) when the recursion breaks. Some steady-tolerance runs
-// converge and hand back to the generic kernel; their steady-state entry
-// must then be the generic kernel's. One workspace serves every model, and
-// every seventh model first runs the generic kernel through it, so the
-// cached transition and L structure are exercised across calls and kernels.
+// sparse kernel bit for bit on random seasonal models: every output field,
+// and the error (ErrDegenerate) when the recursion breaks. One workspace
+// serves every model, and every seventh model first runs the generic kernel
+// through it, so the cached transition and L structure are exercised across
+// calls and kernels.
 func TestSeasonalPathMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 5))
 	wsSeas, wsGen := NewWorkspace(), NewWorkspace()
 	const models = 5000
-	degenerate, handedBack := 0, 0
+	degenerate := 0
 	for c := 0; c < models; c++ {
 		steps := rng.IntN(81)
 		m, ns := randomSeasonalModel(rng, steps)
@@ -220,31 +210,20 @@ func TestSeasonalPathMatchesGeneric(t *testing.T) {
 				y[i] += 5
 			}
 		}
-		var opts LogLikOptions
-		if rng.IntN(2) == 0 {
-			opts.SteadyTol = defaultSteadyTol
-		}
-		if kern, got := m.kernelFor(y, opts); kern != seasonalKernel || got != ns {
+		if kern, got := m.kernelFor(y, LogLikOptions{}); kern != seasonalKernel || got != ns {
 			t.Fatalf("model %d: kernel %d with %d seasonal states, want the seasonal kernel with %d", c, kern, got, ns)
 		}
 		if c%7 == 0 {
-			_, _ = m.logLikGeneric(y, wsSeas, opts)
+			_, _ = m.logLikGeneric(y, wsSeas, LogLikOptions{})
 		}
-		got, errS := m.logLikSeasonal(y, wsSeas, ns, opts.SteadyTol)
-		want, errG := m.logLikGeneric(y, wsGen, opts)
+		got, errS := m.logLikSeasonal(y, wsSeas, ns)
+		want, errG := m.logLikGeneric(y, wsGen, LogLikOptions{})
 		if requireSameResult(t, fmt.Sprintf("model %d (period %d, n=%d)", c, ns+1, m.Dim()), got, errS, want, errG) {
 			degenerate++
-			continue
-		}
-		if want.SteadyEntry >= 0 {
-			handedBack++
 		}
 	}
 	if degenerate == 0 || degenerate > models/4 {
 		t.Fatalf("%d of %d models degenerate; the draw should cover some but not most", degenerate, models)
 	}
-	if handedBack == 0 {
-		t.Fatalf("no steady-tolerance run handed back to the generic kernel")
-	}
-	t.Logf("%d models: %d degenerate, %d handed back to the generic kernel", models, degenerate, handedBack)
+	t.Logf("%d models: %d degenerate", models, degenerate)
 }

@@ -9,7 +9,7 @@ import (
 
 // logLikSmall is logLikGeneric specialised to models with at most two states
 // and T = I — the local level alone, or with one slope or level-shift
-// regressor — with no options set and no missing observations. The state,
+// regressor — with no OnStep callback and no missing observations. The state,
 // its covariance, and RQRᵀ live in fixed-size arrays, so a step is a few
 // dozen scalar operations with none of the sparse-structure bookkeeping.
 //
@@ -38,7 +38,7 @@ func (m *Model) logLikSmall(y []float64, ws *Workspace) (LogLikResult, error) {
 		copy(rqr[i][:n], ws.rqr.Row(i))
 	}
 
-	res := LogLikResult{V: ws.v, F: ws.f, Contributed: ws.contributed, SteadyEntry: -1}
+	res := LogLikResult{V: ws.v, F: ws.f, Contributed: ws.contributed}
 	for t, yt := range y {
 		z := m.Z(t)
 		if len(z) != n {

@@ -171,11 +171,9 @@ func TestSmallPathDispatch(t *testing.T) {
 		{"level", localLevelModel(1, 0.2), y, LogLikOptions{}, smallKernel},
 		{"level-shift", shift, y, LogLikOptions{}, smallKernel},
 		{"missing", shift, yMissing, LogLikOptions{}, genericKernel},
-		{"steady", shift, y, LogLikOptions{SteadyTol: 1e-9}, genericKernel},
 		{"on-step", shift, y, onStep, genericKernel},
 		{"non-identity", nonIdentity, y, LogLikOptions{}, genericKernel},
 		{"seasonal", seasonal, y, LogLikOptions{}, seasonalKernel},
-		{"seasonal-steady", seasonal, y, LogLikOptions{SteadyTol: defaultSteadyTol}, seasonalKernel},
 		{"seasonal-on-step", seasonal, y, onStep, genericKernel},
 		{"seasonal-missing", seasonal, yMissing, LogLikOptions{}, genericKernel},
 		{"dense-T", dense, y, LogLikOptions{}, genericKernel},
@@ -215,5 +213,37 @@ func TestSmallPathZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("small-state LogLikFilter allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// levelInterventionModel builds the nonseasonal candidate model of the scan:
+// local level plus a slope-shift λ activating at cp.
+func levelInterventionModel(cp int, h, q float64) *Model {
+	tm := linalg.NewMatrix(2, 2)
+	tm.Set(0, 0, 1)
+	tm.Set(1, 1, 1)
+	r := linalg.NewMatrixFrom(2, 1, []float64{1, 0})
+	qm := linalg.NewMatrixFrom(1, 1, []float64{q})
+	p1 := linalg.NewMatrix(2, 2)
+	p1.Set(0, 0, DiffuseVariance)
+	p1.Set(1, 1, DiffuseVariance)
+	zBuf := []float64{1, 0}
+	z := func(t int) []float64 {
+		if t < cp {
+			zBuf[1] = 0
+		} else {
+			zBuf[1] = float64(t - cp + 1)
+		}
+		return zBuf
+	}
+	skip := cp
+	if skip < 1 {
+		skip = 1
+	}
+	return &Model{
+		T: tm, R: r, Q: qm, H: h, Z: z,
+		A1: make([]float64, 2), P1: p1,
+		DiffuseCount: 1,
+		SkipLik:      []int{skip},
 	}
 }

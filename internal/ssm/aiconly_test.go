@@ -11,8 +11,7 @@ import (
 // TestAICAtMatchesFitConfig pins the AIC-only fit behind AICAtOptions to the
 // full FitConfigOptions fit: the same AIC and OptParams bits, the same error,
 // and the same optimizer accounting, on seasonal and non-seasonal models,
-// cold and warm starts (the warm ones at the contender fits' steady-state
-// tolerance too), series with missing months, a constant series whose
+// cold and warm starts, series with missing months, a constant series whose
 // concentrated variance sits on its floor, and series on which every start
 // fails or which are too short to fit.
 func TestAICAtMatchesFitConfig(t *testing.T) {
@@ -51,7 +50,7 @@ func TestAICAtMatchesFitConfig(t *testing.T) {
 			for _, cp := range []int{NoChangePoint, 0, 15} {
 				starts := []FitOptions{{}}
 				if warm != nil {
-					starts = append(starts, FitOptions{Start: warm}, FitOptions{Start: warm, SteadyTol: DefaultSteadyTol})
+					starts = append(starts, FitOptions{Start: warm})
 				}
 				for _, opts := range starts {
 					var fitStats, aicStats FitStats
@@ -86,12 +85,10 @@ func TestAICAtMatchesFitConfig(t *testing.T) {
 						compared++
 					}
 					if fitStats.LikEvals.Load() != aicStats.LikEvals.Load() || fitStats.Starts.Load() != aicStats.Starts.Load() ||
-						fitStats.Fits.Load() != aicStats.Fits.Load() || fitStats.FitFailures.Load() != aicStats.FitFailures.Load() ||
-						fitStats.SteadyHits.Load() != aicStats.SteadyHits.Load() {
-						t.Fatalf("%s cp=%d warm=%v: accounting differs: evals %d/%d starts %d/%d fits %d/%d failures %d/%d steady %d/%d", label, cp, opts.Start != nil,
+						fitStats.Fits.Load() != aicStats.Fits.Load() || fitStats.FitFailures.Load() != aicStats.FitFailures.Load() {
+						t.Fatalf("%s cp=%d warm=%v: accounting differs: evals %d/%d starts %d/%d fits %d/%d failures %d/%d", label, cp, opts.Start != nil,
 							fitStats.LikEvals.Load(), aicStats.LikEvals.Load(), fitStats.Starts.Load(), aicStats.Starts.Load(),
-							fitStats.Fits.Load(), aicStats.Fits.Load(), fitStats.FitFailures.Load(), aicStats.FitFailures.Load(),
-							fitStats.SteadyHits.Load(), aicStats.SteadyHits.Load())
+							fitStats.Fits.Load(), aicStats.Fits.Load(), fitStats.FitFailures.Load(), aicStats.FitFailures.Load())
 					}
 				}
 			}

@@ -37,9 +37,10 @@ type FitStats struct {
 	Restarts atomic.Int64
 	// FitFailures counts fits where every start failed (OptimizationError).
 	FitFailures atomic.Int64
-	// SteadyHits counts likelihood evaluations in which the Kalman filter
-	// engaged the steady-state fast path for at least one step (requires
-	// FitOptions.SteadyTol > 0).
+	// SteadyHits is kept for API compatibility; no fit counts into it.
+	//
+	// Deprecated: always 0. The steady-state Kalman fast path it counted is
+	// gone; every likelihood evaluation is exact.
 	SteadyHits atomic.Int64
 	// PrefixResumes counts candidate scores resumed from a prefix checkpoint
 	// by the prefix-checkpointed change point scan.
@@ -56,7 +57,6 @@ func (s *FitStats) Merge(src *FitStats) {
 	s.Starts.Add(src.Starts.Load())
 	s.Restarts.Add(src.Restarts.Load())
 	s.FitFailures.Add(src.FitFailures.Load())
-	s.SteadyHits.Add(src.SteadyHits.Load())
 	s.PrefixResumes.Add(src.PrefixResumes.Load())
 }
 
@@ -120,14 +120,6 @@ type FitOptions struct {
 	// preserving the kernel-level zero-alloc contract. The observer must be
 	// goroutine-safe when fits run concurrently.
 	Trace obs.SpanObserver
-	// SteadyTol, when positive, lets every likelihood evaluation of this fit
-	// take the Kalman filter's steady-state fast path
-	// (kalman.LogLikOptions.SteadyTol). The profile likelihood then carries
-	// an O(SteadyTol) approximation per steady step, so this belongs on
-	// warm scan-tolerance fits whose selections a cold refinement pass
-	// re-arbitrates — never on cold fits, whose results are pinned
-	// bit-for-bit. Zero keeps the exact recursion.
-	SteadyTol float64
 }
 
 // DefaultWarmStep is the absolute initial simplex edge for warm starts:
@@ -148,13 +140,6 @@ const (
 // coldStep is the historical relative initial simplex edge of the cold
 // starts.
 const coldStep = 1.0
-
-// DefaultSteadyTol is the steady-state switch tolerance for warm
-// scan-tolerance fits: the per-step likelihood perturbation it admits
-// (O(1e-5) relative on the covariance, ~1e-4 in AIC over a series) sits far
-// below the scan's refinement margin, so a steady-path warm fit can never
-// flip a selection the cold refinement pass would not re-examine.
-const DefaultSteadyTol = 1e-5
 
 // Fit is a maximum-likelihood-fitted structural model.
 type Fit struct {
@@ -305,7 +290,7 @@ func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions, f
 	if cfg.Seasonal {
 		nq = 2
 	}
-	var evals, attempts, steadyHits int
+	var evals, attempts int
 	if s := opts.Stats; s != nil {
 		defer func() {
 			s.LikEvals.Add(int64(evals))
@@ -313,15 +298,11 @@ func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions, f
 			if attempts > 1 {
 				s.Restarts.Add(int64(attempts - 1))
 			}
-			s.SteadyHits.Add(int64(steadyHits))
 		}()
 	}
 	objective := func(params []float64) float64 {
 		evals++
-		ll, _, steady, err := concentratedLogLikTol(scaled, cfg, searchModel, params, ws, opts.SteadyTol)
-		if steady > 0 {
-			steadyHits++
-		}
+		ll, _, err := concentratedLogLik(scaled, cfg, searchModel, params, ws)
 		if err != nil {
 			return math.Inf(1)
 		}
@@ -382,10 +363,7 @@ func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions, f
 		return nil, &OptimizationError{Attempts: attempts}
 	}
 	evals++
-	logLik, sigma2, steady, err := concentratedLogLikTol(scaled, cfg, searchModel, best.X, ws, opts.SteadyTol)
-	if steady > 0 {
-		steadyHits++
-	}
+	logLik, sigma2, err := concentratedLogLik(scaled, cfg, searchModel, best.X, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -545,31 +523,23 @@ func startPoints(nq int) [][]float64 {
 // to the relative variances — and filtered through the allocation-free
 // likelihood kernel with ws as scratch.
 func concentratedLogLik(scaled []float64, cfg Config, m *kalman.Model, params []float64, ws *kalman.Workspace) (logLik, sigma2 float64, err error) {
-	logLik, sigma2, _, err = concentratedLogLikTol(scaled, cfg, m, params, ws, 0)
-	return logLik, sigma2, err
-}
-
-// concentratedLogLikTol is concentratedLogLik with an optional steady-state
-// filter tolerance (0 = exact); steadySteps reports how many filter steps the
-// fast path handled.
-func concentratedLogLikTol(scaled []float64, cfg Config, m *kalman.Model, params []float64, ws *kalman.Workspace, steadyTol float64) (logLik, sigma2 float64, steadySteps int, err error) {
 	if err := checkParams(params); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	m.H = 1
 	m.Q.Set(0, 0, math.Exp(params[0]))
 	if cfg.Seasonal {
 		m.Q.Set(1, 1, math.Exp(params[1]))
 	}
-	fr, err := m.LogLikFilterOpts(scaled, ws, kalman.LogLikOptions{SteadyTol: steadyTol})
+	fr, err := m.LogLikFilter(scaled, ws)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	if fr.LikCount == 0 {
-		return 0, 0, 0, errors.New("ssm: no likelihood contributions")
+		return 0, 0, errors.New("ssm: no likelihood contributions")
 	}
 	logLik, sigma2 = concentrateFromSums(fr.SumLogF, fr.SumV2F, fr.LikCount)
-	return logLik, sigma2, fr.SteadySteps, nil
+	return logLik, sigma2, nil
 }
 
 // maxLogVar bounds the optimizer coordinates: relative log-variances beyond

@@ -110,12 +110,10 @@ type Options struct {
 	// inside the scan instead of idling cores. 1 forces serial scans.
 	// Results are identical for every setting; only wall-clock changes.
 	ScanWorkers int
-	// Shards partitions the series universe by disease (medicine-kind
-	// series by medicine) into this many shards, each with its own
-	// dispatcher over the shared worker budget. Detections merge by global
-	// job index, so the analysis is byte-identical for every Shards value —
-	// sharding only changes which dispatcher feeds a series to the pool.
-	// 0 or 1 keeps the single dispatcher.
+	// Shards is ignored: one dispatcher admits every series to the shared
+	// worker budget, and the analysis was byte-identical for every value.
+	//
+	// Deprecated: no effect; kept so existing callers compile.
 	Shards int
 	// EM tunes the medication model fit. EM.Workers defaults to Workers, and
 	// EM.Observer/EM.Metrics default to the pipeline's Observer/Metrics.
@@ -410,7 +408,6 @@ func (ins *pipelineInstruments) addFitStats(stats *ssm.FitStats) {
 	m.Counter("ssm/starts").Add(stats.Starts.Load())
 	m.Counter("ssm/restarts").Add(stats.Restarts.Load())
 	m.Counter("ssm/fit_failures").Add(stats.FitFailures.Load())
-	m.Counter("kalman/steady_hits").Add(stats.SteadyHits.Load())
 	m.Counter("scan/prefix_resumes").Add(stats.PrefixResumes.Load())
 }
 
@@ -685,41 +682,15 @@ func collectJobs(series *medmodel.SeriesSet) []Detection {
 	return jobs
 }
 
-// shardJobs partitions job indices into shards: disease- and prescription-
-// kind series shard by disease id, medicine-kind by medicine id, so every
-// series of one disease (and its pairs) lands in one shard. Within a shard,
-// indices stay in global job order.
-func shardJobs(jobs []Detection, shards int) [][]int {
-	if shards <= 1 {
-		all := make([]int, len(jobs))
-		for i := range jobs {
-			all[i] = i
-		}
-		return [][]int{all}
-	}
-	lists := make([][]int, shards)
-	for i, job := range jobs {
-		var s int
-		if job.Kind == KindMedicine {
-			s = int(job.Medicine) % shards
-		} else {
-			s = int(job.Disease) % shards
-		}
-		lists[s] = append(lists[s], i)
-	}
-	return lists
-}
-
 // detectAll runs change point detection over the pipeline's jobs through
-// scanAll, one dispatcher per shard of the series universe (see shardJobs),
-// scanning each distinct series once, and returns the surviving detections
-// in job order.
+// scanAll, scanning each distinct series once, and returns the surviving
+// detections in job order.
 func detectAll(ctx context.Context, jobs []Detection, opts Options, ins *pipelineInstruments) ([]Detection, []Failure, []SeriesProvenance, int, error) {
 	scans := make([]scanJob, len(jobs))
 	for i, job := range jobs {
 		scans[i] = scanJob{key: job.Key(), series: job.Series}
 	}
-	results, ok, failures, provs, totalFits, err := scanAll(ctx, detectStage, scans, shardJobs(jobs, opts.Shards), newScanMemo(), opts, ins)
+	results, ok, failures, provs, totalFits, err := scanAll(ctx, detectStage, scans, newScanMemo(), opts, ins)
 	dets := make([]Detection, 0, len(jobs))
 	for i, job := range jobs {
 		if ok[i] {

@@ -73,9 +73,7 @@ type scanOutcome struct {
 // each admitted exact scan opportunistically claims idle tokens for its
 // contender fits (level two, see workerBudget). A wide batch behaves like a
 // flat pool; a narrow batch or a draining tail moves the idle tokens into
-// intra-series scan parallelism. shards partitions the job indices, each
-// list with its own dispatcher over the shared budget; nil runs one
-// dispatcher over every job in order.
+// intra-series scan parallelism. One dispatcher admits the jobs in order.
 //
 // Each distinct series is scanned once (see scanMemo). Only the jobs that
 // represent their series in memo — the lowest job index holding it, unless
@@ -92,11 +90,11 @@ type scanOutcome struct {
 // fit — returning the scans completed so far with ctx's error. Results,
 // ok flags and provenance are assembled by job index, and per-series
 // accounting is delivered in job order through a sequencer, so the outcome
-// is byte-identical for any Workers/ScanWorkers/Shards split and, for the
+// is byte-identical for any Workers/ScanWorkers split and, for the
 // surviving series, whether or not other series failed. provs (Explain
 // only) lists one entry per job that finished or failed, in job order;
 // failed jobs keep their partial ladder alongside the failure.
-func scanAll(ctx context.Context, st scanStage, jobs []scanJob, shards [][]int, memo *scanMemo, opts Options, ins *pipelineInstruments) (results []changepoint.Result, ok []bool, failures []Failure, provs []SeriesProvenance, totalFits int, err error) {
+func scanAll(ctx context.Context, st scanStage, jobs []scanJob, memo *scanMemo, opts Options, ins *pipelineInstruments) (results []changepoint.Result, ok []bool, failures []Failure, provs []SeriesProvenance, totalFits int, err error) {
 	var trace obs.SpanObserver
 	if ins != nil {
 		trace = ins.trace
@@ -131,12 +129,12 @@ func scanAll(ctx context.Context, st scanStage, jobs []scanJob, shards [][]int, 
 	}
 
 	budget := newWorkerBudget(opts.Workers)
-	// dispatch scans the listed jobs on the pool, one dispatcher per list,
-	// and closes the returned channel once every admitted scan reported. A
-	// representative that succeeds enters its scan in memo and resolves its
-	// duplicates before it returns its worker token, so they report right
-	// after it and a one-worker run stays strictly in order.
-	dispatch := func(lists [][]int) <-chan scanOutcome {
+	// dispatch scans the listed jobs on the pool in order, and closes the
+	// returned channel once every admitted scan reported. A representative
+	// that succeeds enters its scan in memo and resolves its duplicates
+	// before it returns its worker token, so they report right after it and
+	// a one-worker run stays strictly in order.
+	dispatch := func(list []int) <-chan scanOutcome {
 		out := make(chan scanOutcome)
 		run := func(i int, wg *sync.WaitGroup) {
 			defer wg.Done()
@@ -165,42 +163,26 @@ func scanAll(ctx context.Context, st scanStage, jobs []scanJob, shards [][]int, 
 			}
 		}
 		go func() {
-			var dwg, wg sync.WaitGroup
+			var wg sync.WaitGroup
 			defer func() {
-				dwg.Wait()
 				wg.Wait()
 				close(out)
 			}()
-			for _, list := range lists {
-				dwg.Add(1)
-				go func(list []int) {
-					defer dwg.Done()
-					for _, i := range list {
-						if budget.acquire(ctx) != nil {
-							return
-						}
-						wg.Add(1)
-						go run(i, &wg)
-					}
-				}(list)
+			for _, i := range list {
+				if budget.acquire(ctx) != nil {
+					return
+				}
+				wg.Add(1)
+				go run(i, &wg)
 			}
 		}()
 		return out
 	}
 
-	if shards == nil {
-		all := make([]int, len(jobs))
-		for i := range all {
-			all[i] = i
-		}
-		shards = [][]int{all}
-	}
-	reps := make([][]int, len(shards))
-	for s, list := range shards {
-		for _, i := range list {
-			if owner[i] {
-				reps[s] = append(reps[s], i)
-			}
+	var reps []int
+	for i := range jobs {
+		if owner[i] {
+			reps = append(reps, i)
 		}
 	}
 
@@ -264,7 +246,7 @@ func scanAll(ctx context.Context, st scanStage, jobs []scanJob, shards [][]int, 
 	}
 	slices.Sort(rescan)
 	if len(rescan) > 0 {
-		for o := range dispatch([][]int{rescan}) {
+		for o := range dispatch(rescan) {
 			collect(o)
 		}
 	}

@@ -115,7 +115,7 @@ func TestScanAccountingNames(t *testing.T) {
 
 	wantDetect := scanAccounting{
 		Counters: []string{
-			"em/iterations", "em/months_fitted", "kalman/steady_hits",
+			"em/iterations", "em/months_fitted",
 			"pipeline/failures/detect", "scan/candidates", "scan/fits",
 			"scan/memo_hits", "scan/prefix_resumes", "scan/series", "scan/total_fits",
 			"scan/warm_refits", "ssm/fit_failures", "ssm/lik_evals",
@@ -137,7 +137,7 @@ func TestScanAccountingNames(t *testing.T) {
 	}
 	wantSurveil := scanAccounting{
 		Counters: []string{
-			"em/iterations", "em/months_fitted", "kalman/steady_hits",
+			"em/iterations", "em/months_fitted",
 			"pipeline/failures/surveil", "scan/prefix_resumes",
 			"ssm/fit_failures", "ssm/lik_evals", "ssm/restarts", "ssm/starts",
 			"surveil-drill/fits", "surveil-drill/memo_hits", "surveil-drill/series",

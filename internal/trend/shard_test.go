@@ -72,26 +72,3 @@ func TestAnalyzeWorkersShardsInvariance(t *testing.T) {
 		}
 	}
 }
-
-func TestShardJobs(t *testing.T) {
-	jobs := []Detection{
-		{Kind: KindDisease, Disease: 0},
-		{Kind: KindDisease, Disease: 1},
-		{Kind: KindMedicine, Medicine: 2},
-		{Kind: KindPrescription, Disease: 1, Medicine: 0},
-		{Kind: KindPrescription, Disease: 3, Medicine: 2},
-	}
-	single := shardJobs(jobs, 1)
-	if len(single) != 1 || !reflect.DeepEqual(single[0], []int{0, 1, 2, 3, 4}) {
-		t.Fatalf("shards=1: %v", single)
-	}
-	lists := shardJobs(jobs, 2)
-	if len(lists) != 2 {
-		t.Fatalf("shards=2: %d lists", len(lists))
-	}
-	// Disease 1's series and its pair land in the same shard; every index
-	// appears exactly once.
-	if !reflect.DeepEqual(lists[0], []int{0, 2}) || !reflect.DeepEqual(lists[1], []int{1, 3, 4}) {
-		t.Fatalf("shards=2: %v", lists)
-	}
-}

@@ -228,7 +228,7 @@ func (s *Surveillance) Node(k SeriesKey) *SurveilNode {
 // Surveil shares Analyze's contracts. Determinism: the roll-up consumes the
 // deterministically merged ReproduceParallel series in sorted id order and
 // every scan is worker-invariant, so the Surveillance tree is byte-identical
-// for any Workers/ScanWorkers/Shards split. Failure degradation: a failed or
+// for any Workers/ScanWorkers split. Failure degradation: a failed or
 // panicked aggregate scan degrades that node only (recorded in
 // Surveillance.Failures with StageSurveil); observer panics mute the
 // observer and keep the run alive. Observability: the model/reproduce stages
@@ -287,7 +287,7 @@ func Surveil(ctx context.Context, ds *mic.Dataset, opts SurveilOptions) (*Survei
 		aggJobs[i] = scanJob{key: nodes[i].Key, series: nodes[i].Series}
 	}
 	endAgg := ins.stage("surveil", len(aggJobs))
-	aggRes, aggOK, aggFails, aggProvs, aggFits, aerr := scanAll(ctx, surveilStage, aggJobs, nil, memo, popts, ins)
+	aggRes, aggOK, aggFails, aggProvs, aggFits, aerr := scanAll(ctx, surveilStage, aggJobs, memo, popts, ins)
 	done := 0
 	for i := range nodes {
 		if aggOK[i] {
@@ -338,7 +338,7 @@ func Surveil(ctx context.Context, ds *mic.Dataset, opts SurveilOptions) (*Survei
 		}
 		if len(drillJobs) > 0 {
 			endDrill := ins.stage("surveil-drill", len(drillJobs))
-			dRes, dOK, dFails, dProvs, dFits, derr := scanAll(ctx, drillStage, drillJobs, nil, memo, popts, ins)
+			dRes, dOK, dFails, dProvs, dFits, derr := scanAll(ctx, drillStage, drillJobs, memo, popts, ins)
 			ddone := 0
 			for i := range drillJobs {
 				if dOK[i] {

@@ -751,7 +751,7 @@ func NewClassHierarchy(d *Dataset, medicineClass, classGroup, diseaseGroup map[s
 // the series (or reuse SurveilOptions.Analysis), roll them up the hierarchy,
 // scan the aggregates, attribute detected breaks down to members, and flag
 // offsetting substitutions. It shares AnalyzeTrendsContext's contracts:
-// options-first, deterministic for any Workers/Shards split, degrading
+// options-first, deterministic for any Workers split, degrading
 // per-node on failure, observable through the same Observer/Metrics/Trace
 // hooks, and cancellable with partial results.
 func Surveil(ctx context.Context, d *Dataset, opts SurveilOptions) (*Surveillance, error) {

@@ -317,7 +317,7 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 	for _, name := range []string{
 		"em/months_fitted", "em/iterations", "scan/series", "scan/fits",
 		"scan/candidates", "ssm/lik_evals", "ssm/starts",
-		"kalman/steady_hits", "scan/prefix_resumes",
+		"scan/prefix_resumes",
 	} {
 		if base.Counters[name] <= 0 {
 			t.Errorf("counter %q is %d, want > 0", name, base.Counters[name])
