@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"strconv"
@@ -59,6 +60,14 @@ type FitOptions struct {
 	InitialPrior *Model
 }
 
+// ArithmeticTag names the floating-point arithmetic of the EM sweep. Two
+// fits of the same month under the same options agree bit for bit only
+// under the same tag, so checkpoint fingerprints fold it in and a store
+// written under another arithmetic is refit rather than served. A change
+// that moves fitted bits must change it. Tag 2 is the weighted occurrence
+// sweep; the per-occurrence sweep before it was never tagged.
+const ArithmeticTag uint64 = 2
+
 // WithDefaults returns the options with the EM loop defaults filled in, the
 // exact values Fit and FitAll use; exposed so checkpoint fingerprints hash
 // the effective configuration rather than the zero values.
@@ -78,10 +87,16 @@ func (o FitOptions) withDefaults() FitOptions {
 // records, built once per month by an emKernel so the EM iterations run as
 // flat array arithmetic instead of map-of-maps lookups. Diseases of the
 // month are interned to contiguous indices; φ lives in one value array
-// addressed through per-disease row ranges; and every (record, medicine
-// occurrence, disease) triple the E-step touches is resolved to its position
-// in that array ahead of time — the inner loop then performs no hashing at
-// all.
+// addressed through per-disease row ranges; and every distinct medicine
+// occurrence the E-step touches is resolved to its positions in that array
+// ahead of time — the inner loop then performs no hashing at all.
+//
+// Two occurrences are identical when they have the same disease bag and the
+// same medicine: the same slot count, the same interned disease and θ value
+// in each slot, and so the same φ cells. Every quantity the E-step computes
+// for one is then the same for the other, so the occurrence table holds each
+// distinct occurrence once, in first-appearance order, weighted by how many
+// times it occurs.
 type emIndex struct {
 	diseases []mic.DiseaseID // interned disease ids, ascending
 	rowStart []int           // row d occupies [rowStart[d], rowStart[d+1]) below
@@ -90,19 +105,21 @@ type emIndex struct {
 	next     []float64 // Eq. 5 numerator accumulator
 	rowSum   []float64 // Eq. 5 denominator accumulator, per disease
 
-	// Per-record dense θ (Eq. 2): record r owns slots
-	// [thetaStart[r], thetaStart[r+1]).
-	thetaStart []int
-	thetaDis   []int32 // interned disease index per slot
-	thetaVal   []float64
-
-	// Occurrence table: record r's o-th medicine occurrence and θ-slot s map
-	// to pos[occStart[r]+o*slots(r)+s], an index into val, or -1 when the
-	// (disease, medicine) pair is outside the cooccurrence support.
-	occStart []int
-	pos      []int32
-
-	numMeds []int // medicine occurrences per record
+	// Occurrence table: distinct occurrence e stands for weight[e] identical
+	// medicine occurrences and owns cells [cellStart[e], cellStart[e+1]), one
+	// per θ slot of its record in first-occurrence order; cell c's pos[c] is
+	// the index into val of the slot's (disease, medicine) pair. Slot s's θ
+	// (Eq. 2) and interned disease are theta[thetaOff[e]+s] and
+	// dis[thetaOff[e]+s]: a record stores its slots once, when one of its
+	// occurrences is new, and its later new occurrences share them. A record
+	// whose counts do not sum to a positive N_r has no θ slots and no
+	// entries.
+	cellStart []int32
+	thetaOff  []int32
+	weight    []float64
+	theta     []float64
+	dis       []int32
+	pos       []int32
 }
 
 // emKernel builds a month's emIndex in scratch it keeps between months, the
@@ -130,6 +147,15 @@ type emKernel struct {
 	medEntry []int32 // φ entry of the medicine in the current row
 
 	elems []coocElem
+
+	// Merge scratch: the first cell of each of the current record's
+	// medicine occurrences' entries; an open-addressing table of entry+1 (0
+	// empty), at most half full and probed from the top bits of an entry's
+	// hash; and each entry's medicine.
+	occCell []int32
+	table   []int32
+	shift   uint
+	entMed  []mic.MedicineID
 }
 
 // coocElem is one cooccurrence: one disease entry of a record with one of its
@@ -144,13 +170,15 @@ type coocElem struct {
 // build. Field for field, it is the index the map-based construction kept as
 // the test reference yields: rows in ascending disease id, each row's
 // medicines ascending, φ initialized to the cooccurrence estimate (Eq. 10),
-// θ accumulated per entry in record order at first-occurrence slots. After a
-// span scan, three passes over the records do the work: pass 1 counts the
-// row totals and sizes the θ and occurrence tables, pass 2 fills θ and
-// scatters each cooccurrence into its disease's bucket, and pass 3 turns
-// each bucket into a φ row and resolves the occurrence cells that bucket's
-// elements point at. The counts are exact integers, so every φ quotient is
-// the one the map-based count divides out.
+// θ accumulated per entry in record order at first-occurrence slots, and
+// identical occurrences merged in first-appearance order. After a span scan,
+// three passes over the records do the work: pass 1 counts the row totals
+// and bounds the occurrence table, pass 2 computes each record's θ, merges
+// its occurrences into the table and scatters each cooccurrence into its
+// disease's bucket, and pass 3 turns each bucket into a φ row and resolves
+// the occurrence cells that bucket's elements point at. Every cooccurrence
+// goes through a bucket, merged or not, and the counts are exact integers,
+// so every φ quotient is the one the map-based count divides out.
 func (k *emKernel) build(month *mic.Monthly) (*emIndex, error) {
 	recs, dspan, mspan := k.span(month)
 	if recs == 0 {
@@ -167,12 +195,10 @@ func (k *emKernel) build(month *mic.Monthly) (*emIndex, error) {
 	clear(k.bucket)
 
 	// Pass 1: row totals (one per cooccurrence, so a disease's total is
-	// also its bucket size) and the θ and occurrence table extents. A record
-	// whose counts do not sum to a positive N_r has no θ slots.
-	ix.thetaStart = resize(ix.thetaStart, recs+1) // [0] is never written: it stays 0
-	ix.occStart = resize(ix.occStart, recs+1)
-	ix.numMeds = resize(ix.numMeds, recs)
-	r := 0
+	// also its bucket size) and the occurrence table's bounds over the
+	// records with a positive N_r: their occurrences, θ slots and cells (at
+	// most one slot per disease entry), and their most medicines.
+	occs, slots, cells, meds := 0, 0, 0, 0
 	for i := range month.Records {
 		rec := &month.Records[i]
 		if !usable(rec) {
@@ -184,84 +210,111 @@ func (k *emKernel) build(month *mic.Monthly) (*emIndex, error) {
 			n += dc.Count
 			k.bucket[dc.Disease-k.dlo+1] += nm
 		}
-		slots := 0
 		if n > 0 {
-			slots = k.stampSlots(rec)
-			k.clearSlots(rec)
+			occs += nm
+			slots += len(rec.Diseases)
+			cells += len(rec.Diseases) * nm
+			meds = max(meds, nm)
 		}
-		ix.numMeds[r] = nm
-		ix.thetaStart[r+1] = ix.thetaStart[r] + slots
-		ix.occStart[r+1] = ix.occStart[r] + slots*nm
-		r++
 	}
-	occ := ix.occStart[recs]
-	if occ > math.MaxInt32 {
-		return nil, fmt.Errorf("medmodel: month %d has %d occurrence cells, more than the index addresses", month.Month, occ)
+	if cells > math.MaxInt32 {
+		return nil, fmt.Errorf("medmodel: month %d has %d occurrence cells, more than the index addresses", month.Month, cells)
 	}
-	rows := 0
 	k.fill = resize(k.fill, dspan)
 	for j := 0; j < dspan; j++ {
-		if k.bucket[j+1] > 0 {
-			rows++
-		}
 		k.bucket[j+1] += k.bucket[j]
 		k.fill[j] = k.bucket[j]
 	}
-	total := k.bucket[dspan]
 
-	// Pass 2: θ (Eq. 2), summed per entry at the slot pass 1 numbered, and
-	// the buckets.
-	thetas := ix.thetaStart[recs]
-	ix.thetaVal = resize(ix.thetaVal, thetas)
-	clear(ix.thetaVal)
-	ix.thetaDis = resize(ix.thetaDis, thetas)
-	ix.pos = resize(ix.pos, occ)
-	k.elems = resize(k.elems, total)
-	r = 0
+	// Pass 2: θ (Eq. 2), summed per entry at the record's first-occurrence
+	// slots, staged just past the stored slots and kept when the merge
+	// appends an entry for them; the merge; and the buckets. Every slab is
+	// appended within the bounds pass 1 sized.
+	ix.cellStart = append(resize(ix.cellStart, occs+1)[:0], 0)
+	ix.thetaOff = resize(ix.thetaOff, occs)[:0]
+	ix.weight = resize(ix.weight, occs)[:0]
+	ix.theta = resize(ix.theta, slots)[:0]
+	ix.dis = resize(ix.dis, slots)[:0]
+	ix.pos = resize(ix.pos, cells)
+	k.occCell = resize(k.occCell, meds)
+	k.entMed = resize(k.entMed, occs)
+	tbits := bits.Len(uint(occs)) + 1
+	k.table = resize(k.table, 1<<tbits)
+	clear(k.table)
+	k.shift = uint(64 - tbits)
+	k.elems = resize(k.elems, k.bucket[dspan])
 	for i := range month.Records {
 		rec := &month.Records[i]
 		if !usable(rec) {
 			continue
 		}
-		ts, base := ix.thetaStart[r], ix.occStart[r]
-		slots := ix.thetaStart[r+1] - ts
-		n := float64(rec.NumDiseaseMentions())
-		if slots > 0 {
-			k.stampSlots(rec)
+		slots := 0
+		if n := rec.NumDiseaseMentions(); n > 0 {
+			slots = k.stampSlots(rec)
+			top, ents := len(ix.theta), len(ix.weight)
+			theta, dis := ix.theta[top:top+slots], ix.dis[top:top+slots]
+			clear(theta)
+			for _, dc := range rec.Diseases {
+				j := dc.Disease - k.dlo
+				s := k.slotOf[j]
+				dis[s] = int32(j) // interned after pass 3
+				theta[s] += float64(dc.Count) / float64(n)
+			}
+			h := uint64(slots)
+			for s := range theta {
+				h = mixWord(mixWord(h, uint64(dis[s])), math.Float64bits(theta[s]))
+			}
+			for o, med := range rec.Medicines {
+				k.occCell[o] = k.entry(h, top, slots, med)
+			}
+			if len(ix.weight) > ents {
+				ix.theta, ix.dis = ix.theta[:top+slots], ix.dis[:top+slots]
+			}
 		}
 		for _, dc := range rec.Diseases {
 			j := dc.Disease - k.dlo
-			s := int32(-1)
-			if slots > 0 {
-				s = k.slotOf[j]
-				ix.thetaDis[ts+int(s)] = int32(j) // interned after pass 3
-				ix.thetaVal[ts+int(s)] += float64(dc.Count) / n
-			}
 			f := k.fill[j]
 			for o, med := range rec.Medicines {
 				p := int32(-1)
-				if s >= 0 {
-					p = int32(base + o*slots + int(s))
+				if slots > 0 {
+					p = k.occCell[o] + k.slotOf[j]
 				}
 				k.elems[f+o] = coocElem{med: med, pos: p}
 			}
 			k.fill[j] = f + len(rec.Medicines)
 		}
 		k.clearSlots(rec)
-		r++
 	}
+	ix.pos = ix.pos[:ix.cellStart[len(ix.weight)]]
 
-	// Pass 3: rows in ascending disease id. The bucket's distinct medicines
-	// are gathered straight into the row's rowMed range and sorted there;
-	// val is count/total (Eq. 10); then every element writes the φ entry its
-	// occurrence cell resolves to.
-	ix.diseases = resize(ix.diseases, rows)
-	ix.rowStart = resize(ix.rowStart, rows+1) // [0] stays 0, as above
-	ix.rowMed = resize(ix.rowMed, total)      // distinct entries ≤ cooccurrences
-	ix.val = resize(ix.val, total)
-	k.rowOf = resize(k.rowOf, dspan)
+	// Pass 3: rows in ascending disease id. A first sweep over the buckets
+	// counts the distinct φ entries (medEntry stamping each medicine with
+	// the last row that counted it), so rowMed and val are sized exactly.
+	// Then each bucket's distinct medicines are gathered straight into its
+	// row's rowMed range and sorted there; val is count/total (Eq. 10); and
+	// every element writes the φ entry its occurrence cell resolves to (a
+	// merged occurrence's cell once per occurrence, with the same entry).
 	k.medCnt = resize(k.medCnt, mspan) // all 0 at rest
 	k.medEntry = resize(k.medEntry, mspan)
+	clear(k.medEntry)
+	rows, phis := 0, 0
+	for j := 0; j < dspan; j++ {
+		els := k.elems[k.bucket[j]:k.bucket[j+1]]
+		if len(els) > 0 {
+			rows++
+		}
+		for _, el := range els {
+			if m := el.med - k.mlo; k.medEntry[m] != int32(j+1) {
+				k.medEntry[m] = int32(j + 1)
+				phis++
+			}
+		}
+	}
+	ix.diseases = resize(ix.diseases, rows)
+	ix.rowStart = resize(ix.rowStart, rows+1) // [0] is never written: it stays 0
+	ix.rowMed = resize(ix.rowMed, phis)
+	ix.val = resize(ix.val, phis)
+	k.rowOf = resize(k.rowOf, dspan)
 	e, row := 0, 0
 	for j := 0; j < dspan; j++ {
 		els := k.elems[k.bucket[j]:k.bucket[j+1]]
@@ -297,15 +350,69 @@ func (k *emKernel) build(month *mic.Monthly) (*emIndex, error) {
 		row++
 		ix.rowStart[row] = e
 	}
-	ix.rowMed, ix.val = ix.rowMed[:e], ix.val[:e]
-	for s, j := range ix.thetaDis {
-		ix.thetaDis[s] = k.rowOf[j]
+	for s, j := range ix.dis {
+		ix.dis[s] = k.rowOf[j]
 	}
 	ix.next = resize(ix.next, e)
 	clear(ix.next)
 	ix.rowSum = resize(ix.rowSum, rows)
 	clear(ix.rowSum)
 	return ix, nil
+}
+
+// entry merges one occurrence of med into the occurrence table and returns
+// the first cell of its entry. The occurrence's θ slots are staged at
+// theta[top:top+slots] and dis[top:top+slots], just past the stored slots,
+// and h is their hash. An entry with the same medicine and slots gains a
+// unit of weight; otherwise an entry of weight 1 is appended, pointing at
+// the staged slots.
+func (k *emKernel) entry(h uint64, top, slots int, med mic.MedicineID) int32 {
+	ix := &k.ix
+	h = mixWord(h, uint64(uint32(med)))
+	mask := len(k.table) - 1
+	for i := int(h >> k.shift); ; i = (i + 1) & mask {
+		e := int(k.table[i]) - 1
+		if e < 0 {
+			e = len(ix.weight)
+			k.table[i] = int32(e + 1)
+			k.entMed[e] = med
+			ix.weight = append(ix.weight, 1)
+			ix.thetaOff = append(ix.thetaOff, int32(top))
+			ix.cellStart = append(ix.cellStart, ix.cellStart[e]+int32(slots))
+			return ix.cellStart[e]
+		}
+		if k.entMed[e] == med && k.sameSlots(e, top, slots) {
+			ix.weight[e]++
+			return ix.cellStart[e]
+		}
+	}
+}
+
+// sameSlots reports whether entry e has the θ slots staged at top, θ values
+// compared by their bits.
+func (k *emKernel) sameSlots(e, top, slots int) bool {
+	ix := &k.ix
+	if int(ix.cellStart[e+1]-ix.cellStart[e]) != slots {
+		return false
+	}
+	// Both ranges may lie past the stored slots, within capacity: slice,
+	// don't index.
+	off := int(ix.thetaOff[e])
+	theta, dis := ix.theta[top:top+slots], ix.dis[top:top+slots]
+	etheta, edis := ix.theta[off:off+slots], ix.dis[off:off+slots]
+	for s, th := range etheta {
+		if math.Float64bits(th) != math.Float64bits(theta[s]) || edis[s] != dis[s] {
+			return false
+		}
+	}
+	return true
+}
+
+// mixWord folds one word into a multiply-xorshift hash, whose top bits
+// depend on every bit of every word folded in.
+func mixWord(h, w uint64) uint64 {
+	h = (h ^ w) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
 }
 
 // span counts the month's usable records and sets the id bases, returning
@@ -360,47 +467,36 @@ func (k *emKernel) clearSlots(rec *mic.Record) {
 // occurrence is distributed across its record's diseases proportionally to
 // θ_rd·φ_dm. An occurrence's E-step denominator is, term for term and in the
 // same slot order, the predictive probability the likelihood sums, so one
-// pass yields both.
+// pass yields both. Each distinct occurrence is computed once and counts
+// weight times: w·log(p) to the likelihood, w·(θ·φ/denom) to each cell.
 func (ix *emIndex) sweep() float64 {
 	clear(ix.next)
 	clear(ix.rowSum)
 	var ll float64
-	for r := range ix.numMeds {
-		ts := ix.thetaStart[r]
-		slots := ix.thetaStart[r+1] - ts
-		if slots == 0 {
+	for e, w := range ix.weight {
+		lo, hi, t := ix.cellStart[e], ix.cellStart[e+1], ix.thetaOff[e]
+		blk := ix.pos[lo:hi]
+		theta, dis := ix.theta[t:t+hi-lo], ix.dis[t:t+hi-lo]
+		var denom float64
+		for s, p := range blk {
+			denom += theta[s] * ix.val[p]
+		}
+		p := denom
+		if p <= 0 {
+			p = math.SmallestNonzeroFloat64
+		}
+		ll += w * math.Log(p)
+		if denom <= 0 {
 			continue
 		}
-		theta := ix.thetaVal[ts : ts+slots]
-		dis := ix.thetaDis[ts : ts+slots]
-		base := ix.occStart[r]
-		for o := 0; o < ix.numMeds[r]; o++ {
-			blk := ix.pos[base+o*slots : base+(o+1)*slots]
-			var denom float64
-			for s, p := range blk {
-				if p >= 0 {
-					denom += theta[s] * ix.val[p]
-				}
-			}
-			p := denom
-			if p <= 0 {
-				p = math.SmallestNonzeroFloat64
-			}
-			ll += math.Log(p)
-			if denom <= 0 {
+		for s, p := range blk {
+			q := theta[s] * ix.val[p] / denom
+			if q == 0 {
 				continue
 			}
-			for s, p := range blk {
-				if p < 0 {
-					continue
-				}
-				q := theta[s] * ix.val[p] / denom
-				if q == 0 {
-					continue
-				}
-				ix.next[p] += q
-				ix.rowSum[dis[s]] += q
-			}
+			q *= w
+			ix.next[p] += q
+			ix.rowSum[dis[s]] += q
 		}
 	}
 	return ll

@@ -19,7 +19,8 @@ import (
 // construction and Eq. 10 estimate, and the two-pass EM loop (an E/M sweep,
 // then a separate likelihood sweep per iteration) as test oracles: the
 // streaming kernel, the dense index kernel and the fused sweep must match
-// them bit for bit.
+// them bit for bit. It also keeps the per-occurrence sweep the weighted
+// occurrence table replaced, which the weighted fit must match to rounding.
 
 // responder is anything that spreads a medicine occurrence over a record's
 // diseases: Model and Cooccurrence.
@@ -92,10 +93,10 @@ func cooccurrencePhi(recs []*mic.Record) map[mic.DiseaseID]map[mic.MedicineID]fl
 	return phi
 }
 
-// emIndexReference is the map-based index construction: the cooccurrence
-// support interned through maps, one binary search per (occurrence, θ slot),
-// every slab grown by append.
-func emIndexReference(recs []*mic.Record) *emIndex {
+// rowsReference interns the cooccurrence support through maps: the index's
+// rows, φ at the Eq. 10 estimate and zeroed accumulators, with an empty
+// occurrence table, and the row of each disease.
+func rowsReference(recs []*mic.Record) (*emIndex, map[mic.DiseaseID]int32) {
 	phi := cooccurrencePhi(recs)
 	ix := &emIndex{}
 
@@ -122,54 +123,91 @@ func emIndexReference(recs []*mic.Record) *emIndex {
 	}
 	ix.next = make([]float64, len(ix.val))
 	ix.rowSum = make([]float64, len(ix.diseases))
+	return ix, diseaseIdx
+}
 
-	ix.thetaStart = make([]int, len(recs)+1)
-	ix.occStart = make([]int, len(recs)+1)
-	ix.numMeds = make([]int, len(recs))
-	slotOf := make(map[mic.DiseaseID]int) // scratch, cleared per record
-	for r, rec := range recs {
-		n := rec.NumDiseaseMentions()
-		if n > 0 {
-			// θ_rd accumulated per entry in record order — the same
-			// quotient-sum Theta computes, but at a deterministic slot.
-			for _, dc := range rec.Diseases {
-				s, ok := slotOf[dc.Disease]
-				if !ok {
-					s = len(ix.thetaVal) - ix.thetaStart[r]
-					slotOf[dc.Disease] = s
-					di, inSupport := diseaseIdx[dc.Disease]
-					if !inSupport {
-						di = -1
-					}
-					ix.thetaDis = append(ix.thetaDis, di)
-					ix.thetaVal = append(ix.thetaVal, 0)
-				}
-				ix.thetaVal[ix.thetaStart[r]+s] += float64(dc.Count) / float64(n)
+// thetaSlotsReference returns the record's θ slots in first-occurrence
+// order: each slot's row (-1 outside diseaseIdx) and θ_rd accumulated per
+// entry in record order — the same quotient-sum Theta computes, but at a
+// deterministic slot. A record whose counts do not sum to a positive N_r has
+// none.
+func thetaSlotsReference(rec *mic.Record, diseaseIdx map[mic.DiseaseID]int32) (dis []int32, theta []float64) {
+	n := rec.NumDiseaseMentions()
+	if n <= 0 {
+		return nil, nil
+	}
+	slotOf := make(map[mic.DiseaseID]int)
+	for _, dc := range rec.Diseases {
+		s, ok := slotOf[dc.Disease]
+		if !ok {
+			s = len(theta)
+			slotOf[dc.Disease] = s
+			di, inSupport := diseaseIdx[dc.Disease]
+			if !inSupport {
+				di = -1
 			}
+			dis = append(dis, di)
+			theta = append(theta, 0)
 		}
-		for d := range slotOf {
-			delete(slotOf, d)
-		}
-		ix.thetaStart[r+1] = len(ix.thetaVal)
-		slots := ix.thetaStart[r+1] - ix.thetaStart[r]
+		theta[s] += float64(dc.Count) / float64(n)
+	}
+	return dis, theta
+}
 
-		ix.numMeds[r] = len(rec.Medicines)
+// cellReference binary-searches row di for med: its index into val, or -1
+// when the pair is outside the support.
+func cellReference(ix *emIndex, di int32, med mic.MedicineID) int32 {
+	if di < 0 {
+		return -1
+	}
+	lo, hi := ix.rowStart[di], ix.rowStart[di+1]
+	row := ix.rowMed[lo:hi]
+	j := sort.Search(len(row), func(k int) bool { return row[k] >= med })
+	if j < len(row) && row[j] == med {
+		return int32(lo + j)
+	}
+	return -1
+}
+
+// emIndexReference is the map-based index construction: the cooccurrence
+// support and each record's θ slots interned through maps, identical
+// occurrences merged through a map keyed by their slots' rows and θ bits
+// and their medicine, one binary search per cell, every slab grown by
+// append. A record's slots are stored when one of its occurrences is new.
+func emIndexReference(recs []*mic.Record) *emIndex {
+	ix, diseaseIdx := rowsReference(recs)
+	ix.cellStart = []int32{0}
+	entries := make(map[string]int)
+	for _, rec := range recs {
+		dis, theta := thetaSlotsReference(rec, diseaseIdx)
+		if len(theta) == 0 {
+			continue
+		}
+		bits := make([]uint64, len(theta))
+		for s, th := range theta {
+			bits[s] = math.Float64bits(th)
+		}
+		off := int32(len(ix.theta))
+		stored := false
 		for _, med := range rec.Medicines {
-			for s := 0; s < slots; s++ {
-				di := ix.thetaDis[ix.thetaStart[r]+s]
-				p := int32(-1)
-				if di >= 0 {
-					lo, hi := ix.rowStart[di], ix.rowStart[di+1]
-					row := ix.rowMed[lo:hi]
-					j := sort.Search(len(row), func(k int) bool { return row[k] >= med })
-					if j < len(row) && row[j] == med {
-						p = int32(lo + j)
-					}
-				}
-				ix.pos = append(ix.pos, p)
+			key := fmt.Sprint(dis, bits, med)
+			if e, ok := entries[key]; ok {
+				ix.weight[e]++
+				continue
 			}
+			if !stored {
+				ix.theta = append(ix.theta, theta...)
+				ix.dis = append(ix.dis, dis...)
+				stored = true
+			}
+			entries[key] = len(ix.weight)
+			ix.weight = append(ix.weight, 1)
+			ix.thetaOff = append(ix.thetaOff, off)
+			for _, di := range dis {
+				ix.pos = append(ix.pos, cellReference(ix, di, med))
+			}
+			ix.cellStart = append(ix.cellStart, int32(len(ix.pos)))
 		}
-		ix.occStart[r+1] = len(ix.pos)
 	}
 	return ix
 }
@@ -183,37 +221,22 @@ func iterateReference(ix *emIndex) {
 	for i := range ix.rowSum {
 		ix.rowSum[i] = 0
 	}
-	for r := range ix.numMeds {
-		ts := ix.thetaStart[r]
-		slots := ix.thetaStart[r+1] - ts
-		if slots == 0 {
+	for e, w := range ix.weight {
+		off := ix.thetaOff[e] - ix.cellStart[e] // slot s of cell c is off+c
+		var denom float64
+		for c := ix.cellStart[e]; c < ix.cellStart[e+1]; c++ {
+			denom += ix.theta[off+c] * ix.val[ix.pos[c]]
+		}
+		if denom <= 0 {
 			continue
 		}
-		theta := ix.thetaVal[ts : ts+slots]
-		dis := ix.thetaDis[ts : ts+slots]
-		base := ix.occStart[r]
-		for o := 0; o < ix.numMeds[r]; o++ {
-			blk := ix.pos[base+o*slots : base+(o+1)*slots]
-			var denom float64
-			for s, p := range blk {
-				if p >= 0 {
-					denom += theta[s] * ix.val[p]
-				}
-			}
-			if denom <= 0 {
+		for c := ix.cellStart[e]; c < ix.cellStart[e+1]; c++ {
+			q := ix.theta[off+c] * ix.val[ix.pos[c]] / denom
+			if q == 0 {
 				continue
 			}
-			for s, p := range blk {
-				if p < 0 {
-					continue
-				}
-				q := theta[s] * ix.val[p] / denom
-				if q == 0 {
-					continue
-				}
-				ix.next[p] += q
-				ix.rowSum[dis[s]] += q
-			}
+			ix.next[ix.pos[c]] += w * q
+			ix.rowSum[ix.dis[off+c]] += w * q
 		}
 	}
 	for d := range ix.rowSum {
@@ -234,27 +257,16 @@ func iterateReference(ix *emIndex) {
 // logLikReference is the separate likelihood sweep under the current φ.
 func logLikReference(ix *emIndex) float64 {
 	var ll float64
-	for r := range ix.numMeds {
-		ts := ix.thetaStart[r]
-		slots := ix.thetaStart[r+1] - ts
-		if slots == 0 {
-			continue
+	for e, w := range ix.weight {
+		off := ix.thetaOff[e] - ix.cellStart[e]
+		var p float64
+		for c := ix.cellStart[e]; c < ix.cellStart[e+1]; c++ {
+			p += ix.theta[off+c] * ix.val[ix.pos[c]]
 		}
-		theta := ix.thetaVal[ts : ts+slots]
-		base := ix.occStart[r]
-		for o := 0; o < ix.numMeds[r]; o++ {
-			blk := ix.pos[base+o*slots : base+(o+1)*slots]
-			var p float64
-			for s, pp := range blk {
-				if pp >= 0 {
-					p += theta[s] * ix.val[pp]
-				}
-			}
-			if p <= 0 {
-				p = math.SmallestNonzeroFloat64
-			}
-			ll += math.Log(p)
+		if p <= 0 {
+			p = math.SmallestNonzeroFloat64
 		}
+		ll += w * math.Log(p)
 	}
 	return ll
 }
@@ -277,14 +289,137 @@ func fitTwoSweep(month *mic.Monthly, vocabMedicines int, opts FitOptions) (*Mode
 		if opts.TraceConvergence {
 			model.LogLikTrace = append(model.LogLikTrace, ll)
 		}
-		if prevLL != math.Inf(-1) {
-			denom := math.Abs(prevLL)
-			if denom == 0 {
-				denom = 1
+		if converged(prevLL, ll, opts.Tol) {
+			break
+		}
+		prevLL = ll
+	}
+	model.Phi = ix.phiMap()
+	return model, nil
+}
+
+// converged is Fit's stop rule: the relative log-likelihood improvement
+// fell below tol.
+func converged(prevLL, ll, tol float64) bool {
+	if prevLL == math.Inf(-1) {
+		return false
+	}
+	denom := math.Abs(prevLL)
+	if denom == 0 {
+		denom = 1
+	}
+	return (ll-prevLL)/denom < tol
+}
+
+// occIndex is the per-occurrence layout the weighted occurrence table
+// replaced, kept as the oracle the weighted sweep must agree with to
+// rounding: every medicine occurrence keeps its own cells. Record r owns θ
+// slots [thetaStart[r], thetaStart[r+1]), and its o-th occurrence's slot s
+// maps to occPos[occStart[r]+o*slots(r)+s], an index into val, or -1 when
+// the pair is outside the support. The embedded emIndex holds the rows, φ
+// and accumulators; its occurrence table stays empty.
+type occIndex struct {
+	emIndex
+	thetaStart []int
+	thetaDis   []int32
+	thetaVal   []float64
+	occStart   []int
+	occPos     []int32
+	numMeds    []int
+}
+
+// occIndexReference builds the per-occurrence layout through maps.
+func occIndexReference(recs []*mic.Record) *occIndex {
+	rows, diseaseIdx := rowsReference(recs)
+	ix := &occIndex{emIndex: *rows}
+	ix.thetaStart = make([]int, len(recs)+1)
+	ix.occStart = make([]int, len(recs)+1)
+	ix.numMeds = make([]int, len(recs))
+	for r, rec := range recs {
+		dis, theta := thetaSlotsReference(rec, diseaseIdx)
+		ix.thetaDis = append(ix.thetaDis, dis...)
+		ix.thetaVal = append(ix.thetaVal, theta...)
+		ix.thetaStart[r+1] = len(ix.thetaVal)
+		ix.numMeds[r] = len(rec.Medicines)
+		for _, med := range rec.Medicines {
+			for _, di := range dis {
+				ix.occPos = append(ix.occPos, cellReference(&ix.emIndex, di, med))
 			}
-			if (ll-prevLL)/denom < opts.Tol {
-				break
+		}
+		ix.occStart[r+1] = len(ix.occPos)
+	}
+	return ix
+}
+
+// sweep is the fused sweep over every occurrence in record order: the
+// likelihood adds log(p) once per occurrence, and the E-step adds each
+// occurrence's θ·φ/denom on its own.
+func (ix *occIndex) sweep() float64 {
+	clear(ix.next)
+	clear(ix.rowSum)
+	var ll float64
+	for r := range ix.numMeds {
+		ts := ix.thetaStart[r]
+		slots := ix.thetaStart[r+1] - ts
+		if slots == 0 {
+			continue
+		}
+		theta := ix.thetaVal[ts : ts+slots]
+		dis := ix.thetaDis[ts : ts+slots]
+		base := ix.occStart[r]
+		for o := 0; o < ix.numMeds[r]; o++ {
+			blk := ix.occPos[base+o*slots : base+(o+1)*slots]
+			var denom float64
+			for s, p := range blk {
+				if p >= 0 {
+					denom += theta[s] * ix.val[p]
+				}
 			}
+			p := denom
+			if p <= 0 {
+				p = math.SmallestNonzeroFloat64
+			}
+			ll += math.Log(p)
+			if denom <= 0 {
+				continue
+			}
+			for s, p := range blk {
+				if p < 0 {
+					continue
+				}
+				q := theta[s] * ix.val[p] / denom
+				if q == 0 {
+					continue
+				}
+				ix.next[p] += q
+				ix.rowSum[dis[s]] += q
+			}
+		}
+	}
+	return ll
+}
+
+// fitPerOccurrence is Fit's loop over the per-occurrence sweep.
+func fitPerOccurrence(month *mic.Monthly, vocabMedicines int, opts FitOptions) (*Model, error) {
+	opts = opts.withDefaults()
+	recs, err := usableRecords(month)
+	if err != nil {
+		return nil, err
+	}
+	ix := occIndexReference(recs)
+	model := &Model{Eta: EstimateEta(month), M: vocabMedicines}
+	ix.sweep()
+	prevLL := math.Inf(-1)
+	for iter := 0; iter < opts.MaxIter; iter++ {
+		ix.mstep()
+		ll := ix.sweep()
+		model.Iterations = iter + 1
+		model.LogLik = ll
+		if opts.TraceConvergence {
+			model.LogLikTrace = append(model.LogLikTrace, ll)
+		}
+		if converged(prevLL, ll, opts.Tol) {
+			break
 		}
 		prevLL = ll
 	}
@@ -542,6 +677,20 @@ func negativeCountMonth() *mic.Monthly {
 	return m
 }
 
+// farIDMonth has disease and medicine ids far apart, so the spans are wide
+// and mostly empty, and a record whose counts sum to a negative N_r (no θ
+// slots).
+func farIDMonth() *mic.Monthly {
+	const far = 1 << 20
+	return &mic.Monthly{Month: 9, Records: []mic.Record{
+		{Diseases: []mic.DiseaseCount{{Disease: far, Count: 1}, {Disease: 3, Count: 2}}, Medicines: []mic.MedicineID{far + 7, 2}},
+		{Diseases: []mic.DiseaseCount{{Disease: 3, Count: 1}}, Medicines: []mic.MedicineID{2, 2, far + 7}},
+		{Diseases: []mic.DiseaseCount{{Disease: far, Count: 1}, {Disease: far, Count: 1}}, Medicines: []mic.MedicineID{5}},
+		{Diseases: []mic.DiseaseCount{{Disease: 4, Count: -2}, {Disease: 3, Count: 1}}, Medicines: []mic.MedicineID{2, 6}},
+		{Diseases: []mic.DiseaseCount{{Disease: 3, Count: 1}}, Medicines: []mic.MedicineID{2, far + 7}},
+	}}
+}
+
 // requireIndexEqual fails unless got and want agree field for field, floats
 // by their bits. A nil slice equals an empty one: the reference grows its
 // slabs from nil, the kernel resizes them.
@@ -553,12 +702,12 @@ func requireIndexEqual(t *testing.T, label string, got, want *emIndex) {
 	sameFloatBits(t, label+" val", got.val, want.val)
 	sameFloatBits(t, label+" next", got.next, want.next)
 	sameFloatBits(t, label+" rowSum", got.rowSum, want.rowSum)
-	sameInts(t, label+" thetaStart", got.thetaStart, want.thetaStart)
-	sameInts(t, label+" thetaDis", got.thetaDis, want.thetaDis)
-	sameFloatBits(t, label+" thetaVal", got.thetaVal, want.thetaVal)
-	sameInts(t, label+" occStart", got.occStart, want.occStart)
+	sameInts(t, label+" cellStart", got.cellStart, want.cellStart)
+	sameInts(t, label+" thetaOff", got.thetaOff, want.thetaOff)
+	sameFloatBits(t, label+" weight", got.weight, want.weight)
+	sameFloatBits(t, label+" theta", got.theta, want.theta)
+	sameInts(t, label+" dis", got.dis, want.dis)
 	sameInts(t, label+" pos", got.pos, want.pos)
-	sameInts(t, label+" numMeds", got.numMeds, want.numMeds)
 }
 
 func sameInts[T ~int | ~int32](t *testing.T, label string, got, want []T) {
@@ -622,16 +771,7 @@ func TestEMKernelMatchesReference(t *testing.T) {
 	// records whose counts sum to 0 (no θ slots, yet cooccurrence mass), and
 	// records without diseases or without medicines.
 	months = append(months, edgeDataset().Months[:3]...)
-	months = append(months, twoDiseaseMonth(), zeroRowMonth(), negativeCountMonth())
-	// Disease and medicine ids far apart, so the spans are wide and mostly
-	// empty, and a record whose counts sum to a negative N_r (no θ slots).
-	const far = 1 << 20
-	months = append(months, &mic.Monthly{Month: 9, Records: []mic.Record{
-		{Diseases: []mic.DiseaseCount{{Disease: far, Count: 1}, {Disease: 3, Count: 2}}, Medicines: []mic.MedicineID{far + 7, 2}},
-		{Diseases: []mic.DiseaseCount{{Disease: 3, Count: 1}}, Medicines: []mic.MedicineID{2, 2, far + 7}},
-		{Diseases: []mic.DiseaseCount{{Disease: far, Count: 1}, {Disease: far, Count: 1}}, Medicines: []mic.MedicineID{5}},
-		{Diseases: []mic.DiseaseCount{{Disease: 4, Count: -2}, {Disease: 3, Count: 1}}, Medicines: []mic.MedicineID{2, 6}},
-	}})
+	months = append(months, twoDiseaseMonth(), zeroRowMonth(), negativeCountMonth(), farIDMonth())
 
 	check := func(label string, k *emKernel, month *mic.Monthly) {
 		t.Helper()
@@ -678,12 +818,13 @@ func TestEMKernelMatchesReference(t *testing.T) {
 }
 
 // TestFitAllocsFlatInRecords pins the index kernel's allocation profile: a
-// FitAll worker over months ten times as long allocates no more often.
+// FitAll worker over months ten times as long allocates no more often, and
+// their occurrence tables hold the same distinct entries.
 func TestFitAllocsFlatInRecords(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not representative under -race")
 	}
-	allocs := func(scale int) float64 {
+	scaled := func(scale int) *mic.Dataset {
 		base := edgeDataset()
 		ds := &mic.Dataset{Diseases: base.Diseases, Medicines: base.Medicines, Hospitals: base.Hospitals}
 		for _, m := range base.Months {
@@ -693,16 +834,41 @@ func TestFitAllocsFlatInRecords(t *testing.T) {
 			}
 			ds.Months = append(ds.Months, big)
 		}
+		return ds
+	}
+	allocs := func(ds *mic.Dataset) float64 {
 		return testing.AllocsPerRun(10, func() {
 			if _, _, err := FitAll(context.Background(), ds, FitOptions{MaxIter: 5, Workers: 1}); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	one, ten := allocs(1), allocs(10)
+	dsOne, dsTen := scaled(1), scaled(10)
+	one, ten := allocs(dsOne), allocs(dsTen)
 	t.Logf("FitAll allocations: %v per call at 1x, %v at 10x", one, ten)
 	if ten > one {
 		t.Fatalf("FitAll allocations grow with records: %v per call at 1x, %v at 10x", one, ten)
+	}
+
+	// The tenfold month repeats every occurrence ten times: the same
+	// distinct entries, each ten times as heavy.
+	for i, m := range dsOne.Months[:3] {
+		ixOne, err := new(emKernel).build(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ixTen, err := new(emKernel).build(dsTen.Months[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ixTen.weight) != len(ixOne.weight) {
+			t.Fatalf("month %d: %d distinct entries at 10x, %d at 1x", i, len(ixTen.weight), len(ixOne.weight))
+		}
+		for e, w := range ixOne.weight {
+			if ixTen.weight[e] != 10*w {
+				t.Fatalf("month %d entry %d: weight %v at 10x, %v at 1x", i, e, ixTen.weight[e], w)
+			}
+		}
 	}
 }
 
@@ -752,6 +918,101 @@ func TestFitFusedMatchesTwoSweep(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWeightedSweepMatchesPerOccurrence bounds the weighted occurrence
+// table's rounding: adding w·log(p) and w·(θ·φ/denom) once per distinct
+// occurrence, instead of log(p) and θ·φ/denom once per occurrence in record
+// order, moves the fit only in its last bits. Every month must stop after
+// the same number of iterations with the same φ support, every φ entry and
+// every traced log-likelihood within 1e-12 relative.
+func TestWeightedSweepMatchesPerOccurrence(t *testing.T) {
+	var months []*mic.Monthly
+	for _, cfg := range []micgen.Config{
+		{Seed: 5, Months: 2, RecordsPerMonth: 400, BulkDiseases: 6, BulkMedicines: 8},
+		{Seed: 23, Months: 2, RecordsPerMonth: 800, BulkDiseases: 20, BulkMedicines: 25},
+		{Seed: 29, Months: 2, RecordsPerMonth: 1500},
+	} {
+		ds, _, err := micgen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		months = append(months, ds.Months...)
+	}
+	// The edge months carry θ-less records (counts summing to 0 or below),
+	// zero-count and negative-count diseases, a row the first M-step empties,
+	// and ids far apart.
+	months = append(months, edgeDataset().Months[:3]...)
+	months = append(months, twoDiseaseMonth(), zeroRowMonth(), negativeCountMonth(), farIDMonth())
+
+	var worst float64 // the largest relative difference seen
+	rel := func(a, b float64) float64 {
+		if a == b {
+			return 0
+		}
+		d := math.Abs(a-b) / max(math.Abs(a), math.Abs(b))
+		worst = max(worst, d)
+		return d
+	}
+	const tol = 1e-12
+	merged := 0
+	for mi, month := range months {
+		ix, err := new(emKernel).build(month)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var occs float64
+		for _, w := range ix.weight {
+			occs += w
+		}
+		if int(occs) > len(ix.weight) {
+			merged++
+		}
+		for _, opts := range []FitOptions{
+			{MaxIter: 1}, {MaxIter: 2}, {MaxIter: 3}, {}, {Tol: 1e-300, MaxIter: 40},
+		} {
+			opts.TraceConvergence = true
+			got, err := Fit(month, 30, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fitPerOccurrence(month, 30, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("month %d opts %+v", mi, opts)
+			if got.Iterations != want.Iterations || len(got.LogLikTrace) != len(want.LogLikTrace) {
+				t.Fatalf("%s: %d iterations, per-occurrence sweep %d", label, got.Iterations, want.Iterations)
+			}
+			if d := rel(got.LogLik, want.LogLik); d > tol {
+				t.Fatalf("%s: LogLik %v, per-occurrence %v (relative %.3g)", label, got.LogLik, want.LogLik, d)
+			}
+			for i, w := range want.LogLikTrace {
+				if d := rel(got.LogLikTrace[i], w); d > tol {
+					t.Fatalf("%s: trace[%d] %v, per-occurrence %v (relative %.3g)", label, i, got.LogLikTrace[i], w, d)
+				}
+			}
+			if len(got.Phi) != len(want.Phi) {
+				t.Fatalf("%s: %d φ rows, per-occurrence %d", label, len(got.Phi), len(want.Phi))
+			}
+			for d, wrow := range want.Phi {
+				grow := got.Phi[d]
+				if len(grow) != len(wrow) {
+					t.Fatalf("%s: φ row %d has %d entries, per-occurrence %d", label, d, len(grow), len(wrow))
+				}
+				for m, w := range wrow {
+					g, ok := grow[m]
+					if dd := rel(g, w); !ok || dd > tol {
+						t.Fatalf("%s: φ[%d][%d] = %v, per-occurrence %v (relative %.3g)", label, d, m, g, w, dd)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d months merge occurrences; largest relative difference %.3g", merged, len(months), worst)
+	if merged < len(months)/2 {
+		t.Fatalf("only %d of %d months merge any occurrence: the corpus does not exercise the weights", merged, len(months))
 	}
 }
 

@@ -60,8 +60,10 @@ type Checkpointer interface {
 
 // HashMonth fingerprints one filtered month plus the fit options that shape
 // its model: the FNV-1a hash covers every record's hospital, patient,
-// disease bag, and medicine bag in order, and the EM knobs (MaxIter, Tol,
-// PriorWeight) whose change would produce a different model. The medicine
+// disease bag, and medicine bag in order, the EM knobs (MaxIter, Tol,
+// PriorWeight) whose change would produce a different model, and
+// medmodel.ArithmeticTag, so a model fitted by another EM arithmetic is
+// refit rather than served next to fresh ones. The medicine
 // vocabulary size is deliberately excluded — it grows as later months intern
 // new codes and does not affect the fitted Φ — so an incremental store stays
 // valid as the corpus grows.
@@ -72,6 +74,7 @@ func HashMonth(month *mic.Monthly, em medmodel.FitOptions) uint64 {
 	h = fnvWord(h, uint64(em.MaxIter))
 	h = fnvWord(h, math.Float64bits(em.Tol))
 	h = fnvWord(h, math.Float64bits(em.PriorWeight))
+	h = fnvWord(h, medmodel.ArithmeticTag)
 	h = fnvWord(h, uint64(len(month.Records)))
 	for i := range month.Records {
 		r := &month.Records[i]

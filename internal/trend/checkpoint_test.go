@@ -294,6 +294,13 @@ func TestHashMonthSensitivity(t *testing.T) {
 // refHashMonth is HashMonth written over hash/fnv: the reference byte stream
 // (little-endian words) checkpoint files on disk were fingerprinted with.
 func refHashMonth(month *mic.Monthly, em medmodel.FitOptions) uint64 {
+	return refHash(month, em, true)
+}
+
+// refHash is the FNV-1a hash of HashMonth's word stream; without the
+// arithmetic tag it is the fingerprint checkpoints carried before the tag
+// was folded in.
+func refHash(month *mic.Monthly, em medmodel.FitOptions, tagged bool) uint64 {
 	h := fnv.New64a()
 	put := func(v uint64) {
 		var buf [8]byte
@@ -305,6 +312,9 @@ func refHashMonth(month *mic.Monthly, em medmodel.FitOptions) uint64 {
 	put(uint64(em.MaxIter))
 	put(math.Float64bits(em.Tol))
 	put(math.Float64bits(em.PriorWeight))
+	if tagged {
+		put(medmodel.ArithmeticTag)
+	}
 	put(uint64(len(month.Records)))
 	for i := range month.Records {
 		r := &month.Records[i]
@@ -353,8 +363,62 @@ func TestHashMonthMatchesFNV(t *testing.T) {
 			Diseases:  []mic.DiseaseCount{{Disease: 0, Count: 1}},
 			Medicines: []mic.MedicineID{11}},
 	}}
-	const want uint64 = 0x8f146da73ad17964
+	const want uint64 = 0xaff7778cca731e26
 	if got := HashMonth(golden, medmodel.FitOptions{}); got != want {
 		t.Fatalf("golden month: HashMonth = %#x, want %#x", got, want)
+	}
+	// Without the arithmetic tag the stream is the one fingerprints had
+	// before the tag: the golden month's old value.
+	const untagged uint64 = 0x8f146da73ad17964
+	if got := refHash(golden, medmodel.FitOptions{}, false); got != untagged {
+		t.Fatalf("golden month without the tag: %#x, want %#x", got, untagged)
+	}
+}
+
+// TestCheckpointOldArithmeticRefit: a store whose months carry the
+// fingerprint from before the EM arithmetic tag holds models fitted by the
+// per-occurrence sweep. Serving them next to fresh fits would make a
+// restarted server disagree with a cold analysis in the last bits, so every
+// such month is refit, not reused, and the result equals a cold run.
+func TestCheckpointOldArithmeticRefit(t *testing.T) {
+	ds := genTiny(t)
+	opts := ckptOptions()
+	cold, err := Analyze(context.Background(), ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ckpt := newMemCheckpointer()
+	opts.Checkpoint = ckpt
+	if _, err := Analyze(context.Background(), ds, opts); err != nil {
+		t.Fatal(err)
+	}
+	fopts := mic.FilterOptions{MinMonthlyFreq: opts.MinMonthlyFreq}
+	for i, m := range ds.Months {
+		cp := ckpt.months[i]
+		filtered := mic.FilterMonthly(m, fopts)
+		if cp.DataHash != refHash(filtered, opts.EM, true) {
+			t.Fatalf("month %d: saved fingerprint %#x is not the tagged hash", i, cp.DataHash)
+		}
+		cp.DataHash = refHash(filtered, opts.EM, false)
+		ckpt.months[i] = cp
+	}
+
+	metrics := obs.NewRegistry()
+	opts.Metrics = metrics
+	ckpt.saves = 0
+	got, err := Analyze(context.Background(), ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := metrics.Counter("trend/ckpt_months_reused").Value(); n != 0 {
+		t.Fatalf("reused %d months fingerprinted before the arithmetic tag, want 0", n)
+	}
+	if ckpt.saves != ds.T() {
+		t.Fatalf("refit and saved %d months, want %d", ckpt.saves, ds.T())
+	}
+	got.MonthProvenance = cold.MonthProvenance
+	if !reflect.DeepEqual(got, cold) {
+		t.Fatal("analysis over the refit store differs from a cold run")
 	}
 }

@@ -134,7 +134,8 @@ func runMemo(t *testing.T, ds *mic.Dataset, h Hierarchy, opts Options) memoRun {
 // a corpus where most series repeat another, Analyze and a Surveil reusing
 // it return exactly what one changepoint.Detect per series returns —
 // Results, Fits, fit totals and provenance, hence the explain artefacts —
-// for every Workers/Shards split, with and without Explain. Memo hits keep
+// for every Workers split, with and without Explain; Shards is a deprecated
+// no-op, pinned by one nonzero value on the last split. Memo hits keep
 // their per-series span (tagged memo=<representative>) and SeriesDone event.
 func TestScanMemoMatchesDirectScans(t *testing.T) {
 	if testing.Short() {
@@ -144,114 +145,113 @@ func TestScanMemoMatchesDirectScans(t *testing.T) {
 	for _, explain := range []bool{false, true} {
 		var wantA, wantS []byte
 		var wantExplain map[string][]byte
-		for _, workers := range []int{1, 2, 4} {
-			for _, shards := range []int{0, 3} {
-				opts := memoOpts()
-				opts.Workers, opts.Shards, opts.Explain = workers, shards, explain
-				run := runMemo(t, ds, h, opts)
-				a, s := run.a, run.s
-				if len(a.Failures) != 0 || len(s.Failures) != 0 {
-					t.Fatalf("failures: %v %v", a.Failures, s.Failures)
+		for _, split := range []struct{ workers, shards int }{{1, 0}, {2, 0}, {4, 3}} {
+			workers, shards := split.workers, split.shards
+			opts := memoOpts()
+			opts.Workers, opts.Shards, opts.Explain = workers, shards, explain
+			run := runMemo(t, ds, h, opts)
+			a, s := run.a, run.s
+			if len(a.Failures) != 0 || len(s.Failures) != 0 {
+				t.Fatalf("failures: %v %v", a.Failures, s.Failures)
+			}
+			gotA, err := json.Marshal([]any{a.Diseases, a.Medicines, a.Prescriptions, a.TotalFits, a.SeriesProvenance})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var report bytes.Buffer
+			if err := s.WriteReport(&report, ds); err != nil {
+				t.Fatal(err)
+			}
+			gotS := append(surveilJSON(t, s), report.Bytes()...)
+			if wantA != nil {
+				if !bytes.Equal(gotA, wantA) || !bytes.Equal(gotS, wantS) {
+					t.Fatalf("explain=%v workers=%d shards=%d: output differs from workers=1", explain, workers, shards)
 				}
-				gotA, err := json.Marshal([]any{a.Diseases, a.Medicines, a.Prescriptions, a.TotalFits, a.SeriesProvenance})
-				if err != nil {
-					t.Fatal(err)
+				if explain && !reflect.DeepEqual(explainBytes(t, a, opts), wantExplain) {
+					t.Fatalf("workers=%d shards=%d: explain artefacts differ", workers, shards)
 				}
-				var report bytes.Buffer
-				if err := s.WriteReport(&report, ds); err != nil {
-					t.Fatal(err)
-				}
-				gotS := append(surveilJSON(t, s), report.Bytes()...)
-				if wantA != nil {
-					if !bytes.Equal(gotA, wantA) || !bytes.Equal(gotS, wantS) {
-						t.Fatalf("explain=%v workers=%d shards=%d: output differs from workers=1", explain, workers, shards)
-					}
-					if explain && !reflect.DeepEqual(explainBytes(t, a, opts), wantExplain) {
-						t.Fatalf("workers=%d shards=%d: explain artefacts differ", workers, shards)
-					}
-					continue
-				}
-				wantA, wantS = gotA, gotS
+				continue
+			}
+			wantA, wantS = gotA, gotS
 
-				// The first split is checked against the memo-free reference.
-				leaves := len(a.Diseases) + len(a.Medicines) + len(a.Prescriptions)
-				if hits := run.counters["scan/memo_hits"]; hits == 0 || hits >= int64(leaves) {
-					t.Fatalf("scan/memo_hits = %d of %d leaves: the corpus does not exercise the memo", hits, leaves)
-				}
-				if hits := run.counters["surveil/memo_hits"]; hits == 0 {
-					t.Fatal("surveil/memo_hits = 0: the reused analysis did not seed the memo")
-				}
-				ref := *a
-				ref.SeriesProvenance = append([]SeriesProvenance(nil), a.SeriesProvenance...)
-				fits, i := 0, 0
-				for _, dets := range [][]Detection{a.Diseases, a.Medicines, a.Prescriptions} {
-					for _, det := range dets {
-						res, prov := detectDirect(t, det.Series, opts)
-						if det.Result != res {
-							t.Fatalf("%s: memo result %+v, direct %+v", det.Key(), det.Result, res)
+			// The first split is checked against the memo-free reference.
+			leaves := len(a.Diseases) + len(a.Medicines) + len(a.Prescriptions)
+			if hits := run.counters["scan/memo_hits"]; hits == 0 || hits >= int64(leaves) {
+				t.Fatalf("scan/memo_hits = %d of %d leaves: the corpus does not exercise the memo", hits, leaves)
+			}
+			if hits := run.counters["surveil/memo_hits"]; hits == 0 {
+				t.Fatal("surveil/memo_hits = 0: the reused analysis did not seed the memo")
+			}
+			ref := *a
+			ref.SeriesProvenance = append([]SeriesProvenance(nil), a.SeriesProvenance...)
+			fits, i := 0, 0
+			for _, dets := range [][]Detection{a.Diseases, a.Medicines, a.Prescriptions} {
+				for _, det := range dets {
+					res, prov := detectDirect(t, det.Series, opts)
+					if det.Result != res {
+						t.Fatalf("%s: memo result %+v, direct %+v", det.Key(), det.Result, res)
+					}
+					fits += res.Fits
+					if explain {
+						if ref.SeriesProvenance[i].Key != det.Key().String() {
+							t.Fatalf("provenance %d is %s, want %s", i, ref.SeriesProvenance[i].Key, det.Key())
 						}
-						fits += res.Fits
-						if explain {
-							if ref.SeriesProvenance[i].Key != det.Key().String() {
-								t.Fatalf("provenance %d is %s, want %s", i, ref.SeriesProvenance[i].Key, det.Key())
-							}
-							ref.SeriesProvenance[i].Scan = prov
-						}
-						i++
+						ref.SeriesProvenance[i].Scan = prov
 					}
+					i++
 				}
-				if a.TotalFits != fits {
-					t.Fatalf("TotalFits = %d, direct scans spent %d", a.TotalFits, fits)
+			}
+			if a.TotalFits != fits {
+				t.Fatalf("TotalFits = %d, direct scans spent %d", a.TotalFits, fits)
+			}
+			aggFits := 0
+			for i := range s.Nodes {
+				res, prov := detectDirect(t, s.Nodes[i].Series, opts)
+				if s.Nodes[i].Result != res {
+					t.Fatalf("%s: memo result %+v, direct %+v", s.Nodes[i].Key, s.Nodes[i].Result, res)
 				}
-				aggFits := 0
-				for i := range s.Nodes {
-					res, prov := detectDirect(t, s.Nodes[i].Series, opts)
-					if s.Nodes[i].Result != res {
-						t.Fatalf("%s: memo result %+v, direct %+v", s.Nodes[i].Key, s.Nodes[i].Result, res)
-					}
-					if explain && !reflect.DeepEqual(s.Provenance[i].Scan, prov) {
-						t.Fatalf("%s: memo provenance differs from a direct scan's", s.Nodes[i].Key)
-					}
-					aggFits += res.Fits
+				if explain && !reflect.DeepEqual(s.Provenance[i].Scan, prov) {
+					t.Fatalf("%s: memo provenance differs from a direct scan's", s.Nodes[i].Key)
 				}
-				if s.AggregateFits != aggFits {
-					t.Fatalf("AggregateFits = %d, direct scans spent %d", s.AggregateFits, aggFits)
+				aggFits += res.Fits
+			}
+			if s.AggregateFits != aggFits {
+				t.Fatalf("AggregateFits = %d, direct scans spent %d", s.AggregateFits, aggFits)
+			}
+			if explain {
+				wantExplain = explainBytes(t, &ref, opts)
+				if got := explainBytes(t, a, opts); !reflect.DeepEqual(got, wantExplain) {
+					t.Fatal("explain artefacts differ from the direct scans'")
 				}
-				if explain {
-					wantExplain = explainBytes(t, &ref, opts)
-					if got := explainBytes(t, a, opts); !reflect.DeepEqual(got, wantExplain) {
-						t.Fatal("explain artefacts differ from the direct scans'")
-					}
-					rep, dup := repeatedLeaf(t, a)
-					scans := map[string]*changepoint.Provenance{}
-					for _, sp := range a.SeriesProvenance {
-						scans[sp.Key] = sp.Scan
-					}
-					if scans[rep] == scans[dup] {
-						t.Fatal("a memo hit shares its representative's provenance record")
-					}
+				rep, dup := repeatedLeaf(t, a)
+				scans := map[string]*changepoint.Provenance{}
+				for _, sp := range a.SeriesProvenance {
+					scans[sp.Key] = sp.Scan
 				}
+				if scans[rep] == scans[dup] {
+					t.Fatal("a memo hit shares its representative's provenance record")
+				}
+			}
 
-				// Every series keeps its span; memo hits name their
-				// representative.
-				memoSpans := map[string]int64{}
-				for _, sp := range run.spans {
-					if strings.HasSuffix(sp.Name, "/series") {
-						memoSpans[sp.Name+" total"]++
-						if strings.Contains(sp.Detail, " memo=") {
-							memoSpans[sp.Name]++
-						}
+			// Every series keeps its span; memo hits name their
+			// representative.
+			memoSpans := map[string]int64{}
+			for _, sp := range run.spans {
+				if strings.HasSuffix(sp.Name, "/series") {
+					memoSpans[sp.Name+" total"]++
+					if strings.Contains(sp.Detail, " memo=") {
+						memoSpans[sp.Name]++
 					}
 				}
-				want := map[string]int64{
-					"detect/series total":  int64(leaves),
-					"detect/series":        run.counters["scan/memo_hits"],
-					"surveil/series total": int64(len(s.Nodes)),
-					"surveil/series":       run.counters["surveil/memo_hits"],
-				}
-				if !reflect.DeepEqual(memoSpans, want) {
-					t.Fatalf("per-series spans %v, want %v", memoSpans, want)
-				}
+			}
+			want := map[string]int64{
+				"detect/series total":  int64(leaves),
+				"detect/series":        run.counters["scan/memo_hits"],
+				"surveil/series total": int64(len(s.Nodes)),
+				"surveil/series":       run.counters["surveil/memo_hits"],
+			}
+			if !reflect.DeepEqual(memoSpans, want) {
+				t.Fatalf("per-series spans %v, want %v", memoSpans, want)
 			}
 		}
 	}

@@ -12,8 +12,9 @@ import (
 
 // TestAnalyzeWorkersShardsInvariance is the pipeline's scale-out contract:
 // the full analysis — detections, failures, series, fit counts — is
-// byte-identical for every Workers/Shards split, and identical whether the
-// corpus arrived through the JSONL or the columnar storage backend.
+// byte-identical for every Workers split, and identical whether the corpus
+// arrived through the JSONL or the columnar storage backend. Shards is a
+// deprecated no-op; one nonzero value pins that it stays one.
 func TestAnalyzeWorkersShardsInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline invariance sweep is heavy")
@@ -43,7 +44,6 @@ func TestAnalyzeWorkersShardsInvariance(t *testing.T) {
 		opts.Seasonal = false
 		opts.MinSeriesTotal = 100
 		opts.Workers = 1
-		opts.Shards = 1
 		return opts
 	}
 	ref, err := Analyze(context.Background(), ds, base())
@@ -55,10 +55,9 @@ func TestAnalyzeWorkersShardsInvariance(t *testing.T) {
 		workers, shards int
 		data            *mic.Dataset
 	}{
-		{workers: 4, shards: 1, data: ds},
-		{workers: 4, shards: 3, data: ds},
+		{workers: 4, data: ds},
 		{workers: 2, shards: 7, data: ds},
-		{workers: 8, shards: 4, data: fromCol}, // columnar-decoded corpus
+		{workers: 8, data: fromCol}, // columnar-decoded corpus
 	} {
 		opts := base()
 		opts.Workers = tc.workers

@@ -231,7 +231,9 @@ func surveilJSON(t *testing.T, s *Surveillance) []byte {
 
 // TestSurveilWorkersShardsInvariance is the determinism acceptance test: the
 // surveillance tree must be byte-identical for every Workers/ScanWorkers
-// split, and for Analysis-reuse across Shards splits.
+// split, and with a reused Analysis. Shards is a deprecated no-op; the
+// reused Analysis runs under one nonzero value, which pins that it stays
+// one.
 func TestSurveilWorkersShardsInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline test is heavy")
@@ -256,46 +258,32 @@ func TestSurveilWorkersShardsInvariance(t *testing.T) {
 		}
 	}
 
-	// Reusing a full Analyze (under any shard split) must yield the same
-	// tree: the leaf change points it cross-links are exactly what the
-	// standalone drill-down computes, so only DrillFits — the count of NEW
-	// fits the reuse saved — may differ. Normalize it before comparing.
+	// Reusing a full Analyze must yield the same tree: the leaf change
+	// points it cross-links are exactly what the standalone drill-down
+	// computes, so only DrillFits — the count of NEW fits the reuse saved —
+	// may differ. Normalize it before comparing.
 	normalize := func(s *Surveillance) []byte {
 		c := *s
 		c.DrillFits = 0
 		return surveilJSON(t, &c)
 	}
-	var wantNorm []byte
-	{
-		opts := base
-		surv, err := Surveil(context.Background(), ds, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantNorm = normalize(surv)
+	standalone, err := Surveil(context.Background(), ds, base)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var prevReuse []byte
-	for _, shards := range []int{1, 3} {
-		opts := base
-		opts.Pipeline.Shards = shards
-		analysis, err := Analyze(context.Background(), ds, opts.Pipeline)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Analysis = analysis
-		surv, err := Surveil(context.Background(), ds, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := normalize(surv); !bytes.Equal(got, wantNorm) {
-			t.Fatalf("surveillance with reused analysis (shards=%d) differs from standalone", shards)
-		}
-		got := surveilJSON(t, surv)
-		if prevReuse == nil {
-			prevReuse = got
-		} else if !bytes.Equal(got, prevReuse) {
-			t.Fatalf("reused surveillance differs across shard splits")
-		}
+	opts := base
+	opts.Pipeline.Shards = 3
+	analysis, err := Analyze(context.Background(), ds, opts.Pipeline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Analysis = analysis
+	surv, err := Surveil(context.Background(), ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(normalize(surv), normalize(standalone)) {
+		t.Fatal("surveillance with reused analysis (shards=3) differs from standalone")
 	}
 }
 
