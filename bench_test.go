@@ -473,6 +473,7 @@ func BenchmarkEMFitSmoothed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := medmodel.FitSmoothed(ds.Months[1], ds.Medicines.Len(), medmodel.FitOptions{MaxIter: 20}, prior, 5); err != nil {

@@ -1,6 +1,7 @@
 package medmodel
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -65,8 +66,10 @@ type FitOptions struct {
 // under the same tag, so checkpoint fingerprints fold it in and a store
 // written under another arithmetic is refit rather than served. A change
 // that moves fitted bits must change it. Tag 2 is the weighted occurrence
-// sweep; the per-occurrence sweep before it was never tagged.
-const ArithmeticTag uint64 = 2
+// sweep; the per-occurrence sweep before it was never tagged. Tag 3 runs the
+// smoothed (PriorWeight > 0) chain on that sweep too; the plain fit's bits
+// are those of tag 2.
+const ArithmeticTag uint64 = 3
 
 // WithDefaults returns the options with the EM loop defaults filled in, the
 // exact values Fit and FitAll use; exposed so checkpoint fingerprints hash
@@ -120,6 +123,27 @@ type emIndex struct {
 	theta     []float64
 	dis       []int32
 	pos       []int32
+
+	// The MAP prior, when prior is set: pw[i] is φ entry i's pseudo-count
+	// w·φ_prev, rowPrior[r] the pseudo-counts of row r's whole prior row,
+	// and norm[r] the normalizer of row r's last M-step. The prior's pairs
+	// that do not cooccur this month never reach the E-step; extra keeps
+	// them, ascending by disease and then medicine, for phiMap.
+	prior    bool
+	pw       []float64
+	rowPrior []float64
+	norm     []float64
+	extra    []priorCell
+}
+
+// priorCell is one pair of the prior: its pseudo-count, and once kept in
+// extra the index row of its disease (-1 when it has none, and then v is the
+// pair's final φ).
+type priorCell struct {
+	d   mic.DiseaseID
+	m   mic.MedicineID
+	row int32
+	v   float64
 }
 
 // emKernel builds a month's emIndex in scratch it keeps between months, the
@@ -156,6 +180,9 @@ type emKernel struct {
 	table   []int32
 	shift   uint
 	entMed  []mic.MedicineID
+
+	// The prior's cells, sorted.
+	priorCells []priorCell
 }
 
 // coocElem is one cooccurrence: one disease entry of a record with one of its
@@ -180,11 +207,12 @@ type coocElem struct {
 // goes through a bucket, merged or not, and the counts are exact integers,
 // so every φ quotient is the one the map-based count divides out.
 func (k *emKernel) build(month *mic.Monthly) (*emIndex, error) {
+	ix := &k.ix
+	ix.prior, ix.extra = false, ix.extra[:0] // until setPrior
 	recs, dspan, mspan := k.span(month)
 	if recs == 0 {
 		return nil, fmt.Errorf("%w (month %d)", ErrEmptyMonth, month.Month)
 	}
-	ix := &k.ix
 	if len(k.slotOf) < dspan {
 		k.slotOf = make([]int32, dspan)
 		for i := range k.slotOf {
@@ -503,10 +531,18 @@ func (ix *emIndex) sweep() float64 {
 }
 
 // mstep renormalizes the accumulated E-step into the next φ iterate
-// (Eq. 5).
+// (Eq. 5). Under a prior the MAP step first adds the pseudo-counts w·φ_prev
+// to the expected counts.
 func (ix *emIndex) mstep() {
 	for d, sum := range ix.rowSum {
 		lo, hi := ix.rowStart[d], ix.rowStart[d+1]
+		if ix.prior {
+			sum += ix.rowPrior[d]
+			ix.norm[d] = sum
+			for i := lo; i < hi; i++ {
+				ix.next[i] += ix.pw[i]
+			}
+		}
 		if sum <= 0 {
 			// The row lost all mass: zero it, the dense-index equivalent of
 			// deleting the map row (lookups read 0 either way).
@@ -521,7 +557,9 @@ func (ix *emIndex) mstep() {
 
 // phiMap converts the dense rows back to the public map representation,
 // dropping rows and entries that carry no mass (mirroring the sparsity the
-// map-based accumulation produced).
+// map-based accumulation produced). Under a prior it adds the prior's pairs
+// outside the cooccurrences: in a row, the pseudo-count over the row's last
+// normalizer; for a disease without a row, the value setPrior fixed.
 func (ix *emIndex) phiMap() map[mic.DiseaseID]map[mic.MedicineID]float64 {
 	out := make(map[mic.DiseaseID]map[mic.MedicineID]float64, len(ix.diseases))
 	for di, d := range ix.diseases {
@@ -540,7 +578,95 @@ func (ix *emIndex) phiMap() map[mic.DiseaseID]map[mic.MedicineID]float64 {
 			out[d] = row
 		}
 	}
+	for _, c := range ix.extra {
+		v := c.v
+		if c.row >= 0 {
+			v /= ix.norm[c.row]
+		}
+		if !(v > 0) { // no mass, or 0/0 in a row without any
+			continue
+		}
+		row := out[c.d]
+		if row == nil {
+			row = make(map[mic.MedicineID]float64)
+			out[c.d] = row
+		}
+		row[c.m] = v
+	}
 	return out
+}
+
+// setPrior centers a Dirichlet prior of concentration w at prior's φ on the
+// built index, unless prior is nil or w ≤ 0: w·φ_prev[d][m] become
+// pseudo-counts, and every row the prior holds starts from its
+// Eq. 10 estimate plus them, renormalized. The E-step never reads a disease
+// without a row, so its prior row, renormalized, is final at once. The
+// prior's cells are visited in ascending (disease, medicine) order, so every
+// sum over them is bit-deterministic.
+func (k *emKernel) setPrior(prior *Model, w float64) {
+	if prior == nil || w <= 0 {
+		return
+	}
+	ix := &k.ix
+	ix.prior = true
+	ix.pw = resize(ix.pw, len(ix.val))
+	clear(ix.pw)
+	ix.rowPrior = resize(ix.rowPrior, len(ix.diseases))
+	clear(ix.rowPrior)
+	ix.norm = resize(ix.norm, len(ix.diseases))
+	cells := k.priorCells[:0]
+	for d, prow := range prior.Phi {
+		for m, v := range prow {
+			cells = append(cells, priorCell{d: d, m: m, v: w * v})
+		}
+	}
+	slices.SortFunc(cells, func(a, b priorCell) int { return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.m, b.m)) })
+	k.priorCells = cells
+	for c := 0; c < len(cells); {
+		d, row := cells[c].d, int32(-1)
+		if j := int(d) - int(k.dlo); j >= 0 && j < len(k.rowOf) {
+			row = k.rowOf[j]
+		}
+		lo, hi := 0, 0
+		if row >= 0 {
+			lo, hi = ix.rowStart[row], ix.rowStart[row+1]
+		}
+		// Merge the prior row into the index row, both ascending by
+		// medicine.
+		first, i := len(ix.extra), lo
+		var mass, outside float64
+		for ; c < len(cells) && cells[c].d == d; c++ {
+			cell := cells[c]
+			mass += cell.v
+			for i < hi && ix.rowMed[i] < cell.m {
+				i++
+			}
+			if i < hi && ix.rowMed[i] == cell.m {
+				ix.pw[i] = cell.v
+				continue
+			}
+			cell.row = row
+			ix.extra = append(ix.extra, cell)
+			outside += cell.v
+		}
+		if row < 0 {
+			for e := first; e < len(ix.extra); e++ {
+				ix.extra[e].v /= mass
+			}
+			continue
+		}
+		ix.rowPrior[row] = mass
+		sum := outside
+		for i := lo; i < hi; i++ {
+			ix.val[i] += ix.pw[i]
+			sum += ix.val[i]
+		}
+		if sum > 0 {
+			for i := lo; i < hi; i++ {
+				ix.val[i] /= sum
+			}
+		}
+	}
 }
 
 // Fit estimates the latent-variable medication model for one month with the
@@ -553,16 +679,18 @@ func (ix *emIndex) phiMap() map[mic.DiseaseID]map[mic.MedicineID]float64 {
 // the next E-step; the fitted Φ is converted back to the map representation
 // the Model API exposes. Results are deterministic.
 func Fit(month *mic.Monthly, vocabMedicines int, opts FitOptions) (*Model, error) {
-	return new(emKernel).fit(month, vocabMedicines, opts)
+	return new(emKernel).fit(month, vocabMedicines, opts, nil, 0)
 }
 
-// fit is Fit on the kernel's reusable index.
-func (k *emKernel) fit(month *mic.Monthly, vocabMedicines int, opts FitOptions) (*Model, error) {
+// fit is Fit on the kernel's reusable index, or with a prior and a w > 0
+// FitSmoothed's MAP fit.
+func (k *emKernel) fit(month *mic.Monthly, vocabMedicines int, opts FitOptions, prior *Model, w float64) (*Model, error) {
 	opts = opts.withDefaults()
 	ix, err := k.build(month)
 	if err != nil {
 		return nil, err
 	}
+	k.setPrior(prior, w)
 	model := &Model{
 		Eta: EstimateEta(month),
 		M:   vocabMedicines,
@@ -628,7 +756,8 @@ type MonthError struct {
 
 // fitMonth fits one month on k with panic isolation: a crash inside the EM
 // loop becomes an error confined to that month instead of a process abort.
-func fitMonth(k *emKernel, month *mic.Monthly, vocabMedicines int, opts FitOptions) (m *Model, panicked bool, err error) {
+// prior is the month's MAP prior when opts.PriorWeight > 0.
+func fitMonth(k *emKernel, month *mic.Monthly, vocabMedicines int, opts FitOptions, prior *Model) (m *Model, panicked bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			m, panicked = nil, true
@@ -641,7 +770,7 @@ func fitMonth(k *emKernel, month *mic.Monthly, vocabMedicines int, opts FitOptio
 	if err := faultpoint.Inject("medmodel/fit-month", strconv.Itoa(month.Month)); err != nil {
 		return nil, false, err
 	}
-	m, err = k.fit(month, vocabMedicines, opts)
+	m, err = k.fit(month, vocabMedicines, opts, prior, opts.PriorWeight)
 	return m, false, err
 }
 
@@ -737,21 +866,19 @@ func (ins *fitAllInstruments) monthDone(ctx context.Context, i int, m *Model, er
 // opts.PriorWeight months are independent and fitted concurrently by a
 // bounded pool of opts.Workers goroutines (default GOMAXPROCS); the models
 // are identical to those of a serial month-by-month loop. A positive
-// PriorWeight switches to the inherently serial smoothed chain, each month's
-// prior centered at the previous month's posterior.
+// PriorWeight chains the months, each month's prior centered at the last
+// fitted posterior (opts.InitialPrior before the first), so one worker fits
+// them in order.
 //
 // FitAll degrades rather than failing atomically: a month whose fit errors
 // or panics leaves a nil entry in the returned slice and a MonthError
-// (ascending by month), while every other month's model is still produced.
-// The error return is reserved for cancellation — when ctx is cancelled the
-// already-fitted models are returned alongside ctx's error, and no new month
-// fits start.
+// (ascending by month), while every other month's model is still produced;
+// the chain continues from the last month that did fit. The error return is
+// reserved for cancellation — when ctx is cancelled the already-fitted
+// models are returned alongside ctx's error, and no new month fits start.
 func FitAll(ctx context.Context, d *mic.Dataset, opts FitOptions) ([]*Model, []MonthError, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if opts.PriorWeight > 0 {
-		return fitAllSmoothed(ctx, d, opts)
 	}
 	models := make([]*Model, d.T())
 	errs := make([]error, len(d.Months))
@@ -764,92 +891,43 @@ func FitAll(ctx context.Context, d *mic.Dataset, opts FitOptions) ([]*Model, []M
 	if workers > len(d.Months) {
 		workers = len(d.Months)
 	}
+	if opts.PriorWeight > 0 {
+		workers = 1
+	}
 	// Each worker reuses one kernel's index scratch across the months it
-	// takes.
-	if workers <= 1 {
-		var k emKernel
-		for i, month := range d.Months {
-			if err := ctx.Err(); err != nil {
-				return models, monthErrors(errs, panicked), err
-			}
-			began := ins.began()
-			models[i], panicked[i], errs[i] = fitMonth(&k, month, d.Medicines.Len(), opts)
-			ins.monthDone(ctx, i, models[i], errs[i], began)
-		}
-	} else {
-		in := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var k emKernel
-				for i := range in {
-					if ctx.Err() != nil {
-						continue // drain: cancelled before this month started
-					}
-					began := ins.began()
-					models[i], panicked[i], errs[i] = fitMonth(&k, d.Months[i], d.Medicines.Len(), opts)
-					ins.monthDone(ctx, i, models[i], errs[i], began)
+	// takes. A lone worker takes them in order and threads each fitted
+	// posterior into the next month, whose fit reads it as the prior only
+	// when PriorWeight > 0.
+	in := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var k emKernel
+			prior := opts.InitialPrior
+			for i := range in {
+				if ctx.Err() != nil {
+					continue // drain: cancelled before this month started
 				}
-			}()
-		}
-		for i := range d.Months {
-			select {
-			case in <- i:
-			case <-ctx.Done():
+				began := ins.began()
+				models[i], panicked[i], errs[i] = fitMonth(&k, d.Months[i], d.Medicines.Len(), opts, prior)
+				if models[i] != nil && workers == 1 {
+					prior = models[i]
+				}
+				ins.monthDone(ctx, i, models[i], errs[i], began)
 			}
+		}()
+	}
+	for i := range d.Months {
+		select {
+		case in <- i:
+		case <-ctx.Done():
 		}
-		close(in)
-		wg.Wait()
 	}
-	if err := ctx.Err(); err != nil {
-		return models, monthErrors(errs, panicked), err
-	}
-	return models, monthErrors(errs, panicked), nil
-}
-
-// fitAllSmoothed is FitAll's PriorWeight > 0 path: the serial smoothed
-// chain with the same degradation contract — a failed month leaves a nil
-// model and a MonthError while the chain continues from the last month that
-// did fit (its posterior stays the prior).
-func fitAllSmoothed(ctx context.Context, d *mic.Dataset, opts FitOptions) ([]*Model, []MonthError, error) {
-	models := make([]*Model, d.T())
-	errs := make([]error, len(d.Months))
-	panicked := make([]bool, len(d.Months))
-	ins := newFitAllInstruments(opts, len(d.Months))
-	prev := opts.InitialPrior
-	for i, month := range d.Months {
-		if err := ctx.Err(); err != nil {
-			return models, monthErrors(errs, panicked), err
-		}
-		began := ins.began()
-		models[i], panicked[i], errs[i] = fitMonthSmoothed(month, d.Medicines.Len(), opts, prev)
-		if models[i] != nil {
-			prev = models[i]
-		}
-		ins.monthDone(ctx, i, models[i], errs[i], began)
-	}
-	if err := ctx.Err(); err != nil {
-		return models, monthErrors(errs, panicked), err
-	}
-	return models, monthErrors(errs, panicked), nil
-}
-
-// fitMonthSmoothed is fitMonth for the smoothed chain: the same faultpoint
-// site and panic isolation, with the previous month's posterior as prior.
-func fitMonthSmoothed(month *mic.Monthly, vocabMedicines int, opts FitOptions, prior *Model) (m *Model, panicked bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m, panicked = nil, true
-			err = fmt.Errorf("medmodel: month %d fit panicked: %v", month.Month, r)
-		}
-	}()
-	if err := faultpoint.Inject("medmodel/fit-month", strconv.Itoa(month.Month)); err != nil {
-		return nil, false, err
-	}
-	m, err = FitSmoothed(month, vocabMedicines, opts, prior, opts.PriorWeight)
-	return m, false, err
+	close(in)
+	wg.Wait()
+	return models, monthErrors(errs, panicked), ctx.Err()
 }
 
 // monthErrors collects the per-month failures in month order.

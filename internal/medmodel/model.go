@@ -17,7 +17,6 @@ package medmodel
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"mictrend/internal/mic"
 )
@@ -170,25 +169,4 @@ func EstimateEta(month *mic.Monthly) map[mic.DiseaseID]float64 {
 		out[d] = float64(f) / total
 	}
 	return out
-}
-
-// logLikelihood computes the Φ part of Eq. 3 for the given records.
-func logLikelihood(recs []*mic.Record, phi map[mic.DiseaseID]map[mic.MedicineID]float64) float64 {
-	var ll float64
-	for _, r := range recs {
-		theta := Theta(r)
-		for _, med := range r.Medicines {
-			var p float64
-			for d, th := range theta {
-				if row, ok := phi[d]; ok {
-					p += th * row[med]
-				}
-			}
-			if p <= 0 {
-				p = math.SmallestNonzeroFloat64
-			}
-			ll += math.Log(p)
-		}
-	}
-	return ll
 }

@@ -20,7 +20,9 @@ import (
 // then a separate likelihood sweep per iteration) as test oracles: the
 // streaming kernel, the dense index kernel and the fused sweep must match
 // them bit for bit. It also keeps the per-occurrence sweep the weighted
-// occurrence table replaced, which the weighted fit must match to rounding.
+// occurrence table replaced, and the map-based MAP-EM loop the smoothed fit
+// ran on before it moved onto the kernel, which the kernel must match to
+// rounding.
 
 // responder is anything that spreads a medicine occurrence over a record's
 // diseases: Model and Cooccurrence.
@@ -427,6 +429,204 @@ func fitPerOccurrence(month *mic.Monthly, vocabMedicines int, opts FitOptions) (
 	return model, nil
 }
 
+// thetaEntry is one (disease, θ_rd) pair of a record's topic mixture held in
+// ascending-disease order, so every float accumulation over a record's θ runs
+// in a fixed order.
+type thetaEntry struct {
+	d  mic.DiseaseID
+	th float64
+}
+
+func sortedTheta(r *mic.Record) []thetaEntry {
+	theta := Theta(r)
+	out := make([]thetaEntry, 0, len(theta))
+	for d, th := range theta {
+		out = append(out, thetaEntry{d: d, th: th})
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].d < out[b].d })
+	return out
+}
+
+// sortedRowKeys returns a φ row's medicine ids in ascending order.
+func sortedRowKeys(row map[mic.MedicineID]float64) []mic.MedicineID {
+	meds := make([]mic.MedicineID, 0, len(row))
+	for med := range row {
+		meds = append(meds, med)
+	}
+	sort.Slice(meds, func(a, b int) bool { return meds[a] < meds[b] })
+	return meds
+}
+
+// fitSmoothedReference is the map-based MAP-EM loop: φ as maps of maps
+// started from the Eq. 10 estimate blended with the prior, the E-step over
+// each record's θ in ascending disease order, the pseudo-counts
+// priorWeight·φ_prev added to every M-step in ascending id order, and a
+// separate likelihood pass. Records whose counts do not sum to a positive
+// N_r count in the Eq. 10 start but, as in the kernel, have no θ: no
+// likelihood term and no E-step (validated input has none).
+func fitSmoothedReference(month *mic.Monthly, vocabMedicines int, opts FitOptions, prior *Model, priorWeight float64) (*Model, error) {
+	if prior == nil || priorWeight <= 0 {
+		return Fit(month, vocabMedicines, opts)
+	}
+	opts = opts.withDefaults()
+	usable, err := usableRecords(month)
+	if err != nil {
+		return nil, err
+	}
+	phi := cooccurrencePhi(usable)
+	blendPrior(phi, prior.Phi, priorWeight)
+	var recs []*mic.Record
+	for _, r := range usable {
+		if r.NumDiseaseMentions() > 0 {
+			recs = append(recs, r)
+		}
+	}
+
+	// Fix the iteration orders once: per-record θ ascending by disease, and
+	// the prior's rows and entries ascending by id.
+	thetas := make([][]thetaEntry, len(recs))
+	for i, r := range recs {
+		thetas[i] = sortedTheta(r)
+	}
+	priorDiseases := make([]mic.DiseaseID, 0, len(prior.Phi))
+	for d := range prior.Phi {
+		priorDiseases = append(priorDiseases, d)
+	}
+	sort.Slice(priorDiseases, func(a, b int) bool { return priorDiseases[a] < priorDiseases[b] })
+	priorMeds := make([][]mic.MedicineID, len(priorDiseases))
+	for i, d := range priorDiseases {
+		priorMeds[i] = sortedRowKeys(prior.Phi[d])
+	}
+
+	model := &Model{Eta: EstimateEta(month), Phi: phi, M: vocabMedicines}
+	prevLL := math.Inf(-1)
+	for iter := 0; iter < opts.MaxIter; iter++ {
+		next := make(map[mic.DiseaseID]map[mic.MedicineID]float64, len(phi))
+		rowSums := make(map[mic.DiseaseID]float64, len(phi))
+		for ri, r := range recs {
+			theta := thetas[ri]
+			for _, med := range r.Medicines {
+				var denom float64
+				for _, e := range theta {
+					if row, ok := phi[e.d]; ok {
+						denom += e.th * row[med]
+					}
+				}
+				if denom <= 0 {
+					continue
+				}
+				for _, e := range theta {
+					row, ok := phi[e.d]
+					if !ok {
+						continue
+					}
+					q := e.th * row[med] / denom
+					if q == 0 {
+						continue
+					}
+					nrow, ok := next[e.d]
+					if !ok {
+						nrow = make(map[mic.MedicineID]float64)
+						next[e.d] = nrow
+					}
+					nrow[med] += q
+					rowSums[e.d] += q
+				}
+			}
+		}
+		// The MAP step: priorWeight·φ_prev as pseudo-counts.
+		for i, d := range priorDiseases {
+			prow := prior.Phi[d]
+			nrow, ok := next[d]
+			if !ok {
+				nrow = make(map[mic.MedicineID]float64)
+				next[d] = nrow
+			}
+			for _, med := range priorMeds[i] {
+				add := priorWeight * prow[med]
+				nrow[med] += add
+				rowSums[d] += add
+			}
+		}
+		for d, nrow := range next {
+			sum := rowSums[d]
+			if sum <= 0 {
+				delete(next, d)
+				continue
+			}
+			for med := range nrow {
+				nrow[med] /= sum
+			}
+		}
+		phi = next
+		model.Phi = phi
+		model.Iterations = iter + 1
+
+		ll := logLikelihoodSorted(recs, thetas, phi)
+		model.LogLik = ll
+		if opts.TraceConvergence {
+			model.LogLikTrace = append(model.LogLikTrace, ll)
+		}
+		if converged(prevLL, ll, opts.Tol) {
+			break
+		}
+		prevLL = ll
+	}
+	return model, nil
+}
+
+// logLikelihoodSorted is the Φ part of Eq. 3 with each record's θ in sorted
+// order.
+func logLikelihoodSorted(recs []*mic.Record, thetas [][]thetaEntry, phi map[mic.DiseaseID]map[mic.MedicineID]float64) float64 {
+	var ll float64
+	for ri, r := range recs {
+		for _, med := range r.Medicines {
+			var p float64
+			for _, e := range thetas[ri] {
+				if row, ok := phi[e.d]; ok {
+					p += e.th * row[med]
+				}
+			}
+			if p <= 0 {
+				p = math.SmallestNonzeroFloat64
+			}
+			ll += math.Log(p)
+		}
+	}
+	return ll
+}
+
+// blendPrior mixes prior rows into phi so the EM support covers both: each
+// prior row's weight·φ_prev is added to the row's Eq. 10 estimate, and the
+// row renormalized, both in ascending key order.
+func blendPrior(phi, prior map[mic.DiseaseID]map[mic.MedicineID]float64, weight float64) {
+	diseases := make([]mic.DiseaseID, 0, len(prior))
+	for d := range prior {
+		diseases = append(diseases, d)
+	}
+	sort.Slice(diseases, func(a, b int) bool { return diseases[a] < diseases[b] })
+	for _, d := range diseases {
+		prow := prior[d]
+		row, ok := phi[d]
+		if !ok {
+			row = make(map[mic.MedicineID]float64)
+			phi[d] = row
+		}
+		for _, med := range sortedRowKeys(prow) {
+			row[med] += weight * prow[med]
+		}
+		var sum float64
+		for _, med := range sortedRowKeys(row) {
+			sum += row[med]
+		}
+		if sum > 0 {
+			for med := range row {
+				row[med] /= sum
+			}
+		}
+	}
+}
+
 // requireSeriesBits fails unless got and want hold the same pairs and
 // marginals with bit-identical values.
 func requireSeriesBits(t *testing.T, label string, got, want *SeriesSet) {
@@ -818,8 +1018,9 @@ func TestEMKernelMatchesReference(t *testing.T) {
 }
 
 // TestFitAllocsFlatInRecords pins the index kernel's allocation profile: a
-// FitAll worker over months ten times as long allocates no more often, and
-// their occurrence tables hold the same distinct entries.
+// FitAll worker over months ten times as long allocates no more often, with
+// or without the smoothed chain's prior, and their occurrence tables hold
+// the same distinct entries.
 func TestFitAllocsFlatInRecords(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not representative under -race")
@@ -836,18 +1037,21 @@ func TestFitAllocsFlatInRecords(t *testing.T) {
 		}
 		return ds
 	}
-	allocs := func(ds *mic.Dataset) float64 {
+	allocs := func(ds *mic.Dataset, opts FitOptions) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if _, _, err := FitAll(context.Background(), ds, FitOptions{MaxIter: 5, Workers: 1}); err != nil {
+			if _, _, err := FitAll(context.Background(), ds, opts); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	dsOne, dsTen := scaled(1), scaled(10)
-	one, ten := allocs(dsOne), allocs(dsTen)
-	t.Logf("FitAll allocations: %v per call at 1x, %v at 10x", one, ten)
-	if ten > one {
-		t.Fatalf("FitAll allocations grow with records: %v per call at 1x, %v at 10x", one, ten)
+	for _, opts := range []FitOptions{{MaxIter: 5, Workers: 1}, {MaxIter: 5, PriorWeight: 5}} {
+		one, ten := allocs(dsOne, opts), allocs(dsTen, opts)
+		t.Logf("FitAll (PriorWeight %v) allocations: %v per call at 1x, %v at 10x", opts.PriorWeight, one, ten)
+		if ten > one {
+			t.Fatalf("FitAll (PriorWeight %v) allocations grow with records: %v per call at 1x, %v at 10x",
+				opts.PriorWeight, one, ten)
+		}
 	}
 
 	// The tenfold month repeats every occurrence ten times: the same
@@ -1013,6 +1217,155 @@ func TestWeightedSweepMatchesPerOccurrence(t *testing.T) {
 	t.Logf("%d of %d months merge occurrences; largest relative difference %.3g", merged, len(months), worst)
 	if merged < len(months)/2 {
 		t.Fatalf("only %d of %d months merge any occurrence: the corpus does not exercise the weights", merged, len(months))
+	}
+}
+
+// TestSmoothedKernelMatchesReference bounds the MAP fit's move onto the
+// kernel: FitAll's smoothed chain and the map-based loop, each fed its own
+// previous posterior, must stop every month after the same number of
+// iterations with the same positive-mass φ support (the map loop also keeps
+// zero-valued entries), and agree on every φ entry, the final and every
+// traced log-likelihood within 1e-12 relative.
+func TestSmoothedKernelMatchesReference(t *testing.T) {
+	type chain struct {
+		name  string
+		ds    *mic.Dataset
+		first *Model // InitialPrior
+	}
+	var chains []chain
+	for _, cfg := range []micgen.Config{
+		{Seed: 5, Months: 12, RecordsPerMonth: 300, BulkDiseases: 6, BulkMedicines: 8},
+		{Seed: 29, Months: 12, RecordsPerMonth: 200},
+	} {
+		ds, _, err := micgen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chains = append(chains, chain{name: fmt.Sprintf("micgen-%d", cfg.Seed), ds: ds})
+	}
+	// The edge chain starts from a prior with a disease (40) and pairs (0,70)
+	// and (40,90) no month holds. Its months carry: a record whose counts sum
+	// to 0 and pairs the next month does not cooccur (edge months); prior
+	// rows of diseases the month lacks (2–4 in twoDiseaseMonth, 0, 1 and 5
+	// in farIDMonth); disease 5 seen with a positive count, then only with
+	// count 0, so its row gets Eq. 10 mass and no E-step mass; and ids 2²⁰
+	// apart with a negative N_r record (farIDMonth).
+	edge := edgeDataset()
+	fiveMonth := twoDiseaseMonth()
+	fiveMonth.Records = append(fiveMonth.Records,
+		mic.Record{Diseases: []mic.DiseaseCount{{Disease: 5, Count: 1}}, Medicines: []mic.MedicineID{1, 2}})
+	zeroRow := zeroRowMonth()
+	edge.Months = []*mic.Monthly{
+		edge.Months[0], twoDiseaseMonth(), fiveMonth, zeroRow, zeroRow,
+		farIDMonth(), edge.Months[1], edge.Months[2],
+	}
+	chains = append(chains, chain{name: "edge", ds: edge, first: &Model{Phi: map[mic.DiseaseID]map[mic.MedicineID]float64{
+		0:  {0: 0.5, 1: 0.25, 70: 0.25},
+		40: {1: 0.25, 90: 0.75},
+	}}})
+
+	var worst float64
+	rel := func(a, b float64) float64 {
+		if a == b {
+			return 0
+		}
+		d := math.Abs(a-b) / max(math.Abs(a), math.Abs(b))
+		worst = max(worst, d)
+		return d
+	}
+	const tol = 1e-12
+	var priorOnly, zeroMassRows int
+	for _, c := range chains {
+		for _, w := range []float64{0.5, 5, 50} {
+			for _, trace := range []bool{false, true} {
+				opts := FitOptions{PriorWeight: w, TraceConvergence: trace, InitialPrior: c.first, Workers: 4}
+				got, fails, err := FitAll(context.Background(), c.ds, opts)
+				if err != nil || len(fails) != 0 {
+					t.Fatalf("%s: %v %v", c.name, err, fails)
+				}
+				prev := c.first
+				for i, month := range c.ds.Months {
+					label := fmt.Sprintf("%s w=%v trace=%v month %d", c.name, w, trace, i)
+					want, err := fitSmoothedReference(month, c.ds.Medicines.Len(), opts, prev, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					g := got[i]
+					if g.Iterations != want.Iterations || len(g.LogLikTrace) != len(want.LogLikTrace) {
+						t.Fatalf("%s: %d iterations (trace %d), map loop %d (trace %d)",
+							label, g.Iterations, len(g.LogLikTrace), want.Iterations, len(want.LogLikTrace))
+					}
+					if d := rel(g.LogLik, want.LogLik); d > tol {
+						t.Fatalf("%s: LogLik %v, map loop %v (relative %.3g)", label, g.LogLik, want.LogLik, d)
+					}
+					for j, v := range want.LogLikTrace {
+						if d := rel(g.LogLikTrace[j], v); d > tol {
+							t.Fatalf("%s: trace[%d] %v, map loop %v (relative %.3g)", label, j, g.LogLikTrace[j], v, d)
+						}
+					}
+					rows := 0
+					for d, wrow := range want.Phi {
+						n := 0
+						for m, v := range wrow {
+							if v <= 0 {
+								continue
+							}
+							n++
+							gv, ok := g.Phi[d][m]
+							if dd := rel(gv, v); !ok || dd > tol {
+								t.Fatalf("%s: φ[%d][%d] = %v, map loop %v (relative %.3g)", label, d, m, gv, v, dd)
+							}
+						}
+						if len(g.Phi[d]) != n {
+							t.Fatalf("%s: φ row %d has %d entries, map loop %d with mass", label, d, len(g.Phi[d]), n)
+						}
+						if n > 0 {
+							rows++
+						}
+					}
+					if len(g.Phi) != rows {
+						t.Fatalf("%s: %d φ rows, map loop %d with mass", label, len(g.Phi), rows)
+					}
+					if prev != nil {
+						recs, _ := usableRecords(month)
+						cooc := cooccurrencePhi(recs)
+						for d, prow := range prev.Phi {
+							for m := range prow {
+								if _, ok := cooc[d][m]; !ok && g.Phi[d][m] > 0 {
+									priorOnly++
+								}
+							}
+						}
+						if month == zeroRow && g.Phi[5] != nil {
+							zeroMassRows++ // kept by its prior alone
+						}
+					}
+					prev = want
+				}
+			}
+		}
+	}
+	t.Logf("%d prior-only entries kept, %d zero-E-step-mass rows; largest relative difference %.3g", priorOnly, zeroMassRows, worst)
+	if priorOnly == 0 || zeroMassRows == 0 {
+		t.Fatal("the chains do not exercise prior-only pairs and zero-mass rows")
+	}
+
+	// A kernel that ran a MAP fit fits the next month plainly, bit for bit.
+	var k emKernel
+	months := chains[1].ds.Months
+	prior, err := Fit(months[0], 30, FitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.fit(months[1], 30, FitOptions{}, prior, 5); err != nil {
+		t.Fatal(err)
+	}
+	got, err := k.fit(months[2], 30, FitOptions{}, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := Fit(months[2], 30, FitOptions{}); !reflect.DeepEqual(got, want) {
+		t.Fatal("a plain fit after a MAP fit on one kernel differs from a fresh plain fit")
 	}
 }
 

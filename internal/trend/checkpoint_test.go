@@ -294,13 +294,14 @@ func TestHashMonthSensitivity(t *testing.T) {
 // refHashMonth is HashMonth written over hash/fnv: the reference byte stream
 // (little-endian words) checkpoint files on disk were fingerprinted with.
 func refHashMonth(month *mic.Monthly, em medmodel.FitOptions) uint64 {
-	return refHash(month, em, true)
+	return refHash(month, em, medmodel.ArithmeticTag)
 }
 
-// refHash is the FNV-1a hash of HashMonth's word stream; without the
-// arithmetic tag it is the fingerprint checkpoints carried before the tag
-// was folded in.
-func refHash(month *mic.Monthly, em medmodel.FitOptions, tagged bool) uint64 {
+// refHash is the FNV-1a hash of HashMonth's word stream under the given
+// arithmetic tags (one, or none). Without a tag it is the fingerprint
+// checkpoints carried before the tag was folded in; with an older tag, the
+// one that arithmetic's checkpoints carry.
+func refHash(month *mic.Monthly, em medmodel.FitOptions, tags ...uint64) uint64 {
 	h := fnv.New64a()
 	put := func(v uint64) {
 		var buf [8]byte
@@ -312,8 +313,8 @@ func refHash(month *mic.Monthly, em medmodel.FitOptions, tagged bool) uint64 {
 	put(uint64(em.MaxIter))
 	put(math.Float64bits(em.Tol))
 	put(math.Float64bits(em.PriorWeight))
-	if tagged {
-		put(medmodel.ArithmeticTag)
+	for _, tag := range tags {
+		put(tag)
 	}
 	put(uint64(len(month.Records)))
 	for i := range month.Records {
@@ -363,62 +364,79 @@ func TestHashMonthMatchesFNV(t *testing.T) {
 			Diseases:  []mic.DiseaseCount{{Disease: 0, Count: 1}},
 			Medicines: []mic.MedicineID{11}},
 	}}
-	const want uint64 = 0xaff7778cca731e26
+	const want uint64 = 0x7a90dd20f88b6447
 	if got := HashMonth(golden, medmodel.FitOptions{}); got != want {
 		t.Fatalf("golden month: HashMonth = %#x, want %#x", got, want)
 	}
-	// Without the arithmetic tag the stream is the one fingerprints had
-	// before the tag: the golden month's old value.
-	const untagged uint64 = 0x8f146da73ad17964
-	if got := refHash(golden, medmodel.FitOptions{}, false); got != untagged {
-		t.Fatalf("golden month without the tag: %#x, want %#x", got, untagged)
+	// Under tag 2, and without the arithmetic tag, the stream is the one
+	// fingerprints had before: the golden month's old values.
+	for _, old := range []struct {
+		tags []uint64
+		want uint64
+	}{{[]uint64{2}, 0xaff7778cca731e26}, {nil, 0x8f146da73ad17964}} {
+		if got := refHash(golden, medmodel.FitOptions{}, old.tags...); got != old.want {
+			t.Fatalf("golden month under tags %v: %#x, want %#x", old.tags, got, old.want)
+		}
 	}
 }
 
 // TestCheckpointOldArithmeticRefit: a store whose months carry the
-// fingerprint from before the EM arithmetic tag holds models fitted by the
-// per-occurrence sweep. Serving them next to fresh fits would make a
+// fingerprint of an older EM arithmetic holds models fitted by it: the
+// per-occurrence sweep (no tag), or under tag 2 a smoothed chain fitted by
+// the map-based MAP loop. Serving them next to fresh fits would make a
 // restarted server disagree with a cold analysis in the last bits, so every
 // such month is refit, not reused, and the result equals a cold run.
 func TestCheckpointOldArithmeticRefit(t *testing.T) {
-	ds := genTiny(t)
-	opts := ckptOptions()
-	cold, err := Analyze(context.Background(), ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name        string
+		priorWeight float64
+		tags        []uint64
+	}{
+		{"untagged", 0, nil},
+		{"smoothed tag 2", 50, []uint64{2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := genTiny(t)
+			opts := ckptOptions()
+			opts.EM.PriorWeight = tc.priorWeight
+			cold, err := Analyze(context.Background(), ds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	ckpt := newMemCheckpointer()
-	opts.Checkpoint = ckpt
-	if _, err := Analyze(context.Background(), ds, opts); err != nil {
-		t.Fatal(err)
-	}
-	fopts := mic.FilterOptions{MinMonthlyFreq: opts.MinMonthlyFreq}
-	for i, m := range ds.Months {
-		cp := ckpt.months[i]
-		filtered := mic.FilterMonthly(m, fopts)
-		if cp.DataHash != refHash(filtered, opts.EM, true) {
-			t.Fatalf("month %d: saved fingerprint %#x is not the tagged hash", i, cp.DataHash)
-		}
-		cp.DataHash = refHash(filtered, opts.EM, false)
-		ckpt.months[i] = cp
-	}
+			ckpt := newMemCheckpointer()
+			opts.Checkpoint = ckpt
+			if _, err := Analyze(context.Background(), ds, opts); err != nil {
+				t.Fatal(err)
+			}
+			fopts := mic.FilterOptions{MinMonthlyFreq: opts.MinMonthlyFreq}
+			for i, m := range ds.Months {
+				cp := ckpt.months[i]
+				filtered := mic.FilterMonthly(m, fopts)
+				if cp.DataHash != refHashMonth(filtered, opts.EM) {
+					t.Fatalf("month %d: saved fingerprint %#x is not the tagged hash", i, cp.DataHash)
+				}
+				cp.DataHash = refHash(filtered, opts.EM, tc.tags...)
+				ckpt.months[i] = cp
+			}
 
-	metrics := obs.NewRegistry()
-	opts.Metrics = metrics
-	ckpt.saves = 0
-	got, err := Analyze(context.Background(), ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := metrics.Counter("trend/ckpt_months_reused").Value(); n != 0 {
-		t.Fatalf("reused %d months fingerprinted before the arithmetic tag, want 0", n)
-	}
-	if ckpt.saves != ds.T() {
-		t.Fatalf("refit and saved %d months, want %d", ckpt.saves, ds.T())
-	}
-	got.MonthProvenance = cold.MonthProvenance
-	if !reflect.DeepEqual(got, cold) {
-		t.Fatal("analysis over the refit store differs from a cold run")
+			metrics := obs.NewRegistry()
+			opts.Metrics = metrics
+			ckpt.saves = 0
+			got, err := Analyze(context.Background(), ds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := metrics.Counter("trend/ckpt_months_reused").Value(); n != 0 {
+				t.Fatalf("reused %d months fingerprinted under an older arithmetic, want 0", n)
+			}
+			if ckpt.saves != ds.T() {
+				t.Fatalf("refit and saved %d months, want %d", ckpt.saves, ds.T())
+			}
+			got.MonthProvenance = cold.MonthProvenance
+			if !reflect.DeepEqual(got, cold) {
+				t.Fatal("analysis over the refit store differs from a cold run")
+			}
+		})
 	}
 }
