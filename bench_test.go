@@ -244,8 +244,8 @@ func BenchmarkGenerateCorpus(b *testing.B) {
 // structural model on a 43-month series — the unit the Nelder-Mead objective
 // pays hundreds of times per fit. The workspace sub-benchmark is the
 // allocation-free workspace kernel (0 allocs/op once its buffers exist); the
-// filter sub-benchmark runs the same model through the full Filter, the path
-// the likelihood search used before the workspace kernel existed; the
+// filter sub-benchmark runs the same model through Filter, the same kernel
+// plus the per-step A/P/K/L history the smoother needs; the
 // nonseasonal sub-benchmark is one
 // evaluation of the 43-month level plus slope-shift model (two states,
 // T = I), which runs on the small-state path.

@@ -67,7 +67,7 @@ func FitOrder(y []float64, order Order) (*Fit, error) {
 		return nil, fmt.Errorf("arima: series length %d too short for %v", len(y), order)
 	}
 
-	scaled, scale := rescale(y)
+	scaled, scale := stat.Rescale(y)
 	diffed := difference(scaled, order.D)
 	mean := stat.Mean(diffed)
 	centered := make([]float64, len(diffed))
@@ -83,6 +83,7 @@ func FitOrder(y []float64, order Order) (*Fit, error) {
 	}
 	start[nPar-1] = math.Log(v)
 
+	ws := kalman.NewWorkspace()
 	objective := func(params []float64) float64 {
 		for _, p := range params {
 			if p < -30 || p > 30 {
@@ -94,11 +95,11 @@ func FitOrder(y []float64, order Order) (*Fit, error) {
 		if err != nil {
 			return math.Inf(1)
 		}
-		ll, err := m.LogLikelihood(centered)
+		lr, err := m.LogLikFilter(centered, ws)
 		if err != nil {
 			return math.Inf(1)
 		}
-		return -ll
+		return -lr.LogLik
 	}
 	res, err := optimize.NelderMead(objective, start, optimize.NelderMeadOptions{MaxIter: 600, Step: 0.8})
 	if err != nil {
@@ -409,26 +410,4 @@ func stationaryCovariance(t, r *linalg.Matrix, varE float64) (*linalg.Matrix, er
 	}
 	p.Symmetrize()
 	return p, nil
-}
-
-// rescale mirrors ssm's conditioning: divide by a positive magnitude.
-func rescale(y []float64) ([]float64, float64) {
-	scale := stat.StdDev(y)
-	if !(scale > 0) {
-		var sum float64
-		for _, v := range y {
-			sum += math.Abs(v)
-		}
-		if len(y) > 0 {
-			scale = sum / float64(len(y))
-		}
-	}
-	if !(scale > 0) {
-		scale = 1
-	}
-	out := make([]float64, len(y))
-	for i, v := range y {
-		out[i] = v / scale
-	}
-	return out, scale
 }

@@ -63,11 +63,11 @@ func DetectMultiple(y []float64, opts MultiOptions) (MultiResult, error) {
 	ws := kalman.NewWorkspace() // reused across every greedy-step fit
 	aicWith := func(ivs []ssm.Intervention) (float64, error) {
 		fits++
-		fit, err := ssm.FitConfigWorkspace(y, ssm.Config{
+		fit, err := ssm.FitConfigOptions(y, ssm.Config{
 			Seasonal:    opts.Seasonal,
 			ChangePoint: ssm.NoChangePoint,
 			Extra:       ivs,
-		}, ws)
+		}, ws, ssm.FitOptions{})
 		if err != nil {
 			return 0, err
 		}

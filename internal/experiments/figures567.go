@@ -61,7 +61,7 @@ func RunFigure5(env *Env) (*Figure5Result, error) {
 	best := 0
 	ws := kalman.NewWorkspace() // one workspace across the whole valley scan
 	for cp := 0; cp <= maxCP; cp++ {
-		aic, err := ssm.AICAtWorkspace(series, false, cp, ws)
+		aic, _, err := ssm.AICAtOptions(series, false, cp, ws, ssm.FitOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -71,7 +71,7 @@ func RunFigure5(env *Env) (*Figure5Result, error) {
 		}
 	}
 	res.BestMonth = best
-	if res.NoChangeAIC, err = ssm.AICAtWorkspace(series, false, ssm.NoChangePoint, ws); err != nil {
+	if res.NoChangeAIC, _, err = ssm.AICAtOptions(series, false, ssm.NoChangePoint, ws, ssm.FitOptions{}); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -7,18 +7,20 @@ import (
 	"mictrend/internal/linalg"
 )
 
-// This file implements the likelihood-only fast path of the filter. The
-// maximum-likelihood fit in internal/ssm evaluates the filter hundreds of
-// times per Nelder-Mead search, and each evaluation only needs the
-// log-likelihood and the innovation sequence — not the smoother inputs
-// (A, P, K, L histories) that Filter materializes with fresh allocations at
-// every time step. LogLikFilter computes exactly the same numbers as Filter
-// (the arithmetic is operation-for-operation identical, so results match
-// bitwise up to the sign of zero) while reusing one Workspace across calls
-// and exploiting the sparsity of the structural model's transition matrix:
-// the local-level row, the seasonal rotation rows, and the identity
-// intervention block give T only O(n) nonzeros, so T·a, T·P and the fused
-// T·P·Lᵀ products cost O(n·nnz) instead of the dense n³.
+// This file implements the Kalman recursion, once. The maximum-likelihood
+// fits in internal/ssm and internal/arima evaluate the filter hundreds of
+// times per search, and each evaluation only needs the log-likelihood and
+// the innovation sequence, so LogLikFilter reuses one Workspace across calls
+// and allocates nothing. It also exploits the sparsity of the structural
+// model's transition matrix: the local-level row, the seasonal rotation
+// rows, and the identity intervention block give T only O(n) nonzeros, so
+// T·a, T·P and the fused T·P·Lᵀ products cost O(n·nnz) instead of the dense
+// n³. Filter is this kernel plus history capture: it records the smoother
+// inputs (A, P, K, L) through the OnStep hook and takes V, F and the
+// likelihood from the kernel's result. The dense textbook loop the kernel
+// was derived from survives only as the test oracle (referenceFilter in
+// reference_test.go), which every path matches bitwise up to the sign of
+// zero.
 //
 // Two kinds of model skip the generic sparse machinery; each specialised
 // kernel repeats the generic recursion term for term and so matches it bit
@@ -58,11 +60,13 @@ type LogLikResult struct {
 // LogLikFilter exactly.
 type LogLikOptions struct {
 	// OnStep, when non-nil, is invoked after every completed step t with the
-	// one-step-ahead predicted state a_{t+1} and covariance P_{t+1}. The
+	// one-step-ahead predicted state a_{t+1} and covariance P_{t+1}, and the
+	// step's Kalman gain k_t = T·P_t·Z_tᵀ/F_t (nil when y_t is missing). The
 	// slices/matrix are workspace-owned: callers must copy what they keep.
-	// The prefix-checkpointed candidate scan uses this hook to record
-	// filter state at every candidate boundary in a single pass.
-	OnStep func(t int, a []float64, p *linalg.Matrix)
+	// Filter records its smoother inputs through this hook, and the
+	// prefix-checkpointed candidate scan records filter state at every
+	// candidate boundary with it in a single pass.
+	OnStep func(t int, a, k []float64, p *linalg.Matrix)
 }
 
 // Workspace holds every scratch buffer LogLikFilter needs, so that repeated
@@ -267,7 +271,7 @@ func (ws *Workspace) mulTransT(dst, a *linalg.Matrix) {
 
 // buildL assembles L = T − K·Z in sparse row-major form: each row is the
 // merge of T's row pattern with the nonzero positions of z, with values
-// T[j,k] − k_j·z[k] — the same expression Filter evaluates densely. Keeping
+// T[j,k] − k_j·z[k] — the same expression Filter records densely. Keeping
 // the subtraction fused per element (rather than computing T·P·Tᵀ −
 // T·P·Zᵀ·Kᵀ as two dense products) avoids the catastrophic cancellation the
 // two-term form suffers under the 1e7 diffuse prior.
@@ -345,8 +349,7 @@ func intsEqual(a, b []int) bool {
 }
 
 // LogLikFilter runs the Kalman filter over y computing only the
-// log-likelihood, the innovations, and their variances. It produces the
-// same numbers as Filter (bitwise, up to the sign of zero) without
+// log-likelihood, the innovations, and their variances, without
 // allocating: all scratch lives in ws and is reused across calls. Missing
 // observations are encoded as NaN and skipped. If ws is nil a fresh
 // workspace is used.
@@ -380,8 +383,7 @@ func (m *Model) LogLikFilterOpts(y []float64, ws *Workspace, opts LogLikOptions)
 }
 
 // prepareRun sizes ws for m over steps observations and precomputes the
-// constant RQRᵀ into reused buffers with the same linalg operations Filter
-// uses.
+// constant RQRᵀ into reused buffers.
 func (ws *Workspace) prepareRun(m *Model, steps int) {
 	ws.prepare(m.Dim(), m.Q.Cols(), steps)
 	ws.rq.Mul(m.R, m.Q)
@@ -440,7 +442,7 @@ func (m *Model) logLikGeneric(y []float64, ws *Workspace, opts LogLikOptions) (L
 			next.AddSymmetrize(ws.rqr)
 			p, next = next, p
 			if opts.OnStep != nil {
-				opts.OnStep(t, a, p)
+				opts.OnStep(t, a, nil, p)
 			}
 			continue
 		}
@@ -484,7 +486,7 @@ func (m *Model) logLikGeneric(y []float64, ws *Workspace, opts LogLikOptions) (L
 		// product L·(T·P)ᵀ = (T·P·Lᵀ)ᵀ scatters L's sparse rows over
 		// contiguous tp rows (sequential adds instead of index gathers),
 		// and AddSymmetrizeTrans folds the transpose back while adding
-		// RQRᵀ — term for term the same sums Filter evaluates. The CSR
+		// RQRᵀ — term for term the sums of the dense T·P·Lᵀ. The CSR
 		// arrays live in locals so the stores into next cannot force
 		// reloads.
 		ws.mulVecT(ws.ta, a)
@@ -511,15 +513,14 @@ func (m *Model) logLikGeneric(y []float64, ws *Workspace, opts LogLikOptions) (L
 		}
 		p.AddSymmetrizeTrans(next, ws.rqr)
 		if opts.OnStep != nil {
-			opts.OnStep(t, a, p)
+			opts.OnStep(t, a, ws.k, p)
 		}
 	}
 	return res, nil
 }
 
 // skipContains reports whether t is listed in skip. The list holds at most
-// one index per intervention, so a linear scan beats the per-call map Filter
-// builds.
+// one index per intervention, so a linear scan beats a per-call map.
 func skipContains(skip []int, t int) bool {
 	for _, s := range skip {
 		if s == t {

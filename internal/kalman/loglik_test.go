@@ -119,12 +119,13 @@ func testSeries(n int, seed uint64) []float64 {
 	return y
 }
 
-// compareFastPath checks that LogLikFilter reproduces Filter on m/y.
+// compareFastPath checks that LogLikFilter reproduces the dense reference
+// filter on m/y.
 func compareFastPath(t *testing.T, name string, m *Model, y []float64, ws *Workspace) {
 	t.Helper()
-	full, err := m.Filter(y)
+	full, err := referenceFilter(m, y)
 	if err != nil {
-		t.Fatalf("%s: Filter: %v", name, err)
+		t.Fatalf("%s: referenceFilter: %v", name, err)
 	}
 	fast, err := m.LogLikFilter(y, ws)
 	if err != nil {
@@ -155,18 +156,23 @@ func compareFastPath(t *testing.T, name string, m *Model, y []float64, ws *Works
 	}
 }
 
-func TestLogLikFilterMatchesFilter(t *testing.T) {
+// filterCase is one model/series pair the kernels are checked on.
+type filterCase struct {
+	name string
+	m    *Model
+	y    []float64
+}
+
+// filterCases covers every kernel: the small and seasonal paths, the
+// generic path's missing data and mid-sample intervention, and a dense
+// time-varying model off the structural sparsity pattern.
+func filterCases() []filterCase {
 	y := testSeries(43, 3)
 	yMissing := testSeries(43, 5)
 	for _, i := range []int{0, 7, 20, 21, 42} {
 		yMissing[i] = math.NaN()
 	}
-	ws := NewWorkspace() // one workspace reused across every case
-	cases := []struct {
-		name string
-		m    *Model
-		y    []float64
-	}{
+	return []filterCase{
 		{"local-level", localLevelModel(1, 0.2), y},
 		{"local-level-missing", localLevelModel(1, 0.2), yMissing},
 		{"seasonal", structuralModel(12, len(y)+1, 1, 0.2, 0.05), y},
@@ -175,7 +181,11 @@ func TestLogLikFilterMatchesFilter(t *testing.T) {
 		{"intervention-at-zero", structuralModel(12, 0, 1, 0.2, 0.05), y},
 		{"dense-random", denseRandomModel(5, 17), testSeries(60, 9)},
 	}
-	for _, tc := range cases {
+}
+
+func TestLogLikFilterMatchesFilter(t *testing.T) {
+	ws := NewWorkspace() // one workspace reused across every case
+	for _, tc := range filterCases() {
 		compareFastPath(t, tc.name, tc.m, tc.y, ws)
 	}
 }
@@ -183,7 +193,7 @@ func TestLogLikFilterMatchesFilter(t *testing.T) {
 func TestLogLikFilterNilWorkspace(t *testing.T) {
 	m := localLevelModel(1, 0.3)
 	y := testSeries(30, 11)
-	full, err := m.Filter(y)
+	full, err := referenceFilter(m, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,19 +249,29 @@ func TestWorkspaceResizes(t *testing.T) {
 }
 
 // TestLogLikFilterOptsOnStep checks the checkpoint hook fires once per step
-// with the post-update state.
+// with the post-update state, and with the step's gain exactly when the
+// observation is present.
 func TestLogLikFilterOptsOnStep(t *testing.T) {
 	m := localLevelModel(1, 0.5)
 	y := testSeries(120, 37)
+	for _, i := range []int{0, 5, 60, 61} {
+		y[i] = math.NaN()
+	}
 	calls := 0
 	var lastA float64
 	var lastP *linalg.Matrix
 	_, err := m.LogLikFilterOpts(y, nil, LogLikOptions{
-		OnStep: func(step int, a []float64, p *linalg.Matrix) {
+		OnStep: func(step int, a, k []float64, p *linalg.Matrix) {
 			if step != calls {
 				t.Fatalf("OnStep(%d) after %d calls, want ascending steps", step, calls)
 			}
 			calls++
+			if missing := math.IsNaN(y[step]); (k == nil) != missing {
+				t.Fatalf("OnStep(%d): gain %v on a step with missing=%v", step, k, missing)
+			}
+			if k != nil && len(k) != m.Dim() {
+				t.Fatalf("OnStep(%d): gain has length %d, want %d", step, len(k), m.Dim())
+			}
 			lastA = a[0]
 			lastP = p
 		},

@@ -16,7 +16,6 @@ package kalman
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"mictrend/internal/linalg"
 )
@@ -115,133 +114,46 @@ type FilterResult struct {
 	LikCount int     // observations contributing to LogLik
 }
 
-// Filter runs the Kalman filter over y. Missing observations are encoded as
-// NaN and skipped (the state is propagated without an update).
+// Filter runs the Kalman filter over y and keeps the per-step history the
+// smoother and forecaster need. It is the likelihood kernel
+// (LogLikFilterOpts) with an OnStep hook recording A, P, K and L; V, F,
+// Contributed and the likelihood are the kernel's own. Missing observations
+// are encoded as NaN and skipped (the state is propagated without an
+// update).
 func (m *Model) Filter(y []float64) (*FilterResult, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
 	n := m.Dim()
 	steps := len(y)
 	res := &FilterResult{
-		A:           make([][]float64, steps+1),
-		P:           make([]*linalg.Matrix, steps+1),
-		V:           make([]float64, steps),
-		F:           make([]float64, steps),
-		K:           make([]*linalg.Matrix, steps),
-		L:           make([]*linalg.Matrix, steps),
-		Contributed: make([]bool, steps),
+		A: make([][]float64, steps+1),
+		P: make([]*linalg.Matrix, steps+1),
+		K: make([]*linalg.Matrix, steps),
+		L: make([]*linalg.Matrix, steps),
 	}
-	skip := make(map[int]bool, len(m.SkipLik))
-	for _, idx := range m.SkipLik {
-		skip[idx] = true
-	}
-
-	// RQRᵀ is constant: precompute.
-	rq := linalg.NewMatrix(n, m.Q.Cols())
-	rq.Mul(m.R, m.Q)
-	rqr := linalg.NewMatrix(n, n)
-	rqr.MulTransB(rq, m.R)
-
-	a := append([]float64(nil), m.A1...)
-	p := m.P1.Clone()
-	// Scratch buffers reused across steps.
-	pzt := make([]float64, n)    // P·Zᵀ
-	ta := make([]float64, n)     // T·a
-	tp := linalg.NewMatrix(n, n) // T·P
-
-	for t := 0; t < steps; t++ {
-		res.A[t] = append([]float64(nil), a...)
-		res.P[t] = p.Clone()
-		z := m.Z(t)
-		if len(z) != n {
-			return nil, fmt.Errorf("kalman: Z(%d) has length %d, want %d", t, len(z), n)
-		}
-
-		if math.IsNaN(y[t]) {
-			// Missing observation: pure prediction step.
-			res.V[t] = math.NaN()
-			res.F[t] = math.Inf(1)
-			res.K[t] = linalg.NewMatrix(n, 1)
-			res.L[t] = m.T.Clone()
-			ta = linalg.MulVec(ta, m.T, a)
-			copy(a, ta)
-			tp.Mul(m.T, p)
-			next := linalg.NewMatrix(n, n)
-			next.MulTransB(tp, m.T)
-			next.Add(next, rqr)
-			next.Symmetrize()
-			p = next
-			continue
-		}
-
-		// Innovation and its variance.
-		var zaDot float64
-		for i, zi := range z {
-			zaDot += zi * a[i]
-		}
-		v := y[t] - zaDot
-		// pzt = P·Zᵀ.
-		for i := 0; i < n; i++ {
-			var s float64
-			for j := 0; j < n; j++ {
-				s += p.At(i, j) * z[j]
-			}
-			pzt[i] = s
-		}
-		f := m.H
-		for i, zi := range z {
-			f += zi * pzt[i]
-		}
-		if f <= 0 || math.IsNaN(f) {
-			return nil, ErrDegenerate
-		}
-		res.V[t] = v
-		res.F[t] = f
-		if t >= m.DiffuseCount && !skip[t] {
-			res.LogLik += -0.5 * (math.Log(2*math.Pi) + math.Log(f) + v*v/f)
-			res.LikCount++
-			res.Contributed[t] = true
-		}
-
-		// Gain K = T·P·Zᵀ/F and L = T − K·Z.
-		k := linalg.NewMatrix(n, 1)
-		tpz := linalg.MulVec(nil, m.T, pzt)
-		for i := 0; i < n; i++ {
-			k.Set(i, 0, tpz[i]/f)
-		}
-		res.K[t] = k
-		l := m.T.Clone()
-		for i := 0; i < n; i++ {
-			ki := k.At(i, 0)
-			for j := 0; j < n; j++ {
-				l.Set(i, j, l.At(i, j)-ki*z[j])
+	record := func(t int, a, k []float64, p *linalg.Matrix) {
+		res.A[t+1] = append([]float64(nil), a...)
+		res.P[t+1] = p.Clone()
+		// Gain K and L = T − K·Z; a missing step has K = 0 and L = T.
+		kt, lt := linalg.NewMatrix(n, 1), m.T.Clone()
+		if k != nil {
+			z := m.Z(t)
+			for i, ki := range k {
+				kt.Set(i, 0, ki)
+				for j, zj := range z {
+					lt.Set(i, j, lt.At(i, j)-ki*zj)
+				}
 			}
 		}
-		res.L[t] = l
-
-		// State prediction: a ← T·a + K·v; P ← T·P·Lᵀ + RQRᵀ.
-		ta = linalg.MulVec(ta, m.T, a)
-		for i := 0; i < n; i++ {
-			a[i] = ta[i] + k.At(i, 0)*v
-		}
-		tp.Mul(m.T, p)
-		next := linalg.NewMatrix(n, n)
-		next.MulTransB(tp, l)
-		next.Add(next, rqr)
-		next.Symmetrize()
-		p = next
+		res.K[t], res.L[t] = kt, lt
 	}
-	res.A[steps] = append([]float64(nil), a...)
-	res.P[steps] = p
-	return res, nil
-}
-
-// LogLikelihood runs the filter and returns only the log-likelihood.
-func (m *Model) LogLikelihood(y []float64) (float64, error) {
-	res, err := m.Filter(y)
+	// A fresh workspace, because V, F and Contributed alias its buffers and
+	// the result keeps them.
+	lr, err := m.LogLikFilterOpts(y, NewWorkspace(), LogLikOptions{OnStep: record})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return res.LogLik, nil
+	res.A[0] = append([]float64(nil), m.A1...)
+	res.P[0] = m.P1.Clone()
+	res.V, res.F, res.Contributed = lr.V, lr.F, lr.Contributed
+	res.LogLik, res.LikCount = lr.LogLik, lr.LikCount
+	return res, nil
 }

@@ -160,7 +160,7 @@ func TestSmallPathDispatch(t *testing.T) {
 	misShaped.T = misShaped.T.Clone()
 	misShaped.T.Set(3, 2, 0) // the shift row γ'₃ = γ₂ loses its entry
 	misShaped.T.Set(3, 1, 1)
-	onStep := LogLikOptions{OnStep: func(int, []float64, *linalg.Matrix) {}}
+	onStep := LogLikOptions{OnStep: func(int, []float64, []float64, *linalg.Matrix) {}}
 	cases := []struct {
 		name   string
 		m      *Model

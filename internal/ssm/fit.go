@@ -191,26 +191,21 @@ type Fit struct {
 // consistent across model variants of the same series and therefore valid
 // for the paper's AIC comparisons.
 func FitConfig(y []float64, cfg Config) (*Fit, error) {
-	return FitConfigWorkspace(y, cfg, nil)
+	return FitConfigOptions(y, cfg, nil, FitOptions{})
 }
 
-// FitConfigWorkspace is FitConfig with an explicit Kalman workspace. The
-// structural model is assembled once per call; every objective evaluation
-// of the search — Nelder-Mead's, and for a one-parameter fit the bracket
-// probes' and Brent's — only updates the disturbance variances in place and
-// runs the allocation-free likelihood filter through ws, so a caller
-// performing many fits can reuse one workspace across them. The full Filter
-// pass (which materializes the smoother inputs) runs once, for the winning
+// FitConfigOptions is FitConfig with an explicit Kalman workspace and
+// per-fit options; a zero opts reproduces FitConfig exactly (same starts,
+// same order, same search, bitwise-identical estimates). The structural
+// model is assembled once per call; every objective evaluation of the
+// search — Nelder-Mead's, and for a one-parameter fit the bracket probes'
+// and Brent's — only updates the disturbance variances in place and runs
+// the allocation-free likelihood filter through ws, so a caller performing
+// many fits can reuse one workspace across them. The full Filter pass
+// (which materializes the smoother inputs) runs once, for the winning
 // parameters; the change point search, which needs only each candidate's
 // AIC, skips it (AICAtOptions). ws may be nil; a workspace is not safe for
 // concurrent use.
-func FitConfigWorkspace(y []float64, cfg Config, ws *kalman.Workspace) (*Fit, error) {
-	return FitConfigOptions(y, cfg, ws, FitOptions{})
-}
-
-// FitConfigOptions is FitConfigWorkspace with per-fit options; a zero opts
-// reproduces FitConfigWorkspace exactly (same starts, same order, same
-// search, bitwise-identical estimates).
 func FitConfigOptions(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions) (*Fit, error) {
 	return fitTraced(y, cfg, ws, opts, true)
 }
@@ -258,9 +253,9 @@ func fitDetail(cfg Config, fit *Fit) string {
 // AICAtOptions. A full fit ends with a Filter pass over the σ²-scaled model,
 // which yields the smoother inputs and the intervention coefficients. An
 // AIC-only fit (full false) stops once the AIC is known: it validates the
-// scaled model with the allocation-free LogLikFilter instead, whose F
-// sequence equals Filter's up to the sign of zero, so it fails exactly when
-// Filter would; its Fit has no Filter and no Lambdas.
+// scaled model with the allocation-free LogLikFilter instead, the kernel
+// Filter records its history from, so it fails exactly when Filter would;
+// its Fit has no Filter and no Lambdas.
 func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions, full bool) (*Fit, error) {
 	cfg = cfg.withDefaults()
 	minLen := cfg.stateDim() + cfg.numVariances() + 2
@@ -276,7 +271,7 @@ func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions, f
 		ws = kalman.NewWorkspace()
 	}
 
-	scaled, scale := rescale(y)
+	scaled, scale := stat.Rescale(y)
 
 	// The search model: built once with unit variances; concentratedLogLik
 	// rewrites H and the Q diagonal before each evaluation.
@@ -577,31 +572,13 @@ func concentrateFromSums(sumLogF, sumV2F float64, likCount int) (logLik, sigma2 
 	return logLik, sigma2
 }
 
-// AICAt is the change point search primitive: it fits the full model
+// AICAtOptions is the change point search primitive: it fits the full model
 // (level + optional seasonal + intervention at cp, or no intervention for
-// cp == NoChangePoint) and returns its AIC.
-func AICAt(y []float64, seasonal bool, cp int) (float64, error) {
-	return AICAtWorkspace(y, seasonal, cp, nil)
-}
-
-// AICAtWorkspace is AICAt with an explicit Kalman workspace, so a change
-// point search can reuse one workspace across every candidate fit. ws may
-// be nil.
-func AICAtWorkspace(y []float64, seasonal bool, cp int, ws *kalman.Workspace) (float64, error) {
-	aic, _, err := AICAtOptions(y, seasonal, cp, ws, FitOptions{})
-	return aic, err
-}
-
-// AICAtStart is AICAtWorkspace extended for warm-started scans: start (nil
-// for a cold fit) seeds the optimizer, and the returned opt is the fitted
-// optimum's parameters — the warm start for the next candidate.
-func AICAtStart(y []float64, seasonal bool, cp int, ws *kalman.Workspace, start []float64) (aic float64, opt []float64, err error) {
-	return AICAtOptions(y, seasonal, cp, ws, FitOptions{Start: start})
-}
-
-// AICAtOptions is the options-first change point search primitive: AICAtStart
-// with the full FitOptions, so scans can thread warm starts and FitStats
-// accounting through one call. It returns the AIC and OptParams that
+// cp == NoChangePoint) and returns its AIC and the fitted optimum's
+// parameters, the warm start for the next candidate. opts threads warm
+// starts and FitStats accounting; ws may be nil, and a change point search
+// reuses one workspace across every candidate fit. It returns the AIC and
+// OptParams that
 // FitConfigOptions would, bit for bit, and the same error, but skips the
 // fitted model's Filter pass and its per-step allocations: the search needs
 // neither the smoother inputs nor the intervention coefficients.
@@ -611,26 +588,4 @@ func AICAtOptions(y []float64, seasonal bool, cp int, ws *kalman.Workspace, opts
 		return 0, nil, err
 	}
 	return fit.AIC, fit.OptParams, nil
-}
-
-// rescale divides y by a positive magnitude (its standard deviation, falling
-// back to the mean absolute value, falling back to 1) so variance estimation
-// starts well-conditioned regardless of count magnitude.
-func rescale(y []float64) (scaled []float64, scale float64) {
-	scale = stat.StdDev(y)
-	if !(scale > 0) { // catches 0 and NaN
-		var sum float64
-		for _, v := range y {
-			sum += math.Abs(v)
-		}
-		scale = sum / float64(len(y))
-	}
-	if !(scale > 0) {
-		scale = 1
-	}
-	scaled = make([]float64, len(y))
-	for i, v := range y {
-		scaled[i] = v / scale
-	}
-	return scaled, scale
 }

@@ -9,6 +9,7 @@ import (
 	"mictrend/internal/faultpoint"
 	"mictrend/internal/kalman"
 	"mictrend/internal/optimize"
+	"mictrend/internal/stat"
 )
 
 // nelderMeadFit is the oracle for cold one-parameter fits: the search every
@@ -19,7 +20,7 @@ import (
 func nelderMeadFit(t *testing.T, y []float64, cfg Config) (x, nll float64, attempts, evals int) {
 	t.Helper()
 	cfg = cfg.withDefaults()
-	scaled, _ := rescale(y)
+	scaled, _ := stat.Rescale(y)
 	m, err := build(cfg, 1, 1, 1)
 	if err != nil {
 		t.Fatal(err)

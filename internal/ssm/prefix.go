@@ -7,6 +7,7 @@ import (
 
 	"mictrend/internal/kalman"
 	"mictrend/internal/linalg"
+	"mictrend/internal/stat"
 )
 
 // PrefixScanner scores every candidate change point of one series at a shared
@@ -74,7 +75,7 @@ func NewPrefixScanner(y []float64, seasonal bool, maxCP int) (*PrefixScanner, er
 	if maxCP < 0 || maxCP >= len(y) {
 		return nil, fmt.Errorf("ssm: prefix scan bound %d outside series of length %d", maxCP, len(y))
 	}
-	scaled, _ := rescale(y)
+	scaled, _ := stat.Rescale(y)
 
 	noIntCfg := Config{Seasonal: seasonal, ChangePoint: NoChangePoint}.withDefaults()
 	noInt, err := build(noIntCfg, 1, 1, 1)
@@ -140,7 +141,7 @@ func (ps *PrefixScanner) Prepare(params []float64) error {
 		copy(ps.pArena[i*base:(i+1)*base], ps.noInt.P1.Row(i))
 	}
 	fr, err := ps.noInt.LogLikFilterOpts(ps.scaled, ps.wsPrefix, kalman.LogLikOptions{
-		OnStep: func(t int, a []float64, p *linalg.Matrix) {
+		OnStep: func(t int, a, _ []float64, p *linalg.Matrix) {
 			b := t + 1
 			if b > ps.maxCP {
 				return

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mictrend/internal/kalman"
+	"mictrend/internal/stat"
 )
 
 // prefixTestSeries builds a deterministic noisy slope-shift series.
@@ -27,7 +28,7 @@ func prefixTestSeries(n, cp int, seed int64) []float64 {
 // whole series at fixed params — the O(T) evaluation Score must reproduce.
 func fullCandidateAIC(t *testing.T, y []float64, seasonal bool, cp int, params []float64) float64 {
 	t.Helper()
-	scaled, _ := rescale(y)
+	scaled, _ := stat.Rescale(y)
 	cfg := Config{Seasonal: seasonal, ChangePoint: cp}.withDefaults()
 	m, err := build(cfg, 1, 1, 1)
 	if err != nil {

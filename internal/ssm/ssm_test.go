@@ -164,12 +164,12 @@ func TestInterventionImprovesAICOnBrokenSeries(t *testing.T) {
 func TestAICPrefersTrueChangePoint(t *testing.T) {
 	cp := 20
 	y := synthSeries(43, 0, cp, 1.0, 0.3, 5)
-	aicTrue, err := AICAt(y, false, cp)
+	aicTrue, _, err := AICAtOptions(y, false, cp, nil, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, wrong := range []int{5, 35} {
-		aicWrong, err := AICAt(y, false, wrong)
+		aicWrong, _, err := AICAtOptions(y, false, wrong, nil, FitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestInterventionNotPreferredOnStableSeries(t *testing.T) {
 	}
 	best := math.Inf(1)
 	for cp := 2; cp < 41; cp += 6 {
-		aic, err := AICAt(y, false, cp)
+		aic, _, err := AICAtOptions(y, false, cp, nil, FitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,25 +263,5 @@ func TestFitDeterministic(t *testing.T) {
 	}
 	if a.AIC != b.AIC || a.LogLik != b.LogLik {
 		t.Fatal("fitting is not deterministic")
-	}
-}
-
-func TestRescale(t *testing.T) {
-	scaled, scale := rescale([]float64{10, 20, 30})
-	if scale <= 0 {
-		t.Fatalf("scale = %v", scale)
-	}
-	if math.Abs(scaled[2]*scale-30) > 1e-12 {
-		t.Fatal("rescale is not invertible")
-	}
-	// Constant nonzero series falls back to mean magnitude.
-	_, scale2 := rescale([]float64{5, 5, 5})
-	if scale2 != 5 {
-		t.Fatalf("constant scale = %v, want 5", scale2)
-	}
-	// All-zero series falls back to 1.
-	_, scale3 := rescale([]float64{0, 0})
-	if scale3 != 1 {
-		t.Fatalf("zero scale = %v, want 1", scale3)
 	}
 }

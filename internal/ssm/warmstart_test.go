@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"mictrend/internal/kalman"
 )
 
 // TestWarmStartWinsOutright fits a series cold, then refits it warm from the
@@ -68,16 +70,17 @@ func TestWarmStartBadValueFallsBackCold(t *testing.T) {
 }
 
 // TestZeroOptionsBitwiseEqualsCold pins the compatibility contract in the
-// FitConfigOptions doc: a zero FitOptions must reproduce FitConfigWorkspace
-// bit for bit.
+// FitConfigOptions doc: a zero FitOptions must reproduce FitConfig bit for
+// bit, also through a workspace already used by other fits.
 func TestZeroOptionsBitwiseEqualsCold(t *testing.T) {
 	y := multistartSeries()
+	ws := kalman.NewWorkspace() // shared by both model shapes
 	for _, seasonal := range []bool{false, true} {
-		a, err := FitConfigWorkspace(y, Config{Seasonal: seasonal}, nil)
+		a, err := FitConfig(y, Config{Seasonal: seasonal})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := FitConfigOptions(y, Config{Seasonal: seasonal}, nil, FitOptions{})
+		b, err := FitConfigOptions(y, Config{Seasonal: seasonal}, ws, FitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

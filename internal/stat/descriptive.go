@@ -151,3 +151,27 @@ func MinMaxScale(xs []float64) []float64 {
 	}
 	return out
 }
+
+// Rescale divides xs by a positive magnitude — its standard deviation,
+// falling back to the mean absolute value, falling back to 1 — and returns
+// the scaled copy and the divisor. The likelihood fits rescale their input
+// with it, so variance estimation starts well-conditioned regardless of the
+// series' magnitude.
+func Rescale(xs []float64) (scaled []float64, scale float64) {
+	scale = StdDev(xs)
+	if !(scale > 0) { // catches 0 and NaN
+		var sum float64
+		for _, x := range xs {
+			sum += math.Abs(x)
+		}
+		scale = sum / float64(len(xs))
+	}
+	if !(scale > 0) {
+		scale = 1
+	}
+	scaled = make([]float64, len(xs))
+	for i, x := range xs {
+		scaled[i] = x / scale
+	}
+	return scaled, scale
+}

@@ -168,3 +168,23 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestRescale(t *testing.T) {
+	scaled, scale := Rescale([]float64{10, 20, 30})
+	if scale <= 0 {
+		t.Fatalf("scale = %v", scale)
+	}
+	if math.Abs(scaled[2]*scale-30) > 1e-12 {
+		t.Fatal("Rescale is not invertible")
+	}
+	// Constant nonzero series falls back to mean magnitude.
+	_, scale2 := Rescale([]float64{5, 5, 5})
+	if scale2 != 5 {
+		t.Fatalf("constant scale = %v, want 5", scale2)
+	}
+	// All-zero series falls back to 1.
+	_, scale3 := Rescale([]float64{0, 0})
+	if scale3 != 1 {
+		t.Fatalf("zero scale = %v, want 1", scale3)
+	}
+}
