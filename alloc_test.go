@@ -9,6 +9,7 @@ package mictrend
 // change cannot silently put allocations on the hot path.
 
 import (
+	"context"
 	"testing"
 
 	"mictrend/internal/changepoint"
@@ -87,6 +88,27 @@ func TestInstrumentationAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("nil span sinks allocate %.0f/op, want 0", n)
+	}
+
+	// The nil instrumentation sink — what a run builds with neither an
+	// Observer nor a Trace — must no-op every method without allocating or
+	// reading the clock.
+	if n := testing.AllocsPerRun(100, func() {
+		sink := obs.NewSink(context.Background(), nil, nil, nil)
+		if events, spans := sink.Callbacks(); sink != nil || events != nil || spans != nil {
+			t.Fatal("a sink without callbacks must be nil")
+		}
+		start := sink.StageStart("x", 1)
+		if !start.IsZero() {
+			t.Fatal("nil sink read the clock")
+		}
+		b := sink.Batch(1)
+		b.Done(0, obs.SpanEvent{Name: "x/series"})
+		b.Next(obs.SpanEvent{Name: "em/month"})
+		sink.Span(obs.SpanEvent{Name: "x"})
+		sink.StageEnd("x", start, 1, 1, nil)
+	}); n != 0 {
+		t.Errorf("nil sink allocates %.0f/op, want 0", n)
 	}
 
 	// The Kalman workspace kernel — the unit the likelihood search pays

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"mictrend/internal/mic"
-	"mictrend/internal/obs"
 )
 
 func main() {
@@ -70,11 +69,7 @@ func runConvert(args []string) int {
 		log.Print(err)
 		return 2
 	}
-	var observer obs.Observer
-	if *progress {
-		observer = func(e obs.Event) { log.Print(e) }
-	}
-	if err := convert(*in, *out, outFormat, mic.StorageOptions{Workers: *workers, Level: *level}, observer); err != nil {
+	if err := convert(*in, *out, outFormat, mic.StorageOptions{Workers: *workers, Level: *level}, *progress); err != nil {
 		log.Print(err)
 		os.Remove(*out)
 		return 1
@@ -82,19 +77,17 @@ func runConvert(args []string) int {
 	return 0
 }
 
-// convert transcodes in → out. The observer (nil = silent) receives a
-// "convert" stage with one per-month event, so long transcodes are
-// observable with the same event vocabulary as the analysis pipeline.
-func convert(in, out string, outFormat mic.Format, opts mic.StorageOptions, observer obs.Observer) error {
-	observer = obs.Guard(observer, func(r any) { log.Printf("warning: progress observer panicked: %v", r) })
+// convert transcodes in → out. With progress it logs a "convert" stage with
+// one line per month, in the analysis pipeline's progress vocabulary.
+func convert(in, out string, outFormat mic.Format, opts mic.StorageOptions, progress bool) error {
 	srcFormat, err := mic.SniffFile(in)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	emit := func(e obs.Event) {
-		if observer != nil {
-			observer(e)
+	logf := func(format string, args ...any) {
+		if progress {
+			log.Printf(format, args...)
 		}
 	}
 
@@ -120,7 +113,7 @@ func convert(in, out string, outFormat mic.Format, opts mic.StorageOptions, obse
 				if err := sw.WriteMonth(m); err != nil {
 					return err
 				}
-				emit(obs.Event{Kind: obs.MonthFitted, Stage: "convert", Month: t, Done: t + 1, Total: months})
+				logf("month-fitted month %d (%d/%d)", t, t+1, months)
 			}
 			return nil
 		}
@@ -141,13 +134,13 @@ func convert(in, out string, outFormat mic.Format, opts mic.StorageOptions, obse
 				if err := sw.WriteMonth(m); err != nil {
 					return err
 				}
-				emit(obs.Event{Kind: obs.MonthFitted, Stage: "convert", Month: t, Done: t + 1, Total: months})
+				logf("month-fitted month %d (%d/%d)", t, t+1, months)
 			}
 			return nil
 		}
 	}
 
-	emit(obs.Event{Kind: obs.StageStart, Stage: "convert", Month: -1, Total: months})
+	logf("stage-start convert (%d units)", months)
 	sw, wroteFormat, err := mic.NewStreamFileWriter(out, outFormat, meta, opts)
 	if err != nil {
 		return err
@@ -159,7 +152,7 @@ func convert(in, out string, outFormat mic.Format, opts mic.StorageOptions, obse
 	if err := sw.Close(); err != nil {
 		return err
 	}
-	emit(obs.Event{Kind: obs.StageEnd, Stage: "convert", Month: -1, Total: months, Done: months, Duration: time.Since(start)})
+	logf("stage-end convert (%v)", time.Since(start))
 	srcInfo, _ := os.Stat(in)
 	dstInfo, err := os.Stat(out)
 	if err != nil {

@@ -27,13 +27,13 @@ func TestConvertRoundTrip(t *testing.T) {
 	if _, err := mic.WriteDatasetFile(src, mic.FormatJSONL, ds, mic.StorageOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := convert(src, col, mic.FormatAuto, mic.StorageOptions{}, nil); err != nil {
+	if err := convert(src, col, mic.FormatAuto, mic.StorageOptions{}, false); err != nil {
 		t.Fatalf("jsonl -> columnar: %v", err)
 	}
 	if f, err := mic.SniffFile(col); err != nil || f != mic.FormatColumnar {
 		t.Fatalf("converted file sniffs as %v, %v", f, err)
 	}
-	if err := convert(col, back, mic.FormatJSONL, mic.StorageOptions{}, nil); err != nil {
+	if err := convert(col, back, mic.FormatJSONL, mic.StorageOptions{}, false); err != nil {
 		t.Fatalf("columnar -> jsonl: %v", err)
 	}
 	a, err := os.ReadFile(src)
@@ -63,7 +63,7 @@ func TestInfoPerMonthVocabulary(t *testing.T) {
 	if _, err := mic.WriteDatasetFile(src, mic.FormatJSONL, ds, mic.StorageOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := convert(src, col, mic.FormatColumnar, mic.StorageOptions{}, nil); err != nil {
+	if err := convert(src, col, mic.FormatColumnar, mic.StorageOptions{}, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -117,7 +117,7 @@ func TestConvertRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "out.micc")
-	if err := convert(src, out, mic.FormatAuto, mic.StorageOptions{}, nil); err == nil {
+	if err := convert(src, out, mic.FormatAuto, mic.StorageOptions{}, false); err == nil {
 		t.Fatal("convert accepted garbage input")
 	}
 }

@@ -2,7 +2,6 @@ package changepoint
 
 import (
 	"context"
-	"time"
 
 	"mictrend/internal/kalman"
 	"mictrend/internal/obs"
@@ -62,8 +61,8 @@ type DetectOptions struct {
 	// never changes results.
 	Stats *ssm.FitStats
 	// Observer, when non-nil, receives StageStart/StageEnd events bracketing
-	// the search. Deliveries are panic-isolated: a panicking Observer loses
-	// its remaining events, never the search.
+	// the search until ctx is cancelled. Deliveries are panic-isolated: a
+	// panicking Observer loses its remaining events, never the search.
 	Observer obs.Observer
 	// Provenance, when non-nil, is filled with the search's decision record:
 	// the full AIC ladder (every candidate's score and evaluation path), the
@@ -102,15 +101,9 @@ func Detect(ctx context.Context, series []float64, opts DetectOptions) (Result, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	deliver := obs.Guard(opts.Observer, nil)
-	var begin time.Time
-	if deliver != nil {
-		begin = time.Now()
-		deliver(obs.Event{
-			Kind: obs.StageStart, Stage: "scan", Month: -1,
-			Total: ScanEvaluations(len(series)),
-		})
-	}
+	// The scan's bracket reports progress only: a scan emits no stage span.
+	sink := obs.NewSink(ctx, opts.Observer, nil, nil)
+	begin := sink.StageStart("scan", ScanEvaluations(len(series)))
 	var (
 		res Result
 		err error
@@ -137,15 +130,6 @@ func Detect(ctx context.Context, series []float64, opts DetectOptions) (Result, 
 			p.Params = opt
 		}
 	}
-	if deliver != nil && ctx.Err() == nil {
-		e := obs.Event{
-			Kind: obs.StageEnd, Stage: "scan", Month: -1,
-			Done: res.Fits, Duration: time.Since(begin),
-		}
-		if err != nil {
-			e.Err = err.Error()
-		}
-		deliver(e)
-	}
+	sink.StageEnd("scan", begin, 0, res.Fits, err)
 	return res, err
 }

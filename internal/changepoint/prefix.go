@@ -6,7 +6,6 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"time"
 
 	"mictrend/internal/faultpoint"
 	"mictrend/internal/kalman"
@@ -133,10 +132,7 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 	// ladder scores every candidate at one anchor parameter vector: one
 	// checkpointing filter pass, then one suffix resume per candidate.
 	ladder := func(anchor int, params []float64, out []float64) error {
-		var began time.Time
-		if opts.Trace != nil {
-			began = time.Now()
-		}
+		began := obs.SpanStart(opts.Trace)
 		err := func() error {
 			if err := ps.Prepare(params); err != nil {
 				return err
@@ -157,15 +153,8 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 			return nil
 		}()
 		if opts.Trace != nil {
-			sp := obs.SpanEvent{
-				Cat: "scan", Name: "scan/prefix", TID: obs.LaneScan,
-				Start: began, Duration: time.Since(began), Month: -1,
-				Detail: fmt.Sprintf("anchor %d: %d resumes", anchor, hi+1),
-			}
-			if err != nil {
-				sp.Err = err.Error()
-			}
-			opts.Trace(sp)
+			obs.Emit(opts.Trace, obs.SpanEvent{Cat: "scan", Name: "scan/prefix", TID: obs.LaneScan, Start: began, Month: -1,
+				Detail: fmt.Sprintf("anchor %d: %d resumes", anchor, hi+1)}, err)
 		}
 		return err
 	}
@@ -296,10 +285,7 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 	// count — are identical for any worker split.
 	warmAIC := make([]float64, len(survivors))
 	theta1 := theta
-	var contendersBegan time.Time
-	if opts.Trace != nil {
-		contendersBegan = time.Now()
-	}
+	contendersBegan := obs.SpanStart(opts.Trace)
 	var firstErr error
 	if len(survivors) > 0 {
 		inner, cancel := context.WithCancel(ctx)
@@ -373,15 +359,8 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 		}
 	}
 	if opts.Trace != nil {
-		sp := obs.SpanEvent{
-			Cat: "scan", Name: "scan/contenders", TID: obs.LaneScan,
-			Start: contendersBegan, Duration: time.Since(contendersBegan), Month: -1,
-			Detail: fmt.Sprintf("%d contenders", len(survivors)),
-		}
-		if firstErr != nil {
-			sp.Err = firstErr.Error()
-		}
-		opts.Trace(sp)
+		obs.Emit(opts.Trace, obs.SpanEvent{Cat: "scan", Name: "scan/contenders", TID: obs.LaneScan, Start: contendersBegan, Month: -1,
+			Detail: fmt.Sprintf("%d contenders", len(survivors))}, firstErr)
 	}
 	if firstErr != nil {
 		return Result{}, firstErr
@@ -407,20 +386,14 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 		if warmAIC[i] > provisional2+refineMargin {
 			continue
 		}
-		var began time.Time
-		if opts.Trace != nil {
-			began = time.Now()
-		}
+		began := obs.SpanStart(opts.Trace)
 		aic, _, err := fit(cp, nil, ws)
 		if err != nil {
 			return Result{}, err
 		}
 		if opts.Trace != nil {
-			opts.Trace(obs.SpanEvent{
-				Cat: "scan", Name: "scan/refit", TID: obs.LaneScan,
-				Start: began, Duration: time.Since(began), Month: -1,
-				Detail: fmt.Sprintf("cp=%d", cp),
-			})
+			obs.Emit(opts.Trace, obs.SpanEvent{Cat: "scan", Name: "scan/refit", TID: obs.LaneScan, Start: began, Month: -1,
+				Detail: fmt.Sprintf("cp=%d", cp)}, nil)
 		}
 		final[i] = aic
 		refitted[i] = true

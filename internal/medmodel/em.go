@@ -35,9 +35,9 @@ type FitOptions struct {
 	// independent and fitted in parallel.
 	PriorWeight float64
 	// Observer, when non-nil, receives one obs.MonthFitted event per month
-	// from FitAll, delivered in ascending month order for any worker count.
-	// A panicking Observer silently loses its remaining events (wrap with
-	// obs.Guard to intercept the panic); it never crashes a fit worker.
+	// from FitAll, in ascending month order for any worker count, until ctx
+	// is cancelled. A panicking Observer is muted for the rest of the call
+	// (the panic is not reported); it never crashes a fit worker.
 	Observer obs.Observer
 	// Metrics, when non-nil, collects EM instrumentation: per-month
 	// iteration counts and per-iteration sweep timing. Nil costs nothing on
@@ -45,8 +45,8 @@ type FitOptions struct {
 	Metrics *obs.Registry
 	// Trace, when non-nil, receives one "em/month" span per month from
 	// FitAll, timed around the month's fit and emitted in ascending month
-	// order for any worker count (the same Sequencer that orders Observer
-	// events). A nil Trace costs nothing — no clock reads, no allocations.
+	// order for any worker count, also after ctx is cancelled; it is
+	// panic-isolated like Observer. A nil Trace costs nothing.
 	Trace obs.SpanObserver
 	// TraceConvergence records each month's per-iteration log-likelihood in
 	// Model.LogLikTrace, the EM convergence evidence the explain artifacts
@@ -774,94 +774,6 @@ func fitMonth(k *emKernel, month *mic.Monthly, vocabMedicines int, opts FitOptio
 	return m, false, err
 }
 
-// fitAllInstruments carries FitAll's observability wiring: a sequencer that
-// re-orders per-month completions into ascending month order, the guarded
-// observer, and metric handles resolved once. A nil *fitAllInstruments (no
-// observer, no metrics) costs one pointer check per month.
-type fitAllInstruments struct {
-	seq     *obs.Sequencer
-	deliver obs.Observer
-	trace   obs.SpanObserver
-	total   int
-	months  *obs.Counter   // em/months_fitted
-	iters   *obs.Counter   // em/iterations
-	hIters  *obs.Histogram // em/iterations_per_month
-}
-
-// newFitAllInstruments returns nil when opts carries no observer, no span
-// sink, and no metrics registry.
-func newFitAllInstruments(opts FitOptions, total int) *fitAllInstruments {
-	if opts.Observer == nil && opts.Metrics == nil && opts.Trace == nil {
-		return nil
-	}
-	ins := &fitAllInstruments{
-		seq:     obs.NewSequencer(),
-		deliver: obs.Guard(opts.Observer, nil),
-		trace:   obs.GuardSpans(opts.Trace, nil),
-		total:   total,
-	}
-	if m := opts.Metrics; m != nil {
-		ins.months = m.Counter("em/months_fitted")
-		ins.iters = m.Counter("em/iterations")
-		ins.hIters = m.Histogram("em/iterations_per_month", 1, 2, 5, 10, 20, 50)
-	}
-	return ins
-}
-
-// began stamps a month fit's start, only when spans are on: the untraced
-// path keeps its no-clock-read contract.
-func (ins *fitAllInstruments) began() time.Time {
-	if ins == nil || ins.trace == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// monthDone accounts one finished month. Metric merges and event deliveries
-// run in ascending month order regardless of which worker finished first,
-// so registry snapshots and event streams are identical for any worker
-// split. Safe from concurrent workers.
-func (ins *fitAllInstruments) monthDone(ctx context.Context, i int, m *Model, err error, began time.Time) {
-	if ins == nil {
-		return
-	}
-	var dur time.Duration
-	if ins.trace != nil {
-		dur = time.Since(began)
-	}
-	ins.seq.Done(i, func() {
-		if m != nil {
-			ins.months.Inc()
-			ins.iters.Add(int64(m.Iterations))
-			ins.hIters.Observe(float64(m.Iterations))
-		}
-		if ins.trace != nil && ctx.Err() == nil {
-			sp := obs.SpanEvent{
-				Cat: "em", Name: "em/month", TID: obs.LaneEM,
-				Start: began, Duration: dur, Month: i,
-			}
-			if m != nil {
-				sp.Detail = "iters=" + strconv.Itoa(m.Iterations)
-			}
-			if err != nil {
-				sp.Err = err.Error()
-			}
-			ins.trace(sp)
-		}
-		if ins.deliver == nil || ctx.Err() != nil {
-			return
-		}
-		e := obs.Event{
-			Kind: obs.MonthFitted, Stage: "model",
-			Month: i, Done: i + 1, Total: ins.total,
-		}
-		if err != nil {
-			e.Err = err.Error()
-		}
-		ins.deliver(e)
-	})
-}
-
 // FitAll fits one model per month of the dataset. With a zero
 // opts.PriorWeight months are independent and fitted concurrently by a
 // bounded pool of opts.Workers goroutines (default GOMAXPROCS); the models
@@ -883,7 +795,34 @@ func FitAll(ctx context.Context, d *mic.Dataset, opts FitOptions) ([]*Model, []M
 	models := make([]*Model, d.T())
 	errs := make([]error, len(d.Months))
 	panicked := make([]bool, len(d.Months))
-	ins := newFitAllInstruments(opts, len(d.Months))
+	// Each month reports its metrics (exact integer adds, so any completion
+	// order gives the same snapshot) and, with a sink, its em/month span,
+	// which the batch delivers in month order and derives MonthFitted from.
+	units := obs.NewSink(ctx, opts.Observer, opts.Trace, nil).Batch(len(d.Months))
+	reg := opts.Metrics
+	mFitted, mIters := reg.Counter("em/months_fitted"), reg.Counter("em/iterations")
+	var hIters *obs.Histogram
+	if reg != nil {
+		hIters = reg.Histogram("em/iterations_per_month", 1, 2, 5, 10, 20, 50)
+	}
+	monthDone := func(i int, began time.Time) {
+		if m := models[i]; m != nil {
+			mFitted.Inc()
+			mIters.Add(int64(m.Iterations))
+			hIters.Observe(float64(m.Iterations))
+		}
+		if units == nil {
+			return
+		}
+		sp := obs.SpanEvent{Cat: "em", Name: "em/month", TID: obs.LaneEM, Start: began, Duration: time.Since(began), Month: i}
+		if models[i] != nil {
+			sp.Detail = "iters=" + strconv.Itoa(models[i].Iterations)
+		}
+		if errs[i] != nil {
+			sp.Err = errs[i].Error()
+		}
+		units.Done(i, sp)
+	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -910,12 +849,15 @@ func FitAll(ctx context.Context, d *mic.Dataset, opts FitOptions) ([]*Model, []M
 				if ctx.Err() != nil {
 					continue // drain: cancelled before this month started
 				}
-				began := ins.began()
+				var began time.Time // read only when spans are built
+				if units != nil {
+					began = time.Now()
+				}
 				models[i], panicked[i], errs[i] = fitMonth(&k, d.Months[i], d.Medicines.Len(), opts, prior)
 				if models[i] != nil && workers == 1 {
 					prior = models[i]
 				}
-				ins.monthDone(ctx, i, models[i], errs[i], began)
+				monthDone(i, began)
 			}
 		}()
 	}

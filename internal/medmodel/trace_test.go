@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"mictrend/internal/faultpoint"
 	"mictrend/internal/obs"
@@ -83,6 +84,54 @@ func TestFitAllMonthSpans(t *testing.T) {
 			if i != 2 && !strings.HasPrefix(sp.Detail, "iters=") {
 				t.Fatalf("workers %d: span %d detail %q, want iteration count", workers, i, sp.Detail)
 			}
+		}
+	}
+}
+
+// TestFitAllSpansSurviveCancel pins the cancellation rule for FitAll's two
+// streams: progress events stop at the cancel, but every month that was
+// fitted still gets its em/month span, so an interrupted run flushes a
+// complete partial trace. Month 0's event cancels the run while month 1 is
+// in flight on the second worker (every fit is slowed so both overlap).
+func TestFitAllSpansSurviveCancel(t *testing.T) {
+	faultpoint.Reset()
+	defer faultpoint.Reset()
+	faultpoint.Enable("medmodel/fit-month", faultpoint.Spec{
+		Match: func(string) bool { return false },
+		Delay: 20 * time.Millisecond,
+	})
+	d := multiMonth(6)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var events []obs.Event
+	var spans []obs.SpanEvent
+	models, _, err := FitAll(ctx, d, FitOptions{
+		Workers: 2,
+		Observer: func(e obs.Event) {
+			events = append(events, e)
+			cancel()
+		},
+		Trace: func(sp obs.SpanEvent) { spans = append(spans, sp) },
+	})
+	if err == nil {
+		t.Fatal("cancelled FitAll returned no error")
+	}
+	if len(events) != 1 || events[0].Month != 0 {
+		t.Fatalf("events after the cancel: %+v", events)
+	}
+	fitted := 0
+	for fitted < len(models) && models[fitted] != nil {
+		fitted++
+	}
+	if fitted < 2 {
+		t.Fatalf("only %d month(s) fitted; month 1 was in flight at the cancel", fitted)
+	}
+	if len(spans) < fitted {
+		t.Fatalf("%d em/month spans for %d fitted months", len(spans), fitted)
+	}
+	for i := 0; i < fitted; i++ {
+		if spans[i].Name != "em/month" || spans[i].Month != i {
+			t.Fatalf("span %d = %+v, want em/month for month %d", i, spans[i], i)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package obs is the pipeline's zero-dependency observability layer: typed
 // counters, gauges, histograms, and wall-clock timers collected in a
-// Registry, plus a structured progress-event stream (events.go) the pipeline
-// delivers to a user Observer.
+// Registry, plus the instrumentation stream (events.go): timed spans and the
+// structured progress events a Sink derives from them for a user Observer.
 //
 // Design constraints, in order:
 //
@@ -15,9 +15,8 @@
 //
 //  2. Deterministic counts. Counter, Gauge, and Histogram values in a
 //     pipeline run depend only on the work performed, never on worker
-//     scheduling: all count-valued metrics are merged from per-unit shards
-//     in serial order (see obs.Sequencer) or accumulated via commutative
-//     atomic adds of exact integers, so a Snapshot is identical for any
+//     scheduling: all count-valued metrics are accumulated via commutative
+//     adds of exact integers, so a Snapshot is identical for any
 //     -workers/-scan-workers split. Wall-clock Timers are inherently
 //     nondeterministic and live in a separate Snapshot section
 //     (Snapshot.Timings) that Deterministic() strips.

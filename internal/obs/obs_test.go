@@ -2,7 +2,12 @@ package obs
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -139,44 +144,54 @@ func TestConcurrentCountsAreExact(t *testing.T) {
 	}
 }
 
+// seriesSpan is unit i's per-series span in the batch tests.
+func seriesSpan(i int) SpanEvent {
+	return SpanEvent{Name: "detect/series", Month: -1, Series: "s" + strconv.Itoa(i)}
+}
+
+// TestSequencerSerialOrder: a Batch delivers units reported from concurrent
+// workers in random order strictly in index order, each span before the
+// SeriesDone event derived from it.
 func TestSequencerSerialOrder(t *testing.T) {
 	const n = 200
-	seq := NewSequencer()
-	var mu sync.Mutex
-	var got []int
-	perm := rand.Perm(n)
+	var got []string
+	sink := NewSink(context.Background(),
+		func(e Event) { got = append(got, fmt.Sprintf("E %s %d/%d", e.Series, e.Done, e.Total)) },
+		func(sp SpanEvent) { got = append(got, "S "+sp.Series) }, nil)
+	b := sink.Batch(n)
 	var wg sync.WaitGroup
-	for _, i := range perm {
+	for _, i := range rand.Perm(n) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			seq.Done(i, func() {
-				mu.Lock()
-				got = append(got, i)
-				mu.Unlock()
-			})
+			b.Done(i, seriesSpan(i))
 		}(i)
 	}
 	wg.Wait()
-	if len(got) != n {
-		t.Fatalf("delivered %d of %d", len(got), n)
+	if len(got) != 2*n {
+		t.Fatalf("delivered %d of %d", len(got), 2*n)
 	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("event %d delivered out of order (got index %d)", i, v)
+	for i := 0; i < n; i++ {
+		if want := "S s" + strconv.Itoa(i); got[2*i] != want {
+			t.Fatalf("delivery %d = %q, want %q", 2*i, got[2*i], want)
+		}
+		if want := fmt.Sprintf("E s%d %d/%d", i, i+1, n); got[2*i+1] != want {
+			t.Fatalf("delivery %d = %q, want %q", 2*i+1, got[2*i+1], want)
 		}
 	}
 }
 
+// TestSequencerHoleNeverBlocks: a unit that never reports holds back every
+// later one, and Done never blocks on it.
 func TestSequencerHoleNeverBlocks(t *testing.T) {
-	seq := NewSequencer()
 	fired := 0
-	seq.Done(0, func() { fired++ })
+	b := NewSink(context.Background(), func(Event) { fired++ }, nil, nil).Batch(4)
+	b.Done(0, seriesSpan(0))
 	// Index 1 never reports; later indices must neither block nor fire.
 	done := make(chan struct{})
 	go func() {
-		seq.Done(2, func() { fired++ })
-		seq.Done(3, func() { fired++ })
+		b.Done(2, seriesSpan(2))
+		b.Done(3, seriesSpan(3))
 		close(done)
 	}()
 	select {
@@ -189,27 +204,90 @@ func TestSequencerHoleNeverBlocks(t *testing.T) {
 	}
 }
 
+// TestGuardRecoversPanic: a panicking Observer is muted after its first
+// panic, which onPanic reports once; the span callback keeps running. A
+// sink with neither callback is nil.
 func TestGuardRecoversPanic(t *testing.T) {
-	if Guard(nil, nil) != nil {
-		t.Fatal("Guard(nil) must stay nil for the zero-cost disabled path")
+	if NewSink(context.Background(), nil, nil, nil) != nil {
+		t.Fatal("NewSink without callbacks must stay nil for the zero-cost disabled path")
 	}
-	var panics []any
-	calls := 0
-	g := Guard(func(e Event) {
+	var panics []string
+	calls, spans := 0, 0
+	sink := NewSink(context.Background(), func(e Event) {
 		calls++
 		if calls == 2 {
 			panic("observer bug")
 		}
-	}, func(r any) { panics = append(panics, r) })
-	g(Event{Kind: StageStart})
-	g(Event{Kind: StageEnd}) // panics
-	g(Event{Kind: StageEnd}) // dropped
-	g(Event{Kind: StageEnd}) // dropped
+	}, func(SpanEvent) { spans++ }, func(msg string) { panics = append(panics, msg) })
+	start := sink.StageStart("model", 3)
+	sink.StageEnd("model", start, 3, 3, nil) // panics
+	b := sink.Batch(2)
+	b.Done(0, SpanEvent{Name: "em/month", Month: 0}) // dropped
+	b.Done(1, SpanEvent{Name: "em/month", Month: 1}) // dropped
 	if calls != 2 {
 		t.Fatalf("callback ran %d times, want 2 (disabled after panic)", calls)
 	}
-	if len(panics) != 1 || panics[0] != "observer bug" {
+	if spans != 3 {
+		t.Fatalf("span callback ran %d times, want 3 (an observer panic mutes events only)", spans)
+	}
+	if len(panics) != 1 || panics[0] != "observer panicked: observer bug" {
 		t.Fatalf("onPanic saw %v", panics)
+	}
+}
+
+// TestSinkStopsEventsOnCancel: once ctx is cancelled the sink delivers no
+// event, while spans, ordered or not, keep flowing.
+func TestSinkStopsEventsOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var events []Event
+	var spans []string
+	sink := NewSink(ctx, func(e Event) { events = append(events, e) },
+		func(sp SpanEvent) { spans = append(spans, sp.Name) }, nil)
+	start := sink.StageStart("detect", 2)
+	b := sink.Batch(2)
+	b.Done(0, seriesSpan(0))
+	cancel()
+	b.Done(1, seriesSpan(1))
+	sink.Span(SpanEvent{Name: "scan/prefix"})
+	sink.StageEnd("detect", start, 2, 2, ctx.Err())
+	if len(events) != 2 || events[0].Kind != StageStart || events[1].Kind != SeriesDone {
+		t.Fatalf("events = %+v, want StageStart and one SeriesDone before the cancel", events)
+	}
+	if want := []string{"detect/series", "detect/series", "scan/prefix", "stage/detect"}; !reflect.DeepEqual(spans, want) {
+		t.Fatalf("spans = %v, want %v", spans, want)
+	}
+}
+
+// TestSinkDerivesEvents pins the span-to-event mapping: stage brackets,
+// em/month and <stage>/series units, a skipped (cancelled) unit, and a
+// failed unit's error.
+func TestSinkDerivesEvents(t *testing.T) {
+	var got []string
+	sink := NewSink(context.Background(), func(e Event) {
+		got = append(got, fmt.Sprintf("%s %s total=%d done=%d month=%d series=%s err=%s",
+			e.Kind, e.Stage, e.Total, e.Done, e.Month, e.Series, e.Err))
+	}, nil, nil)
+	start := sink.StageStart("model", 2)
+	if start.IsZero() {
+		t.Fatal("StageStart returned no start time")
+	}
+	months := sink.Batch(2)
+	months.Next(SpanEvent{Name: "em/month", Month: 3})
+	months.Next(SpanEvent{Name: "em/month", Month: 5, Err: "boom"})
+	sink.StageEnd("model", start, 2, 1, errors.New("partial"))
+	series := sink.Batch(3)
+	series.Done(1, SpanEvent{})
+	series.Done(0, SpanEvent{Name: "surveil-drill/series", Month: -1, Series: "medicine:2"})
+	series.Done(2, SpanEvent{Name: "scan/refit"})
+	want := []string{
+		"stage-start model total=2 done=0 month=-1 series= err=",
+		"month-fitted model total=2 done=1 month=3 series= err=",
+		"month-fitted model total=2 done=2 month=5 series= err=boom",
+		"stage-end model total=2 done=1 month=-1 series= err=partial",
+		"series-done surveil-drill total=3 done=1 month=-1 series=medicine:2 err=",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("events:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

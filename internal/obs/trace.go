@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -13,9 +12,9 @@ import (
 // Start and Duration is deterministic for a deterministic workload: the span
 // set a run produces — names, categories, lanes, units, details, errors —
 // depends only on the work performed, never on worker scheduling; only the
-// wall-clock timestamps vary. Per-unit spans are emitted through the same
-// Sequencer machinery as progress events, so their emission order is
-// serial-equivalent too.
+// wall-clock timestamps vary. Per-unit spans are delivered in index order
+// by a Sink's Batch, which derives the progress events from them, so their
+// emission order is serial-equivalent too.
 type SpanEvent struct {
 	// Cat is the span's category lane ("stage", "em", "detect", "scan",
 	// "ssm"), rendered as a separate track in trace viewers.
@@ -57,31 +56,35 @@ type SpanEvent struct {
 // complete); implementations must be goroutine-safe. Tracer.Observe is.
 type SpanObserver func(SpanEvent)
 
-// GuardSpans wraps cb with the same panic isolation Guard gives Observers:
-// the first panic in cb invokes onPanic with the recovered value, permanently
-// disables delivery, and subsequent spans are dropped — a broken span sink
-// can cost its own trace but never a pipeline worker. A nil cb returns nil
-// (the disabled path keeps its zero cost); a nil onPanic just disables
-// silently.
+// GuardSpans wraps cb with panic isolation: the first panic in cb invokes
+// onPanic with the recovered value, permanently disables delivery, and
+// subsequent spans are dropped — a broken span sink can cost its own trace
+// but never a pipeline worker. A nil cb returns nil (the disabled path keeps
+// its zero cost); a nil onPanic just disables silently.
 func GuardSpans(cb SpanObserver, onPanic func(r any)) SpanObserver {
-	if cb == nil {
-		return nil
+	return guard(cb, onPanic)
+}
+
+// SpanStart is the start time of a span sent to tr: now, or zero without a
+// clock read when tr is nil.
+func SpanStart(tr SpanObserver) time.Time {
+	if tr == nil {
+		return time.Time{}
 	}
-	var disabled atomic.Bool
-	return func(e SpanEvent) {
-		if disabled.Load() {
-			return
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				disabled.Store(true)
-				if onPanic != nil {
-					onPanic(r)
-				}
-			}
-		}()
-		cb(e)
+	return time.Now()
+}
+
+// Emit sends tr the span sp, timed from sp.Start to now and carrying err's
+// text (a no-op when tr is nil).
+func Emit(tr SpanObserver, sp SpanEvent, err error) {
+	if tr == nil {
+		return
 	}
+	sp.Duration = time.Since(sp.Start)
+	if err != nil {
+		sp.Err = err.Error()
+	}
+	tr(sp)
 }
 
 // Tracer collects SpanEvents and renders them as Chrome Trace Event Format

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -160,7 +161,8 @@ func TestTracerDeterministicOrder(t *testing.T) {
 // TestGuardSpansMutesPanickingTracer pins the satellite contract: the first
 // panic in a span sink disables it permanently — later spans are dropped, the
 // panic is surfaced through onPanic exactly once, and the caller never sees
-// it.
+// it. GuardSpans and a Sink's span callback share the one guard; the sink
+// reports the panic as a trace-observer failure and keeps its events.
 func TestGuardSpansMutesPanickingTracer(t *testing.T) {
 	if GuardSpans(nil, nil) != nil {
 		t.Fatal("GuardSpans(nil) must stay nil to keep the disabled path free")
@@ -184,34 +186,63 @@ func TestGuardSpansMutesPanickingTracer(t *testing.T) {
 	if panics != 1 {
 		t.Fatalf("onPanic called %d times, want 1", panics)
 	}
+
+	calls = 0
+	var msgs []string
+	events := 0
+	sink := NewSink(context.Background(), func(Event) { events++ }, func(SpanEvent) {
+		calls++
+		panic("tracer boom")
+	}, func(msg string) { msgs = append(msgs, msg) })
+	b := sink.Batch(3)
+	for i := 0; i < 3; i++ {
+		b.Done(i, SpanEvent{Name: "detect/series", Month: -1})
+	}
+	sink.Span(SpanEvent{Name: "scan/prefix"})
+	if calls != 1 || events != 3 {
+		t.Fatalf("sink: tracer ran %d times (want 1), observer %d (want 3)", calls, events)
+	}
+	if len(msgs) != 1 || msgs[0] != "trace observer panicked: tracer boom" {
+		t.Fatalf("sink onPanic saw %v", msgs)
+	}
 }
 
 // TestSequencerOrderWithFailedWorker pins the mid-sequence failure contract:
-// when the worker for unit i reports a failure (emit still called via Done),
+// when the worker for unit i reports a failure (its span carries the error),
 // later units still flush in serial order, and when a unit never reports
-// (a permanent hole), emission stops at the hole without blocking Done.
+// (a permanent hole), delivery stops at the hole without blocking Done.
 func TestSequencerOrderWithFailedWorker(t *testing.T) {
 	var got []int
-	emit := func(i int) func() { return func() { got = append(got, i) } }
+	var errs []string
+	batch := func(n int) *Batch {
+		return NewSink(context.Background(), func(e Event) { errs = append(errs, e.Err) },
+			func(sp SpanEvent) { got = append(got, sp.Month) }, nil).Batch(n)
+	}
+	span := func(i int) SpanEvent { return SpanEvent{Name: "em/month", Month: i} }
 
-	seq := NewSequencer()
-	seq.Done(2, emit(2)) // out of order
-	seq.Done(0, emit(0))
-	seq.Done(1, emit(1)) // "failed" unit still reports Done with its emit
-	seq.Done(3, emit(3))
+	b := batch(4)
+	b.Done(2, span(2)) // out of order
+	b.Done(0, span(0))
+	failed := span(1)
+	failed.Err = "fit failed"
+	b.Done(1, failed) // the failed unit still reports, with its error
+	b.Done(3, span(3))
 	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("emit order %v, want %v", got, want)
+		t.Fatalf("delivery order %v, want %v", got, want)
+	}
+	if want := []string{"", "fit failed", "", ""}; !reflect.DeepEqual(errs, want) {
+		t.Fatalf("event errors %q, want %q", errs, want)
 	}
 
 	// A permanent hole: unit 1 never reports; 2 and 3 must not flush, and
 	// Done must not block.
 	got = nil
-	seq = NewSequencer()
-	seq.Done(0, emit(0))
-	seq.Done(2, emit(2))
-	seq.Done(3, emit(3))
+	b = batch(4)
+	b.Done(0, span(0))
+	b.Done(2, span(2))
+	b.Done(3, span(3))
 	if want := []int{0}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("emit order with hole %v, want %v", got, want)
+		t.Fatalf("delivery order with hole %v, want %v", got, want)
 	}
 }
 

@@ -218,15 +218,7 @@ func fitTraced(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions, f
 	}
 	began := time.Now()
 	fit, err := fitConfig(y, cfg, ws, opts, full)
-	sp := obs.SpanEvent{
-		Cat: "ssm", Name: "ssm/fit", TID: obs.LaneSSM,
-		Start: began, Duration: time.Since(began), Month: -1,
-		Detail: fitDetail(cfg, fit),
-	}
-	if err != nil {
-		sp.Err = err.Error()
-	}
-	opts.Trace(sp)
+	obs.Emit(opts.Trace, obs.SpanEvent{Cat: "ssm", Name: "ssm/fit", TID: obs.LaneSSM, Start: began, Month: -1, Detail: fitDetail(cfg, fit)}, err)
 	return fit, err
 }
 

@@ -132,9 +132,10 @@ func fnvWord(h, v uint64) uint64 {
 // fitted every month from scratch (fits are deterministic, and the store
 // round-trips float bits exactly).
 func fitModels(ctx context.Context, d *mic.Dataset, hashes []uint64, opts Options, ins *pipelineInstruments) ([]*medmodel.Model, []medmodel.MonthError, error) {
+	em := emStreams(ctx, opts.EM, sinkOf(ins), d.T())
 	ckpt := opts.Checkpoint
 	if ckpt == nil {
-		return medmodel.FitAll(ctx, d, opts.EM)
+		return medmodel.FitAll(ctx, d, em)
 	}
 
 	models := make([]*medmodel.Model, d.T())
@@ -199,7 +200,6 @@ func fitModels(ctx context.Context, d *mic.Dataset, hashes []uint64, opts Option
 		for _, i := range needIdx {
 			sub.Months = append(sub.Months, d.Months[i])
 		}
-		em := opts.EM
 		if em.PriorWeight > 0 {
 			// Seed the resumed chain with the last reused posterior (the
 			// months before needIdx[0] all loaded, by the prefix clamp above).
@@ -210,23 +210,12 @@ func fitModels(ctx context.Context, d *mic.Dataset, hashes []uint64, opts Option
 				}
 			}
 		}
-		// Progress events and spans from the sub-batch carry positions within
-		// the batch; remap them to real month indices so a resumed run's
-		// stream reads like the original's (minus the reused months).
-		if inner := em.Observer; inner != nil {
-			em.Observer = func(e obs.Event) {
-				if e.Kind == obs.MonthFitted && e.Month >= 0 && e.Month < len(needIdx) {
-					e.Month = needIdx[e.Month]
-					e.Total = d.T()
-				}
-				inner(e)
-			}
-		}
+		// Spans from the sub-batch carry positions within it; remap them to
+		// real months before the MonthFitted events are derived from them,
+		// so a resumed run's stream reads like the original's.
 		if inner := em.Trace; inner != nil {
 			em.Trace = func(sp obs.SpanEvent) {
-				if sp.Month >= 0 && sp.Month < len(needIdx) {
-					sp.Month = needIdx[sp.Month]
-				}
+				sp.Month = needIdx[sp.Month]
 				inner(sp)
 			}
 		}
@@ -274,6 +263,25 @@ func filterMonthErrors(fails []medmodel.MonthError, prefix int) []medmodel.Month
 		}
 	}
 	return out
+}
+
+// emStreams routes FitAll's em/month spans through one ordered batch of
+// total months, which derives the MonthFitted events from them: events go
+// to EM.Observer, or to the pipeline's Observer when that is unset, and
+// spans to EM.Trace, or to the pipeline's Trace. FitAll itself then only
+// builds spans, so remapping a span's month remaps its event too.
+func emStreams(ctx context.Context, em medmodel.FitOptions, sink *obs.Sink, total int) medmodel.FitOptions {
+	events, spans := sink.Callbacks()
+	if em.Observer != nil {
+		events = em.Observer
+	}
+	if em.Trace != nil {
+		spans = em.Trace
+	}
+	if b := obs.NewSink(ctx, events, spans, nil).Batch(total); b != nil {
+		em.Observer, em.Trace = nil, b.Next
+	}
+	return em
 }
 
 // sortMonthErrors orders month failures ascending, matching FitAll's

@@ -22,7 +22,6 @@ import (
 	"mictrend/internal/medmodel"
 	"mictrend/internal/mic"
 	"mictrend/internal/obs"
-	"mictrend/internal/ssm"
 )
 
 // Method selects the change point search algorithm. It is the pipeline-level
@@ -298,15 +297,13 @@ type Analysis struct {
 	scan scanConfig
 }
 
-// pipelineInstruments carries Analyze's observability wiring: the guarded,
-// context-gated observer, the metrics registry, and the observer failures
-// recorded so far. A nil *pipelineInstruments (neither an Observer nor a
-// Metrics registry configured) makes every method a no-op, keeping the
-// disabled pipeline on its old code path.
+// pipelineInstruments carries Analyze's observability wiring: the run's
+// sink (nil without an Observer or a Trace), the metrics registry, and the
+// observer failures recorded so far. A nil *pipelineInstruments (no hook
+// set) makes every method a no-op, keeping the disabled path free.
 type pipelineInstruments struct {
-	deliver obs.Observer
+	sink    *obs.Sink
 	metrics *obs.Registry
-	trace   obs.SpanObserver
 	exact   bool // scan-cost counters only make sense for the exact scans
 
 	mu        sync.Mutex
@@ -323,111 +320,55 @@ func newPipelineInstruments(ctx context.Context, opts Options) *pipelineInstrume
 		exact:     opts.Method != MethodBinary,
 		tripsBase: faultpoint.Trips(),
 	}
-	guarded := obs.Guard(opts.Observer, func(r any) {
+	ins.sink = obs.NewSink(ctx, opts.Observer, opts.Trace, func(msg string) {
 		ins.mu.Lock()
 		ins.obsFails = append(ins.obsFails, Failure{
-			Stage: StageObserver, Month: -1,
-			Err: fmt.Sprintf("observer panicked: %v", r), Panicked: true,
-		})
-		ins.mu.Unlock()
-	})
-	if guarded != nil {
-		ins.deliver = func(e obs.Event) {
-			if ctx.Err() != nil {
-				return // cancelled: stop delivery cleanly
-			}
-			guarded(e)
-		}
-	}
-	// Spans are guarded like events but NOT ctx-gated: a cancelled run keeps
-	// collecting the wind-down spans so the flushed trace stays coherent.
-	ins.trace = obs.GuardSpans(opts.Trace, func(r any) {
-		ins.mu.Lock()
-		ins.obsFails = append(ins.obsFails, Failure{
-			Stage: StageObserver, Month: -1,
-			Err: fmt.Sprintf("trace observer panicked: %v", r), Panicked: true,
+			Stage: StageObserver, Month: -1, Err: msg, Panicked: true,
 		})
 		ins.mu.Unlock()
 	})
 	return ins
 }
 
-// span emits one span through the guarded trace sink; nil-safe.
-func (ins *pipelineInstruments) span(sp obs.SpanEvent) {
-	if ins == nil || ins.trace == nil {
-		return
+// sinkOf returns the run's sink, nil when ins is.
+func sinkOf(ins *pipelineInstruments) *obs.Sink {
+	if ins == nil {
+		return nil
 	}
-	ins.trace(sp)
+	return ins.sink
 }
 
-// stage opens one pipeline stage (emitting StageStart) and returns its
-// closer, which records the stage timer and emits StageEnd with the stage's
-// wall-clock and outcome.
+// stage opens one pipeline stage (StageStart) and returns its closer, which
+// records the stage timer and emits the stage span and its StageEnd.
 func (ins *pipelineInstruments) stage(name string, total int) func(done int, err error) {
 	if ins == nil {
 		return func(int, error) {}
 	}
 	t0 := time.Now()
-	if ins.deliver != nil {
-		ins.deliver(obs.Event{Kind: obs.StageStart, Stage: name, Month: -1, Total: total})
-	}
+	ins.sink.StageStart(name, total)
 	return func(done int, err error) {
-		d := time.Since(t0)
-		ins.metrics.Timer("time/stage/" + name).Observe(d)
-		if ins.trace != nil {
-			sp := obs.SpanEvent{
-				Cat: "stage", Name: "stage/" + name, TID: obs.LaneStage,
-				Start: t0, Duration: d, Month: -1,
-			}
-			if err != nil {
-				sp.Err = err.Error()
-			}
-			ins.trace(sp)
-		}
-		if ins.deliver != nil {
-			e := obs.Event{
-				Kind: obs.StageEnd, Stage: name, Month: -1,
-				Total: total, Done: done, Duration: d,
-			}
-			if err != nil {
-				e.Err = err.Error()
-			}
-			ins.deliver(e)
-		}
+		ins.metrics.Timer("time/stage/" + name).Observe(time.Since(t0))
+		ins.sink.StageEnd(name, t0, total, done, err)
 	}
 }
 
-// addFitStats merges one scan's fit-stat counters into the registry; callers
-// hold a non-nil metrics registry.
-func (ins *pipelineInstruments) addFitStats(stats *ssm.FitStats) {
-	if stats == nil {
-		return
-	}
-	m := ins.metrics
-	m.Counter("ssm/lik_evals").Add(stats.LikEvals.Load())
-	m.Counter("ssm/starts").Add(stats.Starts.Load())
-	m.Counter("ssm/restarts").Add(stats.Restarts.Load())
-	m.Counter("ssm/fit_failures").Add(stats.FitFailures.Load())
-	m.Counter("scan/prefix_resumes").Add(stats.PrefixResumes.Load())
-}
-
-// finish folds the run-level accounting into the analysis and registry:
-// observer-panic failures, per-stage failure counters, and the run's
-// fault-injection trip delta.
-func (ins *pipelineInstruments) finish(analysis *Analysis) {
+// finish folds the run-level accounting into a run's failures and registry:
+// it appends the observer-panic failures, counts failures per stage, and
+// records the run's fault-injection trip delta.
+func (ins *pipelineInstruments) finish(failures []Failure) []Failure {
 	if ins == nil {
-		return
+		return failures
 	}
 	ins.mu.Lock()
-	analysis.Failures = append(analysis.Failures, ins.obsFails...)
+	failures = append(failures, ins.obsFails...)
 	ins.mu.Unlock()
 	if m := ins.metrics; m != nil {
 		m.Gauge("faultpoint/trips").Set(faultpoint.Trips() - ins.tripsBase)
-		for _, f := range analysis.Failures {
+		for _, f := range failures {
 			m.Counter("pipeline/failures/" + f.Stage.String()).Inc()
 		}
-		m.Counter("scan/total_fits").Add(int64(analysis.TotalFits))
 	}
+	return failures
 }
 
 // Analyze runs the full two-stage pipeline over ds once. It is
@@ -470,7 +411,10 @@ func (a *Analyzer) Analyze(ctx context.Context, ds *mic.Dataset) (*Analysis, err
 		analysis.SeriesProvenance = seriesProvs
 		analysis.SeriesProvenance = append(analysis.SeriesProvenance, valProvenance(valFails)...)
 	}
-	ins.finish(analysis)
+	analysis.Failures = ins.finish(analysis.Failures)
+	if ins != nil {
+		ins.metrics.Counter("scan/total_fits").Add(int64(analysis.TotalFits))
+	}
 	sortFailures(analysis.Failures)
 	for _, det := range results {
 		switch det.Kind {
@@ -491,24 +435,16 @@ func (a *Analyzer) Analyze(ctx context.Context, ds *mic.Dataset) (*Analysis, err
 }
 
 // setupPipeline applies the option defaults shared by Analyze and Surveil and
-// builds their instrument set, wiring the EM stage's observer, metrics, and
-// trace defaults to the pipeline's.
+// builds their instrument set, wiring the EM stage's metrics default to the
+// pipeline's (fitModels routes its event and span streams).
 func setupPipeline(ctx context.Context, opts Options) (Options, *pipelineInstruments) {
 	opts = opts.withDefaults()
 	if opts.Explain {
 		opts.EM.TraceConvergence = true
 	}
 	ins := newPipelineInstruments(ctx, opts)
-	if ins != nil {
-		if opts.EM.Observer == nil {
-			opts.EM.Observer = ins.deliver
-		}
-		if opts.EM.Metrics == nil {
-			opts.EM.Metrics = ins.metrics
-		}
-		if opts.EM.Trace == nil {
-			opts.EM.Trace = ins.trace
-		}
+	if ins != nil && opts.EM.Metrics == nil {
+		opts.EM.Metrics = ins.metrics
 	}
 	return opts, ins
 }
@@ -589,12 +525,8 @@ func (a *Analyzer) prepare(ctx context.Context, ds *mic.Dataset, opts Options, i
 	for _, f := range valFails {
 		// Zero-duration span per rejected series so degraded series appear in
 		// the trace with their failure stage even though they never ran.
-		ins.span(obs.SpanEvent{
-			Cat: "detect", Name: "detect/series", TID: obs.LaneDetect,
-			Start: time.Now(), Month: -1,
-			Series: f.Key().String(),
-			Detail: "stage=" + StageValidate.String(), Err: f.Err,
-		})
+		sinkOf(ins).Span(obs.SpanEvent{Cat: "detect", Name: "detect/series", TID: obs.LaneDetect, Start: time.Now(), Month: -1,
+			Series: f.Key().String(), Detail: "stage=" + StageValidate.String(), Err: f.Err})
 	}
 	return analysis, jobs, valFails, nil
 }

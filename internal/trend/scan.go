@@ -88,17 +88,14 @@ type scanOutcome struct {
 // search is confined to its series (recorded as a Failure), and cancelling
 // ctx stops dispatch immediately — in-flight searches abort within one model
 // fit — returning the scans completed so far with ctx's error. Results,
-// ok flags and provenance are assembled by job index, and per-series
-// accounting is delivered in job order through a sequencer, so the outcome
+// ok flags and provenance are assembled by job index, and per-series spans
+// and events are delivered in job order through the sink's batch, so the outcome
 // is byte-identical for any Workers/ScanWorkers split and, for the
 // surviving series, whether or not other series failed. provs (Explain
 // only) lists one entry per job that finished or failed, in job order;
 // failed jobs keep their partial ladder alongside the failure.
 func scanAll(ctx context.Context, st scanStage, jobs []scanJob, memo *scanMemo, opts Options, ins *pipelineInstruments) (results []changepoint.Result, ok []bool, failures []Failure, provs []SeriesProvenance, totalFits int, err error) {
-	var trace obs.SpanObserver
-	if ins != nil {
-		trace = ins.trace
-	}
+	_, trace := sinkOf(ins).Callbacks()
 	// Group the jobs by content: entry[i] is job i's memo entry, owner[i]
 	// reports whether job i is the one that scans it, and dups[e] lists in
 	// job order the jobs that repeat the series of an entry added here.
@@ -194,10 +191,7 @@ func scanAll(ctx context.Context, st scanStage, jobs []scanJob, memo *scanMemo, 
 		scanProvs = make([]*changepoint.Provenance, len(jobs))
 		failAt = make([]*Failure, len(jobs))
 	}
-	var seq *obs.Sequencer
-	if ins != nil {
-		seq = obs.NewSequencer()
-	}
+	units := sinkOf(ins).Batch(len(jobs))
 	hits := 0
 	// rescan lists the duplicates whose representative failed, panicked or
 	// was cancelled; they are scanned themselves once the pool drains.
@@ -222,12 +216,13 @@ func scanAll(ctx context.Context, st scanStage, jobs []scanJob, memo *scanMemo, 
 			scanProvs[o.i] = o.prov
 			failAt[o.i] = o.fail
 		}
-		if seq != nil {
-			seq.Done(o.i, func() {
-				if !o.cancelled {
-					ins.scanDone(st, jobs[o.i], o, len(jobs))
-				}
-			})
+		if o.cancelled {
+			units.Done(o.i, obs.SpanEvent{})
+			return
+		}
+		ins.scanMetrics(st, jobs[o.i], o)
+		if units != nil {
+			units.Done(o.i, seriesSpan(st, jobs[o.i].key, o))
 		}
 	}
 	// Duplicates of a seeded or earlier stage's entry are resolved up front.
@@ -273,58 +268,56 @@ func scanAll(ctx context.Context, st scanStage, jobs []scanJob, memo *scanMemo, 
 	return results, ok, failures, provs, totalFits, ctx.Err()
 }
 
-// scanDone accounts one finished scan: its per-series span, its metrics, and
-// its SeriesDone event. scanAll invokes it through a sequencer in job-index
-// order, so the registry merges and the SeriesDone stream are deterministic
-// for any worker split. A memo hit keeps its span, its event and its logical
-// counts; it adds no fit statistics, since it fitted nothing.
-func (ins *pipelineInstruments) scanDone(st scanStage, job scanJob, o scanOutcome, total int) {
-	key := job.key.String()
-	failErr := ""
-	if o.fail != nil {
-		failErr = o.fail.Err
+// seriesSpan is one finished scan's per-series span, from which the sink
+// derives its SeriesDone event. A memo hit keeps its span; its detail names
+// the representative it copied.
+func seriesSpan(st scanStage, key SeriesKey, o scanOutcome) obs.SpanEvent {
+	sp := obs.SpanEvent{Cat: st.cat, Name: st.name + "/series", TID: obs.LaneDetect,
+		Start: o.began, Duration: o.dur, Month: -1, Series: key.String()}
+	switch {
+	case o.fail != nil:
+		// Degraded series: the span carries the failure stage and message.
+		sp.Err = o.fail.Err
+		sp.Detail = "stage=" + st.failure.String()
+	case o.res.Detected():
+		sp.Detail = "cp=" + strconv.Itoa(o.res.ChangePoint)
+	default:
+		sp.Detail = "cp=none"
 	}
-	if ins.trace != nil {
-		sp := obs.SpanEvent{
-			Cat: st.cat, Name: st.name + "/series", TID: obs.LaneDetect,
-			Start: o.began, Duration: o.dur, Month: -1, Series: key,
-		}
-		switch {
-		case failErr != "":
-			// Degraded series: the span carries the failure stage and message.
-			sp.Err = failErr
-			sp.Detail = "stage=" + st.failure.String()
-		case o.res.Detected():
-			sp.Detail = "cp=" + strconv.Itoa(o.res.ChangePoint)
-		default:
-			sp.Detail = "cp=none"
-		}
-		if failErr == "" && o.memo != "" {
-			sp.Detail += " memo=" + o.memo
-		}
-		ins.trace(sp)
+	if o.fail == nil && o.memo != "" {
+		sp.Detail += " memo=" + o.memo
 	}
-	if m := ins.metrics; m != nil {
-		ins.addFitStats(o.stats)
-		m.Counter(st.family + "/series").Inc()
-		if failErr == "" {
-			m.Counter(st.family + "/fits").Add(int64(o.res.Fits))
-			if st.costs && ins.exact {
-				evals := changepoint.ScanEvaluations(len(job.series))
-				m.Counter(st.family + "/candidates").Add(int64(evals))
-				if refits := o.res.Fits - evals; refits > 0 {
-					m.Counter(st.family + "/warm_refits").Add(int64(refits))
-				}
+	return sp
+}
+
+// scanMetrics merges one finished scan into the registry. The merges are
+// exact integer adds, so the deterministic snapshot does not depend on the
+// order scans finish in. A memo hit keeps its logical counts; it adds no fit
+// statistics, since it fitted nothing.
+func (ins *pipelineInstruments) scanMetrics(st scanStage, job scanJob, o scanOutcome) {
+	if ins == nil || ins.metrics == nil {
+		return
+	}
+	m := ins.metrics
+	if s := o.stats; s != nil {
+		m.Counter("ssm/lik_evals").Add(s.LikEvals.Load())
+		m.Counter("ssm/starts").Add(s.Starts.Load())
+		m.Counter("ssm/restarts").Add(s.Restarts.Load())
+		m.Counter("ssm/fit_failures").Add(s.FitFailures.Load())
+		m.Counter("scan/prefix_resumes").Add(s.PrefixResumes.Load())
+	}
+	m.Counter(st.family + "/series").Inc()
+	if o.fail == nil {
+		m.Counter(st.family + "/fits").Add(int64(o.res.Fits))
+		if st.costs && ins.exact {
+			evals := changepoint.ScanEvaluations(len(job.series))
+			m.Counter(st.family + "/candidates").Add(int64(evals))
+			if refits := o.res.Fits - evals; refits > 0 {
+				m.Counter(st.family + "/warm_refits").Add(int64(refits))
 			}
 		}
-		m.Timer("time/" + st.family + "/series").Observe(o.dur)
 	}
-	if ins.deliver != nil {
-		ins.deliver(obs.Event{
-			Kind: obs.SeriesDone, Stage: st.name, Series: key,
-			Month: -1, Done: o.i + 1, Total: total, Duration: o.dur, Err: failErr,
-		})
-	}
+	m.Timer("time/" + st.family + "/series").Observe(o.dur)
 }
 
 // reuseScan resolves a duplicate job from its representative's successful

@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"mictrend/internal/changepoint"
-	"mictrend/internal/faultpoint"
 	"mictrend/internal/medmodel"
 	"mictrend/internal/mic"
 	"mictrend/internal/ssm"
@@ -467,32 +466,24 @@ func addSeries(dst, src []float64) []float64 {
 }
 
 // finishSurveil folds the run-level accounting into the surveillance tree:
-// observer-panic failures, failure counters, detection/offset counters, and
-// the fault-injection trip delta.
+// finish's failures, trips and counters, then the detection, offset and fit
+// counters.
 func (ins *pipelineInstruments) finishSurveil(surv *Surveillance) {
-	if ins == nil {
+	surv.Failures = ins.finish(surv.Failures)
+	if ins == nil || ins.metrics == nil {
 		return
 	}
-	ins.mu.Lock()
-	surv.Failures = append(surv.Failures, ins.obsFails...)
-	ins.obsFails = nil
-	ins.mu.Unlock()
-	if m := ins.metrics; m != nil {
-		m.Gauge("faultpoint/trips").Set(faultpoint.Trips() - ins.tripsBase)
-		for _, f := range surv.Failures {
-			m.Counter("pipeline/failures/" + f.Stage.String()).Inc()
+	detected := 0
+	for i := range surv.Nodes {
+		if surv.Nodes[i].Result.Detected() {
+			detected++
 		}
-		detected := 0
-		for i := range surv.Nodes {
-			if surv.Nodes[i].Result.Detected() {
-				detected++
-			}
-		}
-		m.Counter("surveil/nodes").Add(int64(len(surv.Nodes)))
-		m.Counter("surveil/detections").Add(int64(detected))
-		m.Counter("surveil/offset_pairs").Add(int64(len(surv.Offsets)))
-		m.Counter("surveil/total_fits").Add(int64(surv.AggregateFits + surv.DrillFits))
 	}
+	m := ins.metrics
+	m.Counter("surveil/nodes").Add(int64(len(surv.Nodes)))
+	m.Counter("surveil/detections").Add(int64(detected))
+	m.Counter("surveil/offset_pairs").Add(int64(len(surv.Offsets)))
+	m.Counter("surveil/total_fits").Add(int64(surv.AggregateFits + surv.DrillFits))
 }
 
 // windowDelta is the change of s's w-month mean level across the break at

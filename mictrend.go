@@ -68,7 +68,9 @@
 // Deeper inspection is options-first too: a Tracer collects timed spans of
 // every stage, month fit, series detection, and scan phase as a
 // Perfetto-loadable Chrome trace, and Explain records why each change point
-// was (or was not) selected:
+// was (or was not) selected. Events and spans are one stream: each progress
+// event is derived from a span, and only spans keep flowing after ctx is
+// cancelled, so an interrupted run still writes a valid partial trace:
 //
 //	tracer := mictrend.NewTracer()
 //	opts.Trace = tracer.Observe
@@ -117,8 +119,8 @@ type (
 	EventKind = obs.EventKind
 	// Observer receives progress events; wire one through
 	// AnalysisOptions.Observer or DetectOptions.Observer. Deliveries are
-	// serialized, panic-isolated, and arrive in serial-equivalent order for
-	// any worker count.
+	// serialized, panic-isolated, stop on cancellation, and arrive in
+	// serial-equivalent order for any worker count.
 	Observer = obs.Observer
 	// Metrics is a registry of named counters, gauges, histograms, and
 	// timers; wire one through AnalysisOptions.Metrics.
