@@ -615,7 +615,7 @@ func BenchmarkObsNilLog(b *testing.B) {
 // against a bare handler: request-id generation and echo, route
 // normalization, the labeled request counter and latency histogram, and the
 // in-flight gauge. Access logging is off, as in a metrics-only deployment;
-// baselines live in BENCH_obs.json.
+// baselines live in BENCH.json.
 func BenchmarkHTTPOverhead(b *testing.B) {
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok"))
@@ -671,7 +671,7 @@ func BenchmarkAnalyze(b *testing.B) {
 // BenchmarkAnalyzeTraced runs the same pipeline with a live Tracer and
 // Explain collection, pinning the full observability overhead (span
 // collection, provenance ladders, convergence traces) against
-// BenchmarkAnalyze. Baselines live in BENCH_obs.json.
+// BenchmarkAnalyze. Baselines live in BENCH.json.
 func BenchmarkAnalyzeTraced(b *testing.B) {
 	ds := benchAnalyzeCorpus(b)
 	b.ReportAllocs()

@@ -1,6 +1,6 @@
 // I/O data-plane benchmarks (package mic_test so they can drive micgen,
 // which itself imports mic). These pin the numbers recorded in
-// BENCH_io.json: JSONL vs MICC1 columnar decode/encode throughput on a
+// BENCH.json: JSONL vs MICC1 columnar decode/encode throughput on a
 // shared synthetic corpus, plus the streamed ingest harness — micgen fed
 // straight into the columnar writer without ever materializing the corpus —
 // at 1M records as a smoke (runs under -short in CI) and at 100M+ records

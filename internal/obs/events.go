@@ -90,7 +90,7 @@ func (e Event) String() string {
 // at zero cost. Deliveries are serialized — an Observer never runs
 // concurrently with itself — and arrive in serial-equivalent order for any
 // worker count. Observers should return quickly: a slow callback backpressures
-// the sequencer's flush (not the workers' compute, but their completion
+// a Batch's ordered flush (not the workers' compute, but their completion
 // accounting).
 type Observer func(Event)
 
@@ -199,7 +199,8 @@ func (s *Sink) StageEnd(name string, start time.Time, total, done int, err error
 
 // Batch orders the completions of total units: unit i's span is forwarded,
 // and its event derived, once units 0..i-1 have been, whatever order
-// concurrent workers report them in. An "em/month" span yields MonthFitted
+// concurrent workers report them in. Deliveries run under the batch's lock,
+// which also serializes the callbacks. An "em/month" span yields MonthFitted
 // (stage "model") and a "<stage>/series" span SeriesDone; Done counts the
 // units delivered. Methods on a nil *Batch (a nil sink's) are no-ops.
 type Batch struct {

@@ -89,8 +89,8 @@ type scanOutcome struct {
 // ctx stops dispatch immediately — in-flight searches abort within one model
 // fit — returning the scans completed so far with ctx's error. Results,
 // ok flags and provenance are assembled by job index, and per-series spans
-// and events are delivered in job order through the sink's batch, so the outcome
-// is byte-identical for any Workers/ScanWorkers split and, for the
+// and events are delivered in job order through the sink's batch, so the
+// outcome is byte-identical for any Workers/ScanWorkers split and, for the
 // surviving series, whether or not other series failed. provs (Explain
 // only) lists one entry per job that finished or failed, in job order;
 // failed jobs keep their partial ladder alongside the failure.
