@@ -98,7 +98,7 @@ func TestFitAllSpansSurviveCancel(t *testing.T) {
 	defer faultpoint.Reset()
 	faultpoint.Enable("medmodel/fit-month", faultpoint.Spec{
 		Match: func(string) bool { return false },
-		Delay: 20 * time.Millisecond,
+		Delay: 100 * time.Millisecond,
 	})
 	d := multiMonth(6)
 	ctx, cancel := context.WithCancel(context.Background())
