@@ -193,6 +193,46 @@ func TestReadAllocsPerRecord(t *testing.T) {
 	}
 }
 
+// TestDecodeFilterBytesPerRecord pins the bytes the read path allocates per
+// record: a columnar decode of a generated corpus (one worker) plus the
+// paper's frequency filter over it. A filter that copies the records it
+// keeps whole, or a decoder that allocates its buffers per block, shows here
+// first. The budget is the measured value plus 5%.
+func TestDecodeFilterBytesPerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are not representative under -race")
+	}
+	if testing.Short() {
+		t.Skip("skipping the read-path byte audit in -short mode")
+	}
+	ds, _, err := micgen.Generate(micgen.Config{Seed: 7, Months: 12, RecordsPerMonth: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := mic.WriteColumnar(&buf, ds, mic.ColumnarWriterOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	body, records := buf.Bytes(), ds.NumRecords()
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		got, err := mic.ReadColumnar(bytes.NewReader(body), int64(len(body)), mic.ColumnarReadOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mic.FilterDataset(got, mic.DefaultFilterOptions())
+	}
+	runtime.ReadMemStats(&after)
+	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(records)
+	t.Logf("columnar decode + filter of %d records: %.1f bytes per record", records, perRecord)
+	const budget = 207.0 // measured: 196.9
+	if perRecord > budget {
+		t.Fatalf("decode + filter allocates %.1f bytes per record, budget %.1f", perRecord, budget)
+	}
+}
+
 // peakMemBytes reports the process's peak memory: VmHWM (peak resident
 // set) from /proc/self/status where the kernel exposes it, else the Go
 // runtime's OS-reserved total (runtime.MemStats.Sys) as a labelled proxy.

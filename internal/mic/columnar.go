@@ -713,36 +713,72 @@ func (cf *ColumnarFile) ReadMonth(t int) (*Monthly, error) {
 	if t < 0 || t >= len(cf.blocks) {
 		return nil, fmt.Errorf("mic: month %d out of range [0,%d)", t, len(cf.blocks))
 	}
-	b := cf.blocks[t]
-	comp := make([]byte, b.Len)
-	if _, err := cf.r.ReadAt(comp, b.Offset); err != nil {
-		return nil, fmt.Errorf("mic: reading month %d block: %w", t, err)
-	}
-	if crc32.Checksum(comp, castagnoli) != b.CRC {
-		return nil, fmt.Errorf("mic: month %d block CRC mismatch", t)
-	}
-	raw := make([]byte, 0, b.RawLen)
-	fr := flate.NewReader(bytes.NewReader(comp))
-	// Read at most RawLen+1 bytes: a stream longer than the index claims is
-	// corrupt, and the limit keeps a lying block from allocating beyond the
-	// indexed (and plausibility-checked) size.
-	lim := io.LimitReader(fr, b.RawLen+1)
-	buf := bytes.NewBuffer(raw)
-	if _, err := buf.ReadFrom(lim); err != nil {
-		return nil, fmt.Errorf("mic: decompressing month %d block: %w", t, err)
-	}
-	if err := fr.Close(); err != nil {
-		return nil, fmt.Errorf("mic: decompressing month %d block: %w", t, err)
-	}
-	raw = buf.Bytes()
-	if int64(len(raw)) != b.RawLen {
-		return nil, fmt.Errorf("mic: month %d block decompressed to %d bytes, index says %d", t, len(raw), b.RawLen)
-	}
-	return decodeBlock(raw, t, b.Records, cf.meta)
+	return cf.readMonth(t, new(blockScratch))
 }
 
-// decodeBlock decodes one raw block payload into a Monthly.
-func decodeBlock(raw []byte, month, records int, meta StreamMeta) (*Monthly, error) {
+// blockScratch is the reusable working memory of one block decoder: every
+// buffer a block passes through on its way to records. A decoded Monthly
+// never points into it, so one scratch serves block after block.
+type blockScratch struct {
+	comp []byte // the compressed block
+	raw  []byte // the decompressed block, one byte longer than the index says
+	src  bytes.Reader
+	fr   io.ReadCloser // flate reader, re-armed through flate.Resetter
+	lens []uint64      // one bag-length column: diseases, then medicines
+}
+
+// resized returns buf with length n, reusing its array when it is big
+// enough.
+func resized[E any](buf []E, n int) []E {
+	if cap(buf) < n {
+		return make([]E, n)
+	}
+	return buf[:n]
+}
+
+// readMonth decodes month t's block (t in range) through s.
+func (cf *ColumnarFile) readMonth(t int, s *blockScratch) (*Monthly, error) {
+	b := cf.blocks[t]
+	s.comp = resized(s.comp, int(b.Len))
+	if _, err := cf.r.ReadAt(s.comp, b.Offset); err != nil {
+		return nil, fmt.Errorf("mic: reading month %d block: %w", t, err)
+	}
+	if crc32.Checksum(s.comp, castagnoli) != b.CRC {
+		return nil, fmt.Errorf("mic: month %d block CRC mismatch", t)
+	}
+	s.src.Reset(s.comp)
+	if s.fr == nil {
+		s.fr = flate.NewReader(&s.src)
+	} else if err := s.fr.(flate.Resetter).Reset(&s.src, nil); err != nil {
+		return nil, fmt.Errorf("mic: decompressing month %d block: %w", t, err)
+	}
+	// Read at most RawLen+1 bytes: a stream longer than the index claims is
+	// corrupt, and the bound keeps a lying block from allocating beyond the
+	// indexed (and plausibility-checked) size.
+	s.raw = resized(s.raw, int(b.RawLen)+1)
+	n := 0
+	for n < len(s.raw) {
+		k, err := s.fr.Read(s.raw[n:])
+		n += k
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("mic: decompressing month %d block: %w", t, err)
+		}
+	}
+	if err := s.fr.Close(); err != nil {
+		return nil, fmt.Errorf("mic: decompressing month %d block: %w", t, err)
+	}
+	if int64(n) != b.RawLen {
+		return nil, fmt.Errorf("mic: month %d block decompressed to %d bytes, index says %d", t, n, b.RawLen)
+	}
+	return s.decodeBlock(s.raw[:n], t, b.Records, cf.meta)
+}
+
+// decodeBlock decodes one raw block payload into a Monthly. The records and
+// their bags are allocated afresh; only the bag-length columns use s.
+func (s *blockScratch) decodeBlock(raw []byte, month, records int, meta StreamMeta) (*Monthly, error) {
 	dec := &colDecoder{buf: raw}
 	n, err := dec.uvarint()
 	if err != nil {
@@ -784,16 +820,17 @@ func decodeBlock(raw []byte, month, records int, meta StreamMeta) (*Monthly, err
 	// Disease bag lengths; the sum bounds the entry allocation by bytes
 	// actually present in the block (each entry is ≥2 bytes: one in the id
 	// stream, one in the count stream).
-	dLens := make([]uint64, records)
+	lens := resized(s.lens, records)
+	s.lens = lens
 	var dTotal uint64
-	for i := range dLens {
-		if dLens[i], err = dec.uvarint(); err != nil {
+	for i := range lens {
+		if lens[i], err = dec.uvarint(); err != nil {
 			return nil, fmt.Errorf("mic: month %d disease lengths: %w", month, err)
 		}
-		if dLens[i] > uint64(dec.remaining()) {
-			return nil, fmt.Errorf("mic: month %d record %d: disease bag length %d exceeds block", month, i, dLens[i])
+		if lens[i] > uint64(dec.remaining()) {
+			return nil, fmt.Errorf("mic: month %d record %d: disease bag length %d exceeds block", month, i, lens[i])
 		}
-		dTotal += dLens[i]
+		dTotal += lens[i]
 	}
 	if 2*dTotal > uint64(dec.remaining()) {
 		return nil, fmt.Errorf("mic: month %d: %d disease entries exceed remaining block", month, dTotal)
@@ -802,7 +839,7 @@ func decodeBlock(raw []byte, month, records int, meta StreamMeta) (*Monthly, err
 	pos := 0
 	prev := int64(0)
 	for i := range m.Records {
-		ln := int(dLens[i])
+		ln := int(lens[i])
 		bag := dEntries[pos : pos+ln : pos+ln]
 		pos += ln
 		prev = 0
@@ -833,16 +870,15 @@ func decodeBlock(raw []byte, month, records int, meta StreamMeta) (*Monthly, err
 		dEntries[i].Count = int(c)
 	}
 	// Medicine bag lengths and entries.
-	mLens := make([]uint64, records)
 	var mTotal uint64
-	for i := range mLens {
-		if mLens[i], err = dec.uvarint(); err != nil {
+	for i := range lens {
+		if lens[i], err = dec.uvarint(); err != nil {
 			return nil, fmt.Errorf("mic: month %d medicine lengths: %w", month, err)
 		}
-		if mLens[i] > uint64(dec.remaining()) {
-			return nil, fmt.Errorf("mic: month %d record %d: medicine bag length %d exceeds block", month, i, mLens[i])
+		if lens[i] > uint64(dec.remaining()) {
+			return nil, fmt.Errorf("mic: month %d record %d: medicine bag length %d exceeds block", month, i, lens[i])
 		}
-		mTotal += mLens[i]
+		mTotal += lens[i]
 	}
 	if mTotal > uint64(dec.remaining()) {
 		return nil, fmt.Errorf("mic: month %d: %d medicine entries exceed remaining block", month, mTotal)
@@ -850,7 +886,7 @@ func decodeBlock(raw []byte, month, records int, meta StreamMeta) (*Monthly, err
 	mEntries := make([]MedicineID, mTotal)
 	pos = 0
 	for i := range m.Records {
-		ln := int(mLens[i])
+		ln := int(lens[i])
 		bag := mEntries[pos : pos+ln : pos+ln]
 		pos += ln
 		prev = 0
@@ -906,7 +942,9 @@ func ReadColumnarFile(path string, opts ColumnarReadOptions) (*Dataset, error) {
 
 // ReadAll decodes every month block into a Dataset. Blocks decode
 // concurrently on Workers goroutines; each fills its own month slot, so the
-// result is identical for any worker count.
+// result is identical for any worker count. Each worker reuses one scratch
+// (compressed and decompressed buffers, flate reader, bag lengths) across the
+// blocks it decodes.
 func (cf *ColumnarFile) ReadAll(opts ColumnarReadOptions) (*Dataset, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -942,12 +980,13 @@ func (cf *ColumnarFile) ReadAll(opts ColumnarReadOptions) (*Dataset, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var s blockScratch
 			for {
 				t := nextMonth()
 				if t < 0 {
 					return
 				}
-				m, err := cf.ReadMonth(t)
+				m, err := cf.readMonth(t, &s)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -389,8 +391,119 @@ func TestDecodeBlockBagLengthOverflow(t *testing.T) {
 	medicine = binary.AppendUvarint(medicine, half)
 
 	for name, raw := range map[string][]byte{"disease": disease, "medicine": medicine} {
-		if _, err := decodeBlock(raw, 0, 2, meta); err == nil {
+		if _, err := new(blockScratch).decodeBlock(raw, 0, 2, meta); err == nil {
 			t.Fatalf("%s: overflowing bag lengths accepted", name)
+		}
+	}
+}
+
+// sizedDataset cuts the records of a random dataset into months of the given
+// sizes, in order.
+func sizedDataset(t *testing.T, seed uint64, sizes []int) *Dataset {
+	t.Helper()
+	src := randomDataset(seed, 30, 60)
+	var pool []Record
+	for _, m := range src.Months {
+		pool = append(pool, m.Records...)
+	}
+	d := &Dataset{Diseases: src.Diseases, Medicines: src.Medicines, Hospitals: src.Hospitals}
+	for month, n := range sizes {
+		if n > len(pool) {
+			t.Fatalf("pool of %d records too small for a month of %d", len(pool), n)
+		}
+		d.Months = append(d.Months, &Monthly{Month: month, Records: pool[:n:n]})
+		pool = pool[n:]
+	}
+	return d
+}
+
+// TestReadAllScratchReuse: ReadAll workers reuse one scratch across blocks,
+// so a corpus whose months vary in size — an empty month among them, and a
+// month larger than every month before it — must decode at Workers 1, 2 and
+// 4 exactly as one ReadMonth per month does.
+func TestReadAllScratchReuse(t *testing.T) {
+	d := sizedDataset(t, 31, []int{40, 3, 0, 90, 17, 0, 260, 1, 120, 0})
+	var buf bytes.Buffer
+	if err := WriteColumnar(&buf, d, ColumnarWriterOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	cf, err := OpenColumnar(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]*Monthly, cf.Months())
+	for i := range want {
+		if want[i], err = cf.ReadMonth(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		got, err := cf.ReadAll(ColumnarReadOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got.Months, want) {
+			t.Fatalf("workers %d: ReadAll differs from ReadMonth per month", workers)
+		}
+		datasetsEqual(t, got, d)
+	}
+}
+
+// TestReadAllCorruptBlockAfterGood: a worker's scratch still holds the
+// previous block when it reads the next, and a corrupt block read right
+// after a good one must still fail its CRC, length and trailing-byte checks.
+func TestReadAllCorruptBlockAfterGood(t *testing.T) {
+	d := sizedDataset(t, 37, []int{200, 30})
+	meta := NewStreamMeta(d)
+	// blockFile lays out one compressed block per raw payload, indexed
+	// truthfully, behind a nominal header offset.
+	blockFile := func(raws ...[]byte) *ColumnarFile {
+		cf := &ColumnarFile{meta: meta}
+		var file bytes.Buffer
+		for month, raw := range raws {
+			comp, err := compressBlock(raw, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cf.blocks = append(cf.blocks, blockInfo{
+				Month: month, Offset: int64(file.Len()), Len: int64(len(comp)), RawLen: int64(len(raw)),
+				Records: len(d.Months[month].Records), CRC: crc32.Checksum(comp, castagnoli),
+			})
+			file.Write(comp)
+		}
+		cf.r = bytes.NewReader(file.Bytes())
+		return cf
+	}
+	var raws [][]byte
+	for _, m := range d.Months {
+		raw, err := encodeBlock(m, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws = append(raws, raw)
+	}
+	good, err := blockFile(raws...).ReadAll(ColumnarReadOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	datasetsEqual(t, good, d)
+
+	cases := []struct {
+		name, want string
+		cf         *ColumnarFile
+	}{
+		{"crc", "month 1 block CRC mismatch", blockFile(raws...)},
+		{"rawlen-short", "month 1 block decompressed to", blockFile(raws...)},
+		{"rawlen-long", "month 1 block decompressed to", blockFile(raws...)},
+		{"trailing", "month 1 block: 1 trailing bytes", blockFile(raws[0], append(slices.Clip(raws[1]), 0))},
+	}
+	cases[0].cf.blocks[1].CRC ^= 1
+	cases[1].cf.blocks[1].RawLen--
+	cases[2].cf.blocks[1].RawLen++
+	for _, c := range cases {
+		_, err := c.cf.ReadAll(ColumnarReadOptions{Workers: 1})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got error %v, want %q", c.name, err, c.want)
 		}
 	}
 }

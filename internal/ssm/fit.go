@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -26,9 +27,11 @@ import (
 type FitStats struct {
 	// Fits counts completed (successful) maximum-likelihood fits.
 	Fits atomic.Int64
-	// LikEvals counts Kalman likelihood-filter evaluations: every objective
-	// evaluation of every optimization start, plus each fit's final
-	// concentrated-likelihood pass.
+	// LikEvals counts Kalman likelihood-filter evaluations actually run:
+	// every objective evaluation of every optimization start, plus each
+	// fit's final concentrated-likelihood pass, less those the fit's memo
+	// answered because the same fit had already evaluated the same
+	// parameter bits.
 	LikEvals atomic.Int64
 	// Starts counts optimization starts tried (warm and cold).
 	Starts atomic.Int64
@@ -201,7 +204,9 @@ func FitConfig(y []float64, cfg Config) (*Fit, error) {
 // search — Nelder-Mead's, and for a one-parameter fit the bracket probes'
 // and Brent's — only updates the disturbance variances in place and runs
 // the allocation-free likelihood filter through ws, so a caller performing
-// many fits can reuse one workspace across them. The full Filter pass
+// many fits can reuse one workspace across them; an evaluation at parameter
+// bits the fit has already evaluated is answered from a per-fit memo
+// (likMemo) without a filter pass. The full Filter pass
 // (which materializes the smoother inputs) runs once, for the winning
 // parameters; the change point search, which needs only each candidate's
 // AIC, skips it (AICAtOptions). ws may be nil; a workspace is not safe for
@@ -277,10 +282,11 @@ func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions, f
 	if cfg.Seasonal {
 		nq = 2
 	}
-	var evals, attempts int
+	var memo likMemo
+	var attempts int
 	if s := opts.Stats; s != nil {
 		defer func() {
-			s.LikEvals.Add(int64(evals))
+			s.LikEvals.Add(int64(memo.runs))
 			s.Starts.Add(int64(attempts))
 			if attempts > 1 {
 				s.Restarts.Add(int64(attempts - 1))
@@ -288,8 +294,7 @@ func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions, f
 		}()
 	}
 	objective := func(params []float64) float64 {
-		evals++
-		ll, _, err := concentratedLogLik(scaled, cfg, searchModel, params, ws)
+		ll, _, err := memo.logLik(scaled, cfg, searchModel, params, ws)
 		if err != nil {
 			return math.Inf(1)
 		}
@@ -349,8 +354,7 @@ func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions, f
 		}
 		return nil, &OptimizationError{Attempts: attempts}
 	}
-	evals++
-	logLik, sigma2, err := concentratedLogLik(scaled, cfg, searchModel, best.X, ws)
+	logLik, sigma2, err := memo.logLik(scaled, cfg, searchModel, best.X, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -527,6 +531,47 @@ func concentratedLogLik(scaled []float64, cfg Config, m *kalman.Model, params []
 	}
 	logLik, sigma2 = concentrateFromSums(fr.SumLogF, fr.SumV2F, fr.LikCount)
 	return logLik, sigma2, nil
+}
+
+// likMemoBits sets the size of a fit's likelihood memo: 2^likMemoBits slots.
+const likMemoBits = 7
+
+// likMemo remembers one fit's concentrated-likelihood evaluations by the bits
+// of their parameters. A search revisits points: one-dimensional Nelder–Mead
+// steps on a dyadic lattice, Brent's minimum steps and the bracket probes
+// land on earlier points, and the final pass is at the search's best point.
+// The memo is direct-mapped: an evaluation replaces whatever its slot held,
+// so a hit returns exactly what concentratedLogLik returned for the same
+// bits, and a miss merely runs the filter again. It lives on the fit's stack,
+// so it allocates nothing.
+type likMemo struct {
+	slots [1 << likMemoBits]likEntry
+	runs  int // evaluations that missed and ran the filter
+}
+
+type likEntry struct {
+	key        [2]uint64
+	set        bool
+	ll, sigma2 float64
+	err        error
+}
+
+// logLik is concentratedLogLik through the memo; params has at most two
+// elements.
+func (c *likMemo) logLik(scaled []float64, cfg Config, m *kalman.Model, params []float64, ws *kalman.Workspace) (logLik, sigma2 float64, err error) {
+	var key [2]uint64
+	for i, p := range params {
+		key[i] = math.Float64bits(p)
+	}
+	h := (key[0] ^ bits.RotateLeft64(key[1], 32)) * 0x9e3779b97f4a7c15
+	e := &c.slots[h>>(64-likMemoBits)]
+	if e.set && e.key == key {
+		return e.ll, e.sigma2, e.err
+	}
+	c.runs++
+	logLik, sigma2, err = concentratedLogLik(scaled, cfg, m, params, ws)
+	*e = likEntry{key: key, set: true, ll: logLik, sigma2: sigma2, err: err}
+	return logLik, sigma2, err
 }
 
 // maxLogVar bounds the optimizer coordinates: relative log-variances beyond

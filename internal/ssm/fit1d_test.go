@@ -19,6 +19,16 @@ import (
 // starts tried and the objective evaluations paid.
 func nelderMeadFit(t *testing.T, y []float64, cfg Config) (x, nll float64, attempts, evals int) {
 	t.Helper()
+	best, attempts, evals, _ := nelderMeadSearch(t, y, cfg)
+	return best.X[0], best.F, attempts, evals
+}
+
+// nelderMeadSearch runs the oracle search of nelderMeadFit for a model with
+// any number of parameters, with no likelihood memo: every objective
+// evaluation runs the filter. It also returns how many distinct parameter
+// vectors (by bits) the search evaluated.
+func nelderMeadSearch(t *testing.T, y []float64, cfg Config) (best optimize.Result, attempts, evals, distinct int) {
+	t.Helper()
 	cfg = cfg.withDefaults()
 	scaled, _ := stat.Rescale(y)
 	m, err := build(cfg, 1, 1, 1)
@@ -26,19 +36,28 @@ func nelderMeadFit(t *testing.T, y []float64, cfg Config) (x, nll float64, attem
 		t.Fatal(err)
 	}
 	ws := kalman.NewWorkspace()
+	seen := map[[2]uint64]bool{}
 	objective := func(params []float64) float64 {
 		evals++
+		var key [2]uint64
+		for i, p := range params {
+			key[i] = math.Float64bits(p)
+		}
+		seen[key] = true
 		ll, _, err := concentratedLogLik(scaled, cfg, m, params, ws)
 		if err != nil {
 			return math.Inf(1)
 		}
 		return -ll
 	}
-	starts, err := fitStarts(1, FitOptions{})
+	nq := 1
+	if cfg.Seasonal {
+		nq = 2
+	}
+	starts, err := fitStarts(nq, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var best optimize.Result
 	haveBest := false
 	for _, s0 := range starts {
 		attempts++
@@ -56,7 +75,7 @@ func nelderMeadFit(t *testing.T, y []float64, cfg Config) (x, nll float64, attem
 	if !haveBest {
 		t.Fatalf("oracle found no finite start for %v", y)
 	}
-	return best.X[0], best.F, attempts, evals
+	return best, attempts, evals, len(seen)
 }
 
 // fit1DCase is one generated non-seasonal fitting problem.
@@ -134,8 +153,9 @@ func TestColdFit1DMatchesNelderMead(t *testing.T) {
 		if x < -19 {
 			atBound++
 		}
-		// The final concentrated-likelihood pass is not part of the search.
-		newEvals = append(newEvals, int(stats.LikEvals.Load())-1)
+		// The final concentrated-likelihood pass is at a point the search
+		// evaluated, so the fit's memo answers it without a filter pass.
+		newEvals = append(newEvals, int(stats.LikEvals.Load()))
 		oldEvals = append(oldEvals, evals)
 	}
 	if atBound == 0 {
@@ -166,6 +186,47 @@ func TestColdFit1DBracketFailureFallsBack(t *testing.T) {
 			math.Float64bits(-fit.LogLik) != math.Float64bits(nll) || fit.Attempts != attempts {
 			t.Fatalf("case %d: fit (log q %v, NLL %v, %d starts) differs from Nelder-Mead (%v, %v, %d)",
 				i, fit.OptParams[0], -fit.LogLik, fit.Attempts, x, nll, attempts)
+		}
+	}
+}
+
+// TestFitMemoMatchesUnmemoized: a cold seasonal fit runs Nelder-Mead alone,
+// so with the likelihood memo it must land on the memo-free oracle's point
+// and likelihood bit for bit. Its LikEvals counts the filter passes run:
+// at least one per distinct point the search evaluated, and no more than
+// the oracle's evaluations, since the final pass is at the search's best
+// point, which the search evaluated.
+func TestFitMemoMatchesUnmemoized(t *testing.T) {
+	rng := rand.New(rand.NewPCG(28, 3))
+	for i := 0; i < 12; i++ {
+		months := 30 + rng.IntN(14)
+		cfg := Config{Seasonal: true, ChangePoint: NoChangePoint}
+		if i%2 == 1 {
+			cfg.ChangePoint = rng.IntN(months)
+		}
+		y := make([]float64, months)
+		level := 50 * rng.Float64()
+		for t := range y {
+			level += 0.3 * rng.NormFloat64()
+			y[t] = level + 3*math.Sin(2*math.Pi*float64(t)/12) + rng.NormFloat64()
+		}
+		var stats FitStats
+		fit, err := FitConfigOptions(y, cfg, nil, FitOptions{Stats: &stats})
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		best, attempts, evals, distinct := nelderMeadSearch(t, y, cfg)
+		for j, x := range best.X {
+			if math.Float64bits(fit.OptParams[j]) != math.Float64bits(x) {
+				t.Fatalf("case %d: parameter %d is %v, oracle %v", i, j, fit.OptParams[j], x)
+			}
+		}
+		if math.Float64bits(-fit.LogLik) != math.Float64bits(best.F) || fit.Attempts != attempts {
+			t.Fatalf("case %d: NLL %v in %d starts, oracle %v in %d", i, -fit.LogLik, fit.Attempts, best.F, attempts)
+		}
+		runs := int(stats.LikEvals.Load())
+		if runs < distinct || runs > evals {
+			t.Fatalf("case %d: %d filter passes for %d evaluations (+1 final) of %d distinct points", i, runs, evals, distinct)
 		}
 	}
 }
