@@ -23,9 +23,8 @@
 // manifest.json naming what was written where: report.txt (the same report
 // that goes to stdout), metrics.json, trace.json, series.csv, explain/
 // provenance, and — with -hierarchy — surveillance.txt and
-// surveillance.json. The older single-artifact flags (-explain, -metrics,
-// -trace, -csv) still work and override the corresponding path inside -out,
-// but are deprecated in favor of the one-directory layout.
+// surveillance.json. -metrics FILE writes the metrics registry to FILE
+// instead ("-" = stdout), with or without -out.
 //
 // -hierarchy rolls the reproduced series up the medicine-class/disease-group
 // hierarchy, scans the small aggregate set, drills each detected break down
@@ -103,10 +102,8 @@ type outManifest struct {
 // flush.
 type flusher struct {
 	tracer      *obs.Tracer
-	tracePath   string
 	metricsPath string
 	metrics     *obs.Registry
-	explainDir  string
 	manifest    func(*trend.Analysis, bool) trend.Manifest
 	store       *serve.Store
 	outDir      string
@@ -124,30 +121,29 @@ func (fl *flusher) flush(analysis *trend.Analysis, interrupted bool) {
 	}
 	fl.done = true
 	if fl.tracer != nil {
-		if err := writeTrace(fl.tracePath, fl.tracer); err != nil {
+		path := filepath.Join(fl.outDir, "trace.json")
+		if err := writeFile(path, fl.tracer.WriteTrace); err != nil {
 			log.Printf("warning: %v", err)
 		} else {
-			fmt.Printf("wrote trace (%d spans) to %s\n", fl.tracer.Len(), fl.tracePath)
-			fl.record("trace", fl.tracePath)
+			fmt.Printf("wrote trace (%d spans) to %s\n", fl.tracer.Len(), path)
+			fl.record("trace", path)
 		}
 	}
 	if fl.metricsPath != "" {
-		if err := writeMetrics(fl.metricsPath, fl.metrics); err != nil {
+		if err := writeFile(fl.metricsPath, fl.metrics.Snapshot().WriteJSON); err != nil {
 			log.Printf("warning: %v", err)
 		} else {
 			fl.record("metrics", fl.metricsPath)
 		}
 	}
-	if fl.explainDir != "" && analysis != nil {
-		man := fl.manifest(analysis, interrupted)
-		if err := trend.WriteExplain(fl.explainDir, analysis, man); err != nil {
+	if fl.outDir != "" && analysis != nil {
+		dir := filepath.Join(fl.outDir, "explain")
+		if err := trend.WriteExplain(dir, analysis, fl.manifest(analysis, interrupted)); err != nil {
 			log.Printf("warning: %v", err)
 		} else {
-			fmt.Printf("wrote explain artifacts (%d series) to %s\n", len(analysis.SeriesProvenance), fl.explainDir)
-			fl.record("explain", fl.explainDir)
+			fmt.Printf("wrote explain artifacts (%d series) to %s\n", len(analysis.SeriesProvenance), dir)
+			fl.record("explain", dir)
 		}
-	}
-	if fl.outDir != "" && analysis != nil {
 		man := outManifest{
 			Manifest:     fl.manifest(analysis, interrupted),
 			StageTimings: stageTimings(fl.metrics),
@@ -215,14 +211,11 @@ func run() int {
 		hierarchy     = flag.Bool("hierarchy", false, "roll series up the class hierarchy, scan the aggregates, and emit a drill-down surveillance report (hierarchy from the catalog under -generate, else from -hierarchy-file)")
 		hierarchyFile = flag.String("hierarchy-file", "", "JSON code-level hierarchy for -in corpora: {\"medicine_class\":{code:class}, \"class_group\":{class:group}, \"disease_group\":{code:group}}")
 		outDir        = flag.String("out", "", "write every run artifact (report.txt, manifest.json, metrics.json, trace.json, series.csv, explain/, surveillance.*) under this directory")
-		csvPath       = flag.String("csv", "", "write the reproduced prescription series to this CSV file (deprecated: prefer -out DIR, which writes DIR/series.csv)")
 		strict        = flag.Bool("strict", false, "abort on the first malformed corpus line instead of skipping it")
 		maxFailures   = flag.Int("max-failures", -1, "exit nonzero when more than this many series/months fail (-1 = never)")
 		progress      = flag.Bool("progress", false, "log pipeline progress events (stages, fitted months, finished series)")
-		metricsPath   = flag.String("metrics", "", "write the run's metrics registry as JSON to this file, \"-\" = stdout (deprecated: prefer -out DIR, which writes DIR/metrics.json)")
+		metricsPath   = flag.String("metrics", "", "write the run's metrics registry as JSON to this file, \"-\" = stdout, in place of -out's DIR/metrics.json")
 		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
-		tracePath     = flag.String("trace", "", "write the run's spans as Chrome Trace Event JSON to this file (deprecated: prefer -out DIR, which writes DIR/trace.json)")
-		explainDir    = flag.String("explain", "", "write decision-provenance artifacts under this directory (deprecated: prefer -out DIR, which writes DIR/explain)")
 		promAddr      = flag.String("prom", "", "serve Prometheus text metrics on this address at /metrics (the -pprof mux serves it too)")
 		ckptDir       = flag.String("checkpoint", "", "durable per-month checkpoint directory: fits are persisted there and reused on reruns over the same corpus")
 	)
@@ -233,24 +226,14 @@ func run() int {
 		return exitUsage
 	}
 
-	// -out consolidates the artifact layout; the older single-artifact flags
-	// override their path inside it.
+	// -out holds every artifact; -metrics alone may point elsewhere.
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			log.Print(err)
 			return exitError
 		}
-		if *explainDir == "" {
-			*explainDir = filepath.Join(*outDir, "explain")
-		}
 		if *metricsPath == "" {
 			*metricsPath = filepath.Join(*outDir, "metrics.json")
-		}
-		if *tracePath == "" {
-			*tracePath = filepath.Join(*outDir, "trace.json")
-		}
-		if *csvPath == "" {
-			*csvPath = filepath.Join(*outDir, "series.csv")
 		}
 	}
 
@@ -327,17 +310,14 @@ func run() int {
 	if *progress {
 		opts.Observer = func(e obs.Event) { log.Print(e) }
 	}
-	fl := &flusher{metricsPath: *metricsPath, metrics: metrics, explainDir: *explainDir, outDir: *outDir}
+	fl := &flusher{metricsPath: *metricsPath, metrics: metrics, outDir: *outDir}
 	if *outDir != "" {
 		fl.artifacts = make(map[string]string)
-	}
-	defer fl.flush(nil, false) // backstop for panics and early returns
-	if *tracePath != "" {
 		fl.tracer = obs.NewTracer()
-		fl.tracePath = *tracePath
 		opts.Trace = fl.tracer.Observe
 	}
-	opts.Explain = *explainDir != ""
+	defer fl.flush(nil, false) // backstop for panics and early returns
+	opts.Explain = *outDir != ""
 	fl.manifest = func(analysis *trend.Analysis, interrupted bool) trend.Manifest {
 		man := trend.BuildManifest(opts, analysis)
 		man.Version = version
@@ -392,12 +372,13 @@ func run() int {
 	}
 	causes := trend.ClassifyChanges(analysis, 2)
 
-	if *csvPath != "" {
-		if err := writeCSV(*csvPath, analysis, ds); err != nil {
+	if *outDir != "" {
+		path := filepath.Join(*outDir, "series.csv")
+		if err := writeFile(path, func(w io.Writer) error { return analysis.Series.WriteCSV(w, ds.Diseases, ds.Medicines) }); err != nil {
 			return fl.fail(analysis, err)
 		}
-		fmt.Printf("wrote reproduced series to %s\n", *csvPath)
-		fl.record("series_csv", *csvPath)
+		fmt.Printf("wrote reproduced series to %s\n", path)
+		fl.record("series_csv", path)
 	}
 
 	printKind := func(name string, dets []trend.Detection, describe func(trend.Detection) string) {
@@ -553,19 +534,6 @@ func loadHierarchy(ds *mic.Dataset, truth *micgen.Truth, path string) (trend.Hie
 	return trend.HierarchyFromCodes(ds, c.MedicineClasses(), c.ClassGroups, c.DiseaseGroups()), nil
 }
 
-// writeCSV dumps the reproduced prescription series for external plotting.
-func writeCSV(path string, analysis *trend.Analysis, ds *mic.Dataset) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := analysis.Series.WriteCSV(f, ds.Diseases, ds.Medicines); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // stageTiming is one row of the per-stage wall-clock breakdown, shared by
 // the -progress console table and the -out manifest's stage_timings section.
 type stageTiming struct {
@@ -635,30 +603,16 @@ func printStageSummary(w io.Writer, metrics *obs.Registry) {
 	fmt.Fprintf(w, "  %-13s %12s\n", "total", total.Round(time.Millisecond))
 }
 
-// writeTrace dumps the collected spans as Chrome Trace Event JSON.
-func writeTrace(path string, tracer *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tracer.WriteTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeMetrics dumps the registry snapshot as indented JSON ("-" = stdout).
-func writeMetrics(path string, metrics *obs.Registry) error {
-	snap := metrics.Snapshot()
+// writeFile creates path and fills it with write ("-" = stdout).
+func writeFile(path string, write func(io.Writer) error) error {
 	if path == "-" {
-		return snap.WriteJSON(os.Stdout)
+		return write(os.Stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := snap.WriteJSON(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -667,15 +621,9 @@ func writeMetrics(path string, metrics *obs.Registry) error {
 
 // writeJSONFile writes v as indented JSON.
 func writeJSONFile(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }

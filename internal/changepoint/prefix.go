@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 
 	"mictrend/internal/faultpoint"
 	"mictrend/internal/kalman"
 	"mictrend/internal/obs"
+	"mictrend/internal/par"
 	"mictrend/internal/ssm"
 )
 
@@ -286,86 +286,18 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 	warmAIC := make([]float64, len(survivors))
 	theta1 := theta
 	contendersBegan := obs.SpanStart(opts.Trace)
-	var firstErr error
-	if len(survivors) > 0 {
-		inner, cancel := context.WithCancel(ctx)
-		var (
-			mu        sync.Mutex
-			failIdx   = len(survivors)
-			failErr   error
-			failPanic any
-		)
-		record := func(idx int, err error, panicked any) {
-			mu.Lock()
-			if idx < failIdx {
-				failIdx, failErr, failPanic = idx, err, panicked
-			}
-			mu.Unlock()
-			cancel()
+	err = par.Each(ctx, len(survivors), workers, func() func(int) error {
+		wws := kalman.NewWorkspace()
+		return func(i int) (err error) {
+			warmAIC[i], _, err = fit(survivors[i], theta1, wws)
+			return err
 		}
-		jobs := make(chan int, len(survivors))
-		for i := range survivors {
-			jobs <- i
-		}
-		close(jobs)
-		if workers > len(survivors) {
-			workers = len(survivors)
-		}
-		work := func() {
-			wws := kalman.NewWorkspace()
-			for i := range jobs {
-				if inner.Err() != nil {
-					return
-				}
-				var panicked bool
-				aic, _, err := func() (aic float64, opt []float64, err error) {
-					defer func() {
-						if r := recover(); r != nil {
-							panicked = true
-							record(i, nil, r)
-						}
-					}()
-					return fit(survivors[i], theta1, wws)
-				}()
-				if panicked {
-					return
-				}
-				if err != nil {
-					record(i, err, nil)
-					return
-				}
-				warmAIC[i] = aic
-			}
-		}
-		if workers <= 1 {
-			work()
-		} else {
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					work()
-				}()
-			}
-			wg.Wait()
-		}
-		cancel()
-		if failIdx < len(survivors) {
-			if failPanic != nil {
-				panic(failPanic)
-			}
-			firstErr = failErr
-		}
-	}
+	})
 	if opts.Trace != nil {
 		obs.Emit(opts.Trace, obs.SpanEvent{Cat: "scan", Name: "scan/contenders", TID: obs.LaneScan, Start: contendersBegan, Month: -1,
-			Detail: fmt.Sprintf("%d contenders", len(survivors))}, firstErr)
+			Detail: fmt.Sprintf("%d contenders", len(survivors))}, err)
 	}
-	if firstErr != nil {
-		return Result{}, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return Result{}, err
 	}
 	fits += len(survivors)

@@ -6,15 +6,14 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"mictrend/internal/faultpoint"
 	"mictrend/internal/mic"
 	"mictrend/internal/obs"
+	"mictrend/internal/par"
 )
 
 // FitOptions tunes the EM loop.
@@ -779,8 +778,8 @@ func fitMonth(k *emKernel, month *mic.Monthly, vocabMedicines int, opts FitOptio
 // bounded pool of opts.Workers goroutines (default GOMAXPROCS); the models
 // are identical to those of a serial month-by-month loop. A positive
 // PriorWeight chains the months, each month's prior centered at the last
-// fitted posterior (opts.InitialPrior before the first), so one worker fits
-// them in order.
+// fitted posterior (opts.InitialPrior before the first), so they are fitted
+// in order on the calling goroutine, as are all months with one worker.
 //
 // FitAll degrades rather than failing atomically: a month whose fit errors
 // or panics leaves a nil entry in the returned slice and a MonthError
@@ -824,52 +823,30 @@ func FitAll(ctx context.Context, d *mic.Dataset, opts FitOptions) ([]*Model, []M
 		units.Done(i, sp)
 	}
 	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(d.Months) {
-		workers = len(d.Months)
-	}
 	if opts.PriorWeight > 0 {
 		workers = 1
 	}
 	// Each worker reuses one kernel's index scratch across the months it
-	// takes. A lone worker takes them in order and threads each fitted
-	// posterior into the next month, whose fit reads it as the prior only
-	// when PriorWeight > 0.
-	in := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var k emKernel
-			prior := opts.InitialPrior
-			for i := range in {
-				if ctx.Err() != nil {
-					continue // drain: cancelled before this month started
-				}
-				var began time.Time // read only when spans are built
-				if units != nil {
-					began = time.Now()
-				}
-				models[i], panicked[i], errs[i] = fitMonth(&k, d.Months[i], d.Medicines.Len(), opts, prior)
-				if models[i] != nil && workers == 1 {
-					prior = models[i]
-				}
-				monthDone(i, began)
+	// takes. With PriorWeight > 0 the lone worker takes them in order and
+	// threads each fitted posterior into the next month's fit as its prior.
+	// Fit failures stay in errs, so only a cancel stops the pool.
+	err := par.Each(ctx, len(d.Months), workers, func() func(int) error {
+		var k emKernel
+		prior := opts.InitialPrior
+		return func(i int) error {
+			var began time.Time // read only when spans are built
+			if units != nil {
+				began = time.Now()
 			}
-		}()
-	}
-	for i := range d.Months {
-		select {
-		case in <- i:
-		case <-ctx.Done():
+			models[i], panicked[i], errs[i] = fitMonth(&k, d.Months[i], d.Medicines.Len(), opts, prior)
+			if models[i] != nil && opts.PriorWeight > 0 {
+				prior = models[i]
+			}
+			monthDone(i, began)
+			return nil
 		}
-	}
-	close(in)
-	wg.Wait()
-	return models, monthErrors(errs, panicked), ctx.Err()
+	})
+	return models, monthErrors(errs, panicked), err
 }
 
 // monthErrors collects the per-month failures in month order.

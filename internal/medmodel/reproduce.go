@@ -2,14 +2,14 @@ package medmodel
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"mictrend/internal/mic"
+	"mictrend/internal/par"
 )
 
 // SeriesSet holds reproduced monthly time series: Pairs is the paper's
@@ -109,35 +109,16 @@ func reproduceParallel(d *mic.Dataset, phis []map[mic.DiseaseID]map[mic.Medicine
 			todo = append(todo, t)
 		}
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(todo))
 	// Each worker reuses one kernel's scratch across the months it takes.
-	if workers <= 1 {
+	// No month fails and the context is never done, so Each returns nil.
+	_ = par.Each(context.Background(), len(todo), workers, func() func(int) error {
 		var k reproKernel
-		for _, t := range todo {
+		return func(j int) error {
+			t := todo[j]
 			sums[t] = MonthSums{pairs: k.month(d.Months[t], phis[t], unit), done: true}
+			return nil
 		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var k reproKernel
-				for t := range next {
-					sums[t] = MonthSums{pairs: k.month(d.Months[t], phis[t], unit), done: true}
-				}
-			}()
-		}
-		for _, t := range todo {
-			next <- t
-		}
-		close(next)
-		wg.Wait()
-	}
+	})
 	// Serial merge in month order: each month writes only its own slot, so
 	// the merge is pure placement — no cross-month float accumulation.
 	s := &SeriesSet{T: d.T(), Pairs: make(map[mic.Pair][]float64)}

@@ -3,6 +3,7 @@ package mic
 import (
 	"bytes"
 	"compress/flate"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,6 +13,8 @@ import (
 	"os"
 	"runtime"
 	"sync"
+
+	"mictrend/internal/par"
 )
 
 // MICC1 is the compact binary columnar format for monthly MIC datasets. A
@@ -942,66 +945,24 @@ func ReadColumnarFile(path string, opts ColumnarReadOptions) (*Dataset, error) {
 
 // ReadAll decodes every month block into a Dataset. Blocks decode
 // concurrently on Workers goroutines; each fills its own month slot, so the
-// result is identical for any worker count. Each worker reuses one scratch
-// (compressed and decompressed buffers, flate reader, bag lengths) across the
-// blocks it decodes.
+// result is identical for any worker count, and so is the error: that of
+// the lowest month whose block fails to decode. Each worker reuses one
+// scratch (compressed and decompressed buffers, flate reader, bag lengths)
+// across the blocks it decodes.
 func (cf *ColumnarFile) ReadAll(opts ColumnarReadOptions) (*Dataset, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cf.blocks) {
-		workers = len(cf.blocks)
-	}
 	d, err := cf.meta.newDataset()
 	if err != nil {
 		return nil, err
 	}
-	if len(cf.blocks) == 0 {
-		return d, nil
-	}
-	var (
-		wg       sync.WaitGroup
-		next     int64
-		mu       sync.Mutex
-		firstErr error
-	)
-	nextMonth := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr != nil || next >= int64(len(cf.blocks)) {
-			return -1
+	err = par.Each(context.Background(), len(cf.blocks), opts.Workers, func() func(int) error {
+		var s blockScratch
+		return func(t int) (err error) {
+			d.Months[t], err = cf.readMonth(t, &s)
+			return err
 		}
-		t := int(next)
-		next++
-		return t
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var s blockScratch
-			for {
-				t := nextMonth()
-				if t < 0 {
-					return
-				}
-				m, err := cf.readMonth(t, &s)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				d.Months[t] = m
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	})
+	if err != nil {
+		return nil, err
 	}
 	return d, nil
 }

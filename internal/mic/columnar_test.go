@@ -453,7 +453,7 @@ func TestReadAllScratchReuse(t *testing.T) {
 // previous block when it reads the next, and a corrupt block read right
 // after a good one must still fail its CRC, length and trailing-byte checks.
 func TestReadAllCorruptBlockAfterGood(t *testing.T) {
-	d := sizedDataset(t, 37, []int{200, 30})
+	d := sizedDataset(t, 37, []int{200, 30, 260, 15, 15, 15, 15})
 	meta := NewStreamMeta(d)
 	// blockFile lays out one compressed block per raw payload, indexed
 	// truthfully, behind a nominal header offset.
@@ -504,6 +504,22 @@ func TestReadAllCorruptBlockAfterGood(t *testing.T) {
 		_, err := c.cf.ReadAll(ColumnarReadOptions{Workers: 1})
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got error %v, want %q", c.name, err, c.want)
+		}
+	}
+
+	// Blocks 2 and 5 both corrupt: block 2, the larger, fails only after
+	// decompressing, block 5 at once on its CRC, yet block 2's error is
+	// the one reported at every worker count.
+	corrupt := slices.Clone(raws)
+	corrupt[2] = append(slices.Clip(raws[2]), 0)
+	two := blockFile(corrupt...)
+	two.blocks[5].CRC ^= 1
+	for _, workers := range []int{1, 2, 4} {
+		for run := 0; run < 20; run++ {
+			_, err := two.ReadAll(ColumnarReadOptions{Workers: workers})
+			if want := "month 2 block: 1 trailing bytes"; err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("blocks 2 and 5 corrupt, Workers %d, run %d: got error %v, want %q", workers, run, err, want)
+			}
 		}
 	}
 }

@@ -448,11 +448,12 @@ func (c *Core) fold(task *foldTask) foldResult {
 
 // replay handles an asserted month that is already committed: identical
 // records succeed idempotently with the current epoch, different records
-// conflict.
+// conflict. A code or hospital the corpus lacks already differs from the
+// committed month, so only a month whose codes and hospitals are all known
+// is remapped and compared, and a rejected replay adds nothing to the
+// corpus.
 func (c *Core) replay(task *foldTask) foldResult {
-	existing := c.ds.Months[task.want]
-	incoming := c.remapMonth(task.month, task.want)
-	if !monthliesEqual(existing, incoming) {
+	if !c.knows(task.month) || !monthliesEqual(c.ds.Months[task.want], c.remapMonth(task.month, task.want)) {
 		return foldResult{err: fmt.Errorf("%w: month %d already committed with different records", ErrMonthConflict, task.want)}
 	}
 	e := c.epoch.Load()
@@ -471,9 +472,38 @@ func (c *Core) mergeMonth(in *mic.Dataset, at int) *mic.Monthly {
 	return monthly
 }
 
+// knows reports whether the corpus already holds every disease and
+// medicine code and every hospital of in, so that remapping in adds
+// nothing to it.
+func (c *Core) knows(in *mic.Dataset) bool {
+	known := func(from, into *mic.Vocab) bool {
+		for id := 0; id < from.Len(); id++ {
+			if _, ok := into.Lookup(from.Code(int32(id))); !ok {
+				return false
+			}
+		}
+		return true
+	}
+	if !known(in.Diseases, c.ds.Diseases) || !known(in.Medicines, c.ds.Medicines) {
+		return false
+	}
+	have := make(map[string]bool, len(c.ds.Hospitals))
+	for _, h := range c.ds.Hospitals {
+		have[h.Code] = true
+	}
+	for _, h := range in.Hospitals {
+		if !have[h.Code] {
+			return false
+		}
+	}
+	return true
+}
+
 // remapMonth translates the single month of in into the serving corpus's id
 // space, interning any new disease/medicine codes and appending any new
-// hospitals (matched by code).
+// hospitals (matched by code). The records' bags are carved from one
+// disease slab and one medicine slab, each bag capped at its own length so
+// an append to it cannot write into its neighbour.
 func (c *Core) remapMonth(in *mic.Dataset, at int) *mic.Monthly {
 	dmap := make([]mic.DiseaseID, in.Diseases.Len())
 	for i := range dmap {
@@ -497,22 +527,27 @@ func (c *Core) remapMonth(in *mic.Dataset, at int) *mic.Monthly {
 		hmap[i] = id
 	}
 	src := in.Months[0]
+	var nd, nm int
+	for i := range src.Records {
+		nd += len(src.Records[i].Diseases)
+		nm += len(src.Records[i].Medicines)
+	}
+	dslab, mslab := make([]mic.DiseaseCount, nd), make([]mic.MedicineID, nm)
 	out := &mic.Monthly{Month: at, Records: make([]mic.Record, len(src.Records))}
 	for i := range src.Records {
-		r := &src.Records[i]
-		nr := mic.Record{Patient: r.Patient}
+		r, nr := &src.Records[i], &out.Records[i]
+		nr.Patient = r.Patient
 		if int(r.Hospital) < len(hmap) {
 			nr.Hospital = hmap[r.Hospital]
 		}
-		nr.Diseases = make([]mic.DiseaseCount, len(r.Diseases))
+		nr.Diseases, dslab = dslab[:len(r.Diseases):len(r.Diseases)], dslab[len(r.Diseases):]
 		for j, dc := range r.Diseases {
 			nr.Diseases[j] = mic.DiseaseCount{Disease: dmap[dc.Disease], Count: dc.Count}
 		}
-		nr.Medicines = make([]mic.MedicineID, len(r.Medicines))
+		nr.Medicines, mslab = mslab[:len(r.Medicines):len(r.Medicines)], mslab[len(r.Medicines):]
 		for j, m := range r.Medicines {
 			nr.Medicines[j] = mmap[m]
 		}
-		out.Records[i] = nr
 	}
 	return out
 }

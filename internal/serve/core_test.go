@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mictrend/internal/faultpoint"
+	"mictrend/internal/mic"
 	"mictrend/internal/obs"
 )
 
@@ -321,9 +322,13 @@ func TestCoreReplayAndConflict(t *testing.T) {
 		t.Fatalf("replay advanced the epoch to %d", seq)
 	}
 
-	// Same index, different records: conflict.
-	if _, _, err := c.Ingest(context.Background(), monthSlice(t, src, 2), 1); !errors.Is(err, ErrMonthConflict) {
-		t.Fatalf("divergent replay returned %v, want ErrMonthConflict", err)
+	// Same index, different records: conflict, also when the replay carries
+	// a code or hospital the corpus has never seen.
+	diseases, medicines, hospitals := c.ds.Diseases.Len(), c.ds.Medicines.Len(), len(c.ds.Hospitals)
+	for _, replay := range []*mic.Dataset{monthSlice(t, src, 2), novelMonth(t, src, 1)} {
+		if _, _, err := c.Ingest(context.Background(), replay, 1); !errors.Is(err, ErrMonthConflict) {
+			t.Fatalf("divergent replay returned %v, want ErrMonthConflict", err)
+		}
 	}
 	// A gap ahead of the fold position: conflict.
 	if _, _, err := c.Ingest(context.Background(), monthSlice(t, src, 3), 5); !errors.Is(err, ErrMonthConflict) {
@@ -335,6 +340,77 @@ func TestCoreReplayAndConflict(t *testing.T) {
 	}
 	if c.Months() != 2 || c.Epoch().Seq != before.Seq {
 		t.Fatal("rejected ingests mutated the published state")
+	}
+	// Ingest has returned, so the idle fold goroutine leaves c.ds alone.
+	if c.ds.Diseases.Len() != diseases || c.ds.Medicines.Len() != medicines || len(c.ds.Hospitals) != hospitals {
+		t.Fatalf("rejected ingests grew the corpus: %d/%d/%d diseases/medicines/hospitals, want %d/%d/%d",
+			c.ds.Diseases.Len(), c.ds.Medicines.Len(), len(c.ds.Hospitals), diseases, medicines, hospitals)
+	}
+}
+
+// novelMonth is monthSlice(src, i) with a disease, a medicine and a
+// hospital that no month of src has, its first record moved onto all three.
+func novelMonth(t *testing.T, src *mic.Dataset, i int) *mic.Dataset {
+	t.Helper()
+	m := monthSlice(t, src, i)
+	r := &m.Months[0].Records[0]
+	r.Diseases[0].Disease = mic.DiseaseID(m.Diseases.Intern("Z99.NOVEL"))
+	r.Medicines[0] = mic.MedicineID(m.Medicines.Intern("NOVEL-MED"))
+	r.Hospital = m.AddHospital(mic.Hospital{Code: "H-NOVEL", City: "Nowhere", Beds: 10})
+	return m
+}
+
+// TestCoreRejectedReplayLeavesCorpus: a conflicting replay that carries a
+// new code or hospital must not reach the corpus. Core A folds months 0–1,
+// rejects such a replay of month 1, then folds 2–3; core B folds 0–3 only.
+// After every fold both publish the same vocabularies and Analysis.
+func TestCoreRejectedReplayLeavesCorpus(t *testing.T) {
+	src := genServeCorpus(t, 4)
+	a, _, _ := newTestCore(t, t.TempDir())
+	defer a.Close()
+	b, _, _ := newTestCore(t, t.TempDir())
+	defer b.Close()
+	waitReady(t, a)
+	waitReady(t, b)
+	for i := 0; i < 4; i++ {
+		ingestRange(t, a, src, i, i+1)
+		ingestRange(t, b, src, i, i+1)
+		if i == 1 {
+			if _, _, err := a.Ingest(context.Background(), novelMonth(t, src, 1), 1); !errors.Is(err, ErrMonthConflict) {
+				t.Fatalf("divergent replay returned %v, want ErrMonthConflict", err)
+			}
+		}
+		ea, eb := a.Epoch(), b.Epoch()
+		if !reflect.DeepEqual(ea.DiseaseCodes, eb.DiseaseCodes) || !reflect.DeepEqual(ea.MedicineCodes, eb.MedicineCodes) {
+			t.Fatalf("month %d: published codes differ after a rejected replay", i)
+		}
+		if !reflect.DeepEqual(ea.Analysis, eb.Analysis) {
+			t.Fatalf("month %d: published Analysis differs after a rejected replay", i)
+		}
+	}
+}
+
+// TestRemapMonthAllocsFlatInRecords: remapping an ingested month carves its
+// records' bags from two slabs, so a month ten times as long allocates no
+// more often.
+func TestRemapMonthAllocsFlatInRecords(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not representative under -race")
+	}
+	src := genServeCorpus(t, 1)
+	one := monthSlice(t, src, 0)
+	ten := monthSlice(t, src, 0)
+	for k := 1; k < 10; k++ {
+		ten.Months[0].Records = append(ten.Months[0].Records, one.Months[0].Records...)
+	}
+	c := &Core{ds: mic.NewDataset()}
+	allocs := func(in *mic.Dataset) float64 {
+		return testing.AllocsPerRun(10, func() { c.remapMonth(in, 0) })
+	}
+	a1, a10 := allocs(one), allocs(ten)
+	t.Logf("remapMonth allocations: %v per call at %d records, %v at %d", a1, len(one.Months[0].Records), a10, len(ten.Months[0].Records))
+	if a10 > a1 {
+		t.Fatalf("remapMonth allocations grow with records: %v per call at 1x, %v at 10x", a1, a10)
 	}
 }
 
