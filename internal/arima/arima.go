@@ -1,6 +1,6 @@
 // Package arima implements the paper's baseline forecaster: Gaussian
 // ARIMA(p,d,q) models cast in Harvey state space form, fitted by exact
-// maximum likelihood with a stationarity/invertibility-preserving partial
+// maximum likelihood over a stationarity/invertibility-preserving partial
 // autocorrelation reparametrization, with AIC grid search over orders ("the
 // ARIMA model, where we determined the optimal parameters by using AIC").
 package arima
@@ -40,20 +40,20 @@ type Fit struct {
 	Order Order
 	// AR and MA hold the fitted φ and θ coefficients.
 	AR, MA []float64
-	// Var is the innovation variance on the scaled differenced series.
+	// Var is the innovation variance σ̂² on the scaled differenced series.
 	Var float64
 	// Mean is the mean of the scaled differenced series, handled by
 	// subtraction before the ARMA likelihood.
 	Mean float64
-	// LogLik is the maximized log-likelihood of the scaled differenced
-	// series; AIC = −2·LogLik + 2·(p+q+1).
+	// LogLik is the maximized profile log-likelihood of the scaled
+	// differenced series; AIC = −2·LogLik + 2·(p+q+1).
 	LogLik float64
 	AIC    float64
 
 	scale    float64
-	original []float64 // scaled original series (before differencing)
-	diffed   []float64 // scaled differenced series
-	model    *kalman.Model
+	original []float64     // scaled original series (before differencing)
+	diffed   []float64     // scaled differenced series
+	model    *kalman.Model // at unit innovation variance
 	filter   *kalman.FilterResult
 }
 
@@ -75,41 +75,47 @@ func FitOrder(y []float64, order Order) (*Fit, error) {
 		centered[i] = v - mean
 	}
 
-	nPar := order.P + order.Q + 1
-	start := make([]float64, nPar)
-	v := stat.Variance(centered)
-	if !(v > 0) {
-		v = 1e-6
-	}
-	start[nPar-1] = math.Log(v)
-
+	// σ² is concentrated out: the model is filtered at unit innovation
+	// variance and the search sees only the PACF coordinates, from 0.
+	// ARIMA(0,d,0) needs none: one profile evaluation is the closed form.
 	ws := kalman.NewWorkspace()
-	objective := func(params []float64) float64 {
-		for _, p := range params {
-			if p < -30 || p > 30 {
-				return math.Inf(1)
-			}
-		}
-		ar, ma, varE := decodeParams(params, order)
-		m, err := buildARMA(ar, ma, varE)
-		if err != nil {
-			return math.Inf(1)
+	profile := func(ar, ma []float64) (m *kalman.Model, logLik, sigma2 float64, err error) {
+		if m, err = buildARMA(ar, ma); err != nil {
+			return nil, 0, 0, err
 		}
 		lr, err := m.LogLikFilter(centered, ws)
-		if err != nil {
-			return math.Inf(1)
+		if err == nil {
+			logLik, sigma2, err = kalman.Concentrate(lr.SumLogF, lr.SumV2F, lr.LikCount)
 		}
-		return -lr.LogLik
+		return m, logLik, sigma2, err
 	}
-	res, err := optimize.NelderMead(objective, start, optimize.NelderMeadOptions{MaxIter: 600, Step: 0.8})
-	if err != nil {
-		return nil, err
+	x := make([]float64, order.P+order.Q)
+	if len(x) > 0 {
+		objective := func(params []float64) float64 {
+			for _, p := range params {
+				if p < -30 || p > 30 {
+					return math.Inf(1)
+				}
+			}
+			_, logLik, _, err := profile(decodeParams(params, order))
+			if err != nil {
+				return math.Inf(1)
+			}
+			return -logLik
+		}
+		res, err := optimize.NelderMead(objective, x, optimize.NelderMeadOptions{MaxIter: 600, Step: 0.8})
+		if err != nil {
+			return nil, err
+		}
+		if math.IsInf(res.F, 1) {
+			return nil, errors.New("arima: likelihood optimization failed")
+		}
+		x = res.X
 	}
-	if math.IsInf(res.F, 1) {
-		return nil, errors.New("arima: likelihood optimization failed")
-	}
-	ar, ma, varE := decodeParams(res.X, order)
-	m, err := buildARMA(ar, ma, varE)
+	// Forecast means and innovations do not depend on σ² when H = 0, so the
+	// fitted model stays at unit variance.
+	ar, ma := decodeParams(x, order)
+	m, logLik, sigma2, err := profile(ar, ma)
 	if err != nil {
 		return nil, err
 	}
@@ -118,9 +124,9 @@ func FitOrder(y []float64, order Order) (*Fit, error) {
 		return nil, err
 	}
 	fit := &Fit{
-		Order: order, AR: ar, MA: ma, Var: varE, Mean: mean,
-		LogLik: fr.LogLik,
-		AIC:    -2*fr.LogLik + 2*float64(nPar),
+		Order: order, AR: ar, MA: ma, Var: sigma2, Mean: mean,
+		LogLik: logLik,
+		AIC:    -2*logLik + 2*float64(order.P+order.Q+1),
 		scale:  scale, original: scaled, diffed: centered,
 		model: m, filter: fr,
 	}
@@ -246,21 +252,17 @@ func (f *Fit) Fitted() []float64 {
 	return out
 }
 
-// decodeParams maps raw optimizer parameters to stationary AR, invertible
-// MA, and a positive variance.
-func decodeParams(params []float64, order Order) (ar, ma []float64, varE float64) {
-	arRaw := params[:order.P]
-	maRaw := params[order.P : order.P+order.Q]
-	varE = math.Exp(params[len(params)-1])
-	ar = pacfToAR(arRaw)
+// decodeParams maps raw optimizer parameters to stationary AR and
+// invertible MA coefficients.
+func decodeParams(params []float64, order Order) (ar, ma []float64) {
+	ar = pacfToAR(params[:order.P])
 	// Invertible MA: transform like an AR polynomial and flip signs so the
 	// MA polynomial 1+θ₁B+… has all roots outside the unit circle.
-	c := pacfToAR(maRaw)
-	ma = make([]float64, len(c))
-	for i, v := range c {
-		ma[i] = -v
+	ma = pacfToAR(params[order.P:])
+	for i := range ma {
+		ma[i] = -ma[i]
 	}
-	return ar, ma, varE
+	return ar, ma
 }
 
 // pacfToAR maps unbounded raw values to partial autocorrelations via tanh
@@ -318,12 +320,9 @@ func integrate(history, diffFC []float64, d int) []float64 {
 }
 
 // buildARMA assembles the Harvey state space form of a zero-mean ARMA(p,q)
-// with innovation variance varE: state dimension r = max(p, q+1),
+// with unit innovation variance: state dimension r = max(p, q+1),
 // T[i][0] = φ_{i+1}, superdiagonal identity, R = (1, θ₁, …)ᵀ, Z = (1,0,…).
-func buildARMA(ar, ma []float64, varE float64) (*kalman.Model, error) {
-	if varE <= 0 || math.IsNaN(varE) {
-		return nil, errors.New("arima: non-positive innovation variance")
-	}
+func buildARMA(ar, ma []float64) (*kalman.Model, error) {
 	p, q := len(ar), len(ma)
 	r := p
 	if q+1 > r {
@@ -346,9 +345,9 @@ func buildARMA(ar, ma []float64, varE float64) (*kalman.Model, error) {
 	for i := 0; i < q; i++ {
 		rm.Set(i+1, 0, ma[i])
 	}
-	qm := linalg.NewMatrixFrom(1, 1, []float64{varE})
+	qm := linalg.NewMatrixFrom(1, 1, []float64{1})
 
-	p1, err := stationaryCovariance(tm, rm, varE)
+	p1, err := stationaryCovariance(tm, rm)
 	if err != nil {
 		return nil, err
 	}
@@ -363,9 +362,9 @@ func buildARMA(ar, ma []float64, varE float64) (*kalman.Model, error) {
 	return m, nil
 }
 
-// stationaryCovariance solves P = T·P·Tᵀ + R·varE·Rᵀ via
-// vec(P) = (I − T⊗T)⁻¹·vec(R·varE·Rᵀ).
-func stationaryCovariance(t, r *linalg.Matrix, varE float64) (*linalg.Matrix, error) {
+// stationaryCovariance solves P = T·P·Tᵀ + R·Rᵀ via
+// vec(P) = (I − T⊗T)⁻¹·vec(R·Rᵀ).
+func stationaryCovariance(t, r *linalg.Matrix) (*linalg.Matrix, error) {
 	n := t.Rows()
 	n2 := n * n
 	kron := linalg.NewMatrix(n2, n2)
@@ -391,7 +390,7 @@ func stationaryCovariance(t, r *linalg.Matrix, varE float64) (*linalg.Matrix, er
 	rhs := make([]float64, n2)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			rhs[i*n+j] = r.At(i, 0) * varE * r.At(j, 0)
+			rhs[i*n+j] = r.At(i, 0) * r.At(j, 0)
 		}
 	}
 	lu, err := linalg.NewLU(lhs)

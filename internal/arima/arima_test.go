@@ -1,10 +1,13 @@
 package arima
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"mictrend/internal/stat"
 )
 
 // simulateAR1 draws an AR(1) series with coefficient phi and unit variance
@@ -249,10 +252,10 @@ func TestOrderValidation(t *testing.T) {
 }
 
 func TestStationaryCovarianceAR1(t *testing.T) {
-	// For AR(1) with coefficient phi and variance v, the stationary variance
-	// is v/(1−phi²).
+	// For AR(1) with coefficient phi and unit innovation variance, the
+	// stationary variance is 1/(1−phi²).
 	ar := []float64{0.8}
-	m, err := buildARMA(ar, nil, 1)
+	m, err := buildARMA(ar, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,15 +263,6 @@ func TestStationaryCovarianceAR1(t *testing.T) {
 	want := 1 / (1 - 0.64)
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("stationary variance = %v, want %v", got, want)
-	}
-}
-
-func TestBuildARMARejectsBadVariance(t *testing.T) {
-	if _, err := buildARMA(nil, nil, 0); err == nil {
-		t.Fatal("zero variance accepted")
-	}
-	if _, err := buildARMA(nil, nil, math.NaN()); err == nil {
-		t.Fatal("NaN variance accepted")
 	}
 }
 
@@ -284,5 +278,119 @@ func TestSelectDeterministic(t *testing.T) {
 	}
 	if a.Order != b.Order || a.AIC != b.AIC {
 		t.Fatal("selection not deterministic")
+	}
+}
+
+// ulpSeries is a 43-month random walk plus a 12-month sine plus noise, the
+// shape of a reproduced monthly prescription series.
+func ulpSeries(seed uint64) []float64 {
+	rng := rand.New(rand.NewPCG(seed, 77))
+	y := make([]float64, 43)
+	level := 10.0
+	for i := range y {
+		level += 0.3 * rng.NormFloat64()
+		y[i] = level + math.Sin(2*math.Pi*float64(i)/12) + 0.5*rng.NormFloat64()
+	}
+	return y
+}
+
+// bumped returns y with y[j] raised by one ulp.
+func bumped(y []float64, j int) []float64 {
+	out := append([]float64(nil), y...)
+	out[j] = math.Nextafter(out[j], math.Inf(1))
+	return out
+}
+
+// ulpPositions are the inputs bumped for series seed: two per series,
+// which over seeds 1–40 reach every one of the 43 months.
+func ulpPositions(seed uint64, n int) []int {
+	return []int{int(seed) % n, int(seed+21) % n}
+}
+
+// TestOneULPStable checks that the fitted likelihood is a continuous
+// function of the data. Over 40 series, raising a single input by one ulp
+// moves the AIC of every (p, q) ≤ (2, 2) fit at d = 0 by at most 1e-6, and
+// Select's AIC by as little; Select's order may change only between two
+// orders whose AICs were within 1e-6.
+func TestOneULPStable(t *testing.T) {
+	const tol = 1e-6
+	var worst float64
+	check := func(what string, base, got float64) {
+		t.Helper()
+		d := math.Abs(got - base)
+		worst = math.Max(worst, d)
+		if d > tol {
+			t.Fatalf("%s: one ulp moved AIC %v → %v", what, base, got)
+		}
+	}
+	for seed := uint64(1); seed <= 40; seed++ {
+		y := ulpSeries(seed)
+		sel, err := Select(y, SelectOptions{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		var bases [3][3]*Fit
+		for p := range bases {
+			for q := range bases[p] {
+				if bases[p][q], err = FitOrder(y, Order{P: p, Q: q}); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
+		}
+		for _, j := range ulpPositions(seed, len(y)) {
+			yb := bumped(y, j)
+			for p := range bases {
+				for _, base := range bases[p] {
+					fit, err := FitOrder(yb, base.Order)
+					if err != nil {
+						t.Fatalf("seed %d %v y[%d]+ulp: %v", seed, base.Order, j, err)
+					}
+					check(fmt.Sprintf("seed %d %v y[%d]", seed, base.Order, j), base.AIC, fit.AIC)
+				}
+			}
+			got, err := Select(yb, SelectOptions{})
+			if err != nil {
+				t.Fatalf("seed %d Select y[%d]+ulp: %v", seed, j, err)
+			}
+			check(fmt.Sprintf("seed %d Select y[%d]", seed, j), sel.AIC, got.AIC)
+			if got.Order != sel.Order {
+				other, err := FitOrder(y, got.Order)
+				if err != nil {
+					t.Fatalf("seed %d %v: %v", seed, got.Order, err)
+				}
+				if math.Abs(other.AIC-sel.AIC) > tol {
+					t.Fatalf("seed %d y[%d]+ulp: Select moved %v → %v, whose AICs were %v and %v",
+						seed, j, sel.Order, got.Order, sel.AIC, other.AIC)
+				}
+			}
+		}
+	}
+	t.Logf("worst one-ulp AIC move %.3g", worst)
+}
+
+// TestWhiteNoiseOrderIsClosedForm checks that ARIMA(0,d,0) is the closed
+// form −n/2·(log(2π·σ̂²)+1), σ̂² the mean square of the centered differenced
+// series.
+func TestWhiteNoiseOrderIsClosedForm(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		y := ulpSeries(seed)
+		for d := 0; d <= 2; d++ {
+			fit, err := FitOrder(y, Order{D: d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			scaled, _ := stat.Rescale(y)
+			diffed := difference(scaled, d)
+			mean := stat.Mean(diffed)
+			var ss float64
+			for _, v := range diffed {
+				ss += (v - mean) * (v - mean)
+			}
+			n := float64(len(diffed))
+			want := -n / 2 * (math.Log(2*math.Pi*ss/n) + 1)
+			if math.Abs(fit.LogLik-want) > 1e-9 || math.Abs(fit.Var-ss/n) > 1e-12 {
+				t.Fatalf("seed %d d=%d: LogLik %v Var %v, want %v and %v", seed, d, fit.LogLik, fit.Var, want, ss/n)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package kalman
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -404,6 +405,27 @@ func (r *LogLikResult) contribute(t int, v, f, logF float64) {
 // log2Pi is the Gaussian normalising constant log 2π of every likelihood
 // term.
 var log2Pi = math.Log(2 * math.Pi)
+
+// Concentrate turns Σ log F and Σ V²/F over the n contributing observations
+// of a filter run at unit scale variance into the profile log-likelihood and
+// σ̂² = ΣV²/F ÷ n (Harvey 1989, §3.4); n = 0 is an error. ssm and arima both
+// use it, so every fit and prefix score agrees bitwise on identical sums.
+func Concentrate(sumLogF, sumV2F float64, n int) (logLik, sigma2 float64, err error) {
+	if n == 0 {
+		return 0, 0, errors.New("kalman: no likelihood contributions")
+	}
+	nf := float64(n)
+	sigma2 = sumV2F / nf
+	// Floor σ̂²: a perfectly fitted series would send the profile likelihood
+	// to +∞ and a model rebuilt at σ̂² to negative covariances against the
+	// diffuse prior (1e7). 1e-6 is below any noise on a unit-scaled series.
+	const sigmaFloor = 1e-6
+	if !(sigma2 > sigmaFloor) {
+		sigma2 = sigmaFloor
+	}
+	logLik = -0.5*nf*log2Pi - 0.5*sumLogF - 0.5*nf*(math.Log(sigma2)+1)
+	return logLik, sigma2, nil
+}
 
 // logLikGeneric is the sparse kernel behind LogLikFilterOpts for any model
 // shape and options.

@@ -215,6 +215,31 @@ func TestLogLikFilterDegenerate(t *testing.T) {
 	}
 }
 
+// TestConcentrate pins the one concentration formula: the profile
+// log-likelihood at σ̂² = ΣV²/F ÷ n, the floor on σ̂², and the error when
+// nothing contributed.
+func TestConcentrate(t *testing.T) {
+	if _, _, err := Concentrate(0, 0, 0); err == nil {
+		t.Fatal("zero contributions accepted")
+	}
+	ll, s2, err := Concentrate(1.5, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := -2*math.Log(2*math.Pi) - 0.75 - 2*(math.Log(2)+1); s2 != 2 || math.Abs(ll-want) > 1e-12 {
+		t.Fatalf("Concentrate(1.5, 8, 4) = (%v, %v), want (%v, 2)", ll, s2, want)
+	}
+	for _, sumV2F := range []float64{0, 1e-9, math.NaN()} {
+		ll, s2, err := Concentrate(0, sumV2F, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := -5*math.Log(2*math.Pi) - 5*(math.Log(1e-6)+1); s2 != 1e-6 || math.Abs(ll-want) > 1e-9 {
+			t.Fatalf("ΣV²/F = %v: got (%v, %v), want (%v, 1e-6)", sumV2F, ll, s2, want)
+		}
+	}
+}
+
 // TestLogLikFilterZeroAllocs verifies the steady state allocates nothing:
 // after a warm-up call every subsequent evaluation reuses workspace buffers.
 func TestLogLikFilterZeroAllocs(t *testing.T) {

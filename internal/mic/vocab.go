@@ -43,6 +43,15 @@ func (v *Vocab) Code(id int32) string {
 // Len returns the number of interned codes.
 func (v *Vocab) Len() int { return len(v.codes) }
 
+// Truncate forgets every code with id ≥ n, so the next new code gets id n
+// again. It panics if n is negative or exceeds Len.
+func (v *Vocab) Truncate(n int) {
+	for _, code := range v.codes[n:] {
+		delete(v.byCode, code)
+	}
+	v.codes = v.codes[:n]
+}
+
 // Codes returns a copy of all interned codes in id order.
 func (v *Vocab) Codes() []string {
 	return append([]string(nil), v.codes...)

@@ -391,6 +391,7 @@ func (c *Core) fold(task *foldTask) foldResult {
 
 	foldStart := time.Now()
 	c.lin.foldStart(next, task.reqID, task.admitted)
+	nd, nm, nh := c.ds.Diseases.Len(), c.ds.Medicines.Len(), len(c.ds.Hospitals)
 	monthly := c.mergeMonth(task.month, next)
 	c.store.StageMonth(next, monthly, c.ds.Diseases.Codes(), c.ds.Medicines.Codes(), c.ds.Hospitals)
 
@@ -420,10 +421,14 @@ func (c *Core) fold(task *foldTask) foldResult {
 		}
 	})
 	if err != nil {
-		// Unwind: drop the appended month so the dataset matches the last
-		// epoch again. Interned vocabulary entries stay — they are harmless
-		// supersets — but the staged records must not leak into a later save.
+		// Unwind: drop the appended month and the codes and hospitals it
+		// interned, so no later fold publishes or persists them, and the
+		// staged records. The hospital table is capped so that the next
+		// append copies it rather than write into an array a month still holds.
 		c.ds.Months = c.ds.Months[:next]
+		c.ds.Diseases.Truncate(nd)
+		c.ds.Medicines.Truncate(nm)
+		c.ds.Hospitals = c.ds.Hospitals[:nh:nh]
 		c.store.Unstage(next)
 		c.lin.failed(next, err)
 		if c.log.Enabled() {

@@ -360,9 +360,10 @@ func novelMonth(t *testing.T, src *mic.Dataset, i int) *mic.Dataset {
 	return m
 }
 
-// TestCoreRejectedReplayLeavesCorpus: a conflicting replay that carries a
-// new code or hospital must not reach the corpus. Core A folds months 0–1,
-// rejects such a replay of month 1, then folds 2–3; core B folds 0–3 only.
+// TestCoreRejectedReplayLeavesCorpus: a conflicting replay or a failed fold
+// that carries a new code or hospital must not reach the corpus. Core A
+// folds months 0–1, rejects such a replay of month 1, fails such a fold of
+// month 2 on an expired deadline, then folds 2–3; core B folds 0–3 only.
 // After every fold both publish the same vocabularies and Analysis.
 func TestCoreRejectedReplayLeavesCorpus(t *testing.T) {
 	src := genServeCorpus(t, 4)
@@ -378,6 +379,12 @@ func TestCoreRejectedReplayLeavesCorpus(t *testing.T) {
 		if i == 1 {
 			if _, _, err := a.Ingest(context.Background(), novelMonth(t, src, 1), 1); !errors.Is(err, ErrMonthConflict) {
 				t.Fatalf("divergent replay returned %v, want ErrMonthConflict", err)
+			}
+			ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+			_, _, err := a.Ingest(ctx, novelMonth(t, src, 2), 2)
+			cancel()
+			if err == nil {
+				t.Fatal("expired deadline did not fail the month-2 ingest")
 			}
 		}
 		ea, eb := a.Epoch(), b.Epoch()

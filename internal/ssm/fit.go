@@ -526,10 +526,10 @@ func concentratedLogLik(scaled []float64, cfg Config, m *kalman.Model, params []
 	if err != nil {
 		return 0, 0, err
 	}
-	if fr.LikCount == 0 {
+	logLik, sigma2, err = kalman.Concentrate(fr.SumLogF, fr.SumV2F, fr.LikCount)
+	if err != nil {
 		return 0, 0, errors.New("ssm: no likelihood contributions")
 	}
-	logLik, sigma2 = concentrateFromSums(fr.SumLogF, fr.SumV2F, fr.LikCount)
 	return logLik, sigma2, nil
 }
 
@@ -586,27 +586,6 @@ func checkParams(params []float64) error {
 		}
 	}
 	return nil
-}
-
-// concentrateFromSums turns the filter's accumulated log-variance and scaled
-// squared-innovation sums into the profile log-likelihood and the implied
-// observation variance. It is the single implementation of the concentration
-// formula, shared by the full-series evaluation and the prefix-checkpointed
-// candidate scorer so the two agree bitwise on identical sums.
-func concentrateFromSums(sumLogF, sumV2F float64, likCount int) (logLik, sigma2 float64) {
-	n := float64(likCount)
-	sigma2 = sumV2F / n
-	// Floor the concentrated variance: a deterministic (perfectly fitted)
-	// series would otherwise send the profile likelihood to +∞ and the
-	// rebuilt model's prediction variances so far below the diffuse prior
-	// (1e7) that covariance updates cancel to negative values in float64.
-	// 1e-6 on a unit-scaled series is far below any practical noise level.
-	const sigmaFloor = 1e-6
-	if !(sigma2 > sigmaFloor) {
-		sigma2 = sigmaFloor
-	}
-	logLik = -0.5*n*math.Log(2*math.Pi) - 0.5*sumLogF - 0.5*n*(math.Log(sigma2)+1)
-	return logLik, sigma2
 }
 
 // AICAtOptions is the change point search primitive: it fits the full model

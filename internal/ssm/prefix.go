@@ -236,9 +236,9 @@ func (ps *PrefixScanner) Score(cp int) (float64, error) {
 		sumV2F += fr.V[t] * fr.V[t] / fr.F[t]
 		count++
 	}
-	if count == 0 {
+	logLik, _, err := kalman.Concentrate(sumLogF, sumV2F, count)
+	if err != nil {
 		return 0, errors.New("ssm: no likelihood contributions")
 	}
-	logLik, _ := concentrateFromSums(sumLogF, sumV2F, count)
 	return -2*logLik + 2*float64(ps.numParams), nil
 }
