@@ -221,37 +221,6 @@ func (f *Fit) Forecast(h int) ([]float64, error) {
 	return out, nil
 }
 
-// Fitted returns the one-step-ahead in-sample predictions in data units,
-// aligned with the original series (the first D values are the observations
-// themselves, since differencing consumes them).
-func (f *Fit) Fitted() []float64 {
-	n := len(f.original)
-	out := make([]float64, n)
-	for i := 0; i < f.Order.D && i < n; i++ {
-		out[i] = f.original[i] * f.scale
-	}
-	for t := range f.diffed {
-		// Predicted differenced value = observation − innovation.
-		var pred float64
-		if math.IsNaN(f.filter.V[t]) {
-			pred = f.Mean
-		} else {
-			pred = f.diffed[t] - f.filter.V[t] + f.Mean
-		}
-		// Undo differencing with actual history (one-step-ahead).
-		idx := t + f.Order.D
-		val := pred
-		switch f.Order.D {
-		case 1:
-			val += f.original[idx-1]
-		case 2:
-			val += 2*f.original[idx-1] - f.original[idx-2]
-		}
-		out[idx] = val * f.scale
-	}
-	return out
-}
-
 // decodeParams maps raw optimizer parameters to stationary AR and
 // invertible MA coefficients.
 func decodeParams(params []float64, order Order) (ar, ma []float64) {

@@ -215,30 +215,6 @@ func TestForecastTrendingSeriesContinuesTrend(t *testing.T) {
 	}
 }
 
-func TestFittedAlignsWithSeries(t *testing.T) {
-	y := simulateAR1(80, 0.7, 13)
-	fit, err := FitOrder(y, Order{P: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fitted := fit.Fitted()
-	if len(fitted) != len(y) {
-		t.Fatalf("fitted length %d vs %d", len(fitted), len(y))
-	}
-	// One-step-ahead predictions must correlate strongly with observations
-	// for a phi=0.7 AR(1).
-	var num, den1, den2 float64
-	for i := 5; i < len(y); i++ {
-		num += fitted[i] * y[i]
-		den1 += fitted[i] * fitted[i]
-		den2 += y[i] * y[i]
-	}
-	corr := num / math.Sqrt(den1*den2)
-	if corr < 0.4 {
-		t.Fatalf("fitted/actual correlation = %v", corr)
-	}
-}
-
 func TestOrderValidation(t *testing.T) {
 	if err := (Order{P: -1}).Validate(); err == nil {
 		t.Fatal("negative order accepted")

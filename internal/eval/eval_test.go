@@ -184,20 +184,3 @@ func TestPerplexityClampsZeroProb(t *testing.T) {
 		t.Fatalf("perplexity = %v, want huge", got)
 	}
 }
-
-func TestPerplexityAddLogMatchesAdd(t *testing.T) {
-	var a, b PerplexityAccumulator
-	ps := []float64{0.5, 0.01, 0.2}
-	for _, p := range ps {
-		a.Add(p)
-		b.AddLog(math.Log(p))
-	}
-	pa, _ := a.Perplexity()
-	pb, _ := b.Perplexity()
-	if math.Abs(pa-pb) > 1e-9*pa {
-		t.Fatalf("Add %v vs AddLog %v", pa, pb)
-	}
-	if a.N() != 3 || b.N() != 3 {
-		t.Fatalf("N = %d/%d", a.N(), b.N())
-	}
-}

@@ -36,22 +36,6 @@ func (a *PerplexityAccumulator) Add(p float64) {
 	a.n++
 }
 
-// AddLog records one observation with log probability logP.
-func (a *PerplexityAccumulator) AddLog(logP float64) {
-	if math.IsNaN(logP) || logP > 0 {
-		logP = 0
-	}
-	const logFloor = -690.0 // ≈ log(1e-300)
-	if logP < logFloor {
-		logP = logFloor
-	}
-	a.sumLogProb += logP
-	a.n++
-}
-
-// N returns the number of observations recorded.
-func (a *PerplexityAccumulator) N() int { return a.n }
-
 // Perplexity returns exp(−mean log probability).
 func (a *PerplexityAccumulator) Perplexity() (float64, error) {
 	if a.n == 0 {

@@ -40,7 +40,6 @@ func TestMulDimensionMismatchPanics(t *testing.T) {
 		func() { NewMatrix(2, 2).Set(0, 5, 1) },                                // index range
 		func() { Dot([]float64{1}, []float64{1, 2}) },                          // length mismatch
 		func() { MulVec(nil, NewMatrix(2, 3), []float64{1}) },                  // length mismatch
-		func() { AXPY(1, []float64{1}, []float64{1, 2}) },                      // length mismatch
 	}
 	for i, f := range cases {
 		func() {
@@ -62,15 +61,6 @@ func TestSolveErrorPaths(t *testing.T) {
 	}
 	if _, err := lu.SolveVec([]float64{1}); err == nil {
 		t.Fatal("wrong rhs length accepted")
-	}
-	if _, err := lu.Solve(NewMatrix(3, 1)); err == nil {
-		t.Fatal("wrong rhs rows accepted")
-	}
-	if _, err := Solve(NewMatrixFrom(2, 2, []float64{1, 2, 2, 4}), NewMatrix(2, 1)); err == nil {
-		t.Fatal("singular solve accepted")
-	}
-	if _, err := Inverse(NewMatrixFrom(2, 2, []float64{0, 0, 0, 0})); err == nil {
-		t.Fatal("zero matrix inverted")
 	}
 }
 

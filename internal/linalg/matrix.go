@@ -1,6 +1,6 @@
 // Package linalg provides the small dense linear algebra kernel used by the
-// Kalman filter and state space models: matrix arithmetic, LU-based solving
-// and inversion, and Cholesky factorization.
+// Kalman filter and state space models: matrix arithmetic, an LU solve, and
+// Cholesky factorization.
 //
 // Matrices are row-major and sized at construction. The package favors
 // explicit destination-style methods (C.Mul(A, B)) so hot loops in the

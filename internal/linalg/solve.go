@@ -16,7 +16,6 @@ var ErrSingular = errors.New("linalg: matrix is singular")
 type LU struct {
 	lu    *Matrix
 	pivot []int
-	sign  float64
 }
 
 // NewLU factors the square matrix a. The input is not modified.
@@ -27,7 +26,6 @@ func NewLU(a *Matrix) (*LU, error) {
 	n := a.rows
 	lu := a.Clone()
 	pivot := make([]int, n)
-	sign := 1.0
 	for k := 0; k < n; k++ {
 		// Partial pivoting: pick the row with the largest |value| in column k.
 		p := k
@@ -48,7 +46,6 @@ func NewLU(a *Matrix) (*LU, error) {
 			for j := range rowK {
 				rowK[j], rowP[j] = rowP[j], rowK[j]
 			}
-			sign = -sign
 		}
 		pivotVal := lu.data[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -62,7 +59,7 @@ func NewLU(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, pivot: pivot, sign: sign}, nil
+	return &LU{lu: lu, pivot: pivot}, nil
 }
 
 // SolveVec solves A·x = b for a single right-hand side, returning x.
@@ -100,81 +97,4 @@ func (f *LU) SolveVec(b []float64) ([]float64, error) {
 		x[i] = (x[i] - sum) / d
 	}
 	return x, nil
-}
-
-// Solve solves A·X = B column by column, returning X.
-func (f *LU) Solve(b *Matrix) (*Matrix, error) {
-	n := f.lu.rows
-	if b.rows != n {
-		return nil, fmt.Errorf("linalg: Solve rhs has %d rows, want %d", b.rows, n)
-	}
-	x := NewMatrix(n, b.cols)
-	col := make([]float64, n)
-	for j := 0; j < b.cols; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = b.data[i*b.cols+j]
-		}
-		sol, err := f.SolveVec(col)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			x.data[i*x.cols+j] = sol[i]
-		}
-	}
-	return x, nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	n := f.lu.rows
-	det := f.sign
-	for i := 0; i < n; i++ {
-		det *= f.lu.data[i*n+i]
-	}
-	return det
-}
-
-// LogDet returns log|det(A)| and the sign of the determinant. The log form
-// avoids overflow for the large covariance determinants that appear in
-// Gaussian log-likelihoods.
-func (f *LU) LogDet() (logAbs float64, sign float64) {
-	n := f.lu.rows
-	sign = f.sign
-	for i := 0; i < n; i++ {
-		d := f.lu.data[i*n+i]
-		if d < 0 {
-			sign = -sign
-			d = -d
-		}
-		logAbs += math.Log(d)
-	}
-	return logAbs, sign
-}
-
-// Inverse returns A⁻¹ for the square matrix a.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := NewLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(Identity(a.rows))
-}
-
-// Solve solves A·X = B for X.
-func Solve(a, b *Matrix) (*Matrix, error) {
-	f, err := NewLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
-// Det returns the determinant of the square matrix a, or 0 if a is singular.
-func Det(a *Matrix) float64 {
-	f, err := NewLU(a)
-	if err != nil {
-		return 0
-	}
-	return f.Det()
 }

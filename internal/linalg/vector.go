@@ -35,13 +35,3 @@ func MulVec(dst []float64, a *Matrix, x []float64) []float64 {
 	}
 	return dst
 }
-
-// AXPY computes y[i] += alpha*x[i] in place. It panics if lengths differ.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: AXPY length mismatch %d vs %d", len(x), len(y)))
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}

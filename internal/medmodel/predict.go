@@ -21,12 +21,6 @@ func Perplexity(p Predictor, month *mic.Monthly, test [][]mic.MedicineID) (float
 	return acc.Perplexity()
 }
 
-// PhiRanker exposes a per-disease medicine distribution; satisfied by Model
-// and Cooccurrence.
-type PhiRanker interface {
-	PhiRow(d mic.DiseaseID) map[mic.MedicineID]float64
-}
-
 // RankMedicines ranks medicines for a disease by the total estimated
 // prescription count Σ_t x_dmt over a set of monthly rankers (§VIII-A2),
 // most prescribed first. Scores are the reproduced counts, so the ranking is

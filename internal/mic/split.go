@@ -135,31 +135,3 @@ func TopDiseases(d *Dataset, k int) []DiseaseID {
 	}
 	return ids
 }
-
-// TopMedicines returns the ids of the k most prescribed medicines across the
-// dataset, most frequent first.
-func TopMedicines(d *Dataset, k int) []MedicineID {
-	freq := make(map[MedicineID]int)
-	for _, m := range d.Months {
-		for i := range m.Records {
-			for _, med := range m.Records[i].Medicines {
-				freq[med]++
-			}
-		}
-	}
-	ids := make([]MedicineID, 0, len(freq))
-	for id := range freq {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		fa, fb := freq[ids[a]], freq[ids[b]]
-		if fa != fb {
-			return fa > fb
-		}
-		return ids[a] < ids[b]
-	})
-	if k < len(ids) {
-		ids = ids[:k]
-	}
-	return ids
-}

@@ -176,10 +176,6 @@ func TestTopDiseasesAndMedicines(t *testing.T) {
 	if len(top) != 2 || top[0] != d1 || top[1] != d3 {
 		t.Fatalf("TopDiseases = %v", top)
 	}
-	topM := TopMedicines(d, 1)
-	if len(topM) != 1 || topM[0] != m2 {
-		t.Fatalf("TopMedicines = %v", topM)
-	}
 	// k larger than available returns everything.
 	if got := len(TopDiseases(d, 100)); got != 3 {
 		t.Fatalf("TopDiseases(100) = %d entries", got)

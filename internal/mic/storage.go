@@ -140,9 +140,9 @@ type StreamWriter interface {
 	Close() error
 }
 
-// Storage is one on-disk dataset backend. The JSONL and columnar
-// implementations share this surface so commands select a backend by flag
-// (or by sniffing) instead of hard-coding a codec.
+// Storage describes an on-disk dataset backend. The JSONL and columnar
+// codecs do not implement it: ReadDatasetFile, WriteDatasetFile, ReadAuto
+// and NewStreamFileWriter select them by Format directly.
 type Storage interface {
 	// Format names the backend.
 	Format() Format
@@ -159,78 +159,6 @@ type Storage interface {
 	StreamWriter(w io.Writer, meta StreamMeta, opts StorageOptions) (StreamWriter, error)
 }
 
-// StorageFor returns the backend for a concrete format. FormatAuto is
-// resolved by SniffFile/FormatForPath before this call.
-func StorageFor(f Format) (Storage, error) {
-	switch f {
-	case FormatJSONL:
-		return jsonlStorage{}, nil
-	case FormatColumnar:
-		return columnarStorage{}, nil
-	default:
-		return nil, fmt.Errorf("mic: no storage backend for format %v", f)
-	}
-}
-
-// jsonlStorage adapts the JSONL codec to the Storage interface.
-type jsonlStorage struct{}
-
-func (jsonlStorage) Format() Format { return FormatJSONL }
-
-func (jsonlStorage) Read(r io.Reader, opts StorageOptions) (*Dataset, ReadStats, error) {
-	return ReadWithStats(r, opts.Read)
-}
-
-func (jsonlStorage) ReadFile(path string, opts StorageOptions) (*Dataset, ReadStats, error) {
-	return ReadFileWithStats(path, opts.Read)
-}
-
-func (jsonlStorage) Write(w io.Writer, d *Dataset, _ StorageOptions) error {
-	return Write(w, d)
-}
-
-func (jsonlStorage) WriteFile(path string, d *Dataset, _ StorageOptions) error {
-	return WriteFile(path, d)
-}
-
-func (jsonlStorage) StreamWriter(w io.Writer, meta StreamMeta, _ StorageOptions) (StreamWriter, error) {
-	return NewJSONLStreamWriter(w, meta)
-}
-
-// columnarStorage adapts the MICC1 codec to the Storage interface.
-type columnarStorage struct{}
-
-func (columnarStorage) Format() Format { return FormatColumnar }
-
-func (columnarStorage) Read(r io.Reader, opts StorageOptions) (*Dataset, ReadStats, error) {
-	// The columnar reader needs random access for its footer index; a plain
-	// stream is buffered first. File-shaped callers use ReadFile, which
-	// reads blocks in place.
-	data, err := io.ReadAll(capDecoded(r, opts.Read.MaxBytes))
-	if err != nil {
-		return nil, ReadStats{}, fmt.Errorf("mic: buffering columnar stream: %w", err)
-	}
-	d, err := ReadColumnar(bytes.NewReader(data), int64(len(data)), ColumnarReadOptions{Workers: opts.Workers})
-	return d, ReadStats{}, err
-}
-
-func (columnarStorage) ReadFile(path string, opts StorageOptions) (*Dataset, ReadStats, error) {
-	d, err := ReadColumnarFile(path, ColumnarReadOptions{Workers: opts.Workers})
-	return d, ReadStats{}, err
-}
-
-func (columnarStorage) Write(w io.Writer, d *Dataset, opts StorageOptions) error {
-	return WriteColumnar(w, d, ColumnarWriterOptions{Level: opts.Level, Workers: opts.Workers})
-}
-
-func (columnarStorage) WriteFile(path string, d *Dataset, opts StorageOptions) error {
-	return WriteColumnarFile(path, d, ColumnarWriterOptions{Level: opts.Level, Workers: opts.Workers})
-}
-
-func (columnarStorage) StreamWriter(w io.Writer, meta StreamMeta, opts StorageOptions) (StreamWriter, error) {
-	return NewColumnarWriter(w, meta, ColumnarWriterOptions{Level: opts.Level, Workers: opts.Workers})
-}
-
 // ReadDatasetFile reads the dataset at path in the given format, sniffing
 // magic bytes under FormatAuto. It returns the format actually decoded.
 func ReadDatasetFile(path string, format Format, opts StorageOptions) (*Dataset, ReadStats, Format, error) {
@@ -240,12 +168,15 @@ func ReadDatasetFile(path string, format Format, opts StorageOptions) (*Dataset,
 			return nil, ReadStats{}, FormatAuto, err
 		}
 	}
-	s, err := StorageFor(format)
-	if err != nil {
-		return nil, ReadStats{}, format, err
+	switch format {
+	case FormatJSONL:
+		d, stats, err := ReadFileWithStats(path, opts.Read)
+		return d, stats, format, err
+	case FormatColumnar:
+		d, err := ReadColumnarFile(path, ColumnarReadOptions{Workers: opts.Workers})
+		return d, ReadStats{}, format, err
 	}
-	d, stats, err := s.ReadFile(path, opts)
-	return d, stats, format, err
+	return nil, ReadStats{}, format, fmt.Errorf("mic: no storage backend for format %v", format)
 }
 
 // WriteDatasetFile writes the dataset to path in the given format, choosing
@@ -254,11 +185,13 @@ func WriteDatasetFile(path string, format Format, d *Dataset, opts StorageOption
 	if format == FormatAuto {
 		format = FormatForPath(path)
 	}
-	s, err := StorageFor(format)
-	if err != nil {
-		return format, err
+	switch format {
+	case FormatJSONL:
+		return format, WriteFile(path, d)
+	case FormatColumnar:
+		return format, WriteColumnarFile(path, d, ColumnarWriterOptions{Level: opts.Level, Workers: opts.Workers})
 	}
-	return format, s.WriteFile(path, d, opts)
+	return format, fmt.Errorf("mic: no storage backend for format %v", format)
 }
 
 // ReadAuto decodes a dataset from a stream whose format is unknown, sniffing
@@ -278,7 +211,17 @@ func ReadAuto(r io.Reader, opts StorageOptions) (*Dataset, ReadStats, Format, er
 		return nil, ReadStats{}, FormatAuto, err
 	}
 	src := io.MultiReader(bytes.NewReader(prefix), r)
-	if format == FormatJSONL && len(prefix) >= 2 && prefix[0] == 0x1f && prefix[1] == 0x8b {
+	if format == FormatColumnar {
+		// The columnar reader needs random access for its footer index, so
+		// the stream is buffered first.
+		data, err := io.ReadAll(capDecoded(src, opts.Read.MaxBytes))
+		if err != nil {
+			return nil, ReadStats{}, format, fmt.Errorf("mic: buffering columnar stream: %w", err)
+		}
+		d, err := ReadColumnar(bytes.NewReader(data), int64(len(data)), ColumnarReadOptions{Workers: opts.Workers})
+		return d, ReadStats{}, format, err
+	}
+	if len(prefix) >= 2 && prefix[0] == 0x1f && prefix[1] == 0x8b {
 		gz, err := gzip.NewReader(src)
 		if err != nil {
 			return nil, ReadStats{}, format, fmt.Errorf("mic: gunzipping stream: %w", err)
@@ -286,8 +229,7 @@ func ReadAuto(r io.Reader, opts StorageOptions) (*Dataset, ReadStats, Format, er
 		defer gz.Close()
 		src = gz
 	}
-	s, _ := StorageFor(format)
-	d, stats, err := s.Read(src, opts)
+	d, stats, err := ReadWithStats(src, opts.Read)
 	return d, stats, format, err
 }
 
@@ -298,9 +240,8 @@ func NewStreamFileWriter(path string, format Format, meta StreamMeta, opts Stora
 	if format == FormatAuto {
 		format = FormatForPath(path)
 	}
-	s, err := StorageFor(format)
-	if err != nil {
-		return nil, format, err
+	if format != FormatJSONL && format != FormatColumnar {
+		return nil, format, fmt.Errorf("mic: no storage backend for format %v", format)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -313,7 +254,12 @@ func NewStreamFileWriter(path string, format Format, meta StreamMeta, opts Stora
 		w = gz
 		closers = []io.Closer{gz, f}
 	}
-	sw, err := s.StreamWriter(w, meta, opts)
+	var sw StreamWriter
+	if format == FormatColumnar {
+		sw, err = NewColumnarWriter(w, meta, ColumnarWriterOptions{Level: opts.Level, Workers: opts.Workers})
+	} else {
+		sw, err = NewJSONLStreamWriter(w, meta)
+	}
 	if err != nil {
 		for _, c := range closers {
 			c.Close()

@@ -142,9 +142,6 @@ func (g *Generator) Meta() mic.StreamMeta {
 	}
 }
 
-// Months returns the number of months the generator will produce.
-func (g *Generator) Months() int { return g.cfg.Months }
-
 // Truth returns the ground truth; it is complete only after every month has
 // been generated.
 func (g *Generator) Truth() *Truth { return g.truth }
@@ -252,8 +249,8 @@ func (g *Generator) NextMonth() *mic.Monthly {
 }
 
 // Generate builds a synthetic MIC dataset plus its ground truth. The same
-// Config always yields the same corpus — and the same months GenerateStream
-// emits.
+// Config always yields the same corpus — and the same months a Generator's
+// NextMonth yields.
 func Generate(cfg Config) (*mic.Dataset, *Truth, error) {
 	g, err := NewGenerator(cfg)
 	if err != nil {
@@ -267,24 +264,6 @@ func Generate(cfg Config) (*mic.Dataset, *Truth, error) {
 		return nil, nil, fmt.Errorf("micgen: generated dataset invalid: %w", err)
 	}
 	return ds, g.truth, nil
-}
-
-// GenerateStream emits the corpus month-at-a-time into emit (a
-// mic.StreamWriter's WriteMonth, typically), returning the ground truth. The
-// emitted months are exactly Generate's; only their lifetime differs — each
-// is released to the caller before the next is built, so a 100M-record
-// corpus streams in flat memory.
-func GenerateStream(cfg Config, emit func(*mic.Monthly) error) (*Truth, error) {
-	g, err := NewGenerator(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for m := g.NextMonth(); m != nil; m = g.NextMonth() {
-		if err := emit(m); err != nil {
-			return nil, err
-		}
-	}
-	return g.truth, nil
 }
 
 func hasDiagShift(c *Catalog) bool {

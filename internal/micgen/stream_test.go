@@ -8,33 +8,39 @@ import (
 	"mictrend/internal/mic"
 )
 
-// TestGenerateStreamMatchesGenerate pins the streaming refactor: the months
-// GenerateStream emits are exactly the months Generate collects, because
-// both consume the same RNG stream in the same order.
+// TestGenerateStreamMatchesGenerate pins the streaming path cmd/micgen
+// takes: the months NextMonth yields are exactly the months Generate
+// collects, because both consume the same RNG stream in the same order.
 func TestGenerateStreamMatchesGenerate(t *testing.T) {
 	cfg := Config{Seed: 17, Months: 8, RecordsPerMonth: 300}
 	want, wantTruth, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []*mic.Monthly
-	gotTruth, err := GenerateStream(cfg, func(m *mic.Monthly) error {
-		got = append(got, m)
-		return nil
-	})
+	g, err := NewGenerator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	meta := g.Meta()
+	if meta.Months != cfg.Months || !reflect.DeepEqual(meta.Diseases, want.Diseases.Codes()) ||
+		!reflect.DeepEqual(meta.Medicines, want.Medicines.Codes()) || !reflect.DeepEqual(meta.Hospitals, want.Hospitals) {
+		t.Fatal("stream metadata differs from the generated dataset's")
+	}
+	var got []*mic.Monthly
+	for m := g.NextMonth(); m != nil; m = g.NextMonth() {
+		got = append(got, m)
+	}
+	gotTruth := g.Truth()
 	if len(got) != len(want.Months) {
 		t.Fatalf("streamed %d months, want %d", len(got), len(want.Months))
 	}
 	for i := range got {
 		if !reflect.DeepEqual(got[i], want.Months[i]) {
-			t.Fatalf("month %d differs between Generate and GenerateStream", i)
+			t.Fatalf("month %d differs between Generate and the streaming generator", i)
 		}
 	}
 	if !reflect.DeepEqual(gotTruth, wantTruth) {
-		t.Fatal("ground truth differs between Generate and GenerateStream")
+		t.Fatal("ground truth differs between Generate and the streaming generator")
 	}
 }
 

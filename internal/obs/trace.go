@@ -20,7 +20,7 @@ type SpanEvent struct {
 	// "ssm"), rendered as a separate track in trace viewers.
 	Cat string
 	// Name is the span name, e.g. "stage/model", "em/month", "detect/series",
-	// "scan/shard".
+	// "scan/prefix".
 	Name string
 	// TID is the span's logical track id — a deterministic lane number, never
 	// a goroutine id (goroutine ids would break worker-count invariance).
@@ -35,7 +35,7 @@ type SpanEvent struct {
 	// "prescription:3/7".
 	Series string
 	// Detail carries span-specific context, e.g. "cp=12" for a detection
-	// with a change point or "shard 2 [16,24)" for a scan shard.
+	// with a change point or "anchor 0: 24 resumes" for a scan/prefix span.
 	Detail string
 	// Err is non-empty when the span's unit degraded or failed; for pipeline
 	// spans the same failure is recorded in Analysis.Failures.
@@ -298,10 +298,12 @@ const (
 	LaneEM int64 = 1
 	// LaneDetect carries the per-series change point search spans.
 	LaneDetect int64 = 2
-	// LaneScan carries the intra-scan spans: exact-scan shards and the warm
-	// refinement pass's cold refits.
+	// LaneScan carries the intra-scan spans of the exact prefix scan:
+	// scan/prefix per anchor ladder, scan/contenders for the warm-fit phase
+	// and scan/refit per cold refit.
 	LaneScan int64 = 3
-	// LaneSSM carries per-fit structural model spans (ssm.FitOptions.Trace).
+	// LaneSSM is reserved for per-fit structural model spans. Nothing emits
+	// on it: the exact scan's fits are traced on LaneScan.
 	LaneSSM int64 = 4
 	// LaneServe carries the serving plane's lineage spans: one ingested
 	// month's queue-admit, fold, checkpoint-write, WAL-commit, and

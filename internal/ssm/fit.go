@@ -7,11 +7,9 @@ import (
 	"math/bits"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"mictrend/internal/faultpoint"
 	"mictrend/internal/kalman"
-	"mictrend/internal/obs"
 	"mictrend/internal/optimize"
 	"mictrend/internal/stat"
 )
@@ -108,21 +106,10 @@ type FitOptions struct {
 	// reaches estimation precision in about half the evaluations (see
 	// coldSearch1D); cold seasonal fits run Nelder-Mead to full tolerance.
 	Start []float64
-	// StartStep is the absolute initial simplex edge used for the warm Start
-	// only (0 = DefaultWarmStep). Cold starts always use the historical
-	// relative step, so their trajectories are unchanged by this option.
-	StartStep float64
 	// Stats, when non-nil, accumulates optimizer accounting (likelihood
 	// evaluations, starts, restarts, failures) for this fit. It never
 	// changes the fit's numerics.
 	Stats *FitStats
-	// Trace, when non-nil, receives one "ssm/fit" span per FitConfigOptions
-	// or AICAtOptions call, carrying the fitted configuration and start
-	// count (or the failure) in its detail. A nil Trace is free: the
-	// disabled path is one pointer check — no clock reads, no allocations —
-	// preserving the kernel-level zero-alloc contract. The observer must be
-	// goroutine-safe when fits run concurrently.
-	Trace obs.SpanObserver
 }
 
 // DefaultWarmStep is the absolute initial simplex edge for warm starts:
@@ -212,47 +199,16 @@ func FitConfig(y []float64, cfg Config) (*Fit, error) {
 // AIC, skips it (AICAtOptions). ws may be nil; a workspace is not safe for
 // concurrent use.
 func FitConfigOptions(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions) (*Fit, error) {
-	return fitTraced(y, cfg, ws, opts, true)
+	return fitConfig(y, cfg, ws, opts, true)
 }
 
-// fitTraced runs fitConfig, reporting it to opts.Trace as one "ssm/fit"
-// span when a tracer is set.
-func fitTraced(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions, full bool) (*Fit, error) {
-	if opts.Trace == nil {
-		return fitConfig(y, cfg, ws, opts, full)
-	}
-	began := time.Now()
-	fit, err := fitConfig(y, cfg, ws, opts, full)
-	obs.Emit(opts.Trace, obs.SpanEvent{Cat: "ssm", Name: "ssm/fit", TID: obs.LaneSSM, Start: began, Month: -1, Detail: fitDetail(cfg, fit)}, err)
-	return fit, err
-}
-
-// fitDetail renders the span detail for a fit of cfg: the intervention
-// months, the model flavor, and (for completed fits) the start count.
-func fitDetail(cfg Config, fit *Fit) string {
-	d := "cp=none"
-	if ivs := cfg.Interventions(); len(ivs) > 0 {
-		d = "cp=" + strconv.Itoa(ivs[0].Month)
-		for _, iv := range ivs[1:] {
-			d += "," + strconv.Itoa(iv.Month)
-		}
-	}
-	if cfg.Seasonal {
-		d += " seasonal"
-	}
-	if fit != nil {
-		d += " attempts=" + strconv.Itoa(fit.Attempts)
-	}
-	return d
-}
-
-// fitConfig is the uninstrumented fit core behind FitConfigOptions and
-// AICAtOptions. A full fit ends with a Filter pass over the σ²-scaled model,
-// which yields the smoother inputs and the intervention coefficients. An
-// AIC-only fit (full false) stops once the AIC is known: it validates the
-// scaled model with the allocation-free LogLikFilter instead, the kernel
-// Filter records its history from, so it fails exactly when Filter would;
-// its Fit has no Filter and no Lambdas.
+// fitConfig is the fit core behind FitConfigOptions and AICAtOptions. A full
+// fit ends with a Filter pass over the σ²-scaled model, which yields the
+// smoother inputs and the intervention coefficients. An AIC-only fit (full
+// false) stops once the AIC is known: it validates the scaled model with the
+// allocation-free LogLikFilter instead, the kernel Filter records its history
+// from, so it fails exactly when Filter would; its Fit has no Filter and no
+// Lambdas.
 func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions, full bool) (*Fit, error) {
 	cfg = cfg.withDefaults()
 	minLen := cfg.stateDim() + cfg.numVariances() + 2
@@ -472,11 +428,7 @@ func fitStarts(nq int, opts FitOptions) ([]simplexStart, error) {
 		if len(opts.Start) != nq {
 			return nil, fmt.Errorf("ssm: warm start has %d parameters, want %d", len(opts.Start), nq)
 		}
-		step := opts.StartStep
-		if step <= 0 {
-			step = DefaultWarmStep
-		}
-		starts = append(starts, simplexStart{x: append([]float64(nil), opts.Start...), step: step, warm: true})
+		starts = append(starts, simplexStart{x: append([]float64(nil), opts.Start...), step: DefaultWarmStep, warm: true})
 	}
 	for _, x := range cold {
 		starts = append(starts, simplexStart{x: x, step: coldStep})
@@ -599,7 +551,7 @@ func checkParams(params []float64) error {
 // fitted model's Filter pass and its per-step allocations: the search needs
 // neither the smoother inputs nor the intervention coefficients.
 func AICAtOptions(y []float64, seasonal bool, cp int, ws *kalman.Workspace, opts FitOptions) (aic float64, opt []float64, err error) {
-	fit, err := fitTraced(y, Config{Seasonal: seasonal, ChangePoint: cp}, ws, opts, false)
+	fit, err := fitConfig(y, Config{Seasonal: seasonal, ChangePoint: cp}, ws, opts, false)
 	if err != nil {
 		return 0, nil, err
 	}

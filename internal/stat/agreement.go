@@ -55,15 +55,6 @@ func (c *ConfusionMatrix) FalsePositiveRate() float64 {
 	return float64(c.NegPos) / float64(den)
 }
 
-// Accuracy returns the fraction of observations on the diagonal.
-func (c *ConfusionMatrix) Accuracy() float64 {
-	n := c.Total()
-	if n == 0 {
-		return math.NaN()
-	}
-	return float64(c.PosPos+c.NegNeg) / float64(n)
-}
-
 // CohensKappa returns Cohen's κ for the table: the chance-corrected
 // agreement the paper uses to compare the exact and approximate detectors
 // ("κ = 0.949 … indicating strong agreement"). Returns NaN for an empty

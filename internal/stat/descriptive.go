@@ -120,38 +120,6 @@ func RMSE(actual, predicted []float64) float64 {
 	return math.Sqrt(ss / float64(len(actual)))
 }
 
-// Normalize returns xs scaled to zero mean and unit variance. A constant
-// series is returned as all zeros. The input is not modified.
-func Normalize(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	m := Mean(xs)
-	sd := StdDev(xs)
-	if len(xs) < 2 || sd == 0 || math.IsNaN(sd) {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - m) / sd
-	}
-	return out
-}
-
-// MinMaxScale returns xs rescaled to [0, 1]. A constant series is returned
-// as all zeros. The input is not modified.
-func MinMaxScale(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	lo, hi := Min(xs), Max(xs)
-	if hi == lo {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - lo) / (hi - lo)
-	}
-	return out
-}
-
 // Rescale divides xs by a positive magnitude — its standard deviation,
 // falling back to the mean absolute value, falling back to 1 — and returns
 // the scaled copy and the divisor. The likelihood fits rescale their input

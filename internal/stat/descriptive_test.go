@@ -96,34 +96,6 @@ func TestRMSE(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	z := Normalize(xs)
-	if !almostEqual(Mean(z), 0, 1e-12) {
-		t.Fatalf("normalized mean = %v", Mean(z))
-	}
-	if !almostEqual(StdDev(z), 1, 1e-12) {
-		t.Fatalf("normalized sd = %v", StdDev(z))
-	}
-	constant := Normalize([]float64{7, 7, 7})
-	for _, v := range constant {
-		if v != 0 {
-			t.Fatalf("constant series normalized to %v, want zeros", constant)
-		}
-	}
-}
-
-func TestMinMaxScale(t *testing.T) {
-	xs := []float64{10, 20, 30}
-	s := MinMaxScale(xs)
-	want := []float64{0, 0.5, 1}
-	for i := range want {
-		if !almostEqual(s[i], want[i], 1e-12) {
-			t.Fatalf("MinMaxScale = %v, want %v", s, want)
-		}
-	}
-}
-
 // Property: mean is translation-equivariant and variance translation-invariant.
 func TestMeanVarianceShiftProperty(t *testing.T) {
 	f := func(seed uint64, shiftRaw int8) bool {

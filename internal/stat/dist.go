@@ -2,24 +2,6 @@ package stat
 
 import "math"
 
-// NormalPDF returns the density of N(mu, sigma²) at x.
-func NormalPDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		return math.NaN()
-	}
-	z := (x - mu) / sigma
-	return math.Exp(-z*z/2) / (sigma * math.Sqrt(2*math.Pi))
-}
-
-// NormalLogPDF returns the log density of N(mu, sigma²) at x.
-func NormalLogPDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		return math.NaN()
-	}
-	z := (x - mu) / sigma
-	return -z*z/2 - math.Log(sigma) - 0.5*math.Log(2*math.Pi)
-}
-
 // NormalCDF returns P(X ≤ x) for X ~ N(mu, sigma²).
 func NormalCDF(x, mu, sigma float64) float64 {
 	if sigma <= 0 {

@@ -5,28 +5,6 @@ import (
 	"testing"
 )
 
-func TestNormalPDF(t *testing.T) {
-	// Standard normal density at 0 is 1/sqrt(2π).
-	if got, want := NormalPDF(0, 0, 1), 1/math.Sqrt(2*math.Pi); !almostEqual(got, want, 1e-12) {
-		t.Fatalf("NormalPDF(0) = %v, want %v", got, want)
-	}
-	if got := NormalPDF(1, 1, 2); !almostEqual(got, 1/(2*math.Sqrt(2*math.Pi)), 1e-12) {
-		t.Fatalf("NormalPDF mean shift = %v", got)
-	}
-	if !math.IsNaN(NormalPDF(0, 0, -1)) {
-		t.Fatal("negative sigma should be NaN")
-	}
-}
-
-func TestNormalLogPDFMatchesLog(t *testing.T) {
-	for _, x := range []float64{-3, -0.5, 0, 1.2, 4} {
-		want := math.Log(NormalPDF(x, 0.3, 1.7))
-		if got := NormalLogPDF(x, 0.3, 1.7); !almostEqual(got, want, 1e-10) {
-			t.Fatalf("NormalLogPDF(%v) = %v, want %v", x, got, want)
-		}
-	}
-}
-
 func TestNormalCDFKnownValues(t *testing.T) {
 	cases := []struct {
 		x, want float64

@@ -35,9 +35,3 @@ func ExampleConfusionMatrix_CohensKappa() {
 	// kappa = 0.949
 	// false positives = 0
 }
-
-func ExampleNormalize() {
-	z := stat.Normalize([]float64{2, 4, 6, 8})
-	fmt.Printf("mean ≈ %.0f, sd ≈ %.0f\n", stat.Mean(z), stat.StdDev(z))
-	// Output: mean ≈ 0, sd ≈ 1
-}

@@ -184,8 +184,12 @@ const (
 	LaneEM     = obs.LaneEM
 	LaneDetect = obs.LaneDetect
 	LaneScan   = obs.LaneScan
-	LaneSSM    = obs.LaneSSM
-	LaneServe  = obs.LaneServe
+	// LaneSSM is reserved for per-fit structural model spans.
+	//
+	// Deprecated: nothing emits on LaneSSM; the exact scan's fits are traced
+	// on LaneScan.
+	LaneSSM   = obs.LaneSSM
+	LaneServe = obs.LaneServe
 )
 
 // NewTracer returns an empty span collector; pass its Observe method as
@@ -315,15 +319,16 @@ func WriteCorpusFile(path string, d *Dataset) error { return mic.WriteFile(path,
 
 // Storage-backend types. The data plane has two interchangeable codecs —
 // line-oriented JSONL and the MICC1 binary columnar format (see DESIGN.md) —
-// behind one Storage interface; every reader sniffs the format from magic
-// bytes, so callers rarely name a format explicitly.
+// selected by CorpusFormat; every reader sniffs the format from magic bytes,
+// so callers rarely name a format explicitly.
 type (
 	// CorpusFormat identifies a corpus serialization (auto, JSONL, columnar).
 	CorpusFormat = mic.Format
 	// CorpusStorageOptions bundles codec tuning: lenient/strict JSONL reads,
 	// columnar worker counts, and the columnar flate level.
 	CorpusStorageOptions = mic.StorageOptions
-	// CorpusStorage is one serialization backend (JSONL or columnar).
+	// CorpusStorage describes a serialization backend. The built-in JSONL
+	// and columnar codecs do not implement it; CorpusFormat selects them.
 	CorpusStorage = mic.Storage
 	// CorpusStreamMeta is the up-front dataset description a streaming
 	// writer needs before months arrive (vocabularies, hospitals, months).
