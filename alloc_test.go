@@ -149,6 +149,56 @@ func TestInstrumentationAllocFree(t *testing.T) {
 	}
 }
 
+// TestAICFitAllocFree pins the change point scans' unit of work: an
+// AIC-only fit on a warmed scratch allocates nothing, for the non-seasonal
+// and the seasonal model, cold and warm, with and without a change point,
+// with FitStats collection on. The fits alternate between the four model
+// shapes on one scratch, as a scan's do.
+func TestAICFitAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not representative under -race")
+	}
+	y := syntheticBreakSeries(43, 20)
+	var (
+		s     ssm.Scratch
+		stats ssm.FitStats
+	)
+	type fit struct {
+		seasonal bool
+		cp       int
+		start    []float64
+	}
+	var fits []fit
+	for _, seasonal := range []bool{false, true} {
+		for _, cp := range []int{ssm.NoChangePoint, 20} {
+			_, opt, err := ssm.AICAtOptions(y, seasonal, cp, &s, ssm.FitOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm := append([]float64(nil), opt...)
+			fits = append(fits, fit{seasonal, cp, nil}, fit{seasonal, cp, warm})
+		}
+	}
+	if n := testing.AllocsPerRun(3, func() {
+		for _, f := range fits {
+			if _, _, err := ssm.AICAtOptions(y, f.seasonal, f.cp, &s, ssm.FitOptions{Start: f.start, Stats: &stats}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("a round of %d fits allocates %.0f, want 0", len(fits), n)
+	}
+	for _, f := range fits {
+		if n := testing.AllocsPerRun(3, func() {
+			if _, _, err := ssm.AICAtOptions(y, f.seasonal, f.cp, &s, ssm.FitOptions{Start: f.start, Stats: &stats}); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("AIC-only fit (seasonal %v, cp %d, warm %v) allocates %.0f, want 0", f.seasonal, f.cp, f.start != nil, n)
+		}
+	}
+}
+
 // TestAllocGuardRails pins absolute allocation budgets for the two
 // benchmark-smoke workloads, so instrumentation regressions show up in plain
 // `go test` without running the benchmark suite. Budgets are the measured
@@ -177,7 +227,8 @@ func TestAllocGuardRails(t *testing.T) {
 	}
 
 	// One prefix-checkpointed exact scan (the BenchmarkExactScanPrefix
-	// workload). Its checkpoint resumes reuse the scanner's buffers.
+	// workload). Its checkpoint resumes reuse the scanner's buffers, and its
+	// fits a pooled scratch.
 	y := syntheticBreakSeries(43, 20)
 	prefixAllocs := testing.AllocsPerRun(1, func() {
 		if _, err := changepoint.DetectExactPrefix(y, true, changepoint.PrefixOptions{Workers: 1}); err != nil {
@@ -185,7 +236,19 @@ func TestAllocGuardRails(t *testing.T) {
 		}
 	})
 	t.Logf("prefix exact scan: %.0f allocs", prefixAllocs)
-	if prefixAllocs > 960 { // measured baseline: 913
-		t.Errorf("prefix exact scan: %.0f allocs, budget 960", prefixAllocs)
+	if prefixAllocs > 192 { // measured baseline: 183
+		t.Errorf("prefix exact scan: %.0f allocs, budget 192", prefixAllocs)
+	}
+
+	// One binary search of a non-seasonal series through Detect (the serving
+	// fold's per-series scan). Its fits run on a pooled scratch.
+	binaryAllocs := testing.AllocsPerRun(10, func() {
+		if _, err := changepoint.Detect(context.Background(), y, changepoint.DetectOptions{Method: changepoint.SearchBinary}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("binary Detect: %.0f allocs", binaryAllocs)
+	if binaryAllocs > 10 { // measured baseline: 8
+		t.Errorf("binary Detect: %.0f allocs, budget 10", binaryAllocs)
 	}
 }

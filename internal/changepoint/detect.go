@@ -12,9 +12,9 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"mictrend/internal/faultpoint"
-	"mictrend/internal/kalman"
 	"mictrend/internal/ssm"
 )
 
@@ -214,27 +214,22 @@ func findWithin(e *evaluator, left, right int) (int, error) {
 	return findWithin(e, middle, right)
 }
 
-// SSMEvaluator returns an AICFunc that fits the paper's structural model
-// (with or without seasonality) to y at each candidate change point. The
-// returned function owns a Kalman workspace reused across every fit of the
-// search, so the per-candidate Nelder-Mead evaluations allocate nothing in
-// the filtering kernel. Concurrency contract: the returned function is NOT
-// goroutine-safe (the workspace is mutable scratch) and neither are the
-// Exact/Binary drivers that consume it. The goroutine-safe entry points are
-// Detect and the Detect* functions — each call builds its own evaluator, so
-// any number of searches over different series may run concurrently — and
-// ExactPrefix, whose contender workers each own a private workspace.
-func SSMEvaluator(y []float64, seasonal bool) AICFunc {
-	return SSMEvaluatorStats(y, seasonal, nil)
-}
+// scratches recycles the fit scratches of finished searches, so a search on
+// a warm pool allocates no fit scaffolding. A scratch is a few KB. A search
+// whose fit panics drops its scratch instead of returning it.
+var scratches = sync.Pool{New: func() any { return new(ssm.Scratch) }}
 
-// SSMEvaluatorStats is SSMEvaluator with optional FitStats accounting: stats
-// (nil to disable) accumulates likelihood evaluations and multi-start
-// activity across the search's fits without changing any fit's numerics.
-func SSMEvaluatorStats(y []float64, seasonal bool, stats *ssm.FitStats) AICFunc {
-	ws := kalman.NewWorkspace()
+// ssmEvaluator returns an AICFunc that fits the paper's structural model
+// (with or without seasonality) to y at each candidate change point, every
+// fit on s. stats (nil to disable) accumulates likelihood evaluations and
+// multi-start activity across the search's fits without changing any fit's
+// numerics. The function is not goroutine-safe (s is mutable scratch) and
+// neither are the Exact/Binary drivers that consume it; Detect gives each
+// search a scratch of its own, so any number of searches over different
+// series may run concurrently.
+func ssmEvaluator(y []float64, seasonal bool, stats *ssm.FitStats, s *ssm.Scratch) AICFunc {
 	return func(cp int) (float64, error) {
-		aic, _, err := ssm.AICAtOptions(y, seasonal, cp, ws, ssm.FitOptions{Stats: stats})
+		aic, _, err := ssm.AICAtOptions(y, seasonal, cp, s, ssm.FitOptions{Stats: stats})
 		return aic, err
 	}
 }
@@ -258,10 +253,10 @@ func ContextAIC(ctx context.Context, f AICFunc) AICFunc {
 
 // DetectExact runs Algorithm 1 on y with the structural model.
 func DetectExact(y []float64, seasonal bool) (Result, error) {
-	return Exact(len(y), SSMEvaluator(y, seasonal))
+	return Detect(context.Background(), y, DetectOptions{Method: SearchExact, Seasonal: seasonal})
 }
 
 // DetectBinary runs Algorithm 2 on y with the structural model.
 func DetectBinary(y []float64, seasonal bool) (Result, error) {
-	return Binary(len(y), SSMEvaluator(y, seasonal))
+	return Detect(context.Background(), y, DetectOptions{Method: SearchBinary, Seasonal: seasonal})
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -298,5 +300,55 @@ func TestContextAICNilContextPassesThrough(t *testing.T) {
 	}
 	if res.ChangePoint != 10 {
 		t.Fatalf("cp = %d, want 10", res.ChangePoint)
+	}
+}
+
+// TestConcurrentDetectsMatchSerial runs searches of every method from
+// several goroutines at once, so they take and return the pooled fit
+// scratches concurrently (the prefix scan's contender workers too), and
+// checks each result and provenance against the same search run alone.
+func TestConcurrentDetectsMatchSerial(t *testing.T) {
+	methods := []SearchMethod{SearchBinary, SearchExact, SearchExactPrefix}
+	type job struct {
+		y    []float64
+		opts DetectOptions
+	}
+	var jobs []job
+	for seed := uint64(1); seed <= 6; seed++ {
+		for _, m := range methods {
+			jobs = append(jobs, job{randomSeries(seed, 20+int(seed)*3), DetectOptions{Method: m, Workers: 2}})
+		}
+	}
+	want := make([]Result, len(jobs))
+	wantProv := make([]Provenance, len(jobs))
+	for i, j := range jobs {
+		opts := j.opts
+		opts.Provenance = &wantProv[i]
+		var err error
+		if want[i], err = Detect(context.Background(), j.y, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]Result, len(jobs))
+	gotProv := make([]Provenance, len(jobs))
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			opts := j.opts
+			opts.Provenance = &gotProv[i]
+			got[i], errs[i] = Detect(context.Background(), j.y, opts)
+		}()
+	}
+	wg.Wait()
+	for i := range jobs {
+		if errs[i] != nil {
+			t.Fatalf("job %d: %v", i, errs[i])
+		}
+		if !resultsEqual(got[i], want[i]) || !reflect.DeepEqual(gotProv[i], wantProv[i]) {
+			t.Fatalf("job %d (%v): concurrent %+v, alone %+v", i, jobs[i].opts.Method, got[i], want[i])
+		}
 	}
 }

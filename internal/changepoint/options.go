@@ -2,8 +2,8 @@ package changepoint
 
 import (
 	"context"
+	"slices"
 
-	"mictrend/internal/kalman"
 	"mictrend/internal/obs"
 	"mictrend/internal/ssm"
 )
@@ -108,16 +108,17 @@ func Detect(ctx context.Context, series []float64, opts DetectOptions) (Result, 
 		res Result
 		err error
 	)
+	s := scratches.Get().(*ssm.Scratch)
 	switch opts.Method {
 	case SearchBinary:
-		res, err = binary(len(series), ContextAIC(ctx, SSMEvaluatorStats(series, opts.Seasonal, opts.Stats)), opts.Provenance)
+		res, err = binary(len(series), ContextAIC(ctx, ssmEvaluator(series, opts.Seasonal, opts.Stats, s)), opts.Provenance)
 	case SearchExactParallel, SearchExactPrefix:
 		res, err = ExactPrefix(ctx, series, opts.Seasonal, PrefixOptions{
 			Workers: opts.Workers, Stats: opts.Stats,
 			Provenance: opts.Provenance, Trace: obs.GuardSpans(opts.Trace, nil),
 		})
 	default:
-		res, err = exact(len(series), ContextAIC(ctx, SSMEvaluatorStats(series, opts.Seasonal, opts.Stats)), opts.Provenance)
+		res, err = exact(len(series), ContextAIC(ctx, ssmEvaluator(series, opts.Seasonal, opts.Stats, s)), opts.Provenance)
 	}
 	if p := opts.Provenance; p != nil && err == nil {
 		p.Seasonal = opts.Seasonal
@@ -125,11 +126,11 @@ func Detect(ctx context.Context, series []float64, opts DetectOptions) (Result, 
 		// selected model's parameter vector; it replays the serial path's
 		// numerics, so it never changes the result and is not counted in
 		// Result.Fits.
-		ws := kalman.NewWorkspace()
-		if _, opt, perr := ssm.AICAtOptions(series, opts.Seasonal, res.ChangePoint, ws, ssm.FitOptions{Stats: opts.Stats}); perr == nil {
-			p.Params = opt
+		if _, opt, perr := ssm.AICAtOptions(series, opts.Seasonal, res.ChangePoint, s, ssm.FitOptions{Stats: opts.Stats}); perr == nil {
+			p.Params = slices.Clone(opt)
 		}
 	}
+	scratches.Put(s)
 	sink.StageEnd("scan", begin, 0, res.Fits, err)
 	return res, err
 }

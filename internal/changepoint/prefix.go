@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"mictrend/internal/faultpoint"
-	"mictrend/internal/kalman"
 	"mictrend/internal/obs"
 	"mictrend/internal/par"
 	"mictrend/internal/ssm"
@@ -84,6 +84,15 @@ type PrefixOptions struct {
 // A panic in a contender fit is re-panicked on the calling goroutine after
 // the workers drain, so callers' panic isolation keeps working.
 func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOptions) (Result, error) {
+	s := scratches.Get().(*ssm.Scratch)
+	res, err := exactPrefix(ctx, y, seasonal, opts, s)
+	scratches.Put(s)
+	return res, err
+}
+
+// exactPrefix is ExactPrefix with its serial fits on s. A fit's optimum
+// aliases the scratch it ran on, so the scan copies every optimum it keeps.
+func exactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOptions, s *ssm.Scratch) (Result, error) {
 	n := len(y)
 	if n < 2 {
 		return Result{}, fmt.Errorf("changepoint: series length %d too short", n)
@@ -96,22 +105,22 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 		workers = 1
 	}
 
-	ws := kalman.NewWorkspace()
-	fit := func(cp int, start []float64, ws *kalman.Workspace) (float64, []float64, error) {
+	fit := func(cp int, start []float64, s *ssm.Scratch) (float64, []float64, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, nil, err
 		}
 		if err := faultpoint.Inject(scanFault, strconv.Itoa(cp)); err != nil {
 			return 0, nil, err
 		}
-		return ssm.AICAtOptions(y, seasonal, cp, ws, ssm.FitOptions{Start: start, Stats: opts.Stats})
+		return ssm.AICAtOptions(y, seasonal, cp, s, ssm.FitOptions{Start: start, Stats: opts.Stats})
 	}
 
 	fits := 0
-	aic0, theta0, err := fit(ssm.NoChangePoint, nil, ws)
+	aic0, theta0, err := fit(ssm.NoChangePoint, nil, s)
 	if err != nil {
 		return Result{}, err
 	}
+	theta0 = slices.Clone(theta0)
 	fits++
 
 	hi := maxCandidate(n)
@@ -178,14 +187,14 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 		if _, done := warm[cp]; done {
 			continue
 		}
-		aic, opt, err := fit(cp, nil, ws)
+		aic, opt, err := fit(cp, nil, s)
 		if err != nil {
 			return Result{}, err
 		}
 		fits++
 		warm[cp] = aic
 		if opt != nil {
-			thetas[cp] = opt
+			thetas[cp] = slices.Clone(opt)
 		}
 		if aic < locatedAIC {
 			located, locatedAIC = cp, aic
@@ -245,7 +254,7 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 		if _, fitted := warm[argmin]; fitted {
 			break
 		}
-		aicA, thetaA, err := fit(argmin, theta, ws)
+		aicA, thetaA, err := fit(argmin, theta, s)
 		if err != nil {
 			return Result{}, err
 		}
@@ -255,7 +264,7 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 			provisional = aicA
 		}
 		if thetaA != nil {
-			theta = thetaA
+			theta = slices.Clone(thetaA)
 		}
 		if err := runLadder(theta); err != nil {
 			return Result{}, err
@@ -282,17 +291,29 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 
 	// Contender warm fits, all seeded from the final anchor: every fit
 	// depends only on its own candidate, so the results — and the Fits
-	// count — are identical for any worker split.
+	// count — are identical for any worker split. Each worker fits on a
+	// scratch of its own; the first takes the scan's, idle until the
+	// refits.
 	warmAIC := make([]float64, len(survivors))
 	theta1 := theta
 	contendersBegan := obs.SpanStart(opts.Trace)
+	idle := s
+	var pooled []*ssm.Scratch
 	err = par.Each(ctx, len(survivors), workers, func() func(int) error {
-		wws := kalman.NewWorkspace()
+		ws := idle
+		if ws == nil {
+			ws = scratches.Get().(*ssm.Scratch)
+			pooled = append(pooled, ws)
+		}
+		idle = nil
 		return func(i int) (err error) {
-			warmAIC[i], _, err = fit(survivors[i], theta1, wws)
+			warmAIC[i], _, err = fit(survivors[i], theta1, ws)
 			return err
 		}
 	})
+	for _, ws := range pooled {
+		scratches.Put(ws)
+	}
 	if opts.Trace != nil {
 		obs.Emit(opts.Trace, obs.SpanEvent{Cat: "scan", Name: "scan/contenders", TID: obs.LaneScan, Start: contendersBegan, Month: -1,
 			Detail: fmt.Sprintf("%d contenders", len(survivors))}, err)
@@ -319,7 +340,7 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 			continue
 		}
 		began := obs.SpanStart(opts.Trace)
-		aic, _, err := fit(cp, nil, ws)
+		aic, _, err := fit(cp, nil, s)
 		if err != nil {
 			return Result{}, err
 		}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"mictrend/internal/changepoint"
-	"mictrend/internal/kalman"
 	"mictrend/internal/mic"
 	"mictrend/internal/micgen"
 	"mictrend/internal/report"
@@ -59,9 +58,9 @@ func RunFigure5(env *Env) (*Figure5Result, error) {
 		TrueMonth:   micgen.GenericReleaseMonth,
 	}
 	best := 0
-	ws := kalman.NewWorkspace() // one workspace across the whole valley scan
+	scratch := new(ssm.Scratch) // one scratch across the whole valley scan
 	for cp := 0; cp <= maxCP; cp++ {
-		aic, _, err := ssm.AICAtOptions(series, false, cp, ws, ssm.FitOptions{})
+		aic, _, err := ssm.AICAtOptions(series, false, cp, scratch, ssm.FitOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -71,7 +70,7 @@ func RunFigure5(env *Env) (*Figure5Result, error) {
 		}
 	}
 	res.BestMonth = best
-	if res.NoChangeAIC, _, err = ssm.AICAtOptions(series, false, ssm.NoChangePoint, ws, ssm.FitOptions{}); err != nil {
+	if res.NoChangeAIC, _, err = ssm.AICAtOptions(series, false, ssm.NoChangePoint, scratch, ssm.FitOptions{}); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -149,15 +149,14 @@ func (ws *Workspace) prepare(n, r, steps int) {
 	ws.pzt = ws.pzt[:n]
 	ws.tpz = ws.tpz[:n]
 	ws.k = ws.k[:n]
-	if ws.p == nil || ws.p.Rows() != n {
-		ws.p = linalg.NewMatrix(n, n)
-		ws.tp = linalg.NewMatrix(n, n)
-		ws.next = linalg.NewMatrix(n, n)
-		ws.rqr = linalg.NewMatrix(n, n)
-	}
-	if ws.rq == nil || ws.rq.Rows() != n || ws.rq.Cols() != r {
-		ws.rq = linalg.NewMatrix(n, r)
-	}
+	// A model of another state dimension (1↔2, 12↔13 as a fit scan
+	// alternates between the intervention-free and the candidate models)
+	// reshapes the matrices in place.
+	ws.p = ws.p.Resize(n, n)
+	ws.tp = ws.tp.Resize(n, n)
+	ws.next = ws.next.Resize(n, n)
+	ws.rqr = ws.rqr.Resize(n, n)
+	ws.rq = ws.rq.Resize(n, r)
 	if cap(ws.v) < steps {
 		ws.v = make([]float64, steps)
 		ws.f = make([]float64, steps)

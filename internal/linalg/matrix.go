@@ -104,6 +104,25 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
+// Resize returns a rows×cols matrix for a caller that keeps one buffer across
+// shapes: m itself when it already has that shape (contents kept), else m's
+// storage reshaped and zeroed when it is large enough, else a new matrix.
+// m may be nil. It panics if either dimension is not positive.
+func (m *Matrix) Resize(rows, cols int) *Matrix {
+	if m == nil || rows*cols > cap(m.data) {
+		return NewMatrix(rows, cols)
+	}
+	if m.rows == rows && m.cols == cols {
+		return m
+	}
+	if rows <= 0 || cols <= 0 {
+		panic(fmt.Sprintf("linalg: invalid matrix dimensions %dx%d", rows, cols))
+	}
+	m.rows, m.cols, m.data = rows, cols, m.data[:rows*cols]
+	m.Zero()
+	return m
+}
+
 // CopyFrom copies the contents of src into m. Dimensions must match.
 func (m *Matrix) CopyFrom(src *Matrix) {
 	if m.rows != src.rows || m.cols != src.cols {

@@ -296,3 +296,35 @@ func randomMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 }
 
 var _ = math.Pi
+
+// TestResize: Resize keeps a matrix of the asked shape as it is, reshapes a
+// larger one in place with zeroed contents, and allocates when the storage
+// is too small or the matrix is nil.
+func TestResize(t *testing.T) {
+	var nilM *Matrix
+	m := nilM.Resize(2, 3)
+	if m.Rows() != 2 || m.Cols() != 3 {
+		t.Fatalf("nil Resize gave %dx%d", m.Rows(), m.Cols())
+	}
+	m.Set(1, 2, 5)
+	if same := m.Resize(2, 3); same != m || same.At(1, 2) != 5 {
+		t.Fatal("same-shape Resize must return m unchanged")
+	}
+	small := m.Resize(2, 2)
+	if small != m || small.Rows() != 2 || small.Cols() != 2 {
+		t.Fatal("a smaller shape must reuse m")
+	}
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 2; j++ {
+			if small.At(i, j) != 0 {
+				t.Fatalf("reshaped matrix not zeroed at (%d,%d)", i, j)
+			}
+		}
+	}
+	if back := small.Resize(3, 2); back != m {
+		t.Fatal("growing back within the storage must reuse m")
+	}
+	if big := m.Resize(4, 4); big == m || big.Rows() != 4 {
+		t.Fatal("a shape beyond the storage must allocate")
+	}
+}

@@ -143,6 +143,9 @@ type StreamWriter interface {
 // Storage describes an on-disk dataset backend. The JSONL and columnar
 // codecs do not implement it: ReadDatasetFile, WriteDatasetFile, ReadAuto
 // and NewStreamFileWriter select them by Format directly.
+//
+// Deprecated: nothing implements or accepts a Storage, so a codec of the
+// caller's own cannot plug in through it. Select a codec by Format.
 type Storage interface {
 	// Format names the backend.
 	Format() Format

@@ -21,8 +21,9 @@ const cgold = 0.3819660112501051
 // never worse than x. The bracket ends themselves are never evaluated.
 // Like NelderMead, f may return +Inf or NaN to reject a point (NaN is
 // treated as +Inf). The search stops once the bracket around the best point
-// is within tol·|x| + 1e-10 of it; Result.X has one element.
-func Brent(f func(float64) float64, a, b, x, fx, tol float64) (Result, error) {
+// is within tol·|x| + 1e-10 of it; Result.X has one element and aliases
+// the workspace.
+func (ws *Workspace) Brent(f func(float64) float64, a, b, x, fx, tol float64) (Result, error) {
 	if !(a <= x && x <= b) || !(tol > 0) {
 		return Result{}, ErrInvalidInput
 	}
@@ -106,5 +107,6 @@ func Brent(f func(float64) float64, a, b, x, fx, tol float64) (Result, error) {
 			v, fv = u, fu
 		}
 	}
-	return Result{X: []float64{x}, F: fx, Iterations: iter, Evals: evals, Converged: converged}, nil
+	ws.x = append(ws.x[:0], x)
+	return Result{X: ws.x, F: fx, Iterations: iter, Evals: evals, Converged: converged}, nil
 }

@@ -13,7 +13,9 @@ import (
 // arguments (empty start point, inverted bracket, …).
 var ErrInvalidInput = errors.New("optimize: invalid input")
 
-// Result reports the outcome of a minimization.
+// Result reports the outcome of a minimization. The X of a result from a
+// Workspace method aliases the workspace: it is valid until the
+// workspace's next minimization, so a caller keeping it copies it.
 type Result struct {
 	X          []float64 // best point found
 	F          float64   // objective value at X
@@ -54,11 +56,31 @@ func (o NelderMeadOptions) withDefaults(dim int) NelderMeadOptions {
 	return o
 }
 
+// Workspace holds the buffers of NelderMead and Brent, so that repeated
+// minimizations allocate nothing once the buffers have grown to the
+// problem's dimension. A Result's X aliases them (see Result). What a
+// workspace held before never changes a minimization's outcome. The zero
+// value is ready to use; a Workspace is not safe for concurrent use.
+type Workspace struct {
+	vertices                []float64   // (dim+1)·dim simplex coordinates
+	points                  [][]float64 // the simplex's vertices, rows of vertices
+	values                  []float64   // objective value at each vertex
+	centroid, trial, trial2 []float64
+	x                       []float64 // Result.X
+}
+
+// NelderMead minimizes f starting from x0 on a fresh workspace, so the
+// result's X is the caller's own.
+func NelderMead(f func([]float64) float64, x0 []float64, opts NelderMeadOptions) (Result, error) {
+	return new(Workspace).NelderMead(f, x0, opts)
+}
+
 // NelderMead minimizes f starting from x0 using the standard
 // reflection/expansion/contraction/shrink simplex method with adaptive
 // coefficients. The objective may return +Inf or NaN to reject a point
 // (NaN is treated as +Inf), which lets callers encode hard constraints.
-func NelderMead(f func([]float64) float64, x0 []float64, opts NelderMeadOptions) (Result, error) {
+// x0 is only read, and f must not keep the slices it is passed.
+func (w *Workspace) NelderMead(f func([]float64) float64, x0 []float64, opts NelderMeadOptions) (Result, error) {
 	dim := len(x0)
 	if dim == 0 {
 		return Result{}, ErrInvalidInput
@@ -84,12 +106,13 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NelderMeadOptions)
 	}
 
 	// Build the initial simplex: x0 plus one perturbed vertex per axis.
-	points := make([][]float64, dim+1)
-	values := make([]float64, dim+1)
-	points[0] = append([]float64(nil), x0...)
+	w.size(dim)
+	points, values := w.points, w.values
+	copy(points[0], x0)
 	values[0] = eval(points[0])
 	for i := 0; i < dim; i++ {
-		p := append([]float64(nil), x0...)
+		p := points[i+1]
+		copy(p, x0)
 		switch {
 		case opts.StepAbsolute:
 			p[i] += opts.Step
@@ -98,7 +121,6 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NelderMeadOptions)
 		default:
 			p[i] = opts.Step
 		}
-		points[i+1] = p
 		values[i+1] = eval(p)
 	}
 
@@ -121,9 +143,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NelderMeadOptions)
 		return best, worst, secondWorst
 	}
 
-	centroid := make([]float64, dim)
-	trial := make([]float64, dim)
-	trial2 := make([]float64, dim)
+	centroid, trial, trial2 := w.centroid, w.trial, w.trial2
 	var iter int
 	for iter = 0; iter < opts.MaxIter; iter++ {
 		best, worst, secondWorst := order()
@@ -131,7 +151,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NelderMeadOptions)
 		// Convergence: simplex flat in value and small in extent.
 		if simplexFlat(values, best, worst, opts.TolF) && simplexSmall(points, best, worst, opts.TolX) {
 			return Result{
-				X: append([]float64(nil), points[best]...), F: values[best],
+				X: w.result(points[best]), F: values[best],
 				Iterations: iter, Evals: evals, Converged: true,
 			}, nil
 		}
@@ -206,9 +226,34 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NelderMeadOptions)
 	}
 	best, _, _ := order()
 	return Result{
-		X: append([]float64(nil), points[best]...), F: values[best],
+		X: w.result(points[best]), F: values[best],
 		Iterations: iter, Evals: evals, Converged: false,
 	}, nil
+}
+
+// size shapes the simplex buffers for dim coordinates, reusing their
+// storage.
+func (w *Workspace) size(dim int) {
+	if cap(w.centroid) < dim {
+		w.vertices = make([]float64, (dim+1)*dim)
+		w.points = make([][]float64, dim+1)
+		w.values = make([]float64, dim+1)
+		w.centroid = make([]float64, dim)
+		w.trial = make([]float64, dim)
+		w.trial2 = make([]float64, dim)
+	}
+	w.points = w.points[:dim+1]
+	for i := range w.points {
+		w.points[i] = w.vertices[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	w.values = w.values[:dim+1]
+	w.centroid, w.trial, w.trial2 = w.centroid[:dim], w.trial[:dim], w.trial2[:dim]
+}
+
+// result copies x into the workspace's Result.X buffer.
+func (w *Workspace) result(x []float64) []float64 {
+	w.x = append(w.x[:0], x...)
+	return w.x
 }
 
 func simplexFlat(values []float64, best, worst int, tol float64) bool {

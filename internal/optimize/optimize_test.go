@@ -133,7 +133,7 @@ func TestNelderMeadQuadraticProperty(t *testing.T) {
 func TestBrentQuadratic(t *testing.T) {
 	calls := 0
 	f := func(x float64) float64 { calls++; return (x-1.5)*(x-1.5) + 2 }
-	res, err := Brent(f, -10, 10, 4, f(4), 1e-8)
+	res, err := new(Workspace).Brent(f, -10, 10, 4, f(4), 1e-8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestBrentQuadratic(t *testing.T) {
 
 func TestBrentMinimumAtBracketEnd(t *testing.T) {
 	f := func(x float64) float64 { return math.Exp(x) } // decreasing toward a
-	res, err := Brent(f, -2, 3, 1, f(1), 1e-8)
+	res, err := new(Workspace).Brent(f, -2, 3, 1, f(1), 1e-8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestBrentMinimumAtBracketEnd(t *testing.T) {
 
 func TestBrentFlatObjective(t *testing.T) {
 	f := func(float64) float64 { return 7 }
-	res, err := Brent(f, -1, 1, 0.25, 7, 1e-8)
+	res, err := new(Workspace).Brent(f, -1, 1, 0.25, 7, 1e-8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestBrentInfAndNaNRegions(t *testing.T) {
 		}
 		return (x - 0.8) * (x - 0.8)
 	}
-	res, err := Brent(f, -3, 3, 0, f(0), 1e-8)
+	res, err := new(Workspace).Brent(f, -3, 3, 0, f(0), 1e-8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestBrentInfAndNaNRegions(t *testing.T) {
 	}
 	// A NaN start value counts as +Inf and is replaced by the first finite
 	// point found.
-	res, err = Brent(f, -3, 3, -2, math.NaN(), 1e-8)
+	res, err = new(Workspace).Brent(f, -3, 3, -2, math.NaN(), 1e-8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +215,55 @@ func TestBrentInfAndNaNRegions(t *testing.T) {
 
 func TestBrentInvalid(t *testing.T) {
 	f := func(x float64) float64 { return x * x }
-	if _, err := Brent(f, 1, 0, 0.5, 0.25, 1e-8); err == nil {
+	if _, err := new(Workspace).Brent(f, 1, 0, 0.5, 0.25, 1e-8); err == nil {
 		t.Fatal("inverted bracket accepted")
 	}
-	if _, err := Brent(f, 0, 1, 2, 4, 1e-8); err == nil {
+	if _, err := new(Workspace).Brent(f, 0, 1, 2, 4, 1e-8); err == nil {
 		t.Fatal("start outside the bracket accepted")
 	}
-	if _, err := Brent(f, 0, 1, 0.5, 0.25, 0); err == nil {
+	if _, err := new(Workspace).Brent(f, 0, 1, 0.5, 0.25, 0); err == nil {
 		t.Fatal("zero tolerance accepted")
+	}
+}
+
+// TestWorkspaceReuseMatchesFresh: minimizations on one workspace that
+// alternates between one and two dimensions, and between Nelder-Mead and
+// Brent, return what each returns on a fresh workspace, bit for bit.
+func TestWorkspaceReuseMatchesFresh(t *testing.T) {
+	rosen := func(x []float64) float64 { return 100*math.Pow(x[1]-x[0]*x[0], 2) + math.Pow(1-x[0], 2) }
+	bowl := func(x []float64) float64 { return math.Cosh(x[0]-0.3) + 0.1*x[0]*x[0] }
+	line := func(x float64) float64 { return bowl([]float64{x}) }
+	type run func(w *Workspace) (Result, error)
+	runs := []run{
+		func(w *Workspace) (Result, error) {
+			return w.NelderMead(rosen, []float64{-1.2, 1}, NelderMeadOptions{MaxIter: 3000})
+		},
+		func(w *Workspace) (Result, error) { return w.NelderMead(bowl, []float64{4}, NelderMeadOptions{}) },
+		func(w *Workspace) (Result, error) { return w.Brent(line, -2, 3, 1, line(1), 1e-8) },
+		func(w *Workspace) (Result, error) {
+			return w.NelderMead(rosen, []float64{0.5, 0.5}, NelderMeadOptions{Step: 0.1, StepAbsolute: true, MaxIter: 40})
+		},
+	}
+	shared := new(Workspace)
+	for round := 0; round < 3; round++ {
+		for i, r := range runs {
+			got, err := r(shared)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := append([]float64(nil), got.X...)
+			want, err := r(new(Workspace))
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := len(x) == len(want.X) && math.Float64bits(got.F) == math.Float64bits(want.F) &&
+				got.Iterations == want.Iterations && got.Evals == want.Evals && got.Converged == want.Converged
+			for j := range x {
+				same = same && math.Float64bits(x[j]) == math.Float64bits(want.X[j])
+			}
+			if !same {
+				t.Fatalf("round %d run %d: reused workspace gave %+v (X %v), fresh %+v", round, i, got, x, want)
+			}
+		}
 	}
 }

@@ -35,7 +35,7 @@ func TestAICAtMatchesFitConfig(t *testing.T) {
 		{"all-missing", allMissing, true},
 		{"short", synthSeries(8, 2, 3, 0.5, 0.3, 5), false},
 	}
-	wsFit, wsAIC := kalman.NewWorkspace(), kalman.NewWorkspace()
+	wsFit, wsAIC := kalman.NewWorkspace(), new(Scratch)
 	compared, failed := 0, 0
 	for _, s := range series {
 		for _, seasonal := range []bool{false, true} {

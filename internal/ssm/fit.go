@@ -186,81 +186,211 @@ func FitConfig(y []float64, cfg Config) (*Fit, error) {
 
 // FitConfigOptions is FitConfig with an explicit Kalman workspace and
 // per-fit options; a zero opts reproduces FitConfig exactly (same starts,
-// same order, same search, bitwise-identical estimates). The structural
-// model is assembled once per call; every objective evaluation of the
-// search — Nelder-Mead's, and for a one-parameter fit the bracket probes'
-// and Brent's — only updates the disturbance variances in place and runs
-// the allocation-free likelihood filter through ws, so a caller performing
-// many fits can reuse one workspace across them; an evaluation at parameter
-// bits the fit has already evaluated is answered from a per-fit memo
-// (likMemo) without a filter pass. The full Filter pass
-// (which materializes the smoother inputs) runs once, for the winning
-// parameters; the change point search, which needs only each candidate's
-// AIC, skips it (AICAtOptions). ws may be nil; a workspace is not safe for
-// concurrent use.
+// same order, same search, bitwise-identical estimates). It runs the search
+// AICAtOptions runs, on a Scratch of its own around ws: every objective
+// evaluation — Nelder-Mead's, and for a one-parameter fit the bracket
+// probes' and Brent's — only updates the disturbance variances of one
+// search model in place and runs the allocation-free likelihood filter
+// through ws, and an evaluation at parameter bits the fit has already
+// evaluated is answered from the likelihood memo without a filter pass.
+// The full Filter pass (which materializes the smoother inputs) runs once,
+// on a freshly built model at the winning parameters. The returned Fit,
+// its Model and its Scaled series belong to the caller. ws may be nil; a
+// workspace is not safe for concurrent use.
 func FitConfigOptions(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions) (*Fit, error) {
-	return fitConfig(y, cfg, ws, opts, true)
-}
-
-// fitConfig is the fit core behind FitConfigOptions and AICAtOptions. A full
-// fit ends with a Filter pass over the σ²-scaled model, which yields the
-// smoother inputs and the intervention coefficients. An AIC-only fit (full
-// false) stops once the AIC is known: it validates the scaled model with the
-// allocation-free LogLikFilter instead, the kernel Filter records its history
-// from, so it fails exactly when Filter would; its Fit has no Filter and no
-// Lambdas.
-func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions, full bool) (*Fit, error) {
 	cfg = cfg.withDefaults()
-	minLen := cfg.stateDim() + cfg.numVariances() + 2
-	if len(y) < minLen {
-		return nil, fmt.Errorf("%w: len %d < %d", ErrSeriesTooShort, len(y), minLen)
-	}
-	for _, iv := range cfg.Interventions() {
-		if iv.Month < 0 || iv.Month >= len(y) {
-			return nil, fmt.Errorf("ssm: change point %d outside series of length %d", iv.Month, len(y))
-		}
-	}
-	if ws == nil {
-		ws = kalman.NewWorkspace()
-	}
-
-	scaled, scale := stat.Rescale(y)
-
-	// The search model: built once with unit variances; concentratedLogLik
-	// rewrites H and the Q diagonal before each evaluation.
-	searchModel, err := build(cfg, 1, 1, 1)
+	// The scratch lives for this call only, so the series it scales is
+	// handed to the Fit.
+	s := &Scratch{ws: ws}
+	sr, err := s.fit(y, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
+	epsVar, xiVar, omegaVar := scaledVariances(cfg.Seasonal, sr.sigma2, s.best)
+	m, err := build(cfg, epsVar, xiVar, omegaVar)
+	if err != nil {
+		return nil, err
+	}
+	fr, err := m.Filter(s.scaled)
+	if err != nil {
+		return nil, err
+	}
+	fit := &Fit{
+		Config:    cfg,
+		Model:     m,
+		Filter:    fr,
+		LogLik:    sr.logLik,
+		NumParams: cfg.NumParams(),
+		EpsVar:    epsVar,
+		XiVar:     xiVar,
+		OmegaVar:  omegaVar,
+		Scaled:    s.scaled,
+		Scale:     sr.scale,
+		Attempts:  sr.attempts,
+		OptParams: append([]float64(nil), s.best...),
+	}
+	fit.AIC = -2*fit.LogLik + 2*float64(fit.NumParams)
+	if k := cfg.numInterventions(); k > 0 {
+		// λ coefficients are the trailing elements of the final predicted
+		// state, in Interventions() order.
+		final := fr.A[len(s.scaled)]
+		fit.Lambdas = append([]float64(nil), final[m.Dim()-k:]...)
+		fit.Lambda = fit.Lambdas[0]
+	}
+	if st := opts.Stats; st != nil {
+		st.Fits.Add(1)
+	}
+	return fit, nil
+}
+
+// AICAtOptions is the change point search primitive: it fits the full model
+// (level + optional seasonal + intervention at cp, or no intervention for
+// cp == NoChangePoint) on s and returns its AIC and the fitted optimum's
+// parameters, the warm start for the next candidate. opts threads warm
+// starts and FitStats accounting. It returns the AIC and OptParams that
+// FitConfigOptions would, bit for bit, and the same error, but skips the
+// fitted model's Filter pass: the search needs neither the smoother inputs
+// nor the intervention coefficients. On a warmed scratch it allocates
+// nothing.
+//
+// opt aliases s: it is valid until s's next fit, so a caller keeping it
+// copies it. s may be nil, in which case a fresh scratch is used and opt is
+// the caller's own.
+func AICAtOptions(y []float64, seasonal bool, cp int, s *Scratch, opts FitOptions) (aic float64, opt []float64, err error) {
+	if s == nil {
+		s = new(Scratch)
+	}
+	return s.aic(y, Config{Seasonal: seasonal, ChangePoint: cp}.withDefaults(), opts)
+}
+
+// aic is the AIC-only fit of cfg (defaults applied) behind AICAtOptions.
+func (s *Scratch) aic(y []float64, cfg Config, opts FitOptions) (aic float64, opt []float64, err error) {
+	sr, err := s.fit(y, cfg, opts)
+	if err != nil {
+		return 0, nil, err
+	}
+	// Validate the σ²-scaled model as FitConfigOptions' Filter pass would:
+	// the search model with the final variances set in place has the values
+	// of the model FitConfigOptions builds, and LogLikFilter is the kernel
+	// Filter records its history from, so it fails exactly when Filter
+	// would.
+	s.model.setVariances(scaledVariances(cfg.Seasonal, sr.sigma2, s.best))
+	if _, err := s.model.m.LogLikFilter(s.scaled, s.ws); err != nil {
+		return 0, nil, err
+	}
+	if st := opts.Stats; st != nil {
+		st.Fits.Add(1)
+	}
+	return -2*sr.logLik + 2*float64(cfg.NumParams()), s.best, nil
+}
+
+// scaledVariances turns the concentrated σ̂² and the optimizer's relative
+// log-variances x into the variance triple (ε, ξ, ω); ω is 0 without
+// seasonality.
+func scaledVariances(seasonal bool, sigma2 float64, x []float64) (epsVar, xiVar, omegaVar float64) {
+	epsVar = sigma2
+	xiVar = sigma2 * math.Exp(x[0])
+	if seasonal {
+		omegaVar = sigma2 * math.Exp(x[1])
+	}
+	return epsVar, xiVar, omegaVar
+}
+
+// Scratch is what one fit leaves for the next to reuse: the Kalman
+// workspace, the rescaled series, one search model per shape (seasonality ×
+// number of interventions), the optimizer's buffers, the likelihood memo,
+// and the warm-start, start-list and best-point buffers. A change point scan
+// runs all its fits on one scratch, and a fit on a warmed scratch allocates
+// nothing. No result depends on what a scratch held before: every fit
+// rewrites each value it reads. The zero value is ready to use; a Scratch is
+// not safe for concurrent use.
+type Scratch struct {
+	ws     *kalman.Workspace
+	opt    optimize.Workspace
+	scaled []float64
+	models []*structural
+	memo   likMemo
+	starts []simplexStart
+	warm   []float64  // the fit's copy of FitOptions.Start
+	best   []float64  // the best point found; OptParams of the last fit
+	point  [1]float64 // the one-parameter objective's argument
+
+	// The fit under way, which the objectives read.
+	cfg   Config
+	model *structural
+	// objective and objective1D are negLogLik and negLogLik1D, bound once
+	// so that handing them to the optimizer allocates nothing.
+	objective   func([]float64) float64
+	objective1D func(float64) float64
+}
+
+// searchResult is the outcome of a fit's search: the concentrated
+// log-likelihood and σ̂² at the best point (s.best), the series' scale
+// divisor and the number of starts tried.
+type searchResult struct {
+	logLik, sigma2 float64
+	scale          float64
+	attempts       int
+}
+
+// fit runs the search of one fit of cfg (defaults applied) to y and
+// accounts it in opts.Stats: the filter passes run, the starts tried, the
+// restarts and, when every start fails, the failure. A successful fit is
+// counted by the caller once its final check passes.
+func (s *Scratch) fit(y []float64, cfg Config, opts FitOptions) (searchResult, error) {
+	s.memo.reset()
+	sr, err := s.search(y, cfg, opts)
+	if st := opts.Stats; st != nil {
+		st.LikEvals.Add(int64(s.memo.runs))
+		st.Starts.Add(int64(sr.attempts))
+		if sr.attempts > 1 {
+			st.Restarts.Add(int64(sr.attempts - 1))
+		}
+		if _, failed := err.(*OptimizationError); failed {
+			st.FitFailures.Add(1)
+		}
+	}
+	return sr, err
+}
+
+// search rescales y into s, rebuilds the search model of cfg's shape, and
+// runs the multi-start search; the winning point is left in s.best.
+func (s *Scratch) search(y []float64, cfg Config, opts FitOptions) (searchResult, error) {
+	var sr searchResult
+	minLen := cfg.stateDim() + cfg.numVariances() + 2
+	if len(y) < minLen {
+		return sr, fmt.Errorf("%w: len %d < %d", ErrSeriesTooShort, len(y), minLen)
+	}
+	s.model = s.searchModel(cfg)
+	for _, iv := range s.model.ivs {
+		if iv.Month < 0 || iv.Month >= len(y) {
+			return sr, fmt.Errorf("ssm: change point %d outside series of length %d", iv.Month, len(y))
+		}
+	}
+	if s.ws == nil {
+		s.ws = kalman.NewWorkspace()
+	}
+	if s.objective == nil {
+		s.objective, s.objective1D = s.negLogLik, s.negLogLik1D
+	}
+	s.scaled, sr.scale = stat.RescaleInto(s.scaled, y)
+	s.cfg = cfg
 
 	// Optimize relative log-variances with σε² concentrated out.
 	nq := 1
 	if cfg.Seasonal {
 		nq = 2
 	}
-	var memo likMemo
-	var attempts int
-	if s := opts.Stats; s != nil {
-		defer func() {
-			s.LikEvals.Add(int64(memo.runs))
-			s.Starts.Add(int64(attempts))
-			if attempts > 1 {
-				s.Restarts.Add(int64(attempts - 1))
-			}
-		}()
-	}
-	objective := func(params []float64) float64 {
-		ll, _, err := memo.logLik(scaled, cfg, searchModel, params, ws)
-		if err != nil {
-			return math.Inf(1)
-		}
-		return -ll
-	}
-
-	starts, err := fitStarts(nq, opts)
+	cold, err := fitStarts(nq, opts)
 	if err != nil {
-		return nil, err
+		return sr, err
 	}
+	starts := s.starts[:0]
+	if opts.Start != nil {
+		s.warm = append(s.warm[:0], opts.Start...)
+		starts = append(starts, simplexStart{x: s.warm, step: DefaultWarmStep, warm: true})
+	}
+	s.starts = append(starts, cold...)
 
 	// Multi-start recovery: the warm start (when provided) and then the
 	// default start are tried in order and the first that converges to a
@@ -274,11 +404,11 @@ func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions, f
 	// coarse tolerance and Brent after it (coldSearch1D); every other fit
 	// runs Nelder-Mead alone.
 	cold1D := nq == 1 && opts.Start == nil
-	var best optimize.Result
+	bestF := math.Inf(1)
 	haveBest := false
-	for _, s0 := range starts {
-		attempts++
-		detail := strconv.Itoa(attempts)
+	for _, s0 := range s.starts {
+		sr.attempts++
+		detail := strconv.Itoa(sr.attempts)
 		if err := faultpoint.Inject("ssm/fit-attempt", detail); err != nil {
 			continue
 		}
@@ -290,78 +420,59 @@ func fitConfig(y []float64, cfg Config, ws *kalman.Workspace, opts FitOptions, f
 		var res optimize.Result
 		var err error
 		if cold1D {
-			res, err = coldSearch1D(objective, s0.x, nm, detail)
+			res, err = s.coldSearch1D(s0.x, nm, detail)
 		} else {
-			res, err = optimize.NelderMead(objective, s0.x, nm)
+			res, err = s.opt.NelderMead(s.objective, s0.x, nm)
 		}
 		if err != nil || math.IsInf(res.F, 1) || math.IsNaN(res.F) {
 			continue
 		}
-		if !haveBest || res.F < best.F {
-			best, haveBest = res, true
+		if !haveBest || res.F < bestF {
+			// res.X aliases the optimizer's buffers, which the next start
+			// reuses.
+			s.best = append(s.best[:0], res.X...)
+			bestF, haveBest = res.F, true
 		}
 		if res.Converged {
 			break
 		}
 	}
 	if !haveBest {
-		if s := opts.Stats; s != nil {
-			s.FitFailures.Add(1)
-		}
-		return nil, &OptimizationError{Attempts: attempts}
+		return sr, &OptimizationError{Attempts: sr.attempts}
 	}
-	logLik, sigma2, err := memo.logLik(scaled, cfg, searchModel, best.X, ws)
-	if err != nil {
-		return nil, err
-	}
-	res := best
+	sr.logLik, sr.sigma2, err = s.memo.logLik(s.scaled, cfg, s.model.m, s.best, s.ws)
+	return sr, err
+}
 
-	epsVar := sigma2
-	xiVar := sigma2 * math.Exp(res.X[0])
-	omegaVar := 0.0
-	if cfg.Seasonal {
-		omegaVar = sigma2 * math.Exp(res.X[1])
+// searchModel returns the scratch's search model for cfg's shape, with
+// cfg's interventions set.
+func (s *Scratch) searchModel(cfg Config) *structural {
+	k := cfg.numInterventions()
+	for _, sm := range s.models {
+		if sm.seasonal == cfg.Seasonal && len(sm.ivs) == k && sm.m.Dim() == cfg.stateDim() {
+			sm.setInterventions(cfg)
+			return sm
+		}
 	}
-	m, err := build(cfg, epsVar, xiVar, omegaVar)
+	sm := newStructural(cfg)
+	s.models = append(s.models, sm)
+	return sm
+}
+
+// negLogLik is the search's objective: the negative profile log-likelihood
+// of the fit under way at params, +Inf where it cannot be evaluated.
+func (s *Scratch) negLogLik(params []float64) float64 {
+	ll, _, err := s.memo.logLik(s.scaled, s.cfg, s.model.m, params, s.ws)
 	if err != nil {
-		return nil, err
+		return math.Inf(1)
 	}
-	var fr *kalman.FilterResult
-	if full {
-		fr, err = m.Filter(scaled)
-	} else {
-		_, err = m.LogLikFilter(scaled, ws)
-	}
-	if err != nil {
-		return nil, err
-	}
-	fit := &Fit{
-		Config:    cfg,
-		Model:     m,
-		Filter:    fr,
-		LogLik:    logLik,
-		NumParams: cfg.NumParams(),
-		EpsVar:    epsVar,
-		XiVar:     xiVar,
-		OmegaVar:  omegaVar,
-		Scaled:    scaled,
-		Scale:     scale,
-		Attempts:  attempts,
-		OptParams: append([]float64(nil), best.X...),
-	}
-	fit.AIC = -2*fit.LogLik + 2*float64(fit.NumParams)
-	if ivs := cfg.Interventions(); full && len(ivs) > 0 {
-		// λ coefficients are the trailing elements of the final predicted
-		// state, in Interventions() order.
-		final := fr.A[len(scaled)]
-		base := m.Dim() - len(ivs)
-		fit.Lambdas = append([]float64(nil), final[base:]...)
-		fit.Lambda = fit.Lambdas[0]
-	}
-	if s := opts.Stats; s != nil {
-		s.Fits.Add(1)
-	}
-	return fit, nil
+	return -ll
+}
+
+// negLogLik1D is negLogLik of a one-parameter fit at log q_ξ = v.
+func (s *Scratch) negLogLik1D(v float64) float64 {
+	s.point[0] = v
+	return s.negLogLik(s.point[:])
 }
 
 // Tolerances of the cold one-parameter search (coldSearch1D). Nelder-Mead
@@ -384,29 +495,23 @@ const (
 // converge) the start reruns full-tolerance Nelder-Mead with nm, exactly as
 // every other fit does, so its result is unchanged. detail labels the
 // "ssm/fit-bracket" fault point, which forces the check to fail.
-func coldSearch1D(objective func([]float64) float64, x0 []float64, nm optimize.NelderMeadOptions, detail string) (optimize.Result, error) {
+func (s *Scratch) coldSearch1D(x0 []float64, nm optimize.NelderMeadOptions, detail string) (optimize.Result, error) {
 	coarse := nm
 	coarse.TolF, coarse.TolX = basinTolF, basinTolX
-	res, err := optimize.NelderMead(objective, x0, coarse)
+	res, err := s.opt.NelderMead(s.objective, x0, coarse)
 	if err != nil || !res.Converged || math.IsInf(res.F, 1) {
-		return optimize.NelderMead(objective, x0, nm)
+		return s.opt.NelderMead(s.objective, x0, nm)
 	}
 	x, fx := res.X[0], res.F
-	// res.X is the fit's own copy; it doubles as the scratch parameter
-	// vector, so the probes and Brent's evaluations allocate nothing.
-	params := res.X
-	f := func(v float64) float64 {
-		params[0] = v
-		return objective(params)
-	}
+	f := s.objective1D
 	lo, hi := x-2*basinTolX, x+2*basinTolX
 	loClosed, hiClosed := lo < -maxLogVar, hi > maxLogVar
 	lo, hi = math.Max(lo, -maxLogVar), math.Min(hi, maxLogVar)
 	if faultpoint.Inject("ssm/fit-bracket", detail) != nil ||
 		!(loClosed || f(lo) > fx) || !(hiClosed || f(hi) > fx) {
-		return optimize.NelderMead(objective, x0, nm)
+		return s.opt.NelderMead(s.objective, x0, nm)
 	}
-	return optimize.Brent(f, lo, hi, x, fx, polishTolX)
+	return s.opt.Brent(f, lo, hi, x, fx, polishTolX)
 }
 
 // simplexStart pairs an initial point with its simplex geometry: warm starts
@@ -418,22 +523,29 @@ type simplexStart struct {
 	warm bool
 }
 
-// fitStarts builds the ordered start list: the caller's warm start (when
-// provided) ahead of the deterministic cold points, so the cold list — and
-// with it every historical fit — is reproduced exactly when opts is zero.
+// coldStarts holds the cold start list for each optimizer dimension (1 and
+// 2): the same list for every fit, so it is built once. Its points are read
+// only.
+var coldStarts = [...][]simplexStart{1: coldStartList(1), 2: coldStartList(2)}
+
+func coldStartList(nq int) []simplexStart {
+	var out []simplexStart
+	for _, x := range startPoints(nq) {
+		out = append(out, simplexStart{x: x, step: coldStep})
+	}
+	return out
+}
+
+// fitStarts returns the deterministic cold starts for nq optimizer
+// coordinates, after checking that a warm opts.Start has nq of them. A fit
+// tries the warm start first, when there is one, and then these in order,
+// so the cold list — and with it every historical fit — is reproduced
+// exactly when opts is zero. The returned list is shared and read only.
 func fitStarts(nq int, opts FitOptions) ([]simplexStart, error) {
-	cold := startPoints(nq)
-	starts := make([]simplexStart, 0, len(cold)+1)
-	if opts.Start != nil {
-		if len(opts.Start) != nq {
-			return nil, fmt.Errorf("ssm: warm start has %d parameters, want %d", len(opts.Start), nq)
-		}
-		starts = append(starts, simplexStart{x: append([]float64(nil), opts.Start...), step: DefaultWarmStep, warm: true})
+	if opts.Start != nil && len(opts.Start) != nq {
+		return nil, fmt.Errorf("ssm: warm start has %d parameters, want %d", len(opts.Start), nq)
 	}
-	for _, x := range cold {
-		starts = append(starts, simplexStart{x: x, step: coldStep})
-	}
-	return starts, nil
+	return coldStarts[nq], nil
 }
 
 // startPoints returns the deterministic initial log-variance points of the
@@ -480,10 +592,14 @@ func concentratedLogLik(scaled []float64, cfg Config, m *kalman.Model, params []
 	}
 	logLik, sigma2, err = kalman.Concentrate(fr.SumLogF, fr.SumV2F, fr.LikCount)
 	if err != nil {
-		return 0, 0, errors.New("ssm: no likelihood contributions")
+		return 0, 0, errNoContributions
 	}
 	return logLik, sigma2, nil
 }
+
+// errNoContributions reports a filter pass in which no observation entered
+// the likelihood (every one missing, or in the diffuse burn-in).
+var errNoContributions = errors.New("ssm: no likelihood contributions")
 
 // likMemoBits sets the size of a fit's likelihood memo: 2^likMemoBits slots.
 const likMemoBits = 7
@@ -494,18 +610,26 @@ const likMemoBits = 7
 // land on earlier points, and the final pass is at the search's best point.
 // The memo is direct-mapped: an evaluation replaces whatever its slot held,
 // so a hit returns exactly what concentratedLogLik returned for the same
-// bits, and a miss merely runs the filter again. It lives on the fit's stack,
-// so it allocates nothing.
+// bits, and a miss merely runs the filter again. It lives in the fit's
+// Scratch; reset empties it for the next fit by advancing the generation
+// its entries must carry, so no slot is cleared.
 type likMemo struct {
 	slots [1 << likMemoBits]likEntry
-	runs  int // evaluations that missed and ran the filter
+	gen   uint64 // generation of the fit under way
+	runs  int    // evaluations that missed and ran the filter
 }
 
 type likEntry struct {
 	key        [2]uint64
-	set        bool
+	gen        uint64 // the entry belongs to the fit of this generation
 	ll, sigma2 float64
 	err        error
+}
+
+// reset empties the memo for a new fit.
+func (c *likMemo) reset() {
+	c.gen++
+	c.runs = 0
 }
 
 // logLik is concentratedLogLik through the memo; params has at most two
@@ -517,12 +641,12 @@ func (c *likMemo) logLik(scaled []float64, cfg Config, m *kalman.Model, params [
 	}
 	h := (key[0] ^ bits.RotateLeft64(key[1], 32)) * 0x9e3779b97f4a7c15
 	e := &c.slots[h>>(64-likMemoBits)]
-	if e.set && e.key == key {
+	if e.gen == c.gen && e.key == key {
 		return e.ll, e.sigma2, e.err
 	}
 	c.runs++
 	logLik, sigma2, err = concentratedLogLik(scaled, cfg, m, params, ws)
-	*e = likEntry{key: key, set: true, ll: logLik, sigma2: sigma2, err: err}
+	*e = likEntry{key: key, gen: c.gen, ll: logLik, sigma2: sigma2, err: err}
 	return logLik, sigma2, err
 }
 
@@ -530,30 +654,16 @@ func (c *likMemo) logLik(scaled []float64, cfg Config, m *kalman.Model, params [
 // e^±20 add nothing but conditioning trouble on unit-scaled series.
 const maxLogVar = 20
 
+// errParamRange rejects an optimizer point outside ±maxLogVar. The seasonal
+// search steps outside often, so the error is one shared value.
+var errParamRange = errors.New("ssm: parameter out of range")
+
 // checkParams validates optimizer coordinates against ±maxLogVar.
 func checkParams(params []float64) error {
 	for _, p := range params {
 		if p < -maxLogVar || p > maxLogVar || math.IsNaN(p) {
-			return errors.New("ssm: parameter out of range")
+			return errParamRange
 		}
 	}
 	return nil
-}
-
-// AICAtOptions is the change point search primitive: it fits the full model
-// (level + optional seasonal + intervention at cp, or no intervention for
-// cp == NoChangePoint) and returns its AIC and the fitted optimum's
-// parameters, the warm start for the next candidate. opts threads warm
-// starts and FitStats accounting; ws may be nil, and a change point search
-// reuses one workspace across every candidate fit. It returns the AIC and
-// OptParams that
-// FitConfigOptions would, bit for bit, and the same error, but skips the
-// fitted model's Filter pass and its per-step allocations: the search needs
-// neither the smoother inputs nor the intervention coefficients.
-func AICAtOptions(y []float64, seasonal bool, cp int, ws *kalman.Workspace, opts FitOptions) (aic float64, opt []float64, err error) {
-	fit, err := fitConfig(y, Config{Seasonal: seasonal, ChangePoint: cp}, ws, opts, false)
-	if err != nil {
-		return 0, nil, err
-	}
-	return fit.AIC, fit.OptParams, nil
 }

@@ -238,7 +238,7 @@ func (ps *PrefixScanner) Score(cp int) (float64, error) {
 	}
 	logLik, _, err := kalman.Concentrate(sumLogF, sumV2F, count)
 	if err != nil {
-		return 0, errors.New("ssm: no likelihood contributions")
+		return 0, errNoContributions
 	}
 	return -2*logLik + 2*float64(ps.numParams), nil
 }

@@ -15,6 +15,7 @@ package ssm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"mictrend/internal/kalman"
 	"mictrend/internal/linalg"
@@ -100,22 +101,39 @@ func (c Config) withDefaults() Config {
 
 // Interventions returns the merged intervention list: the legacy single
 // slope shift (when set) followed by Extra.
-func (c Config) Interventions() []Intervention {
-	var out []Intervention
+func (c Config) Interventions() []Intervention { return c.appendInterventions(nil) }
+
+// appendInterventions appends the Interventions list to dst.
+func (c Config) appendInterventions(dst []Intervention) []Intervention {
 	if c.ChangePoint != NoChangePoint {
-		out = append(out, Intervention{Kind: SlopeShift, Month: c.ChangePoint})
+		dst = append(dst, Intervention{Kind: SlopeShift, Month: c.ChangePoint})
 	}
 	for _, iv := range c.Extra {
 		if iv.Month != NoChangePoint {
-			out = append(out, iv)
+			dst = append(dst, iv)
 		}
 	}
-	return out
+	return dst
+}
+
+// numInterventions returns len(c.Interventions()) without building the
+// list.
+func (c Config) numInterventions() int {
+	n := 0
+	if c.ChangePoint != NoChangePoint {
+		n++
+	}
+	for _, iv := range c.Extra {
+		if iv.Month != NoChangePoint {
+			n++
+		}
+	}
+	return n
 }
 
 // HasIntervention reports whether the config includes any intervention
 // component.
-func (c Config) HasIntervention() bool { return len(c.Interventions()) > 0 }
+func (c Config) HasIntervention() bool { return c.numInterventions() > 0 }
 
 // stateDim returns the state vector length: level + (period−1) seasonal
 // states + one λ per intervention.
@@ -124,7 +142,7 @@ func (c Config) stateDim() int {
 	if c.Seasonal {
 		n += c.Period - 1
 	}
-	return n + len(c.Interventions())
+	return n + c.numInterventions()
 }
 
 // numVariances returns the count of estimated disturbance variances:
@@ -155,11 +173,40 @@ func build(cfg Config, epsVar, xiVar, omegaVar float64) (*kalman.Model, error) {
 	if epsVar < 0 || xiVar < 0 || omegaVar < 0 {
 		return nil, errors.New("ssm: negative variance")
 	}
-	cfg = cfg.withDefaults()
-	ivs := cfg.Interventions()
+	sm := newStructural(cfg.withDefaults())
+	sm.setVariances(epsVar, xiVar, omegaVar)
+	if err := sm.m.Validate(); err != nil {
+		return nil, fmt.Errorf("ssm: built invalid model: %w", err)
+	}
+	return sm.m, nil
+}
+
+// structural is a built structural model with the intervention list its
+// observation row reads. Its shape — seasonality, period and the number of
+// interventions — fixes T, R, the layout of Q, A1 and P1. The intervention
+// months and kinds, the likelihood skips and the variances are rewritten in
+// place, which is how a Scratch keeps one search model per shape for all its
+// fits.
+type structural struct {
+	m        *kalman.Model
+	seasonal bool
+	ivs      []Intervention
+	base     int       // index of the first λ state
+	z        []float64 // the observation row Z returns
+}
+
+// newStructural builds the model of cfg (defaults applied) with zero
+// variances.
+func newStructural(cfg Config) *structural {
 	n := cfg.stateDim()
 	period := cfg.Period
-	base := n - len(ivs) // first λ index
+	nIv := cfg.numInterventions()
+	sm := &structural{
+		seasonal: cfg.Seasonal,
+		ivs:      make([]Intervention, 0, nIv),
+		base:     n - nIv,
+		z:        make([]float64, n),
+	}
 
 	tm := linalg.NewMatrix(n, n)
 	tm.Set(0, 0, 1) // level random walk
@@ -173,8 +220,8 @@ func build(cfg Config, epsVar, xiVar, omegaVar float64) (*kalman.Model, error) {
 			tm.Set(s, s-1, 1)
 		}
 	}
-	for j := range ivs {
-		tm.Set(base+j, base+j, 1) // each λ constant
+	for j := sm.base; j < n; j++ {
+		tm.Set(j, j, 1) // each λ constant
 	}
 
 	nDist := 1 // level disturbance ξ
@@ -185,11 +232,6 @@ func build(cfg Config, epsVar, xiVar, omegaVar float64) (*kalman.Model, error) {
 	r.Set(0, 0, 1)
 	if cfg.Seasonal {
 		r.Set(1, 1, 1)
-	}
-	q := linalg.NewMatrix(nDist, nDist)
-	q.Set(0, 0, xiVar)
-	if cfg.Seasonal {
-		q.Set(1, 1, omegaVar)
 	}
 
 	p1 := linalg.NewMatrix(n, n)
@@ -202,49 +244,61 @@ func build(cfg Config, epsVar, xiVar, omegaVar float64) (*kalman.Model, error) {
 		diffuse += period - 1
 	}
 	// Every λ is diffuse; its initialization consumes its first active
-	// observation. Skip indices must be distinct so each λ is charged one
-	// observation: when two interventions activate at the same month (or
-	// inside the leading burn-in) the later one charges the next free index.
-	var skipLik []int
-	used := make(map[int]bool)
-	for j := range ivs {
-		p1.Set(base+j, base+j, kalman.DiffuseVariance)
-		idx := ivs[j].Month
-		if idx < diffuse {
-			idx = diffuse
-		}
-		for used[idx] {
-			idx++
-		}
-		used[idx] = true
-		skipLik = append(skipLik, idx)
+	// observation (setInterventions).
+	for j := sm.base; j < n; j++ {
+		p1.Set(j, j, kalman.DiffuseVariance)
 	}
 
-	zBuf := make([]float64, n)
-	zBuf[0] = 1
+	sm.z[0] = 1
 	if cfg.Seasonal {
-		zBuf[1] = 1
+		sm.z[1] = 1
 	}
-	z := func(t int) []float64 {
-		for j, iv := range ivs {
-			zBuf[base+j] = iv.Regressor(t)
-		}
-		return zBuf
-	}
-
-	m := &kalman.Model{
+	sm.m = &kalman.Model{
 		T:            tm,
 		R:            r,
-		Q:            q,
-		H:            epsVar,
-		Z:            z,
+		Q:            linalg.NewMatrix(nDist, nDist),
+		Z:            sm.observation,
 		A1:           make([]float64, n),
 		P1:           p1,
 		DiffuseCount: diffuse,
-		SkipLik:      skipLik,
 	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("ssm: built invalid model: %w", err)
+	sm.setInterventions(cfg)
+	return sm
+}
+
+// observation is the model's Z: the level and seasonal entries are fixed,
+// and each λ entry is its intervention's regressor at t.
+func (sm *structural) observation(t int) []float64 {
+	for j, iv := range sm.ivs {
+		sm.z[sm.base+j] = iv.Regressor(t)
 	}
-	return m, nil
+	return sm.z
+}
+
+// setInterventions makes cfg's interventions the model's; cfg must have
+// the model's shape. Each λ's diffuse initialization is charged its first
+// active observation. Skip indices must be distinct so each λ is charged
+// one observation: when two interventions activate at the same month (or
+// inside the leading burn-in) the later one charges the next free index.
+func (sm *structural) setInterventions(cfg Config) {
+	sm.ivs = cfg.appendInterventions(sm.ivs[:0])
+	skip := sm.m.SkipLik[:0]
+	for _, iv := range sm.ivs {
+		idx := max(iv.Month, sm.m.DiffuseCount)
+		for slices.Contains(skip, idx) {
+			idx++
+		}
+		skip = append(skip, idx)
+	}
+	sm.m.SkipLik = skip
+}
+
+// setVariances sets H to εVar and the Q diagonal to ξVar and, with
+// seasonality, ωVar.
+func (sm *structural) setVariances(epsVar, xiVar, omegaVar float64) {
+	sm.m.H = epsVar
+	sm.m.Q.Set(0, 0, xiVar)
+	if sm.seasonal {
+		sm.m.Q.Set(1, 1, omegaVar)
+	}
 }

@@ -126,6 +126,12 @@ func RMSE(actual, predicted []float64) float64 {
 // with it, so variance estimation starts well-conditioned regardless of the
 // series' magnitude.
 func Rescale(xs []float64) (scaled []float64, scale float64) {
+	return RescaleInto(nil, xs)
+}
+
+// RescaleInto is Rescale writing the scaled copy into dst's storage when it
+// has the capacity.
+func RescaleInto(dst, xs []float64) (scaled []float64, scale float64) {
 	scale = StdDev(xs)
 	if !(scale > 0) { // catches 0 and NaN
 		var sum float64
@@ -137,7 +143,10 @@ func Rescale(xs []float64) (scaled []float64, scale float64) {
 	if !(scale > 0) {
 		scale = 1
 	}
-	scaled = make([]float64, len(xs))
+	if cap(dst) < len(xs) {
+		dst = make([]float64, len(xs))
+	}
+	scaled = dst[:len(xs)]
 	for i, x := range xs {
 		scaled[i] = x / scale
 	}

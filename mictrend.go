@@ -329,6 +329,10 @@ type (
 	CorpusStorageOptions = mic.StorageOptions
 	// CorpusStorage describes a serialization backend. The built-in JSONL
 	// and columnar codecs do not implement it; CorpusFormat selects them.
+	//
+	// Deprecated: nothing implements or accepts a CorpusStorage, so a
+	// codec of the caller's own cannot plug in through it. Select a codec
+	// by CorpusFormat.
 	CorpusStorage = mic.Storage
 	// CorpusStreamMeta is the up-front dataset description a streaming
 	// writer needs before months arrive (vocabularies, hospitals, months).
