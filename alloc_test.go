@@ -134,13 +134,13 @@ func TestInstrumentationAllocFree(t *testing.T) {
 	// Enabling FitStats must cost at most a constant few allocations per
 	// whole fit (the deferred flush), never per likelihood evaluation.
 	base := testing.AllocsPerRun(10, func() {
-		if _, _, err := ssm.AICAtOptions(y, true, 20, nil, ssm.FitOptions{}); err != nil {
+		if _, _, err := ssm.AICAtOptions(y, ssm.Config{Seasonal: true, ChangePoint: 20}, nil, ssm.FitOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	var stats ssm.FitStats
 	withStats := testing.AllocsPerRun(10, func() {
-		if _, _, err := ssm.AICAtOptions(y, true, 20, nil, ssm.FitOptions{Stats: &stats}); err != nil {
+		if _, _, err := ssm.AICAtOptions(y, ssm.Config{Seasonal: true, ChangePoint: 20}, nil, ssm.FitOptions{Stats: &stats}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -171,7 +171,7 @@ func TestAICFitAllocFree(t *testing.T) {
 	var fits []fit
 	for _, seasonal := range []bool{false, true} {
 		for _, cp := range []int{ssm.NoChangePoint, 20} {
-			_, opt, err := ssm.AICAtOptions(y, seasonal, cp, &s, ssm.FitOptions{})
+			_, opt, err := ssm.AICAtOptions(y, ssm.Config{Seasonal: seasonal, ChangePoint: cp}, &s, ssm.FitOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ func TestAICFitAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(3, func() {
 		for _, f := range fits {
-			if _, _, err := ssm.AICAtOptions(y, f.seasonal, f.cp, &s, ssm.FitOptions{Start: f.start, Stats: &stats}); err != nil {
+			if _, _, err := ssm.AICAtOptions(y, ssm.Config{Seasonal: f.seasonal, ChangePoint: f.cp}, &s, ssm.FitOptions{Start: f.start, Stats: &stats}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -190,7 +190,7 @@ func TestAICFitAllocFree(t *testing.T) {
 	}
 	for _, f := range fits {
 		if n := testing.AllocsPerRun(3, func() {
-			if _, _, err := ssm.AICAtOptions(y, f.seasonal, f.cp, &s, ssm.FitOptions{Start: f.start, Stats: &stats}); err != nil {
+			if _, _, err := ssm.AICAtOptions(y, ssm.Config{Seasonal: f.seasonal, ChangePoint: f.cp}, &s, ssm.FitOptions{Start: f.start, Stats: &stats}); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {

@@ -229,7 +229,7 @@ var scratches = sync.Pool{New: func() any { return new(ssm.Scratch) }}
 // series may run concurrently.
 func ssmEvaluator(y []float64, seasonal bool, stats *ssm.FitStats, s *ssm.Scratch) AICFunc {
 	return func(cp int) (float64, error) {
-		aic, _, err := ssm.AICAtOptions(y, seasonal, cp, s, ssm.FitOptions{Stats: stats})
+		aic, _, err := ssm.AICAtOptions(y, ssm.Config{Seasonal: seasonal, ChangePoint: cp}, s, ssm.FitOptions{Stats: stats})
 		return aic, err
 	}
 }

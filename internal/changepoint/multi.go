@@ -3,7 +3,6 @@ package changepoint
 import (
 	"fmt"
 
-	"mictrend/internal/kalman"
 	"mictrend/internal/ssm"
 )
 
@@ -54,24 +53,27 @@ type MultiResult struct {
 // combined model's AIC drops, and stops otherwise. With MaxChanges = 1 it
 // degenerates to the paper's single change point search.
 func DetectMultiple(y []float64, opts MultiOptions) (MultiResult, error) {
-	opts = opts.withDefaults()
+	s := scratches.Get().(*ssm.Scratch)
+	res, err := detectMultiple(y, opts.withDefaults(), s)
+	scratches.Put(s)
+	return res, err
+}
+
+// detectMultiple is DetectMultiple with every fit an AIC-only fit on s.
+func detectMultiple(y []float64, opts MultiOptions, s *ssm.Scratch) (MultiResult, error) {
 	n := len(y)
 	if n < 2 {
 		return MultiResult{}, fmt.Errorf("changepoint: series length %d too short", n)
 	}
 	fits := 0
-	ws := kalman.NewWorkspace() // reused across every greedy-step fit
 	aicWith := func(ivs []ssm.Intervention) (float64, error) {
 		fits++
-		fit, err := ssm.FitConfigOptions(y, ssm.Config{
+		aic, _, err := ssm.AICAtOptions(y, ssm.Config{
 			Seasonal:    opts.Seasonal,
 			ChangePoint: ssm.NoChangePoint,
 			Extra:       ivs,
-		}, ws, ssm.FitOptions{})
-		if err != nil {
-			return 0, err
-		}
-		return fit.AIC, nil
+		}, s, ssm.FitOptions{})
+		return aic, err
 	}
 
 	current := []ssm.Intervention{}
@@ -81,6 +83,7 @@ func DetectMultiple(y []float64, opts MultiOptions) (MultiResult, error) {
 	}
 	res := MultiResult{BaseAIC: currentAIC}
 
+	var trial []ssm.Intervention // the candidate set, rebuilt per candidate
 	for len(current) < opts.MaxChanges {
 		blocked := func(cp int) bool {
 			for _, iv := range current {
@@ -99,7 +102,7 @@ func DetectMultiple(y []float64, opts MultiOptions) (MultiResult, error) {
 				// current score so the search skips it.
 				return currentAIC, nil
 			}
-			trial := append(append([]ssm.Intervention(nil), current...), ssm.Intervention{Kind: opts.Kind, Month: cp})
+			trial = append(append(trial[:0], current...), ssm.Intervention{Kind: opts.Kind, Month: cp})
 			return aicWith(trial)
 		}
 		var step Result

@@ -1,10 +1,14 @@
 package changepoint
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
+	"reflect"
 	"sort"
 	"testing"
 
+	"mictrend/internal/kalman"
 	"mictrend/internal/ssm"
 )
 
@@ -154,5 +158,111 @@ func TestDetectMultipleLevelShiftOnStep(t *testing.T) {
 func TestDetectMultipleShortSeries(t *testing.T) {
 	if _, err := DetectMultiple([]float64{1}, MultiOptions{}); err == nil {
 		t.Fatal("length-1 series accepted")
+	}
+}
+
+// detectMultipleFullFits is the reference DetectMultiple: the same greedy
+// search, scoring every candidate with a full ssm.FitConfigOptions fit.
+func detectMultipleFullFits(y []float64, opts MultiOptions) (MultiResult, error) {
+	opts = opts.withDefaults()
+	n := len(y)
+	if n < 2 {
+		return MultiResult{}, fmt.Errorf("changepoint: series length %d too short", n)
+	}
+	fits := 0
+	ws := kalman.NewWorkspace()
+	aicWith := func(ivs []ssm.Intervention) (float64, error) {
+		fits++
+		fit, err := ssm.FitConfigOptions(y, ssm.Config{
+			Seasonal:    opts.Seasonal,
+			ChangePoint: ssm.NoChangePoint,
+			Extra:       ivs,
+		}, ws, ssm.FitOptions{})
+		if err != nil {
+			return 0, err
+		}
+		return fit.AIC, nil
+	}
+	current := []ssm.Intervention{}
+	currentAIC, err := aicWith(nil)
+	if err != nil {
+		return MultiResult{}, err
+	}
+	res := MultiResult{BaseAIC: currentAIC}
+	for len(current) < opts.MaxChanges {
+		eval := func(cp int) (float64, error) {
+			if cp == ssm.NoChangePoint {
+				return currentAIC, nil
+			}
+			for _, iv := range current {
+				if abs(cp-iv.Month) < opts.MinGap {
+					return currentAIC, nil
+				}
+			}
+			trial := append(append([]ssm.Intervention(nil), current...), ssm.Intervention{Kind: opts.Kind, Month: cp})
+			return aicWith(trial)
+		}
+		var step Result
+		if opts.UseBinary {
+			step, err = Binary(n, eval)
+		} else {
+			step, err = Exact(n, eval)
+		}
+		if err != nil {
+			return MultiResult{}, err
+		}
+		if !step.Detected() || step.AIC >= currentAIC {
+			break
+		}
+		current = append(current, ssm.Intervention{Kind: opts.Kind, Month: step.ChangePoint})
+		currentAIC = step.AIC
+	}
+	res.Interventions = current
+	res.AIC = currentAIC
+	res.Fits = fits
+	return res, nil
+}
+
+// TestDetectMultipleMatchesFullFits pins DetectMultiple's AIC-only scratch
+// fits to the full-fit reference bit for bit — accepted interventions, AIC,
+// BaseAIC, fit count and error — over seasonal and non-seasonal models, both
+// search drivers and both intervention kinds, and on a series too short for
+// the seasonal model. The searches run back to back, so each starts on a
+// scratch the previous ones left in another shape.
+func TestDetectMultipleMatchesFullFits(t *testing.T) {
+	seasonal := twoBreakSeries(43, 18, ssm.NoChangePoint, 1.2, 0, 5)
+	for i := range seasonal {
+		seasonal[i] += 2 * math.Sin(2*math.Pi*float64(i)/12)
+	}
+	series := []struct {
+		name string
+		y    []float64
+	}{
+		{"two breaks", twoBreakSeries(43, 12, 30, 1.2, -1.5, 1)},
+		{"one break", twoBreakSeries(43, 20, ssm.NoChangePoint, 1.5, 0, 2)},
+		{"stable", twoBreakSeries(43, ssm.NoChangePoint, ssm.NoChangePoint, 0, 0, 3)},
+		{"short", twoBreakSeries(30, 10, 20, 1, 1, 4)},
+		{"too short", twoBreakSeries(16, 8, ssm.NoChangePoint, 1, 0, 6)}, // the seasonal fits fail
+		{"seasonal break", seasonal},
+	}
+	cases := []MultiOptions{
+		{MaxChanges: 2, UseBinary: true},
+		{MaxChanges: 3},
+		{MaxChanges: 2, Kind: ssm.LevelShift, MinGap: 4, UseBinary: true},
+		{MaxChanges: 2, Seasonal: true, UseBinary: true},
+	}
+	for _, s := range series {
+		for _, opts := range cases {
+			got, gotErr := DetectMultiple(s.y, opts)
+			want, wantErr := detectMultipleFullFits(s.y, opts)
+			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Fatalf("%s %+v: error %v, reference %v", s.name, opts, gotErr, wantErr)
+			}
+			if math.Float64bits(got.AIC) != math.Float64bits(want.AIC) ||
+				math.Float64bits(got.BaseAIC) != math.Float64bits(want.BaseAIC) ||
+				got.Fits != want.Fits || !reflect.DeepEqual(got.Interventions, want.Interventions) {
+				t.Fatalf("%s %+v:\n got %+v\nwant %+v", s.name, opts, got, want)
+			}
+		}
 	}
 }

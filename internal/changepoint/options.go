@@ -126,7 +126,7 @@ func Detect(ctx context.Context, series []float64, opts DetectOptions) (Result, 
 		// selected model's parameter vector; it replays the serial path's
 		// numerics, so it never changes the result and is not counted in
 		// Result.Fits.
-		if _, opt, perr := ssm.AICAtOptions(series, opts.Seasonal, res.ChangePoint, s, ssm.FitOptions{Stats: opts.Stats}); perr == nil {
+		if _, opt, perr := ssm.AICAtOptions(series, ssm.Config{Seasonal: opts.Seasonal, ChangePoint: res.ChangePoint}, s, ssm.FitOptions{Stats: opts.Stats}); perr == nil {
 			p.Params = slices.Clone(opt)
 		}
 	}

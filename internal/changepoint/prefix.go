@@ -112,7 +112,7 @@ func exactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 		if err := faultpoint.Inject(scanFault, strconv.Itoa(cp)); err != nil {
 			return 0, nil, err
 		}
-		return ssm.AICAtOptions(y, seasonal, cp, s, ssm.FitOptions{Start: start, Stats: opts.Stats})
+		return ssm.AICAtOptions(y, ssm.Config{Seasonal: seasonal, ChangePoint: cp}, s, ssm.FitOptions{Start: start, Stats: opts.Stats})
 	}
 
 	fits := 0

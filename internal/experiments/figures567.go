@@ -60,7 +60,7 @@ func RunFigure5(env *Env) (*Figure5Result, error) {
 	best := 0
 	scratch := new(ssm.Scratch) // one scratch across the whole valley scan
 	for cp := 0; cp <= maxCP; cp++ {
-		aic, _, err := ssm.AICAtOptions(series, false, cp, scratch, ssm.FitOptions{})
+		aic, _, err := ssm.AICAtOptions(series, ssm.Config{ChangePoint: cp}, scratch, ssm.FitOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -70,7 +70,7 @@ func RunFigure5(env *Env) (*Figure5Result, error) {
 		}
 	}
 	res.BestMonth = best
-	if res.NoChangeAIC, _, err = ssm.AICAtOptions(series, false, ssm.NoChangePoint, scratch, ssm.FitOptions{}); err != nil {
+	if res.NoChangeAIC, _, err = ssm.AICAtOptions(series, ssm.Config{ChangePoint: ssm.NoChangePoint}, scratch, ssm.FitOptions{}); err != nil {
 		return nil, err
 	}
 	return res, nil

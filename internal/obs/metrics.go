@@ -2,6 +2,8 @@
 // counters, gauges, histograms, and wall-clock timers collected in a
 // Registry, plus the instrumentation stream (events.go): timed spans and the
 // structured progress events a Sink derives from them for a user Observer.
+// Counters, gauges and histograms live in labeled metric families (vec.go);
+// a plain metric is the family without labels.
 //
 // Design constraints, in order:
 //
@@ -170,83 +172,47 @@ func (t *Timer) Count() int64 {
 	return t.n.Load()
 }
 
-// Registry holds named metrics. A nil Registry returns nil handles from
-// every accessor, so callers resolve handles once and instrument
-// unconditionally. Accessors create metrics on first use and return the
-// same handle for the same name afterwards; all methods are goroutine-safe.
+// Registry holds named metrics: one map per kind, each name one metric
+// family. A plain Counter, Gauge or Histogram is the child of a family
+// without labels, so Counter(name) is CounterVec(name).With() and one name
+// is never two families of a kind; an accessor whose label count disagrees
+// with the existing family gets nil, as With does on an arity mismatch.
+// Timers stay unlabeled. A nil Registry returns nil handles from every
+// accessor, so callers resolve handles once and instrument unconditionally.
+// Accessors create metrics on first use and return the same handle for the
+// same name afterwards; all methods are goroutine-safe.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	timers   map[string]*Timer
-
-	// Labeled families (vec.go), allocated lazily so a registry that never
-	// uses labels pays nothing for them.
-	counterVecs map[string]*CounterVec
-	gaugeVecs   map[string]*GaugeVec
-	histVecs    map[string]*HistogramVec
+	mu         sync.Mutex
+	counters   map[string]*family[Counter]
+	gauges     map[string]*family[Gauge]
+	histograms map[string]*family[Histogram]
+	timers     map[string]*Timer
 }
 
 // NewRegistry returns an empty metrics registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		timers:   make(map[string]*Timer),
+		counters:   make(map[string]*family[Counter]),
+		gauges:     make(map[string]*family[Gauge]),
+		histograms: make(map[string]*family[Histogram]),
+		timers:     make(map[string]*Timer),
 	}
 }
 
 // Counter returns the named counter, creating it on first use (nil on a nil
-// registry).
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
+// registry or when name is a labeled family).
+func (r *Registry) Counter(name string) *Counter { return r.CounterVec(name).With() }
 
 // Gauge returns the named gauge, creating it on first use (nil on a nil
-// registry).
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
+// registry or when name is a labeled family).
+func (r *Registry) Gauge(name string) *Gauge { return r.GaugeVec(name).With() }
 
 // Histogram returns the named histogram, creating it with the given
-// ascending upper bounds on first use (nil on a nil registry). Later calls
-// return the existing histogram regardless of bounds.
+// ascending upper bounds on first use (nil on a nil registry or when name is
+// a labeled family). Later calls return the existing histogram regardless of
+// bounds.
 func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		b := append([]float64(nil), bounds...)
-		sort.Float64s(b)
-		h = &Histogram{bounds: b, counts: make([]int64, len(b)+1)}
-		r.hists[name] = h
-	}
-	return h
+	return r.HistogramVec(name, bounds).With()
 }
 
 // Timer returns the named timer, creating it on first use (nil on a nil
@@ -255,14 +221,7 @@ func (r *Registry) Timer(name string) *Timer {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
+	return lookup(r, r.timers, name, zero[Timer])
 }
 
 // BucketCount is one histogram bucket in a snapshot: the count of
@@ -356,20 +315,12 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		s.Histograms[name] = h.snapshot()
-	}
-	if len(r.counterVecs)+len(r.gaugeVecs)+len(r.histVecs) > 0 {
-		s.CounterVecs = map[string]VecSnapshot{}
-		s.GaugeVecs = map[string]VecSnapshot{}
-		s.HistogramVecs = map[string]HistVecSnapshot{}
-		r.snapshotVecs(&s)
+	s.CounterVecs = snapshotKind(r.counters, s.Counters, (*Counter).Value, intVec)
+	s.GaugeVecs = snapshotKind(r.gauges, s.Gauges, (*Gauge).Value, intVec)
+	s.HistogramVecs = snapshotKind(r.histograms, s.Histograms, (*Histogram).snapshot, histVec)
+	if len(s.CounterVecs)+len(s.GaugeVecs)+len(s.HistogramVecs) == 0 {
+		// The vector sections exist only when some family has labels.
+		s.CounterVecs, s.GaugeVecs, s.HistogramVecs = nil, nil, nil
 	}
 	for name, t := range r.timers {
 		ts := TimingSnapshot{Count: t.Count(), TotalNS: int64(t.Total())}

@@ -72,6 +72,30 @@ func TestRegistryHandlesAreStable(t *testing.T) {
 	}
 }
 
+// TestRegistryLookupAllocFree pins that resolving a metric that already
+// exists allocates nothing, for every accessor: code that looks a metric up
+// per fold or per request pays a map hit, never a new family or child.
+func TestRegistryLookupAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not representative under -race")
+	}
+	r := NewRegistry()
+	r.Counter("c")
+	r.Gauge("g")
+	r.Histogram("h", 1, 10)
+	r.Timer("t")
+	r.CounterVec("cv", "route").With("/v1/epoch")
+	if n := testing.AllocsPerRun(100, func() {
+		r.Counter("c").Inc()
+		r.Gauge("g").Set(1)
+		r.Histogram("h", 1, 10).Observe(2)
+		r.Timer("t").Observe(time.Millisecond)
+		r.CounterVec("cv", "route").With("/v1/epoch").Inc()
+	}); n != 0 {
+		t.Fatalf("live metric lookups allocate %.0f/op, want 0", n)
+	}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("iters", 2, 5, 10)

@@ -129,39 +129,14 @@ func (s Snapshot) WritePrometheus(w io.Writer, namespace string) error {
 		return name
 	}
 
-	for _, name := range sortedKeys(s.Counters) {
-		fam := family(ns+promName(name)+"_total", "counter", "mictrend counter "+name)
-		fmt.Fprintf(&b, "%s %d\n", fam, s.Counters[name])
-	}
-	for _, name := range sortedKeys(s.Gauges) {
-		fam := family(ns+promName(name), "gauge", "mictrend gauge "+name)
-		fmt.Fprintf(&b, "%s %d\n", fam, s.Gauges[name])
-	}
-	for _, name := range sortedKeys(s.Histograms) {
-		h := s.Histograms[name]
-		fam := family(ns+promName(name), "histogram", "mictrend histogram "+name)
-		for _, bkt := range h.Buckets {
-			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", fam, promFloat(bkt.Le), bkt.Count)
-		}
-		fmt.Fprintf(&b, "%s_sum %s\n", fam, promFloat(h.Sum))
-		fmt.Fprintf(&b, "%s_count %d\n", fam, h.Count)
-	}
-	for _, name := range sortedKeys(s.CounterVecs) {
-		v := s.CounterVecs[name]
-		fam := family(ns+promName(name)+"_total", "counter", "mictrend counter "+name)
+	// A plain metric renders as the one unlabeled child of its family.
+	ints := func(name, suffix, typ string, v VecSnapshot) {
+		fam := family(ns+promName(name)+suffix, typ, "mictrend "+typ+" "+name)
 		for _, lv := range v.Values {
 			fmt.Fprintf(&b, "%s%s %d\n", fam, promLabels(v.LabelNames, lv.Labels, "", ""), lv.Value)
 		}
 	}
-	for _, name := range sortedKeys(s.GaugeVecs) {
-		v := s.GaugeVecs[name]
-		fam := family(ns+promName(name), "gauge", "mictrend gauge "+name)
-		for _, lv := range v.Values {
-			fmt.Fprintf(&b, "%s%s %d\n", fam, promLabels(v.LabelNames, lv.Labels, "", ""), lv.Value)
-		}
-	}
-	for _, name := range sortedKeys(s.HistogramVecs) {
-		v := s.HistogramVecs[name]
+	hists := func(name string, v HistVecSnapshot) {
 		fam := family(ns+promName(name), "histogram", "mictrend histogram "+name)
 		for _, lh := range v.Values {
 			for _, bkt := range lh.Buckets {
@@ -171,6 +146,24 @@ func (s Snapshot) WritePrometheus(w io.Writer, namespace string) error {
 			fmt.Fprintf(&b, "%s_sum%s %s\n", fam, promLabels(v.LabelNames, lh.Labels, "", ""), promFloat(lh.Sum))
 			fmt.Fprintf(&b, "%s_count%s %d\n", fam, promLabels(v.LabelNames, lh.Labels, "", ""), lh.Count)
 		}
+	}
+	for _, name := range sortedKeys(s.Counters) {
+		ints(name, "_total", "counter", VecSnapshot{Values: []LabeledValue{{Value: s.Counters[name]}}})
+	}
+	for _, name := range sortedKeys(s.Gauges) {
+		ints(name, "", "gauge", VecSnapshot{Values: []LabeledValue{{Value: s.Gauges[name]}}})
+	}
+	for _, name := range sortedKeys(s.Histograms) {
+		hists(name, HistVecSnapshot{Values: []LabeledHistogram{{HistogramSnapshot: s.Histograms[name]}}})
+	}
+	for _, name := range sortedKeys(s.CounterVecs) {
+		ints(name, "_total", "counter", s.CounterVecs[name])
+	}
+	for _, name := range sortedKeys(s.GaugeVecs) {
+		ints(name, "", "gauge", s.GaugeVecs[name])
+	}
+	for _, name := range sortedKeys(s.HistogramVecs) {
+		hists(name, s.HistogramVecs[name])
 	}
 	for _, name := range sortedKeys(s.Timings) {
 		t := s.Timings[name]

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -41,7 +42,8 @@ var (
 
 // validatePromExposition parses a text exposition document strictly enough
 // that anything it accepts a Prometheus scraper accepts too: legal metric
-// and label names, HELP/TYPE lines preceding their family's samples, sample
+// and label names, at most one HELP and one TYPE line per family, preceding
+// its samples, each family's lines in one group, sample
 // values parseable as Go floats, histogram bucket/count consistency, and a
 // trailing newline. It returns the per-family sample counts.
 func validatePromExposition(t *testing.T, doc string) map[string][]string {
@@ -56,6 +58,19 @@ func validatePromExposition(t *testing.T, doc string) map[string][]string {
 	helped := map[string]bool{}      // family -> HELP seen
 	samples := map[string][]string{} // family -> sample lines
 	seenSample := map[string]bool{}
+	// A family's HELP, TYPE and sample lines form one group: once another
+	// family's line follows, the family is closed.
+	current, closed := "", map[string]bool{}
+	enter := func(ln int, family string) {
+		if family == current {
+			return
+		}
+		if closed[family] {
+			t.Fatalf("line %d: %s continues after another family's lines", ln+1, family)
+		}
+		closed[current] = true
+		current = family
+	}
 	for ln, line := range strings.Split(strings.TrimSuffix(doc, "\n"), "\n") {
 		switch {
 		case line == "":
@@ -69,6 +84,7 @@ func validatePromExposition(t *testing.T, doc string) map[string][]string {
 			if helped[name] {
 				t.Fatalf("line %d: duplicate HELP for %s", ln+1, name)
 			}
+			enter(ln, name)
 			helped[name] = true
 		case strings.HasPrefix(line, "# TYPE "):
 			rest := strings.TrimPrefix(line, "# TYPE ")
@@ -87,6 +103,7 @@ func validatePromExposition(t *testing.T, doc string) map[string][]string {
 			if seenSample[parts[0]] {
 				t.Fatalf("line %d: TYPE for %s after its samples", ln+1, parts[0])
 			}
+			enter(ln, parts[0])
 			typed[parts[0]] = parts[1]
 		case strings.HasPrefix(line, "#"):
 			// comment: fine
@@ -127,6 +144,7 @@ func validatePromExposition(t *testing.T, doc string) map[string][]string {
 			if _, ok := typed[family]; !ok {
 				t.Fatalf("line %d: sample %q without a preceding TYPE", ln+1, name)
 			}
+			enter(ln, family)
 			seenSample[family] = true
 			samples[family] = append(samples[family], line)
 		}
@@ -367,5 +385,42 @@ func TestWritePrometheusLabeledExposition(t *testing.T) {
 	}
 	if doc != buf2.String() {
 		t.Fatal("labeled exposition not deterministic")
+	}
+}
+
+// TestOneNameOneFamily pins that a name is one metric family per kind: an
+// accessor whose label count disagrees with the existing family gets nil
+// and discards writes, so the exposition carries each name once.
+func TestOneNameOneFamily(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("x").Add(2)
+	if r.CounterVec("x", "l") != nil {
+		t.Fatal("CounterVec on a plain counter's name must return nil")
+	}
+	r.CounterVec("x", "l").With("a").Inc()
+	r.GaugeVec("g", "l").With("a").Set(1)
+	if r.Gauge("g") != nil {
+		t.Fatal("Gauge on a labeled family's name must return nil")
+	}
+	r.Gauge("g").Set(5)
+	r.Histogram("h", 1).Observe(0.5)
+	if r.HistogramVec("h", []float64{1}, "l") != nil {
+		t.Fatal("HistogramVec on a plain histogram's name must return nil")
+	}
+	if r.CounterVec("v", "a") != r.CounterVec("v", "b") {
+		t.Fatal("a family keeps its label names; same arity returns it")
+	}
+	r.CounterVec("v", "b").With("1").Inc()
+
+	var buf bytes.Buffer
+	if err := r.Snapshot().WritePrometheus(&buf, "m"); err != nil {
+		t.Fatal(err)
+	}
+	samples := validatePromExposition(t, buf.String())
+	if got := samples["m_x_total"]; !reflect.DeepEqual(got, []string{"m_x_total 2"}) {
+		t.Fatalf("m_x_total samples = %q", got)
+	}
+	if got := samples["m_g"]; !reflect.DeepEqual(got, []string{`m_g{l="a"} 1`}) {
+		t.Fatalf("m_g samples = %q", got)
 	}
 }

@@ -1,8 +1,11 @@
 package obs
 
-// Labeled metric vectors: families of Counters, Gauges, and Histograms
-// indexed by a small fixed set of label values ("http_requests_total" by
-// route/method/status). They extend the registry's contracts unchanged:
+// Metric families: a fixed list of label names and one child Counter, Gauge
+// or Histogram per distinct tuple of label values ("http_requests_total" by
+// route/method/status). A plain metric is the one child of a family without
+// labels: Registry.Counter(name) is Registry.CounterVec(name).With(). The
+// family is the registry's only metric container, and it keeps the
+// registry's contracts:
 //
 //   - Disabled means free. A nil Registry returns nil vectors, and every
 //     method on a nil vector is a no-op returning a nil child handle — so
@@ -32,142 +35,126 @@ func labelKey(values []string) string {
 	return strings.Join(values, "\xff")
 }
 
-// CounterVec is a family of Counters indexed by label values. A nil
-// CounterVec hands out nil Counters, which discard writes.
-type CounterVec struct {
+// family is a metric family of children of type C: its label names, fixed
+// at creation, and its children by label values.
+type family[C any] struct {
 	labels   []string
+	newChild func() *C
 	mu       sync.Mutex
-	children map[string]*Counter
+	children map[string]*C
 }
 
-// With returns the child counter for the given label values, creating it on
-// first use (nil on a nil vector or a label-arity mismatch).
-func (v *CounterVec) With(values ...string) *Counter {
-	if v == nil || len(values) != len(v.labels) {
+func newFamily[C any](labels []string, newChild func() *C) *family[C] {
+	return &family[C]{labels: append([]string(nil), labels...), newChild: newChild, children: make(map[string]*C)}
+}
+
+// with returns the child for the given label values, creating it on first
+// use (nil on a nil family or a label-arity mismatch).
+func (f *family[C]) with(values []string) *C {
+	if f == nil || len(values) != len(f.labels) {
 		return nil
 	}
 	k := labelKey(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c, ok := v.children[k]
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	c, ok := f.children[k]
 	if !ok {
-		c = &Counter{}
-		v.children[k] = c
+		c = f.newChild()
+		f.children[k] = c
 	}
 	return c
 }
 
+// zero is the child constructor of the families whose zero child is ready.
+func zero[C any]() *C { return new(C) }
+
+// CounterVec is a family of Counters indexed by label values. A nil
+// CounterVec hands out nil Counters, which discard writes.
+type CounterVec family[Counter]
+
+// With returns the child counter for the given label values, creating it on
+// first use (nil on a nil vector or a label-arity mismatch).
+func (v *CounterVec) With(values ...string) *Counter { return (*family[Counter])(v).with(values) }
+
 // GaugeVec is a family of Gauges indexed by label values. A nil GaugeVec
 // hands out nil Gauges, which discard writes.
-type GaugeVec struct {
-	labels   []string
-	mu       sync.Mutex
-	children map[string]*Gauge
-}
+type GaugeVec family[Gauge]
 
 // With returns the child gauge for the given label values, creating it on
 // first use (nil on a nil vector or a label-arity mismatch).
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil || len(values) != len(v.labels) {
-		return nil
-	}
-	k := labelKey(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g, ok := v.children[k]
-	if !ok {
-		g = &Gauge{}
-		v.children[k] = g
-	}
-	return g
-}
+func (v *GaugeVec) With(values ...string) *Gauge { return (*family[Gauge])(v).with(values) }
 
 // HistogramVec is a family of Histograms indexed by label values, sharing
 // one set of upper bounds. A nil HistogramVec hands out nil Histograms,
 // which discard observations.
-type HistogramVec struct {
-	labels   []string
-	bounds   []float64
-	mu       sync.Mutex
-	children map[string]*Histogram
-}
+type HistogramVec family[Histogram]
 
 // With returns the child histogram for the given label values, creating it
 // on first use (nil on a nil vector or a label-arity mismatch).
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil || len(values) != len(v.labels) {
-		return nil
-	}
-	k := labelKey(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	h, ok := v.children[k]
+func (v *HistogramVec) With(values ...string) *Histogram { return (*family[Histogram])(v).with(values) }
+
+// lookup returns m's metric under name, creating it with mk on first use;
+// a hit builds nothing.
+func lookup[V any](r *Registry, m map[string]*V, name string, mk func() *V) *V {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := m[name]
 	if !ok {
-		h = &Histogram{bounds: v.bounds, counts: make([]int64, len(v.bounds)+1)}
-		v.children[k] = h
+		v = mk()
+		m[name] = v
 	}
-	return h
+	return v
+}
+
+// lookupFamily is lookup for a family with the given label names: nil when
+// the family under name has a different number of labels.
+func lookupFamily[C any](r *Registry, m map[string]*family[C], name string, labels []string, mk func() *family[C]) *family[C] {
+	if f := lookup(r, m, name, mk); len(f.labels) == len(labels) {
+		return f
+	}
+	return nil
 }
 
 // CounterVec returns the named counter family with the given label names,
-// creating it on first use (nil on a nil registry). Later calls return the
-// existing family regardless of label names.
+// creating it on first use (nil on a nil registry or when the family has a
+// different number of labels). Later calls return the existing family
+// regardless of label names.
 func (r *Registry) CounterVec(name string, labels ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.counterVecs == nil {
-		r.counterVecs = make(map[string]*CounterVec)
-	}
-	v, ok := r.counterVecs[name]
-	if !ok {
-		v = &CounterVec{labels: append([]string(nil), labels...), children: make(map[string]*Counter)}
-		r.counterVecs[name] = v
-	}
-	return v
+	return (*CounterVec)(lookupFamily(r, r.counters, name, labels, func() *family[Counter] {
+		return newFamily(labels, zero[Counter])
+	}))
 }
 
 // GaugeVec returns the named gauge family with the given label names,
-// creating it on first use (nil on a nil registry).
+// creating it on first use (nil on a nil registry or when the family has a
+// different number of labels).
 func (r *Registry) GaugeVec(name string, labels ...string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gaugeVecs == nil {
-		r.gaugeVecs = make(map[string]*GaugeVec)
-	}
-	v, ok := r.gaugeVecs[name]
-	if !ok {
-		v = &GaugeVec{labels: append([]string(nil), labels...), children: make(map[string]*Gauge)}
-		r.gaugeVecs[name] = v
-	}
-	return v
+	return (*GaugeVec)(lookupFamily(r, r.gauges, name, labels, func() *family[Gauge] {
+		return newFamily(labels, zero[Gauge])
+	}))
 }
 
 // HistogramVec returns the named histogram family with the given ascending
 // upper bounds and label names, creating it on first use (nil on a nil
-// registry).
+// registry or when the family has a different number of labels). Later
+// calls return the existing family regardless of bounds.
 func (r *Registry) HistogramVec(name string, bounds []float64, labels ...string) *HistogramVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.histVecs == nil {
-		r.histVecs = make(map[string]*HistogramVec)
-	}
-	v, ok := r.histVecs[name]
-	if !ok {
+	return (*HistogramVec)(lookupFamily(r, r.histograms, name, labels, func() *family[Histogram] {
 		b := append([]float64(nil), bounds...)
 		sort.Float64s(b)
-		v = &HistogramVec{labels: append([]string(nil), labels...), bounds: b, children: make(map[string]*Histogram)}
-		r.histVecs[name] = v
-	}
-	return v
+		return newFamily(labels, func() *Histogram {
+			return &Histogram{bounds: b, counts: make([]int64, len(b)+1)}
+		})
+	}))
 }
 
 // LabeledValue is one child of a labeled counter or gauge family in a
@@ -197,48 +184,55 @@ type HistVecSnapshot struct {
 	Values     []LabeledHistogram `json:"values"`
 }
 
-// snapshotVecs copies the labeled families under the registry lock; the
-// caller holds r.mu.
-func (r *Registry) snapshotVecs(s *Snapshot) {
-	for name, v := range r.counterVecs {
-		vs := VecSnapshot{LabelNames: append([]string(nil), v.labels...)}
-		v.mu.Lock()
-		for k, c := range v.children {
-			vs.Values = append(vs.Values, LabeledValue{Labels: strings.Split(k, "\xff"), Value: c.Value()})
+// labeled is one child's state P with its label values.
+type labeled[P any] struct {
+	labels []string
+	state  P
+}
+
+// snapshotKind walks one kind's families once; the caller holds r.mu. A
+// family without labels puts its child's state in plain. A labeled family
+// becomes, through vec, the entry of the returned map under its name, with
+// its children in sorted label order.
+func snapshotKind[C, P, V any](fams map[string]*family[C], plain map[string]P, state func(*C) P, vec func(labelNames []string, series []labeled[P]) V) map[string]V {
+	vecs := map[string]V{}
+	for name, f := range fams {
+		if len(f.labels) == 0 {
+			plain[name] = state(f.with(nil))
+			continue
 		}
-		v.mu.Unlock()
-		sortLabeled(vs.Values, func(lv LabeledValue) []string { return lv.Labels })
-		s.CounterVecs[name] = vs
-	}
-	for name, v := range r.gaugeVecs {
-		vs := VecSnapshot{LabelNames: append([]string(nil), v.labels...)}
-		v.mu.Lock()
-		for k, g := range v.children {
-			vs.Values = append(vs.Values, LabeledValue{Labels: strings.Split(k, "\xff"), Value: g.Value()})
+		var series []labeled[P]
+		f.mu.Lock()
+		for k, c := range f.children {
+			series = append(series, labeled[P]{labels: strings.Split(k, "\xff"), state: state(c)})
 		}
-		v.mu.Unlock()
-		sortLabeled(vs.Values, func(lv LabeledValue) []string { return lv.Labels })
-		s.GaugeVecs[name] = vs
+		f.mu.Unlock()
+		sortLabeled(series)
+		vecs[name] = vec(append([]string(nil), f.labels...), series)
 	}
-	for name, v := range r.histVecs {
-		vs := HistVecSnapshot{LabelNames: append([]string(nil), v.labels...)}
-		v.mu.Lock()
-		for k, h := range v.children {
-			vs.Values = append(vs.Values, LabeledHistogram{
-				Labels:            strings.Split(k, "\xff"),
-				HistogramSnapshot: h.snapshot(),
-			})
-		}
-		v.mu.Unlock()
-		sortLabeled(vs.Values, func(lh LabeledHistogram) []string { return lh.Labels })
-		s.HistogramVecs[name] = vs
+	return vecs
+}
+
+func intVec(labelNames []string, series []labeled[int64]) VecSnapshot {
+	vs := VecSnapshot{LabelNames: labelNames}
+	for _, c := range series {
+		vs.Values = append(vs.Values, LabeledValue{Labels: c.labels, Value: c.state})
 	}
+	return vs
+}
+
+func histVec(labelNames []string, series []labeled[HistogramSnapshot]) HistVecSnapshot {
+	vs := HistVecSnapshot{LabelNames: labelNames}
+	for _, c := range series {
+		vs.Values = append(vs.Values, LabeledHistogram{Labels: c.labels, HistogramSnapshot: c.state})
+	}
+	return vs
 }
 
 // sortLabeled orders a family's children lexicographically by label values.
-func sortLabeled[T any](items []T, labels func(T) []string) {
-	sort.Slice(items, func(a, b int) bool {
-		la, lb := labels(items[a]), labels(items[b])
+func sortLabeled[P any](series []labeled[P]) {
+	sort.Slice(series, func(a, b int) bool {
+		la, lb := series[a].labels, series[b].labels
 		for i := range la {
 			if i >= len(lb) {
 				return false

@@ -2,6 +2,7 @@ package ssm
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,7 +14,8 @@ import (
 // and the same optimizer accounting, on seasonal and non-seasonal models,
 // cold and warm starts, series with missing months, a constant series whose
 // concentrated variance sits on its floor, and series on which every start
-// fails or which are too short to fit.
+// fails or which are too short to fit, with and without extra
+// interventions.
 func TestAICAtMatchesFitConfig(t *testing.T) {
 	gappy := synthSeries(30, 2, 15, 0.5, 0.3, 11)
 	gappy[7], gappy[25] = math.NaN(), math.NaN()
@@ -47,7 +49,15 @@ func TestAICAtMatchesFitConfig(t *testing.T) {
 			if fit, err := FitConfig(s.y, Config{Seasonal: seasonal, ChangePoint: NoChangePoint}); err == nil {
 				warm = fit.OptParams
 			}
-			for _, cp := range []int{NoChangePoint, 0, 15} {
+			for _, cfg := range []Config{
+				{ChangePoint: NoChangePoint},
+				{ChangePoint: 0},
+				{ChangePoint: 15},
+				{ChangePoint: 15, Extra: []Intervention{{Kind: LevelShift, Month: 5}}},
+				{ChangePoint: NoChangePoint, Extra: []Intervention{{Kind: SlopeShift, Month: 4}, {Kind: LevelShift, Month: 20}}},
+			} {
+				cfg.Seasonal = seasonal
+				cp := cfg.ChangePoint
 				starts := []FitOptions{{}}
 				if warm != nil {
 					starts = append(starts, FitOptions{Start: warm})
@@ -55,12 +65,15 @@ func TestAICAtMatchesFitConfig(t *testing.T) {
 				for _, opts := range starts {
 					var fitStats, aicStats FitStats
 					opts.Stats = &fitStats
-					fit, fitErr := FitConfigOptions(s.y, Config{Seasonal: seasonal, ChangePoint: cp}, wsFit, opts)
+					fit, fitErr := FitConfigOptions(s.y, cfg, wsFit, opts)
 					opts.Stats = &aicStats
-					aic, opt, aicErr := AICAtOptions(s.y, seasonal, cp, wsAIC, opts)
+					aic, opt, aicErr := AICAtOptions(s.y, cfg, wsAIC, opts)
 					label := s.name
 					if seasonal {
 						label += "/seasonal"
+					}
+					if cfg.Extra != nil {
+						label += fmt.Sprintf(" extra=%v", cfg.Extra)
 					}
 					if (fitErr == nil) != (aicErr == nil) {
 						t.Fatalf("%s cp=%d warm=%v: FitConfigOptions error %v, AICAtOptions error %v", label, cp, opts.Start != nil, fitErr, aicErr)

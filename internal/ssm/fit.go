@@ -243,28 +243,22 @@ func FitConfigOptions(y []float64, cfg Config, ws *kalman.Workspace, opts FitOpt
 	return fit, nil
 }
 
-// AICAtOptions is the change point search primitive: it fits the full model
-// (level + optional seasonal + intervention at cp, or no intervention for
-// cp == NoChangePoint) on s and returns its AIC and the fitted optimum's
-// parameters, the warm start for the next candidate. opts threads warm
-// starts and FitStats accounting. It returns the AIC and OptParams that
-// FitConfigOptions would, bit for bit, and the same error, but skips the
-// fitted model's Filter pass: the search needs neither the smoother inputs
-// nor the intervention coefficients. On a warmed scratch it allocates
-// nothing.
+// AICAtOptions is the change point search primitive: it fits cfg (defaults
+// applied) on s and returns its AIC and the fitted optimum's parameters, the
+// warm start for the next candidate. opts threads warm starts and FitStats
+// accounting. It returns the AIC and OptParams that FitConfigOptions would,
+// bit for bit, and the same error, but skips the fitted model's Filter pass:
+// a search needs neither the smoother inputs nor the intervention
+// coefficients. On a warmed scratch it allocates nothing.
 //
 // opt aliases s: it is valid until s's next fit, so a caller keeping it
 // copies it. s may be nil, in which case a fresh scratch is used and opt is
 // the caller's own.
-func AICAtOptions(y []float64, seasonal bool, cp int, s *Scratch, opts FitOptions) (aic float64, opt []float64, err error) {
+func AICAtOptions(y []float64, cfg Config, s *Scratch, opts FitOptions) (aic float64, opt []float64, err error) {
 	if s == nil {
 		s = new(Scratch)
 	}
-	return s.aic(y, Config{Seasonal: seasonal, ChangePoint: cp}.withDefaults(), opts)
-}
-
-// aic is the AIC-only fit of cfg (defaults applied) behind AICAtOptions.
-func (s *Scratch) aic(y []float64, cfg Config, opts FitOptions) (aic float64, opt []float64, err error) {
+	cfg = cfg.withDefaults()
 	sr, err := s.fit(y, cfg, opts)
 	if err != nil {
 		return 0, nil, err

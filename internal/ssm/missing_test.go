@@ -66,7 +66,7 @@ func TestAICAtWithAllMissingFails(t *testing.T) {
 	for i := range y {
 		y[i] = math.NaN()
 	}
-	if _, _, err := AICAtOptions(y, false, NoChangePoint, nil, FitOptions{}); err == nil {
+	if _, _, err := AICAtOptions(y, Config{ChangePoint: NoChangePoint}, nil, FitOptions{}); err == nil {
 		t.Fatal("all-missing series accepted")
 	}
 }

@@ -107,9 +107,9 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 			}})
 		}
 		var reusedStats, freshStats FitStats
-		aic, opt, err := shared.aic(c.y, c.cfg, FitOptions{Start: c.start, Stats: &reusedStats})
+		aic, opt, err := AICAtOptions(c.y, c.cfg, shared, FitOptions{Start: c.start, Stats: &reusedStats})
 		opt = append([]float64(nil), opt...)
-		wantAIC, wantOpt, wantErr := new(Scratch).aic(c.y, c.cfg, FitOptions{Start: c.start, Stats: &freshStats})
+		wantAIC, wantOpt, wantErr := AICAtOptions(c.y, c.cfg, nil, FitOptions{Start: c.start, Stats: &freshStats})
 		faultpoint.Reset()
 
 		label := func() string {

@@ -164,12 +164,12 @@ func TestInterventionImprovesAICOnBrokenSeries(t *testing.T) {
 func TestAICPrefersTrueChangePoint(t *testing.T) {
 	cp := 20
 	y := synthSeries(43, 0, cp, 1.0, 0.3, 5)
-	aicTrue, _, err := AICAtOptions(y, false, cp, nil, FitOptions{})
+	aicTrue, _, err := AICAtOptions(y, Config{ChangePoint: cp}, nil, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, wrong := range []int{5, 35} {
-		aicWrong, _, err := AICAtOptions(y, false, wrong, nil, FitOptions{})
+		aicWrong, _, err := AICAtOptions(y, Config{ChangePoint: wrong}, nil, FitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestInterventionNotPreferredOnStableSeries(t *testing.T) {
 	}
 	best := math.Inf(1)
 	for cp := 2; cp < 41; cp += 6 {
-		aic, _, err := AICAtOptions(y, false, cp, nil, FitOptions{})
+		aic, _, err := AICAtOptions(y, Config{ChangePoint: cp}, nil, FitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
