@@ -67,8 +67,11 @@ type FitOptions struct {
 // that moves fitted bits must change it. Tag 2 is the weighted occurrence
 // sweep; the per-occurrence sweep before it was never tagged. Tag 3 runs the
 // smoothed (PriorWeight > 0) chain on that sweep too; the plain fit's bits
-// are those of tag 2.
-const ArithmeticTag uint64 = 3
+// are those of tag 2. Tag 4 multiplies the likelihood's denominators into
+// one product per small integer weight instead of taking a log per entry,
+// spreads each entry's E-step with one reciprocal, and sums the M-step's
+// rows from the accumulated counts, for both fits.
+const ArithmeticTag uint64 = 4
 
 // WithDefaults returns the options with the EM loop defaults filled in, the
 // exact values Fit and FitAll use; exposed so checkpoint fingerprints hash
@@ -105,7 +108,6 @@ type emIndex struct {
 	rowMed   []mic.MedicineID
 	val      []float64 // current φ iterate
 	next     []float64 // Eq. 5 numerator accumulator
-	rowSum   []float64 // Eq. 5 denominator accumulator, per disease
 
 	// Occurrence table: distinct occurrence e stands for weight[e] identical
 	// medicine occurrences and owns cells [cellStart[e], cellStart[e+1]), one
@@ -382,8 +384,6 @@ func (k *emKernel) build(month *mic.Monthly) (*emIndex, error) {
 	}
 	ix.next = resize(ix.next, e)
 	clear(ix.next)
-	ix.rowSum = resize(ix.rowSum, rows)
-	clear(ix.rowSum)
 	return ix, nil
 }
 
@@ -488,68 +488,112 @@ func (k *emKernel) clearSlots(rec *mic.Record) {
 	}
 }
 
+// prodWeights bounds the weights whose likelihood terms sweep multiplies
+// into products: integer weights 1 through prodWeights, which hold nearly
+// every entry of a month's table.
+const prodWeights = 16
+
+// A denominator folds into a product when it lies in [2⁻¹⁰⁰⁰, 2¹⁰⁰⁰): a
+// product's mantissa, kept in [1, 2), times such a denominator is normal
+// and finite. In bits, that is when Float64bits(denom) − prodLoBits is below
+// prodSpanBits; zero, negative and NaN denominators wrap past it.
+const (
+	prodLoBits   = (1023 - 1000) << 52 // Float64bits(0x1p-1000)
+	prodSpanBits = 2000 << 52          // up to Float64bits(0x1p1000)
+	fracBits     = 1<<52 - 1
+	oneBits      = 1023 << 52 // Float64bits(1)
+)
+
 // sweep is one fused pass over the occurrence table under the current φ
 // iterate φ_k. It returns ll(φ_k), the Φ part of Eq. 3, and accumulates the
-// E-step of Eqs. 5–6 under φ_k into next and rowSum: each medicine
-// occurrence is distributed across its record's diseases proportionally to
-// θ_rd·φ_dm. An occurrence's E-step denominator is, term for term and in the
-// same slot order, the predictive probability the likelihood sums, so one
-// pass yields both. Each distinct occurrence is computed once and counts
-// weight times: w·log(p) to the likelihood, w·(θ·φ/denom) to each cell.
+// E-step of Eqs. 5–6 under φ_k into next: each medicine occurrence is
+// distributed across its record's diseases proportionally to θ_rd·φ_dm. An
+// occurrence's E-step denominator is, term for term and in the same slot
+// order, the predictive probability the likelihood sums, so one pass yields
+// both. Each distinct occurrence is computed once and counts weight times:
+// w·log(p) to the likelihood and θ·φ·(w/p) to each cell.
+//
+// The likelihood takes no log per entry: Σ w·log p is, per weight w, w times
+// the log of the product of that weight's denominators. Each integer weight
+// up to prodWeights keeps its product as a mantissa in [1, 2) and an integer
+// exponent, moving the exponent bits out after every multiplication, and
+// the sweep ends with one log per product. An entry of another weight or a
+// denominator outside the products' range adds w·log(p) itself, p ≤ 0
+// clamped to the smallest positive float; its E-step skips p ≤ 0 and
+// divides cell by cell where w/p overflows.
 func (ix *emIndex) sweep() float64 {
 	clear(ix.next)
-	clear(ix.rowSum)
+	var mant [prodWeights]float64
+	var exp [prodWeights]int
+	for k := range mant {
+		mant[k] = 1
+	}
 	var ll float64
 	for e, w := range ix.weight {
 		lo, hi, t := ix.cellStart[e], ix.cellStart[e+1], ix.thetaOff[e]
 		blk := ix.pos[lo:hi]
-		theta, dis := ix.theta[t:t+hi-lo], ix.dis[t:t+hi-lo]
+		theta := ix.theta[t : t+hi-lo]
 		var denom float64
 		for s, p := range blk {
 			denom += theta[s] * ix.val[p]
 		}
-		p := denom
-		if p <= 0 {
-			p = math.SmallestNonzeroFloat64
-		}
-		ll += w * math.Log(p)
-		if denom <= 0 {
-			continue
-		}
-		for s, p := range blk {
-			q := theta[s] * ix.val[p] / denom
-			if q == 0 {
+		r := w / denom
+		if k := int(w) - 1; uint(k) < prodWeights && float64(k+1) == w && math.Float64bits(denom)-prodLoBits < prodSpanBits {
+			b := math.Float64bits(mant[k] * denom)
+			exp[k] += int(b>>52) - 1023
+			mant[k] = math.Float64frombits(b&fracBits | oneBits)
+		} else {
+			ll += w * math.Log(max(denom, math.SmallestNonzeroFloat64))
+			if denom <= 0 {
 				continue
 			}
-			q *= w
-			ix.next[p] += q
-			ix.rowSum[dis[s]] += q
+			if r > math.MaxFloat64 {
+				// A subnormal p: an infinite r would turn θ·φ = 0 into NaN.
+				for s, p := range blk {
+					ix.next[p] += theta[s] * ix.val[p] / denom * w
+				}
+				continue
+			}
+		}
+		for s, p := range blk {
+			ix.next[p] += theta[s] * ix.val[p] * r
+		}
+	}
+	for k, m := range mant {
+		if m != 1 || exp[k] != 0 {
+			ll += float64(k+1) * (float64(exp[k])*math.Ln2 + math.Log(m))
 		}
 	}
 	return ll
 }
 
 // mstep renormalizes the accumulated E-step into the next φ iterate
-// (Eq. 5). Under a prior the MAP step first adds the pseudo-counts w·φ_prev
-// to the expected counts.
+// (Eq. 5), each row by the sum of its accumulated counts. Under a prior the
+// MAP step first adds the pseudo-counts w·φ_prev to the expected counts.
 func (ix *emIndex) mstep() {
-	for d, sum := range ix.rowSum {
+	for d := range ix.diseases {
 		lo, hi := ix.rowStart[d], ix.rowStart[d+1]
+		next := ix.next[lo:hi]
+		var sum float64
+		for _, v := range next {
+			sum += v
+		}
 		if ix.prior {
 			sum += ix.rowPrior[d]
 			ix.norm[d] = sum
-			for i := lo; i < hi; i++ {
-				ix.next[i] += ix.pw[i]
+			for i, pw := range ix.pw[lo:hi] {
+				next[i] += pw
 			}
 		}
+		val := ix.val[lo:hi]
 		if sum <= 0 {
 			// The row lost all mass: zero it, the dense-index equivalent of
 			// deleting the map row (lookups read 0 either way).
-			clear(ix.val[lo:hi])
+			clear(val)
 			continue
 		}
-		for i := lo; i < hi; i++ {
-			ix.val[i] = ix.next[i] / sum
+		for i, v := range next {
+			val[i] = v / sum
 		}
 	}
 }

@@ -19,10 +19,10 @@ import (
 // construction and Eq. 10 estimate, and the two-pass EM loop (an E/M sweep,
 // then a separate likelihood sweep per iteration) as test oracles: the
 // streaming kernel, the dense index kernel and the fused sweep must match
-// them bit for bit. It also keeps the per-occurrence sweep the weighted
-// occurrence table replaced, and the map-based MAP-EM loop the smoothed fit
-// ran on before it moved onto the kernel, which the kernel must match to
-// rounding.
+// them bit for bit. It also keeps the sweep that took one log per entry
+// and scattered row sums, the per-occurrence sweep the weighted occurrence
+// table replaced, and the map-based MAP-EM loop the smoothed fit ran on
+// before it moved onto the kernel, which the kernel must match to rounding.
 
 // responder is anything that spreads a medicine occurrence over a record's
 // diseases: Model and Cooccurrence.
@@ -96,7 +96,7 @@ func cooccurrencePhi(recs []*mic.Record) map[mic.DiseaseID]map[mic.MedicineID]fl
 }
 
 // rowsReference interns the cooccurrence support through maps: the index's
-// rows, φ at the Eq. 10 estimate and zeroed accumulators, with an empty
+// rows, φ at the Eq. 10 estimate and a zeroed accumulator, with an empty
 // occurrence table, and the row of each disease.
 func rowsReference(recs []*mic.Record) (*emIndex, map[mic.DiseaseID]int32) {
 	phi := cooccurrencePhi(recs)
@@ -124,7 +124,6 @@ func rowsReference(recs []*mic.Record) (*emIndex, map[mic.DiseaseID]int32) {
 		ix.rowStart[di+1] = len(ix.rowMed)
 	}
 	ix.next = make([]float64, len(ix.val))
-	ix.rowSum = make([]float64, len(ix.diseases))
 	return ix, diseaseIdx
 }
 
@@ -215,13 +214,12 @@ func emIndexReference(recs []*mic.Record) *emIndex {
 }
 
 // iterateReference is the unfused EM step: E-step under the current φ, then
-// the M-step.
+// the M-step. An entry of weight w and predictive probability p > 0 adds
+// θ·φ·(w/p) to each cell, or θ·φ/p·w where w/p overflows; each row is
+// normalized by the sum of its counts.
 func iterateReference(ix *emIndex) {
 	for i := range ix.next {
 		ix.next[i] = 0
-	}
-	for i := range ix.rowSum {
-		ix.rowSum[i] = 0
 	}
 	for e, w := range ix.weight {
 		off := ix.thetaOff[e] - ix.cellStart[e] // slot s of cell c is off+c
@@ -232,18 +230,23 @@ func iterateReference(ix *emIndex) {
 		if denom <= 0 {
 			continue
 		}
+		r := w / denom
 		for c := ix.cellStart[e]; c < ix.cellStart[e+1]; c++ {
-			q := ix.theta[off+c] * ix.val[ix.pos[c]] / denom
-			if q == 0 {
-				continue
+			q := ix.theta[off+c] * ix.val[ix.pos[c]]
+			if math.IsInf(r, 1) {
+				q = q / denom * w
+			} else {
+				q *= r
 			}
-			ix.next[ix.pos[c]] += w * q
-			ix.rowSum[ix.dis[off+c]] += w * q
+			ix.next[ix.pos[c]] += q
 		}
 	}
-	for d := range ix.rowSum {
-		sum := ix.rowSum[d]
+	for d := range ix.diseases {
 		lo, hi := ix.rowStart[d], ix.rowStart[d+1]
+		var sum float64
+		for i := lo; i < hi; i++ {
+			sum += ix.next[i]
+		}
 		if sum <= 0 {
 			for i := lo; i < hi; i++ {
 				ix.val[i] = 0
@@ -256,8 +259,18 @@ func iterateReference(ix *emIndex) {
 	}
 }
 
-// logLikReference is the separate likelihood sweep under the current φ.
+// logLikReference is the separate likelihood sweep under the current φ. An
+// entry of integer weight w ≤ 16 whose predictive probability p lies in
+// [2⁻¹⁰⁰⁰, 2¹⁰⁰⁰) multiplies p into weight w's product, held as a
+// math.Frexp fraction and exponent; any other entry adds w·log(p), p ≤ 0
+// clamped to the smallest positive float. Then each product other than 1
+// adds w·log of itself, in ascending w.
 func logLikReference(ix *emIndex) float64 {
+	type product struct {
+		frac float64 // in [0.5, 1); 0 while the product is empty
+		exp  int
+	}
+	var prods [17]product
 	var ll float64
 	for e, w := range ix.weight {
 		off := ix.thetaOff[e] - ix.cellStart[e]
@@ -265,10 +278,26 @@ func logLikReference(ix *emIndex) float64 {
 		for c := ix.cellStart[e]; c < ix.cellStart[e+1]; c++ {
 			p += ix.theta[off+c] * ix.val[ix.pos[c]]
 		}
+		if w >= 1 && w <= 16 && w == math.Trunc(w) && p >= 0x1p-1000 && p < 0x1p1000 {
+			pr := &prods[int(w)]
+			if pr.frac == 0 {
+				pr.frac, pr.exp = 0.5, 1
+			}
+			f, x := math.Frexp(pr.frac * p)
+			pr.frac, pr.exp = f, pr.exp+x
+			continue
+		}
 		if p <= 0 {
 			p = math.SmallestNonzeroFloat64
 		}
 		ll += w * math.Log(p)
+	}
+	for w, pr := range prods {
+		m, e := 2*pr.frac, pr.exp-1 // the product as a mantissa in [1, 2) times 2^e
+		if pr.frac == 0 || m == 1 && e == 0 {
+			continue
+		}
+		ll += float64(w) * (float64(e)*math.Ln2 + math.Log(m))
 	}
 	return ll
 }
@@ -313,15 +342,125 @@ func converged(prevLL, ll, tol float64) bool {
 	return (ll-prevLL)/denom < tol
 }
 
+// sweeper is an index under one EM arithmetic: its fused sweep, its M-step
+// and the fitted φ.
+type sweeper interface {
+	sweep() float64
+	mstep()
+	phiMap() map[mic.DiseaseID]map[mic.MedicineID]float64
+}
+
+// fitLoop is Fit's loop over ix, which holds the month's index.
+func fitLoop(ix sweeper, month *mic.Monthly, vocabMedicines int, opts FitOptions) *Model {
+	opts = opts.withDefaults()
+	model := &Model{Eta: EstimateEta(month), M: vocabMedicines}
+	ix.sweep()
+	prevLL := math.Inf(-1)
+	for iter := 0; iter < opts.MaxIter; iter++ {
+		ix.mstep()
+		ll := ix.sweep()
+		model.Iterations = iter + 1
+		model.LogLik = ll
+		if opts.TraceConvergence {
+			model.LogLikTrace = append(model.LogLikTrace, ll)
+		}
+		if converged(prevLL, ll, opts.Tol) {
+			break
+		}
+		prevLL = ll
+	}
+	model.Phi = ix.phiMap()
+	return model
+}
+
+// sumLogIndex runs a built index under the sweep and M-step of arithmetic
+// tag 3, kept as the oracle the product-accumulated sweep must agree with
+// to rounding: the sweep adds w·log(p) once per entry and w·(θ·φ/p) into
+// each cell and into its row's sum, by which the M-step divides.
+type sumLogIndex struct {
+	*emIndex
+	rowSum []float64
+}
+
+func newSumLogIndex(ix *emIndex) *sumLogIndex {
+	return &sumLogIndex{emIndex: ix, rowSum: make([]float64, len(ix.diseases))}
+}
+
+func (ix *sumLogIndex) sweep() float64 {
+	clear(ix.next)
+	clear(ix.rowSum)
+	var ll float64
+	for e, w := range ix.weight {
+		lo, hi, t := ix.cellStart[e], ix.cellStart[e+1], ix.thetaOff[e]
+		blk := ix.pos[lo:hi]
+		theta, dis := ix.theta[t:t+hi-lo], ix.dis[t:t+hi-lo]
+		var denom float64
+		for s, p := range blk {
+			denom += theta[s] * ix.val[p]
+		}
+		p := denom
+		if p <= 0 {
+			p = math.SmallestNonzeroFloat64
+		}
+		ll += w * math.Log(p)
+		if denom <= 0 {
+			continue
+		}
+		for s, p := range blk {
+			q := theta[s] * ix.val[p] / denom
+			if q == 0 {
+				continue
+			}
+			q *= w
+			ix.next[p] += q
+			ix.rowSum[dis[s]] += q
+		}
+	}
+	return ll
+}
+
+func (ix *sumLogIndex) mstep() {
+	for d, sum := range ix.rowSum {
+		lo, hi := ix.rowStart[d], ix.rowStart[d+1]
+		if ix.prior {
+			sum += ix.rowPrior[d]
+			ix.norm[d] = sum
+			for i := lo; i < hi; i++ {
+				ix.next[i] += ix.pw[i]
+			}
+		}
+		if sum <= 0 {
+			clear(ix.val[lo:hi])
+			continue
+		}
+		for i := lo; i < hi; i++ {
+			ix.val[i] = ix.next[i] / sum
+		}
+	}
+}
+
+// fitSumOfLogs is the kernel's fit, plain or under a prior of weight w > 0,
+// run under tag 3's sweep.
+func fitSumOfLogs(month *mic.Monthly, vocabMedicines int, opts FitOptions, prior *Model, w float64) (*Model, error) {
+	k := new(emKernel)
+	ix, err := k.build(month)
+	if err != nil {
+		return nil, err
+	}
+	k.setPrior(prior, w)
+	return fitLoop(newSumLogIndex(ix), month, vocabMedicines, opts), nil
+}
+
 // occIndex is the per-occurrence layout the weighted occurrence table
 // replaced, kept as the oracle the weighted sweep must agree with to
 // rounding: every medicine occurrence keeps its own cells. Record r owns θ
 // slots [thetaStart[r], thetaStart[r+1]), and its o-th occurrence's slot s
 // maps to occPos[occStart[r]+o*slots(r)+s], an index into val, or -1 when
-// the pair is outside the support. The embedded emIndex holds the rows, φ
-// and accumulators; its occurrence table stays empty.
+// the pair is outside the support. The embedded index holds the rows, φ
+// and accumulators, and runs tag 3's M-step; its occurrence table stays
+// empty.
 type occIndex struct {
-	emIndex
+	*sumLogIndex
 	thetaStart []int
 	thetaDis   []int32
 	thetaVal   []float64
@@ -333,7 +472,7 @@ type occIndex struct {
 // occIndexReference builds the per-occurrence layout through maps.
 func occIndexReference(recs []*mic.Record) *occIndex {
 	rows, diseaseIdx := rowsReference(recs)
-	ix := &occIndex{emIndex: *rows}
+	ix := &occIndex{sumLogIndex: newSumLogIndex(rows)}
 	ix.thetaStart = make([]int, len(recs)+1)
 	ix.occStart = make([]int, len(recs)+1)
 	ix.numMeds = make([]int, len(recs))
@@ -345,7 +484,7 @@ func occIndexReference(recs []*mic.Record) *occIndex {
 		ix.numMeds[r] = len(rec.Medicines)
 		for _, med := range rec.Medicines {
 			for _, di := range dis {
-				ix.occPos = append(ix.occPos, cellReference(&ix.emIndex, di, med))
+				ix.occPos = append(ix.occPos, cellReference(ix.emIndex, di, med))
 			}
 		}
 		ix.occStart[r+1] = len(ix.occPos)
@@ -403,30 +542,11 @@ func (ix *occIndex) sweep() float64 {
 
 // fitPerOccurrence is Fit's loop over the per-occurrence sweep.
 func fitPerOccurrence(month *mic.Monthly, vocabMedicines int, opts FitOptions) (*Model, error) {
-	opts = opts.withDefaults()
 	recs, err := usableRecords(month)
 	if err != nil {
 		return nil, err
 	}
-	ix := occIndexReference(recs)
-	model := &Model{Eta: EstimateEta(month), M: vocabMedicines}
-	ix.sweep()
-	prevLL := math.Inf(-1)
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		ix.mstep()
-		ll := ix.sweep()
-		model.Iterations = iter + 1
-		model.LogLik = ll
-		if opts.TraceConvergence {
-			model.LogLikTrace = append(model.LogLikTrace, ll)
-		}
-		if converged(prevLL, ll, opts.Tol) {
-			break
-		}
-		prevLL = ll
-	}
-	model.Phi = ix.phiMap()
-	return model, nil
+	return fitLoop(occIndexReference(recs), month, vocabMedicines, opts), nil
 }
 
 // thetaEntry is one (disease, θ_rd) pair of a record's topic mixture held in
@@ -901,7 +1021,6 @@ func requireIndexEqual(t *testing.T, label string, got, want *emIndex) {
 	sameInts(t, label+" rowMed", got.rowMed, want.rowMed)
 	sameFloatBits(t, label+" val", got.val, want.val)
 	sameFloatBits(t, label+" next", got.next, want.next)
-	sameFloatBits(t, label+" rowSum", got.rowSum, want.rowSum)
 	sameInts(t, label+" cellStart", got.cellStart, want.cellStart)
 	sameInts(t, label+" thetaOff", got.thetaOff, want.thetaOff)
 	sameFloatBits(t, label+" weight", got.weight, want.weight)
@@ -1126,11 +1245,12 @@ func TestFitFusedMatchesTwoSweep(t *testing.T) {
 }
 
 // TestWeightedSweepMatchesPerOccurrence bounds the weighted occurrence
-// table's rounding: adding w·log(p) and w·(θ·φ/denom) once per distinct
-// occurrence, instead of log(p) and θ·φ/denom once per occurrence in record
-// order, moves the fit only in its last bits. Every month must stop after
-// the same number of iterations with the same φ support, every φ entry and
-// every traced log-likelihood within 1e-12 relative.
+// table's rounding, with the product-accumulated likelihood's on top:
+// computing each distinct occurrence once and counting it w times, instead
+// of adding log(p) and θ·φ/denom once per occurrence in record order, moves
+// the fit only in its last bits. Every month must stop after the same
+// number of iterations with the same φ support, every φ entry and every
+// traced log-likelihood within 1e-12 relative.
 func TestWeightedSweepMatchesPerOccurrence(t *testing.T) {
 	var months []*mic.Monthly
 	for _, cfg := range []micgen.Config{
@@ -1217,6 +1337,190 @@ func TestWeightedSweepMatchesPerOccurrence(t *testing.T) {
 	t.Logf("%d of %d months merge occurrences; largest relative difference %.3g", merged, len(months), worst)
 	if merged < len(months)/2 {
 		t.Fatalf("only %d of %d months merge any occurrence: the corpus does not exercise the weights", merged, len(months))
+	}
+}
+
+// TestProductLogLikMatchesSumOfLogs bounds arithmetic tag 4's rounding
+// against tag 3's sweep (sumLogIndex): the likelihood folded into one
+// product per small integer weight with one log each, the E-step spread
+// with one reciprocal per entry, and the M-step's row sums taken from the
+// counts. Plain and MAP fits (PriorWeight 0.5, 5, 50, each month's prior
+// the oracle's previous posterior) must stop after the same number of
+// iterations with the same φ support, every φ entry and traced
+// log-likelihood within 1e-12 relative. Built indexes edited past what a
+// fit reaches then run both sweeps and M-steps side by side: predictive
+// probabilities of 0 and below 2⁻¹⁰⁰⁰ (subnormal ones too, where w/p
+// overflows), weights of 17 and more and fractional ones, one weight shared
+// by every entry, and a table of a single entry.
+func TestProductLogLikMatchesSumOfLogs(t *testing.T) {
+	var months []*mic.Monthly
+	for _, cfg := range []micgen.Config{
+		{Seed: 5, Months: 2, RecordsPerMonth: 400, BulkDiseases: 6, BulkMedicines: 8},
+		{Seed: 23, Months: 2, RecordsPerMonth: 800, BulkDiseases: 20, BulkMedicines: 25},
+		{Seed: 29, Months: 2, RecordsPerMonth: 1500},
+	} {
+		ds, _, err := micgen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		months = append(months, ds.Months...)
+	}
+	months = append(months, edgeDataset().Months[:3]...)
+	months = append(months, twoDiseaseMonth(), zeroRowMonth(), negativeCountMonth(), farIDMonth())
+
+	var worst float64
+	rel := func(a, b float64) float64 {
+		if a == b {
+			return 0
+		}
+		d := math.Abs(a-b) / max(math.Abs(a), math.Abs(b))
+		worst = max(worst, d)
+		return d
+	}
+	const tol = 1e-12
+	for _, w := range []float64{0, 0.5, 5, 50} {
+		var prior *Model
+		for mi, month := range months {
+			var last *Model
+			// A tolerance at the rounding floor (1e-300) would stop on
+			// rounding noise, which no change of arithmetic keeps: 1e-10 runs
+			// far past the default one instead.
+			for _, opts := range []FitOptions{{MaxIter: 1}, {MaxIter: 3}, {}, {Tol: 1e-10, MaxIter: 40}} {
+				opts.TraceConvergence = true
+				label := fmt.Sprintf("PriorWeight %v month %d opts %+v", w, mi, opts)
+				got, err := new(emKernel).fit(month, 30, opts, prior, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fitSumOfLogs(month, 30, opts, prior, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Iterations != want.Iterations || len(got.LogLikTrace) != len(want.LogLikTrace) {
+					t.Fatalf("%s: %d iterations, tag 3 sweep %d", label, got.Iterations, want.Iterations)
+				}
+				for i, v := range want.LogLikTrace {
+					if d := rel(got.LogLikTrace[i], v); d > tol {
+						t.Fatalf("%s: trace[%d] %v, tag 3 sweep %v (relative %.3g)", label, i, got.LogLikTrace[i], v, d)
+					}
+				}
+				if len(got.Phi) != len(want.Phi) {
+					t.Fatalf("%s: %d φ rows, tag 3 sweep %d", label, len(got.Phi), len(want.Phi))
+				}
+				for d, wrow := range want.Phi {
+					if len(got.Phi[d]) != len(wrow) {
+						t.Fatalf("%s: φ row %d has %d entries, tag 3 sweep %d", label, d, len(got.Phi[d]), len(wrow))
+					}
+					for m, v := range wrow {
+						g, ok := got.Phi[d][m]
+						if dd := rel(g, v); !ok || dd > tol {
+							t.Fatalf("%s: φ[%d][%d] = %v, tag 3 sweep %v (relative %.3g)", label, d, m, g, v, dd)
+						}
+					}
+				}
+				last = want
+			}
+			if w > 0 {
+				prior = last
+			}
+		}
+	}
+
+	// Edits scale whole records' θ slots, so a scaled entry's predictive
+	// probability stays scaled through every M-step. θ is shared by the
+	// entries of one record: each slot group is scaled once.
+	scaleTheta := func(ix *emIndex, factors ...float64) {
+		seen := map[int32]bool{}
+		for e := range ix.weight {
+			t := ix.thetaOff[e]
+			if seen[t] {
+				continue
+			}
+			seen[t] = true
+			f := factors[len(seen)%len(factors)]
+			for s := range ix.cellStart[e+1] - ix.cellStart[e] {
+				ix.theta[t+s] *= f
+			}
+		}
+	}
+	single := &mic.Monthly{Records: []mic.Record{
+		{Diseases: []mic.DiseaseCount{{Disease: 4, Count: 1}}, Medicines: []mic.MedicineID{7, 7, 7}},
+	}}
+	cases := []struct {
+		name  string
+		month *mic.Monthly
+		edit  func(ix *emIndex)
+	}{
+		{"tiny and zero probabilities", months[2], func(ix *emIndex) {
+			scaleTheta(ix, 1, 0, 0x1p-1070, 0x1p-1010, 0x1p-995, 0x1p-1000)
+		}},
+		{"heavy and fractional weights", months[4], func(ix *emIndex) {
+			for e := range ix.weight {
+				ix.weight[e] += []float64{0, 16, 40, 1000, 0.5, 15}[e%6]
+			}
+		}},
+		{"one weight", months[0], func(ix *emIndex) {
+			for e := range ix.weight {
+				ix.weight[e] = 3
+			}
+		}},
+		{"single entry", single, func(ix *emIndex) { scaleTheta(ix, 0.3) }},
+	}
+	reached := map[string]int{}
+	for _, c := range cases {
+		got, err := new(emKernel).build(c.month)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := new(emKernel).build(c.month)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.edit(got)
+		c.edit(want)
+		if len(got.weight) == 1 {
+			reached["single entry"]++
+		}
+		for e, w := range got.weight {
+			var p float64
+			for c := got.cellStart[e]; c < got.cellStart[e+1]; c++ {
+				p += got.theta[got.thetaOff[e]+c-got.cellStart[e]] * got.val[got.pos[c]]
+			}
+			switch {
+			case p == 0:
+				reached["p = 0"]++
+			case p > 0 && p < 0x1p-1000 && math.IsInf(w/p, 1):
+				reached["p < 2⁻¹⁰⁰⁰, w/p overflows"]++
+			case p > 0 && p < 0x1p-1000:
+				reached["p < 2⁻¹⁰⁰⁰"]++
+			}
+			if w > 16 {
+				reached["w > 16"]++
+			}
+			if w != math.Trunc(w) {
+				reached["fractional w"]++
+			}
+		}
+		old := newSumLogIndex(want)
+		for it := range 10 {
+			gll, wll := got.sweep(), old.sweep()
+			if d := rel(gll, wll); d > tol || math.IsNaN(gll) {
+				t.Fatalf("%s sweep %d: ll %v, tag 3 sweep %v (relative %.3g)", c.name, it, gll, wll, d)
+			}
+			got.mstep()
+			old.mstep()
+			for i, v := range old.val {
+				if d := rel(got.val[i], v); d > tol || math.IsNaN(got.val[i]) {
+					t.Fatalf("%s M-step %d: val[%d] %v, tag 3 M-step %v (relative %.3g)", c.name, it, i, got.val[i], v, d)
+				}
+			}
+		}
+	}
+	t.Logf("edited indexes reach %v; largest relative difference %.3g", reached, worst)
+	for _, k := range []string{"p = 0", "p < 2⁻¹⁰⁰⁰", "p < 2⁻¹⁰⁰⁰, w/p overflows", "w > 16", "fractional w", "single entry"} {
+		if reached[k] == 0 {
+			t.Fatalf("no edited entry has %s", k)
+		}
 	}
 }
 

@@ -177,7 +177,11 @@ func (t *Timer) Count() int64 {
 // without labels, so Counter(name) is CounterVec(name).With() and one name
 // is never two families of a kind; an accessor whose label count disagrees
 // with the existing family gets nil, as With does on an arity mismatch.
-// Timers stay unlabeled. A nil Registry returns nil handles from every
+// Across kinds, one Prometheus exposition name belongs to one metric: a
+// new metric that would render a family or sample name another metric
+// renders (after promName, with the _total, _seconds, _bucket, _sum and
+// _count suffixes) is not created, and its accessor gets nil. Timers stay
+// unlabeled. A nil Registry returns nil handles from every
 // accessor, so callers resolve handles once and instrument unconditionally.
 // Accessors create metrics on first use and return the same handle for the
 // same name afterwards; all methods are goroutine-safe.
@@ -187,6 +191,7 @@ type Registry struct {
 	gauges     map[string]*family[Gauge]
 	histograms map[string]*family[Histogram]
 	timers     map[string]*Timer
+	exposed    map[string]bool // the exposition names the metrics render
 }
 
 // NewRegistry returns an empty metrics registry.
@@ -196,32 +201,35 @@ func NewRegistry() *Registry {
 		gauges:     make(map[string]*family[Gauge]),
 		histograms: make(map[string]*family[Histogram]),
 		timers:     make(map[string]*Timer),
+		exposed:    make(map[string]bool),
 	}
 }
 
 // Counter returns the named counter, creating it on first use (nil on a nil
-// registry or when name is a labeled family).
+// registry, when name is a labeled family, or when another metric renders
+// its exposition name).
 func (r *Registry) Counter(name string) *Counter { return r.CounterVec(name).With() }
 
 // Gauge returns the named gauge, creating it on first use (nil on a nil
-// registry or when name is a labeled family).
+// registry, when name is a labeled family, or when another metric renders
+// its exposition name).
 func (r *Registry) Gauge(name string) *Gauge { return r.GaugeVec(name).With() }
 
 // Histogram returns the named histogram, creating it with the given
-// ascending upper bounds on first use (nil on a nil registry or when name is
-// a labeled family). Later calls return the existing histogram regardless of
-// bounds.
+// ascending upper bounds on first use (nil on a nil registry, when name is
+// a labeled family, or when another metric renders one of its exposition
+// names). Later calls return the existing histogram regardless of bounds.
 func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	return r.HistogramVec(name, bounds).With()
 }
 
 // Timer returns the named timer, creating it on first use (nil on a nil
-// registry).
+// registry or when another metric renders one of its exposition names).
 func (r *Registry) Timer(name string) *Timer {
 	if r == nil {
 		return nil
 	}
-	return lookup(r, r.timers, name, zero[Timer])
+	return lookup(r, r.timers, timerNames, name, zero[Timer])
 }
 
 // BucketCount is one histogram bucket in a snapshot: the count of

@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -269,11 +270,16 @@ func TestPrometheusHandler(t *testing.T) {
 	}
 }
 
+// expvarRuns numbers TestPublishExpvar's runs in this process.
+var expvarRuns atomic.Int64
+
 // TestPublishExpvar pins the /debug/vars bridge: the published variable
 // renders the live snapshot as valid JSON.
 func TestPublishExpvar(t *testing.T) {
 	r := promTestRegistry()
-	const name = "mictrend_test_publish_expvar"
+	// Expvar names are process-wide: each run of the test publishes its own,
+	// so -count=N repeats it.
+	name := fmt.Sprintf("mictrend_test_publish_expvar_%d", expvarRuns.Add(1))
 	r.PublishExpvar(name)
 	v := expvar.Get(name)
 	if v == nil {
@@ -412,6 +418,35 @@ func TestOneNameOneFamily(t *testing.T) {
 	}
 	r.CounterVec("v", "b").With("1").Inc()
 
+	// Across kinds: a gauge and a histogram would both render m_y, a counter
+	// and a gauge m_z_total, a histogram's samples the gauges m_w_bucket and
+	// m_w_count, and a timer m_u_seconds next to a counter's m_u_seconds_total
+	// does not clash. The later metric gets nil and renders nothing.
+	r.Gauge("y").Set(3)
+	if r.Histogram("y", 1) != nil || r.HistogramVec("y", []float64{1}, "l") != nil {
+		t.Fatal("Histogram on a gauge's exposition name must return nil")
+	}
+	r.Histogram("y", 1).Observe(0.5)
+	r.Counter("z").Add(4)
+	if r.Gauge("z_total") != nil || r.GaugeVec("z/total", "l") != nil {
+		t.Fatal("Gauge on a counter's exposition name must return nil")
+	}
+	r.Gauge("z_total").Set(9)
+	r.Gauge("w_bucket").Set(1)
+	if r.Histogram("w", 1) != nil {
+		t.Fatal("Histogram whose bucket samples are a gauge's name must return nil")
+	}
+	r.Histogram("k", 1).Observe(2)
+	if r.Gauge("k_count") != nil || r.Counter("k_sum") == nil || r.Timer("k") == nil {
+		t.Fatal("only a name the histogram renders is taken")
+	}
+	if r.Timer("u") == nil || r.Counter("u_seconds") == nil || r.Gauge("u_seconds_sum") != nil {
+		t.Fatal("a timer takes its _seconds family and sample names only")
+	}
+	if r.Counter("a/b") == nil || r.Counter("a_b") != nil {
+		t.Fatal("a counter whose name sanitizes to another's must return nil")
+	}
+
 	var buf bytes.Buffer
 	if err := r.Snapshot().WritePrometheus(&buf, "m"); err != nil {
 		t.Fatal(err)
@@ -422,5 +457,11 @@ func TestOneNameOneFamily(t *testing.T) {
 	}
 	if got := samples["m_g"]; !reflect.DeepEqual(got, []string{`m_g{l="a"} 1`}) {
 		t.Fatalf("m_g samples = %q", got)
+	}
+	if got := samples["m_y"]; !reflect.DeepEqual(got, []string{"m_y 3"}) {
+		t.Fatalf("m_y samples = %q", got)
+	}
+	if got := samples["m_z_total"]; !reflect.DeepEqual(got, []string{"m_z_total 4"}) {
+		t.Fatalf("m_z_total samples = %q", got)
 	}
 }

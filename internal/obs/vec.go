@@ -93,62 +93,87 @@ type HistogramVec family[Histogram]
 // on first use (nil on a nil vector or a label-arity mismatch).
 func (v *HistogramVec) With(values ...string) *Histogram { return (*family[Histogram])(v).with(values) }
 
+// The exposition names of each kind's metrics: a metric named n renders
+// its family and samples as promName(n) plus these suffixes (see
+// WritePrometheus).
+var (
+	counterNames   = []string{"_total"}
+	gaugeNames     = []string{""}
+	histogramNames = []string{"", "_bucket", "_sum", "_count"}
+	timerNames     = []string{"_seconds", "_seconds_sum", "_seconds_count"}
+)
+
 // lookup returns m's metric under name, creating it with mk on first use;
-// a hit builds nothing.
-func lookup[V any](r *Registry, m map[string]*V, name string, mk func() *V) *V {
+// a hit builds nothing. A miss creates nothing and returns nil when another
+// metric already renders one of the exposition names the new one would
+// (promName(name) plus each of suffixes), so one name is never two
+// families in an exposition.
+func lookup[V any](r *Registry, m map[string]*V, suffixes []string, name string, mk func() *V) *V {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	v, ok := m[name]
-	if !ok {
-		v = mk()
-		m[name] = v
+	if v, ok := m[name]; ok {
+		return v
 	}
+	base := promName(name)
+	for _, s := range suffixes {
+		if r.exposed[base+s] {
+			return nil
+		}
+	}
+	for _, s := range suffixes {
+		r.exposed[base+s] = true
+	}
+	v := mk()
+	m[name] = v
 	return v
 }
 
 // lookupFamily is lookup for a family with the given label names: nil when
 // the family under name has a different number of labels.
-func lookupFamily[C any](r *Registry, m map[string]*family[C], name string, labels []string, mk func() *family[C]) *family[C] {
-	if f := lookup(r, m, name, mk); len(f.labels) == len(labels) {
+func lookupFamily[C any](r *Registry, m map[string]*family[C], suffixes []string, name string, labels []string, mk func() *family[C]) *family[C] {
+	if f := lookup(r, m, suffixes, name, mk); f != nil && len(f.labels) == len(labels) {
 		return f
 	}
 	return nil
 }
 
 // CounterVec returns the named counter family with the given label names,
-// creating it on first use (nil on a nil registry or when the family has a
-// different number of labels). Later calls return the existing family
-// regardless of label names.
+// creating it on first use (nil on a nil registry, when the family has a
+// different number of labels, or when another metric renders its
+// exposition name). Later calls return the existing family regardless of
+// label names.
 func (r *Registry) CounterVec(name string, labels ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	return (*CounterVec)(lookupFamily(r, r.counters, name, labels, func() *family[Counter] {
+	return (*CounterVec)(lookupFamily(r, r.counters, counterNames, name, labels, func() *family[Counter] {
 		return newFamily(labels, zero[Counter])
 	}))
 }
 
 // GaugeVec returns the named gauge family with the given label names,
-// creating it on first use (nil on a nil registry or when the family has a
-// different number of labels).
+// creating it on first use (nil on a nil registry, when the family has a
+// different number of labels, or when another metric renders its
+// exposition name).
 func (r *Registry) GaugeVec(name string, labels ...string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	return (*GaugeVec)(lookupFamily(r, r.gauges, name, labels, func() *family[Gauge] {
+	return (*GaugeVec)(lookupFamily(r, r.gauges, gaugeNames, name, labels, func() *family[Gauge] {
 		return newFamily(labels, zero[Gauge])
 	}))
 }
 
 // HistogramVec returns the named histogram family with the given ascending
 // upper bounds and label names, creating it on first use (nil on a nil
-// registry or when the family has a different number of labels). Later
-// calls return the existing family regardless of bounds.
+// registry, when the family has a different number of labels, or when
+// another metric renders one of its exposition names). Later calls return
+// the existing family regardless of bounds.
 func (r *Registry) HistogramVec(name string, bounds []float64, labels ...string) *HistogramVec {
 	if r == nil {
 		return nil
 	}
-	return (*HistogramVec)(lookupFamily(r, r.histograms, name, labels, func() *family[Histogram] {
+	return (*HistogramVec)(lookupFamily(r, r.histograms, histogramNames, name, labels, func() *family[Histogram] {
 		b := append([]float64(nil), bounds...)
 		sort.Float64s(b)
 		return newFamily(labels, func() *Histogram {
