@@ -10,14 +10,17 @@ package mictrend
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"mictrend/internal/changepoint"
 	"mictrend/internal/kalman"
 	"mictrend/internal/medmodel"
+	"mictrend/internal/mic"
 	"mictrend/internal/micgen"
 	"mictrend/internal/obs"
 	"mictrend/internal/ssm"
+	"mictrend/internal/trend"
 )
 
 // TestInstrumentationAllocFree pins the zero-cost-when-disabled contract.
@@ -202,7 +205,7 @@ func TestAICFitAllocFree(t *testing.T) {
 // TestAllocGuardRails pins absolute allocation budgets for the two
 // benchmark-smoke workloads, so instrumentation regressions show up in plain
 // `go test` without running the benchmark suite. Budgets are the measured
-// baselines plus ~5% headroom.
+// baselines plus ~5% headroom (~3% for the EM fit's bytes).
 func TestAllocGuardRails(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not representative under -race")
@@ -224,6 +227,32 @@ func TestAllocGuardRails(t *testing.T) {
 	t.Logf("medmodel.Fit: %.0f allocs", emAllocs)
 	if emAllocs > 161 { // measured baseline: 156
 		t.Errorf("medmodel.Fit: %.0f allocs, budget 161", emAllocs)
+	}
+
+	// Bytes per EM fit, on that month and on a month shaped like a serving
+	// fold's, which fits one month on a fresh kernel: a layout that grows
+	// the per-month index fails here. The budgets are the bytes measured
+	// with the entry-major occurrence table the tiles replaced (234,240 and
+	// 147,824) plus ~3% for map-bucket jitter.
+	serve := serveShapedMonth(t)
+	for _, c := range []struct {
+		name   string
+		month  *mic.Monthly
+		meds   int
+		budget float64
+	}{
+		{"BenchmarkEMFit month", ds.Months[0], ds.Medicines.Len(), 241000},
+		{"serve-mixed month", serve.Months[0], serve.Medicines.Len(), 152000},
+	} {
+		b := bytesPerRun(3, func() {
+			if _, err := medmodel.Fit(c.month, c.meds, medmodel.FitOptions{MaxIter: 20}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("medmodel.Fit, %s: %.0f bytes", c.name, b)
+		if b > c.budget {
+			t.Errorf("medmodel.Fit, %s: %.0f bytes, budget %.0f", c.name, b, c.budget)
+		}
 	}
 
 	// One prefix-checkpointed exact scan (the BenchmarkExactScanPrefix
@@ -251,4 +280,59 @@ func TestAllocGuardRails(t *testing.T) {
 	if binaryAllocs > 10 { // measured baseline: 8
 		t.Errorf("binary Detect: %.0f allocs, budget 10", binaryAllocs)
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average bytes f
+// allocates over runs calls, after one warm-up call, with GOMAXPROCS at 1.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// serveShapedMonth is a one-month corpus shaped like a serve-mixed fold's:
+// 1,000 records drawn over the eleven scenario diseases that workload uses
+// and the medicines indicated for them, filtered as the pipeline filters,
+// which leaves about 600 usable records.
+func serveShapedMonth(t *testing.T) *mic.Dataset {
+	t.Helper()
+	keep := map[string]bool{}
+	for _, code := range []string{micgen.DiseaseHypertension, micgen.DiseaseArthritis, micgen.DiseaseHayFever,
+		micgen.DiseaseHeatstroke, micgen.DiseaseInfluenza, micgen.DiseaseAsthma, micgen.DiseaseBronchitis,
+		micgen.DiseaseCOPD, micgen.DiseaseLewyBody, micgen.DiseaseParkinson, micgen.DiseaseOsteoporosis} {
+		keep[code] = true
+	}
+	full := micgen.NewCatalog(43, 0, 0, nil)
+	cat := &micgen.Catalog{Cities: full.Cities, ClassGroups: full.ClassGroups}
+	for _, d := range full.Diseases {
+		if keep[d.Code] {
+			cat.Diseases = append(cat.Diseases, d)
+		}
+	}
+	kept := map[string]bool{}
+	for _, m := range full.Medicines {
+		var inds []micgen.Indication
+		for _, ind := range m.Indications {
+			if keep[ind.Disease] {
+				inds = append(inds, ind)
+			}
+		}
+		if len(inds) == 0 || (m.GenericOf != "" && !kept[m.GenericOf]) {
+			continue
+		}
+		m.Indications = inds
+		kept[m.Code] = true
+		cat.Medicines = append(cat.Medicines, m)
+	}
+	ds, _, err := micgen.Generate(micgen.Config{Seed: 1, Months: 1, RecordsPerMonth: 1000, Catalog: cat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mic.FilterDataset(ds, mic.FilterOptions{MinMonthlyFreq: trend.DefaultOptions().MinMonthlyFreq})
 }

@@ -70,8 +70,10 @@ type FitOptions struct {
 // are those of tag 2. Tag 4 multiplies the likelihood's denominators into
 // one product per small integer weight instead of taking a log per entry,
 // spreads each entry's E-step with one reciprocal, and sums the M-step's
-// rows from the accumulated counts, for both fits.
-const ArithmeticTag uint64 = 4
+// rows from the accumulated counts, for both fits. Tag 5 sweeps the
+// occurrence table tile by tile, which changes the order in which the
+// E-step accumulates into φ's cells and the likelihood into its products.
+const ArithmeticTag uint64 = 5
 
 // WithDefaults returns the options with the EM loop defaults filled in, the
 // exact values Fit and FitAll use; exposed so checkpoint fingerprints hash
@@ -100,8 +102,11 @@ func (o FitOptions) withDefaults() FitOptions {
 // same medicine: the same slot count, the same interned disease and θ value
 // in each slot, and so the same φ cells. Every quantity the E-step computes
 // for one is then the same for the other, so the occurrence table holds each
-// distinct occurrence once, in first-appearance order, weighted by how many
-// times it occurs.
+// distinct occurrence (an entry) once, weighted by how many times it occurs.
+//
+// The table is laid out in tiles of up to tileW entries that share a slot
+// count, so the sweep runs loops of one trip count over a whole tile instead
+// of two loops per entry whose trip counts change from entry to entry.
 type emIndex struct {
 	diseases []mic.DiseaseID // interned disease ids, ascending
 	rowStart []int           // row d occupies [rowStart[d], rowStart[d+1]) below
@@ -109,21 +114,20 @@ type emIndex struct {
 	val      []float64 // current φ iterate
 	next     []float64 // Eq. 5 numerator accumulator
 
-	// Occurrence table: distinct occurrence e stands for weight[e] identical
-	// medicine occurrences and owns cells [cellStart[e], cellStart[e+1]), one
-	// per θ slot of its record in first-occurrence order; cell c's pos[c] is
-	// the index into val of the slot's (disease, medicine) pair. Slot s's θ
-	// (Eq. 2) and interned disease are theta[thetaOff[e]+s] and
-	// dis[thetaOff[e]+s]: a record stores its slots once, when one of its
-	// occurrences is new, and its later new occurrences share them. A record
-	// whose counts do not sum to a positive N_r has no θ slots and no
-	// entries.
-	cellStart []int32
-	thetaOff  []int32
-	weight    []float64
-	theta     []float64
-	dis       []int32
-	pos       []int32
+	// Occurrence table: tile t holds entries of tiles[t].slots θ slots in
+	// lanes 0 through tiles[t].n−1, and entry e = t·tileW + lane stands for
+	// weight[e] identical medicine occurrences. A tile's cells are
+	// slot-major: slot s of lane l is cell tiles[t].off + s·tileW + l, whose
+	// θ (Eq. 2) is theta[c] and whose pos[c] is the index into val of the
+	// slot's (disease, medicine) pair. Tiles lie in the order they were
+	// opened, entries in first-appearance order within their slot count, and
+	// a slot count opens its next tile when its last one is full; lanes past
+	// a tile's n hold nothing. A record whose counts do not sum to a positive
+	// N_r has no θ slots and no entries.
+	tiles  []emTile
+	weight []float64
+	theta  []float64
+	pos    []int32
 
 	// The MAP prior, when prior is set: pw[i] is φ entry i's pseudo-count
 	// w·φ_prev, rowPrior[r] the pseudo-counts of row r's whole prior row,
@@ -135,6 +139,17 @@ type emIndex struct {
 	rowPrior []float64
 	norm     []float64
 	extra    []priorCell
+}
+
+// tileW is the number of lanes in an occurrence-table tile. On the
+// batch-records workload 32 lanes ran faster end to end than 64, and they
+// pad about 1% of a month's cells where 64 pad 2%.
+const tileW = 32
+
+// emTile is one tile of the occurrence table: its first cell, its entries'
+// slot count, and the number of lanes in use.
+type emTile struct {
+	off, slots, n int32
 }
 
 // priorCell is one pair of the prior: its pseudo-count, and once kept in
@@ -157,6 +172,11 @@ type priorCell struct {
 type emKernel struct {
 	ix emIndex
 
+	// reuse is set on a kernel that may build further months after this
+	// one: its slabs keep resize's headroom for them. A kernel that builds
+	// one month sizes them exactly.
+	reuse bool
+
 	// Smallest disease and medicine ids of the month's usable records.
 	dlo mic.DiseaseID
 	mlo mic.MedicineID
@@ -173,25 +193,33 @@ type emKernel struct {
 
 	elems []coocElem
 
-	// Merge scratch: the first cell of each of the current record's
+	// Per slot count: pass 1's occurrence count, then pass 2's open tile
+	// (-1 before its first).
+	bySlots []int
+
+	// Merge scratch: the current record's θ slots, staged in
+	// first-occurrence order with each slot's disease j as ^j (the code the
+	// slot's cells hold until pass 3); the first cell of each of its
 	// medicine occurrences' entries; an open-addressing table of entry+1 (0
 	// empty), at most half full and probed from the top bits of an entry's
-	// hash; and each entry's medicine.
-	occCell []int32
-	table   []int32
-	shift   uint
-	entMed  []mic.MedicineID
+	// hash; each entry's medicine; and the tile of each block of tileW
+	// cells, a slot's column of a tile.
+	stTheta   []float64
+	stDis     []int32
+	occCell   []int32
+	table     []int32
+	shift     uint
+	entMed    []mic.MedicineID
+	blockTile []int32
 
 	// The prior's cells, sorted.
 	priorCells []priorCell
 }
 
 // coocElem is one cooccurrence: one disease entry of a record with one of its
-// medicine occurrences.
-type coocElem struct {
-	med mic.MedicineID
-	pos int32 // the occurrence-table cell this pair resolves, -1 when the record has no θ slots
-}
+// medicine occurrences. It is the occurrence-table cell the pair resolves,
+// or ^(med − mlo) for an occurrence of a record without θ slots.
+type coocElem int32
 
 // build interns the month's usable records (those with diseases and
 // medicines) into the kernel's index, which stays valid until the next
@@ -199,18 +227,19 @@ type coocElem struct {
 // the test reference yields: rows in ascending disease id, each row's
 // medicines ascending, φ initialized to the cooccurrence estimate (Eq. 10),
 // θ accumulated per entry in record order at first-occurrence slots, and
-// identical occurrences merged in first-appearance order. After a span scan,
-// three passes over the records do the work: pass 1 counts the row totals
-// and bounds the occurrence table, pass 2 computes each record's θ, merges
-// its occurrences into the table and scatters each cooccurrence into its
-// disease's bucket, and pass 3 turns each bucket into a φ row and resolves
-// the occurrence cells that bucket's elements point at. Every cooccurrence
-// goes through a bucket, merged or not, and the counts are exact integers,
-// so every φ quotient is the one the map-based count divides out.
+// identical occurrences merged in first-appearance order into the tiles of
+// their slot count. After a span scan, three passes over the records do the
+// work: pass 1 counts the row totals and bounds the tiles, pass 2 computes
+// each record's θ, merges its occurrences into the tiles and scatters each
+// cooccurrence into its disease's bucket, and pass 3 turns each bucket into
+// a φ row and resolves the occurrence cells that bucket's elements point
+// at. Every cooccurrence goes through a bucket, merged or not, and the
+// counts are exact integers, so every φ quotient is the one the map-based
+// count divides out.
 func (k *emKernel) build(month *mic.Monthly) (*emIndex, error) {
 	ix := &k.ix
 	ix.prior, ix.extra = false, ix.extra[:0] // until setPrior
-	recs, dspan, mspan := k.span(month)
+	recs, dspan, mspan, maxSlots := k.span(month)
 	if recs == 0 {
 		return nil, fmt.Errorf("%w (month %d)", ErrEmptyMonth, month.Month)
 	}
@@ -220,14 +249,17 @@ func (k *emKernel) build(month *mic.Monthly) (*emIndex, error) {
 			k.slotOf[i] = -1
 		}
 	}
-	k.bucket = resize(k.bucket, dspan+1)
+	k.bucket = grow(k.bucket, dspan+1, k.reuse)
 	clear(k.bucket)
+	k.bySlots = grow(k.bySlots, maxSlots+1, k.reuse)
+	clear(k.bySlots)
 
 	// Pass 1: row totals (one per cooccurrence, so a disease's total is
-	// also its bucket size) and the occurrence table's bounds over the
-	// records with a positive N_r: their occurrences, θ slots and cells (at
-	// most one slot per disease entry), and their most medicines.
-	occs, slots, cells, meds := 0, 0, 0, 0
+	// also its bucket size) and the tiles' bounds over the records with a
+	// positive N_r: their occurrences per slot count, and their most
+	// medicines. A slot count's entries fill at most one tile per tileW of
+	// its occurrences.
+	occs, meds := 0, 0
 	for i := range month.Records {
 		rec := &month.Records[i]
 		if !usable(rec) {
@@ -240,38 +272,46 @@ func (k *emKernel) build(month *mic.Monthly) (*emIndex, error) {
 			k.bucket[dc.Disease-k.dlo+1] += nm
 		}
 		if n > 0 {
+			k.bySlots[k.stampSlots(rec)] += nm
+			k.clearSlots(rec)
 			occs += nm
-			slots += len(rec.Diseases)
-			cells += len(rec.Diseases) * nm
 			meds = max(meds, nm)
 		}
+	}
+	tiles, cells := 0, 0
+	for slots, n := range k.bySlots {
+		t := (n + tileW - 1) / tileW
+		tiles += t
+		cells += t * slots * tileW
+		k.bySlots[slots] = -1
 	}
 	if cells > math.MaxInt32 {
 		return nil, fmt.Errorf("medmodel: month %d has %d occurrence cells, more than the index addresses", month.Month, cells)
 	}
-	k.fill = resize(k.fill, dspan)
+	k.fill = grow(k.fill, dspan, k.reuse)
 	for j := 0; j < dspan; j++ {
 		k.bucket[j+1] += k.bucket[j]
 		k.fill[j] = k.bucket[j]
 	}
 
 	// Pass 2: θ (Eq. 2), summed per entry at the record's first-occurrence
-	// slots, staged just past the stored slots and kept when the merge
-	// appends an entry for them; the merge; and the buckets. Every slab is
-	// appended within the bounds pass 1 sized.
-	ix.cellStart = append(resize(ix.cellStart, occs+1)[:0], 0)
-	ix.thetaOff = resize(ix.thetaOff, occs)[:0]
-	ix.weight = resize(ix.weight, occs)[:0]
-	ix.theta = resize(ix.theta, slots)[:0]
-	ix.dis = resize(ix.dis, slots)[:0]
-	ix.pos = resize(ix.pos, cells)
-	k.occCell = resize(k.occCell, meds)
-	k.entMed = resize(k.entMed, occs)
+	// slots and staged for the merge, which copies them into a new entry's
+	// cells; the merge; and the buckets. Every slab stays within the bounds
+	// pass 1 sized.
+	ix.tiles = grow(ix.tiles, tiles, k.reuse)[:0]
+	ix.weight = grow(ix.weight, tiles*tileW, k.reuse)
+	ix.theta = grow(ix.theta, cells, k.reuse)
+	ix.pos = grow(ix.pos, cells, k.reuse)
+	k.stTheta = grow(k.stTheta, maxSlots, k.reuse)
+	k.stDis = grow(k.stDis, maxSlots, k.reuse)
+	k.occCell = grow(k.occCell, meds, k.reuse)
+	k.entMed = grow(k.entMed, tiles*tileW, k.reuse)
+	k.blockTile = grow(k.blockTile, cells/tileW, k.reuse)
 	tbits := bits.Len(uint(occs)) + 1
-	k.table = resize(k.table, 1<<tbits)
+	k.table = grow(k.table, 1<<tbits, k.reuse)
 	clear(k.table)
 	k.shift = uint(64 - tbits)
-	k.elems = resize(k.elems, k.bucket[dspan])
+	k.elems = grow(k.elems, k.bucket[dspan], k.reuse)
 	for i := range month.Records {
 		rec := &month.Records[i]
 		if !usable(rec) {
@@ -280,13 +320,12 @@ func (k *emKernel) build(month *mic.Monthly) (*emIndex, error) {
 		slots := 0
 		if n := rec.NumDiseaseMentions(); n > 0 {
 			slots = k.stampSlots(rec)
-			top, ents := len(ix.theta), len(ix.weight)
-			theta, dis := ix.theta[top:top+slots], ix.dis[top:top+slots]
+			theta, dis := k.stTheta[:slots], k.stDis[:slots]
 			clear(theta)
 			for _, dc := range rec.Diseases {
 				j := dc.Disease - k.dlo
 				s := k.slotOf[j]
-				dis[s] = int32(j) // interned after pass 3
+				dis[s] = ^int32(j) // a φ entry after pass 3
 				theta[s] += float64(dc.Count) / float64(n)
 			}
 			h := uint64(slots)
@@ -294,37 +333,39 @@ func (k *emKernel) build(month *mic.Monthly) (*emIndex, error) {
 				h = mixWord(mixWord(h, uint64(dis[s])), math.Float64bits(theta[s]))
 			}
 			for o, med := range rec.Medicines {
-				k.occCell[o] = k.entry(h, top, slots, med)
-			}
-			if len(ix.weight) > ents {
-				ix.theta, ix.dis = ix.theta[:top+slots], ix.dis[:top+slots]
+				k.occCell[o] = k.entry(h, slots, med)
 			}
 		}
 		for _, dc := range rec.Diseases {
 			j := dc.Disease - k.dlo
 			f := k.fill[j]
 			for o, med := range rec.Medicines {
-				p := int32(-1)
+				el := coocElem(^(med - k.mlo))
 				if slots > 0 {
-					p = k.occCell[o] + k.slotOf[j]
+					el = coocElem(k.occCell[o] + k.slotOf[j]*tileW)
 				}
-				k.elems[f+o] = coocElem{med: med, pos: p}
+				k.elems[f+o] = el
 			}
 			k.fill[j] = f + len(rec.Medicines)
 		}
 		k.clearSlots(rec)
 	}
-	ix.pos = ix.pos[:ix.cellStart[len(ix.weight)]]
+	used := 0
+	if n := len(ix.tiles); n > 0 {
+		used = int(ix.tiles[n-1].off + ix.tiles[n-1].slots*tileW)
+	}
+	ix.weight = ix.weight[:len(ix.tiles)*tileW]
+	ix.theta, ix.pos = ix.theta[:used], ix.pos[:used]
 
 	// Pass 3: rows in ascending disease id. A first sweep over the buckets
 	// counts the distinct φ entries (medEntry stamping each medicine with
 	// the last row that counted it), so rowMed and val are sized exactly.
 	// Then each bucket's distinct medicines are gathered straight into its
 	// row's rowMed range and sorted there; val is count/total (Eq. 10); and
-	// every element writes the φ entry its occurrence cell resolves to (a
-	// merged occurrence's cell once per occurrence, with the same entry).
-	k.medCnt = resize(k.medCnt, mspan) // all 0 at rest
-	k.medEntry = resize(k.medEntry, mspan)
+	// every element writes the φ entry its cell resolves to (a merged
+	// occurrence's cell once per occurrence, with the same entry).
+	k.medCnt = grow(k.medCnt, mspan, k.reuse) // all 0 at rest
+	k.medEntry = grow(k.medEntry, mspan, k.reuse)
 	clear(k.medEntry)
 	rows, phis := 0, 0
 	for j := 0; j < dspan; j++ {
@@ -333,17 +374,17 @@ func (k *emKernel) build(month *mic.Monthly) (*emIndex, error) {
 			rows++
 		}
 		for _, el := range els {
-			if m := el.med - k.mlo; k.medEntry[m] != int32(j+1) {
+			if m := k.elemMed(el); k.medEntry[m] != int32(j+1) {
 				k.medEntry[m] = int32(j + 1)
 				phis++
 			}
 		}
 	}
-	ix.diseases = resize(ix.diseases, rows)
-	ix.rowStart = resize(ix.rowStart, rows+1) // [0] is never written: it stays 0
-	ix.rowMed = resize(ix.rowMed, phis)
-	ix.val = resize(ix.val, phis)
-	k.rowOf = resize(k.rowOf, dspan)
+	ix.diseases = grow(ix.diseases, rows, k.reuse)
+	ix.rowStart = grow(ix.rowStart, rows+1, k.reuse) // [0] is never written: it stays 0
+	ix.rowMed = grow(ix.rowMed, phis, k.reuse)
+	ix.val = grow(ix.val, phis, k.reuse)
+	k.rowOf = grow(k.rowOf, dspan, k.reuse)
 	e, row := 0, 0
 	for j := 0; j < dspan; j++ {
 		els := k.elems[k.bucket[j]:k.bucket[j+1]]
@@ -353,9 +394,9 @@ func (k *emKernel) build(month *mic.Monthly) (*emIndex, error) {
 		}
 		start := e
 		for _, el := range els {
-			m := el.med - k.mlo
+			m := k.elemMed(el)
 			if k.medCnt[m] == 0 {
-				ix.rowMed[e] = el.med
+				ix.rowMed[e] = k.mlo + mic.MedicineID(m)
 				e++
 			}
 			k.medCnt[m]++
@@ -370,8 +411,8 @@ func (k *emKernel) build(month *mic.Monthly) (*emIndex, error) {
 			k.medCnt[m] = 0
 		}
 		for _, el := range els {
-			if el.pos >= 0 {
-				ix.pos[el.pos] = k.medEntry[el.med-k.mlo]
+			if el >= 0 {
+				ix.pos[el] = k.medEntry[k.elemMed(el)]
 			}
 		}
 		ix.diseases[row] = k.dlo + mic.DiseaseID(j)
@@ -379,58 +420,94 @@ func (k *emKernel) build(month *mic.Monthly) (*emIndex, error) {
 		row++
 		ix.rowStart[row] = e
 	}
-	for s, j := range ix.dis {
-		ix.dis[s] = k.rowOf[j]
-	}
-	ix.next = resize(ix.next, e)
+	ix.next = grow(ix.next, e, k.reuse)
 	clear(ix.next)
 	return ix, nil
 }
 
-// entry merges one occurrence of med into the occurrence table and returns
-// the first cell of its entry. The occurrence's θ slots are staged at
-// theta[top:top+slots] and dis[top:top+slots], just past the stored slots,
-// and h is their hash. An entry with the same medicine and slots gains a
-// unit of weight; otherwise an entry of weight 1 is appended, pointing at
-// the staged slots.
-func (k *emKernel) entry(h uint64, top, slots int, med mic.MedicineID) int32 {
-	ix := &k.ix
+// grow resizes s to n, with resize's headroom when reuse is set and to
+// exactly n otherwise.
+func grow[T any](s []T, n int, reuse bool) []T {
+	if reuse || cap(s) >= n {
+		return resize(s, n)
+	}
+	return make([]T, n)
+}
+
+// elemMed returns the element's medicine id − mlo.
+func (k *emKernel) elemMed(el coocElem) int32 {
+	if el < 0 {
+		return int32(^el)
+	}
+	e := k.blockTile[el/tileW]*tileW + int32(el%tileW)
+	return int32(k.entMed[e] - k.mlo)
+}
+
+// entry merges one occurrence of med, whose θ slots are staged and hash to
+// h, into the occurrence table and returns its entry's first cell. An entry
+// with the same medicine and slots gains a unit of weight; otherwise a new
+// entry of weight 1 takes the staged slots.
+func (k *emKernel) entry(h uint64, slots int, med mic.MedicineID) int32 {
 	h = mixWord(h, uint64(uint32(med)))
 	mask := len(k.table) - 1
 	for i := int(h >> k.shift); ; i = (i + 1) & mask {
-		e := int(k.table[i]) - 1
+		e := k.table[i] - 1
 		if e < 0 {
-			e = len(ix.weight)
-			k.table[i] = int32(e + 1)
-			k.entMed[e] = med
-			ix.weight = append(ix.weight, 1)
-			ix.thetaOff = append(ix.thetaOff, int32(top))
-			ix.cellStart = append(ix.cellStart, ix.cellStart[e]+int32(slots))
-			return ix.cellStart[e]
+			e = k.newEntry(slots, med)
+			k.table[i] = e + 1
+		} else if k.entMed[e] == med && k.sameSlots(e, slots) {
+			k.ix.weight[e]++
+		} else {
+			continue
 		}
-		if k.entMed[e] == med && k.sameSlots(e, top, slots) {
-			ix.weight[e]++
-			return ix.cellStart[e]
-		}
+		return k.ix.tiles[e/tileW].off + e%tileW
 	}
 }
 
-// sameSlots reports whether entry e has the θ slots staged at top, θ values
-// compared by their bits.
-func (k *emKernel) sameSlots(e, top, slots int) bool {
+// newEntry puts an entry of weight 1 for med with the staged θ slots into
+// the next lane of its slot count's open tile, opening a tile after the
+// last one when there is none or it is full, and returns the entry.
+func (k *emKernel) newEntry(slots int, med mic.MedicineID) int32 {
 	ix := &k.ix
-	if int(ix.cellStart[e+1]-ix.cellStart[e]) != slots {
+	t := int32(k.bySlots[slots])
+	if t < 0 || ix.tiles[t].n == tileW {
+		var off int32
+		if n := len(ix.tiles); n > 0 {
+			off = ix.tiles[n-1].off + ix.tiles[n-1].slots*tileW
+		}
+		t = int32(len(ix.tiles))
+		ix.tiles = append(ix.tiles, emTile{off: off, slots: int32(slots)})
+		k.bySlots[slots] = int(t)
+		for s := range slots {
+			k.blockTile[int(off/tileW)+s] = t
+		}
+	}
+	tl := &ix.tiles[t]
+	e, c := t*tileW+tl.n, int(tl.off+tl.n)
+	tl.n++
+	for s, th := range k.stTheta[:slots] {
+		ix.theta[c], ix.pos[c] = th, k.stDis[s]
+		c += tileW
+	}
+	ix.weight[e] = 1
+	k.entMed[e] = med
+	return e
+}
+
+// sameSlots reports whether entry e has the staged θ slots, θ values
+// compared by their bits.
+func (k *emKernel) sameSlots(e int32, slots int) bool {
+	ix := &k.ix
+	tl := ix.tiles[e/tileW]
+	if int(tl.slots) != slots {
 		return false
 	}
-	// Both ranges may lie past the stored slots, within capacity: slice,
-	// don't index.
-	off := int(ix.thetaOff[e])
-	theta, dis := ix.theta[top:top+slots], ix.dis[top:top+slots]
-	etheta, edis := ix.theta[off:off+slots], ix.dis[off:off+slots]
-	for s, th := range etheta {
-		if math.Float64bits(th) != math.Float64bits(theta[s]) || edis[s] != dis[s] {
+	c := int(tl.off + e%tileW)
+	for s, th := range k.stTheta[:slots] {
+		if math.Float64bits(ix.theta[c]) != math.Float64bits(th) || ix.pos[c] != k.stDis[s] {
 			return false
 		}
+		c += tileW
 	}
 	return true
 }
@@ -443,9 +520,9 @@ func mixWord(h, w uint64) uint64 {
 }
 
 // span counts the month's usable records and sets the id bases, returning
-// the count and the disease and medicine id spans (0 when no record is
-// usable).
-func (k *emKernel) span(month *mic.Monthly) (recs, dspan, mspan int) {
+// the count, the disease and medicine id spans, and a bound on a record's θ
+// slots (all 0 when no record is usable).
+func (k *emKernel) span(month *mic.Monthly) (recs, dspan, mspan, maxSlots int) {
 	dlo, dhi := mic.DiseaseID(math.MaxInt32), mic.DiseaseID(math.MinInt32)
 	mlo, mhi := mic.MedicineID(math.MaxInt32), mic.MedicineID(math.MinInt32)
 	for i := range month.Records {
@@ -454,6 +531,7 @@ func (k *emKernel) span(month *mic.Monthly) (recs, dspan, mspan int) {
 			continue
 		}
 		recs++
+		maxSlots = max(maxSlots, len(rec.Diseases))
 		for _, dc := range rec.Diseases {
 			dlo, dhi = min(dlo, dc.Disease), max(dhi, dc.Disease)
 		}
@@ -462,10 +540,11 @@ func (k *emKernel) span(month *mic.Monthly) (recs, dspan, mspan int) {
 		}
 	}
 	if recs == 0 {
-		return 0, 0, 0
+		return 0, 0, 0, 0
 	}
 	k.dlo, k.mlo = dlo, mlo
-	return recs, int(dhi) - int(dlo) + 1, int(mhi) - int(mlo) + 1
+	dspan = int(dhi) - int(dlo) + 1
+	return recs, dspan, int(mhi) - int(mlo) + 1, min(maxSlots, dspan)
 }
 
 // stampSlots numbers the record's distinct diseases in first-occurrence
@@ -513,14 +592,20 @@ const (
 // both. Each distinct occurrence is computed once and counts weight times:
 // w·log(p) to the likelihood and θ·φ·(w/p) to each cell.
 //
+// The sweep runs tile by tile, each step a loop over the tile's lanes: the
+// lanes' denominators are summed column by column in slot order, then one
+// lane loop takes each lane's likelihood term and r = w/p, then θ·φ·r is
+// scattered into next column by column.
+//
 // The likelihood takes no log per entry: Σ w·log p is, per weight w, w times
 // the log of the product of that weight's denominators. Each integer weight
 // up to prodWeights keeps its product as a mantissa in [1, 2) and an integer
 // exponent, moving the exponent bits out after every multiplication, and
 // the sweep ends with one log per product. An entry of another weight or a
 // denominator outside the products' range adds w·log(p) itself, p ≤ 0
-// clamped to the smallest positive float; its E-step skips p ≤ 0 and
-// divides cell by cell where w/p overflows.
+// clamped to the smallest positive float. Its E-step is skipped for p ≤ 0
+// and taken cell by cell where w/p overflows; either way its r is 0, and
+// θ·φ·0 leaves next as it is.
 func (ix *emIndex) sweep() float64 {
 	clear(ix.next)
 	var mant [prodWeights]float64
@@ -528,37 +613,62 @@ func (ix *emIndex) sweep() float64 {
 	for k := range mant {
 		mant[k] = 1
 	}
+	// Weight 1's product, most of the entries', lives in locals the
+	// compiler keeps in registers, and joins mant[0] at the end.
+	mant1, exp1 := 1.0, 0
 	var ll float64
-	for e, w := range ix.weight {
-		lo, hi, t := ix.cellStart[e], ix.cellStart[e+1], ix.thetaOff[e]
-		blk := ix.pos[lo:hi]
-		theta := ix.theta[t : t+hi-lo]
-		var denom float64
-		for s, p := range blk {
-			denom += theta[s] * ix.val[p]
-		}
-		r := w / denom
-		if k := int(w) - 1; uint(k) < prodWeights && float64(k+1) == w && math.Float64bits(denom)-prodLoBits < prodSpanBits {
-			b := math.Float64bits(mant[k] * denom)
-			exp[k] += int(b>>52) - 1023
-			mant[k] = math.Float64frombits(b&fracBits | oneBits)
-		} else {
-			ll += w * math.Log(max(denom, math.SmallestNonzeroFloat64))
-			if denom <= 0 {
-				continue
+	val, next := ix.val, ix.next
+	var denom, ratio [tileW]float64
+	for t, tl := range ix.tiles {
+		lo, hi := int(tl.off), int(tl.off+tl.slots*tileW)
+		weight := ix.weight[t*tileW : t*tileW+int(tl.n)]
+		d, r := denom[:len(weight)], ratio[:len(weight)]
+		clear(d)
+		for c := lo; c < hi; c += tileW {
+			pos := ix.pos[c : c+len(d)]
+			theta := ix.theta[c : c+len(pos)]
+			d := d[:len(pos)]
+			for l, p := range pos {
+				d[l] += theta[l] * val[p]
 			}
-			if r > math.MaxFloat64 {
-				// A subnormal p: an infinite r would turn θ·φ = 0 into NaN.
-				for s, p := range blk {
-					ix.next[p] += theta[s] * ix.val[p] / denom * w
+		}
+		for l, w := range weight {
+			p := d[l]
+			q := w / p
+			inRange := math.Float64bits(p)-prodLoBits < prodSpanBits
+			if w == 1 && inRange {
+				b := math.Float64bits(mant1 * p)
+				exp1 += int(b>>52) - 1023
+				mant1 = math.Float64frombits(b&fracBits | oneBits)
+			} else if k := int(w) - 1; uint(k) < prodWeights && float64(k+1) == w && inRange {
+				b := math.Float64bits(mant[k] * p)
+				exp[k] += int(b>>52) - 1023
+				mant[k] = math.Float64frombits(b&fracBits | oneBits)
+			} else {
+				ll += w * math.Log(max(p, math.SmallestNonzeroFloat64))
+				if p <= 0 {
+					q = 0
+				} else if q > math.MaxFloat64 {
+					// A subnormal p: an infinite r would turn θ·φ = 0 into NaN.
+					for c := lo + l; c < hi; c += tileW {
+						i := ix.pos[c]
+						next[i] += ix.theta[c] * val[i] / p * w
+					}
+					q = 0
 				}
-				continue
 			}
+			r[l] = q
 		}
-		for s, p := range blk {
-			ix.next[p] += theta[s] * ix.val[p] * r
+		for c := lo; c < hi; c += tileW {
+			pos := ix.pos[c : c+len(r)]
+			theta := ix.theta[c : c+len(pos)]
+			r := r[:len(pos)]
+			for l, p := range pos {
+				next[p] += theta[l] * val[p] * r[l]
+			}
 		}
 	}
+	mant[0], exp[0] = mant1, exp1
 	for k, m := range mant {
 		if m != 1 || exp[k] != 0 {
 			ll += float64(k+1) * (float64(exp[k])*math.Ln2 + math.Log(m))
@@ -652,11 +762,11 @@ func (k *emKernel) setPrior(prior *Model, w float64) {
 	}
 	ix := &k.ix
 	ix.prior = true
-	ix.pw = resize(ix.pw, len(ix.val))
+	ix.pw = grow(ix.pw, len(ix.val), k.reuse)
 	clear(ix.pw)
-	ix.rowPrior = resize(ix.rowPrior, len(ix.diseases))
+	ix.rowPrior = grow(ix.rowPrior, len(ix.diseases), k.reuse)
 	clear(ix.rowPrior)
-	ix.norm = resize(ix.norm, len(ix.diseases))
+	ix.norm = grow(ix.norm, len(ix.diseases), k.reuse)
 	cells := k.priorCells[:0]
 	for d, prow := range prior.Phi {
 		for m, v := range prow {
@@ -807,7 +917,7 @@ func fitMonth(k *emKernel, month *mic.Monthly, vocabMedicines int, opts FitOptio
 			err = fmt.Errorf("medmodel: month %d fit panicked: %v", month.Month, r)
 			// A crash may have left the scratch mid-build (slotOf and
 			// medCnt off their rest state): start the next month clean.
-			*k = emKernel{}
+			*k = emKernel{reuse: k.reuse}
 		}
 	}()
 	if err := faultpoint.Inject("medmodel/fit-month", strconv.Itoa(month.Month)); err != nil {
@@ -875,7 +985,7 @@ func FitAll(ctx context.Context, d *mic.Dataset, opts FitOptions) ([]*Model, []M
 	// threads each fitted posterior into the next month's fit as its prior.
 	// Fit failures stay in errs, so only a cancel stops the pool.
 	err := par.Each(ctx, len(d.Months), workers, func() func(int) error {
-		var k emKernel
+		k := emKernel{reuse: len(d.Months) > 1}
 		prior := opts.InitialPrior
 		return func(i int) error {
 			var began time.Time // read only when spans are built

@@ -19,8 +19,9 @@ import (
 // construction and Eq. 10 estimate, and the two-pass EM loop (an E/M sweep,
 // then a separate likelihood sweep per iteration) as test oracles: the
 // streaming kernel, the dense index kernel and the fused sweep must match
-// them bit for bit. It also keeps the sweep that took one log per entry
-// and scattered row sums, the per-occurrence sweep the weighted occurrence
+// them bit for bit. It also keeps the entry-major occurrence table and its
+// sweep the tiles replaced, the sweep that took one log per entry and
+// scattered row sums, the per-occurrence sweep the weighted occurrence
 // table replaced, and the map-based MAP-EM loop the smoothed fit ran on
 // before it moved onto the kernel, which the kernel must match to rounding.
 
@@ -170,14 +171,37 @@ func cellReference(ix *emIndex, di int32, med mic.MedicineID) int32 {
 	return -1
 }
 
-// emIndexReference is the map-based index construction: the cooccurrence
-// support and each record's θ slots interned through maps, identical
-// occurrences merged through a map keyed by their slots' rows and θ bits
-// and their medicine, one binary search per cell, every slab grown by
+// entryIndex is the entry-major occurrence table arithmetic tag 4 swept,
+// kept with that sweep as the oracle the tiled sweep must agree with to
+// rounding: distinct occurrence e stands for weight[e] identical medicine
+// occurrences and owns cells [cellStart[e], cellStart[e+1]), one per θ slot
+// of its record in first-occurrence order; cell c's pos[c] is the index into
+// val of the slot's (disease, medicine) pair. Slot s's θ and row are
+// theta[thetaOff[e]+s] and dis[thetaOff[e]+s]: a record stores its slots
+// once, when one of its occurrences is new. The embedded index holds the
+// rows, φ, accumulators and prior; its own tile fields, which these shadow,
+// are not read by the entry-major sweeps.
+type entryIndex struct {
+	*emIndex
+	cellStart []int32
+	thetaOff  []int32
+	weight    []float64
+	theta     []float64
+	dis       []int32
+	pos       []int32
+}
+
+// entryTableReference is the map-based occurrence table over rows' φ rows:
+// each record's θ slots interned through maps, identical occurrences merged
+// in first-appearance order through a map keyed by their slots' rows and θ
+// bits and their medicine, one binary search per cell, every slab grown by
 // append. A record's slots are stored when one of its occurrences is new.
-func emIndexReference(recs []*mic.Record) *emIndex {
-	ix, diseaseIdx := rowsReference(recs)
-	ix.cellStart = []int32{0}
+func entryTableReference(recs []*mic.Record, rows *emIndex) *entryIndex {
+	diseaseIdx := make(map[mic.DiseaseID]int32, len(rows.diseases))
+	for di, d := range rows.diseases {
+		diseaseIdx[d] = int32(di)
+	}
+	ex := &entryIndex{emIndex: rows, cellStart: []int32{0}}
 	entries := make(map[string]int)
 	for _, rec := range recs {
 		dis, theta := thetaSlotsReference(rec, diseaseIdx)
@@ -188,57 +212,117 @@ func emIndexReference(recs []*mic.Record) *emIndex {
 		for s, th := range theta {
 			bits[s] = math.Float64bits(th)
 		}
-		off := int32(len(ix.theta))
+		off := int32(len(ex.theta))
 		stored := false
 		for _, med := range rec.Medicines {
 			key := fmt.Sprint(dis, bits, med)
 			if e, ok := entries[key]; ok {
-				ix.weight[e]++
+				ex.weight[e]++
 				continue
 			}
 			if !stored {
-				ix.theta = append(ix.theta, theta...)
-				ix.dis = append(ix.dis, dis...)
+				ex.theta = append(ex.theta, theta...)
+				ex.dis = append(ex.dis, dis...)
 				stored = true
 			}
-			entries[key] = len(ix.weight)
-			ix.weight = append(ix.weight, 1)
-			ix.thetaOff = append(ix.thetaOff, off)
+			entries[key] = len(ex.weight)
+			ex.weight = append(ex.weight, 1)
+			ex.thetaOff = append(ex.thetaOff, off)
 			for _, di := range dis {
-				ix.pos = append(ix.pos, cellReference(ix, di, med))
+				ex.pos = append(ex.pos, cellReference(rows, di, med))
 			}
-			ix.cellStart = append(ix.cellStart, int32(len(ix.pos)))
+			ex.cellStart = append(ex.cellStart, int32(len(ex.pos)))
 		}
 	}
+	return ex
+}
+
+// layTiles lays ex's entries out in ix's tiles in fresh slabs, one entry at
+// a time in order, each into the next lane of its slot count's last tile,
+// or of a new tile after the last one when that one is full or there is
+// none. It returns each entry's lane (tile·tileW + lane).
+func layTiles(ix *emIndex, ex *entryIndex) []int32 {
+	ix.tiles, ix.weight, ix.theta, ix.pos = nil, nil, nil, nil
+	open := make(map[int32]int)
+	lanes := make([]int32, len(ex.weight))
+	for e, w := range ex.weight {
+		slots := ex.cellStart[e+1] - ex.cellStart[e]
+		t, ok := open[slots]
+		if !ok || ix.tiles[t].n == tileW {
+			t = len(ix.tiles)
+			open[slots] = t
+			ix.tiles = append(ix.tiles, emTile{off: int32(len(ix.theta)), slots: slots})
+			ix.weight = append(ix.weight, make([]float64, tileW)...)
+			ix.theta = append(ix.theta, make([]float64, slots*tileW)...)
+			ix.pos = append(ix.pos, make([]int32, slots*tileW)...)
+		}
+		tl := &ix.tiles[t]
+		for s := range slots {
+			c := tl.off + s*tileW + tl.n
+			ix.theta[c] = ex.theta[ex.thetaOff[e]+s]
+			ix.pos[c] = ex.pos[ex.cellStart[e]+s]
+		}
+		lanes[e] = int32(t)*tileW + tl.n
+		ix.weight[lanes[e]] = w
+		tl.n++
+	}
+	return lanes
+}
+
+// emIndexReference is the map-based index construction: the cooccurrence
+// support, the map-based occurrence table, and that table laid out in
+// tiles.
+func emIndexReference(recs []*mic.Record) *emIndex {
+	ix, _ := rowsReference(recs)
+	layTiles(ix, entryTableReference(recs, ix))
 	return ix
 }
 
+// laneCells returns the cells of lane l of tile tl, in slot order.
+func laneCells(tl emTile, l int) []int {
+	cells := make([]int, tl.slots)
+	for s := range cells {
+		cells[s] = int(tl.off) + s*tileW + l
+	}
+	return cells
+}
+
 // iterateReference is the unfused EM step: E-step under the current φ, then
-// the M-step. An entry of weight w and predictive probability p > 0 adds
-// θ·φ·(w/p) to each cell, or θ·φ/p·w where w/p overflows; each row is
-// normalized by the sum of its counts.
+// the M-step. Tile by tile, an entry of weight w and predictive probability
+// p > 0 adds θ·φ·(w/p) to each cell, slot by slot across the tile's lanes,
+// or, where w/p overflows, θ·φ/p·w ahead of the tile's other entries; each
+// row is normalized by the sum of its counts.
 func iterateReference(ix *emIndex) {
 	for i := range ix.next {
 		ix.next[i] = 0
 	}
-	for e, w := range ix.weight {
-		off := ix.thetaOff[e] - ix.cellStart[e] // slot s of cell c is off+c
-		var denom float64
-		for c := ix.cellStart[e]; c < ix.cellStart[e+1]; c++ {
-			denom += ix.theta[off+c] * ix.val[ix.pos[c]]
-		}
-		if denom <= 0 {
-			continue
-		}
-		r := w / denom
-		for c := ix.cellStart[e]; c < ix.cellStart[e+1]; c++ {
-			q := ix.theta[off+c] * ix.val[ix.pos[c]]
-			if math.IsInf(r, 1) {
-				q = q / denom * w
-			} else {
-				q *= r
+	for t, tl := range ix.tiles {
+		r := make([]float64, tl.n)
+		skip := make([]bool, tl.n)
+		for l := range r {
+			w := ix.weight[t*tileW+l]
+			var p float64
+			for _, c := range laneCells(tl, l) {
+				p += ix.theta[c] * ix.val[ix.pos[c]]
 			}
-			ix.next[ix.pos[c]] += q
+			r[l] = w / p
+			if p <= 0 || math.IsInf(r[l], 1) {
+				skip[l] = true
+			}
+			if p > 0 && math.IsInf(r[l], 1) {
+				for _, c := range laneCells(tl, l) {
+					ix.next[ix.pos[c]] += ix.theta[c] * ix.val[ix.pos[c]] / p * w
+				}
+			}
+		}
+		for s := range int(tl.slots) {
+			for l := range r {
+				if skip[l] {
+					continue
+				}
+				c := laneCells(tl, l)[s]
+				ix.next[ix.pos[c]] += ix.theta[c] * ix.val[ix.pos[c]] * r[l]
+			}
 		}
 	}
 	for d := range ix.diseases {
@@ -259,12 +343,13 @@ func iterateReference(ix *emIndex) {
 	}
 }
 
-// logLikReference is the separate likelihood sweep under the current φ. An
-// entry of integer weight w ≤ 16 whose predictive probability p lies in
-// [2⁻¹⁰⁰⁰, 2¹⁰⁰⁰) multiplies p into weight w's product, held as a
-// math.Frexp fraction and exponent; any other entry adds w·log(p), p ≤ 0
-// clamped to the smallest positive float. Then each product other than 1
-// adds w·log of itself, in ascending w.
+// logLikReference is the separate likelihood sweep under the current φ,
+// over the entries tile by tile in lane order. An entry of integer weight
+// w ≤ 16 whose predictive probability p lies in [2⁻¹⁰⁰⁰, 2¹⁰⁰⁰) multiplies
+// p into weight w's product, held as a math.Frexp fraction and exponent;
+// any other entry adds w·log(p), p ≤ 0 clamped to the smallest positive
+// float. Then each product other than 1 adds w·log of itself, in ascending
+// w.
 func logLikReference(ix *emIndex) float64 {
 	type product struct {
 		frac float64 // in [0.5, 1); 0 while the product is empty
@@ -272,25 +357,27 @@ func logLikReference(ix *emIndex) float64 {
 	}
 	var prods [17]product
 	var ll float64
-	for e, w := range ix.weight {
-		off := ix.thetaOff[e] - ix.cellStart[e]
-		var p float64
-		for c := ix.cellStart[e]; c < ix.cellStart[e+1]; c++ {
-			p += ix.theta[off+c] * ix.val[ix.pos[c]]
-		}
-		if w >= 1 && w <= 16 && w == math.Trunc(w) && p >= 0x1p-1000 && p < 0x1p1000 {
-			pr := &prods[int(w)]
-			if pr.frac == 0 {
-				pr.frac, pr.exp = 0.5, 1
+	for t, tl := range ix.tiles {
+		for l := range int(tl.n) {
+			w := ix.weight[t*tileW+l]
+			var p float64
+			for _, c := range laneCells(tl, l) {
+				p += ix.theta[c] * ix.val[ix.pos[c]]
 			}
-			f, x := math.Frexp(pr.frac * p)
-			pr.frac, pr.exp = f, pr.exp+x
-			continue
+			if w >= 1 && w <= 16 && w == math.Trunc(w) && p >= 0x1p-1000 && p < 0x1p1000 {
+				pr := &prods[int(w)]
+				if pr.frac == 0 {
+					pr.frac, pr.exp = 0.5, 1
+				}
+				f, x := math.Frexp(pr.frac * p)
+				pr.frac, pr.exp = f, pr.exp+x
+				continue
+			}
+			if p <= 0 {
+				p = math.SmallestNonzeroFloat64
+			}
+			ll += w * math.Log(p)
 		}
-		if p <= 0 {
-			p = math.SmallestNonzeroFloat64
-		}
-		ll += w * math.Log(p)
 	}
 	for w, pr := range prods {
 		m, e := 2*pr.frac, pr.exp-1 // the product as a mantissa in [1, 2) times 2^e
@@ -373,17 +460,92 @@ func fitLoop(ix sweeper, month *mic.Monthly, vocabMedicines int, opts FitOptions
 	return model
 }
 
-// sumLogIndex runs a built index under the sweep and M-step of arithmetic
-// tag 3, kept as the oracle the product-accumulated sweep must agree with
-// to rounding: the sweep adds w·log(p) once per entry and w·(θ·φ/p) into
-// each cell and into its row's sum, by which the M-step divides.
+// sweep is arithmetic tag 4's fused sweep over the entry-major table: the
+// E-step and likelihood of emIndex.sweep, entry by entry in first-appearance
+// order, each entry's cells scattered before the next entry's.
+func (ix *entryIndex) sweep() float64 {
+	clear(ix.next)
+	var mant [prodWeights]float64
+	var exp [prodWeights]int
+	for k := range mant {
+		mant[k] = 1
+	}
+	var ll float64
+	for e, w := range ix.weight {
+		lo, hi, t := ix.cellStart[e], ix.cellStart[e+1], ix.thetaOff[e]
+		blk := ix.pos[lo:hi]
+		theta := ix.theta[t : t+hi-lo]
+		var denom float64
+		for s, p := range blk {
+			denom += theta[s] * ix.val[p]
+		}
+		r := w / denom
+		if k := int(w) - 1; uint(k) < prodWeights && float64(k+1) == w && math.Float64bits(denom)-prodLoBits < prodSpanBits {
+			b := math.Float64bits(mant[k] * denom)
+			exp[k] += int(b>>52) - 1023
+			mant[k] = math.Float64frombits(b&fracBits | oneBits)
+		} else {
+			ll += w * math.Log(max(denom, math.SmallestNonzeroFloat64))
+			if denom <= 0 {
+				continue
+			}
+			if r > math.MaxFloat64 {
+				for s, p := range blk {
+					ix.next[p] += theta[s] * ix.val[p] / denom * w
+				}
+				continue
+			}
+		}
+		for s, p := range blk {
+			ix.next[p] += theta[s] * ix.val[p] * r
+		}
+	}
+	for k, m := range mant {
+		if m != 1 || exp[k] != 0 {
+			ll += float64(k+1) * (float64(exp[k])*math.Ln2 + math.Log(m))
+		}
+	}
+	return ll
+}
+
+// entryTable builds the month on a fresh kernel, centers the prior of weight
+// w on it as the fit does, and returns the entry-major table over its rows.
+func entryTable(month *mic.Monthly, prior *Model, w float64) (*entryIndex, error) {
+	k := new(emKernel)
+	ix, err := k.build(month)
+	if err != nil {
+		return nil, err
+	}
+	k.setPrior(prior, w)
+	recs, err := usableRecords(month)
+	if err != nil {
+		return nil, err
+	}
+	return entryTableReference(recs, ix), nil
+}
+
+// fitEntryMajor is the kernel's fit, plain or under a prior of weight w > 0,
+// run under tag 4's entry-major sweep.
+func fitEntryMajor(month *mic.Monthly, vocabMedicines int, opts FitOptions, prior *Model, w float64) (*Model, error) {
+	ex, err := entryTable(month, prior, w)
+	if err != nil {
+		return nil, err
+	}
+	return fitLoop(ex, month, vocabMedicines, opts), nil
+}
+
+// sumLogIndex runs an entry-major table under the sweep and M-step of
+// arithmetic tag 3, kept as the oracle the product-accumulated sweep must
+// agree with to rounding: the sweep adds w·log(p) once per entry and
+// w·(θ·φ/p) into each cell and into its row's sum, by which the M-step
+// divides.
 type sumLogIndex struct {
-	*emIndex
+	*entryIndex
 	rowSum []float64
 }
 
-func newSumLogIndex(ix *emIndex) *sumLogIndex {
-	return &sumLogIndex{emIndex: ix, rowSum: make([]float64, len(ix.diseases))}
+func newSumLogIndex(ix *entryIndex) *sumLogIndex {
+	return &sumLogIndex{entryIndex: ix, rowSum: make([]float64, len(ix.diseases))}
 }
 
 func (ix *sumLogIndex) sweep() float64 {
@@ -442,13 +604,11 @@ func (ix *sumLogIndex) mstep() {
 // fitSumOfLogs is the kernel's fit, plain or under a prior of weight w > 0,
 // run under tag 3's sweep.
 func fitSumOfLogs(month *mic.Monthly, vocabMedicines int, opts FitOptions, prior *Model, w float64) (*Model, error) {
-	k := new(emKernel)
-	ix, err := k.build(month)
+	ex, err := entryTable(month, prior, w)
 	if err != nil {
 		return nil, err
 	}
-	k.setPrior(prior, w)
-	return fitLoop(newSumLogIndex(ix), month, vocabMedicines, opts), nil
+	return fitLoop(newSumLogIndex(ex), month, vocabMedicines, opts), nil
 }
 
 // occIndex is the per-occurrence layout the weighted occurrence table
@@ -472,7 +632,7 @@ type occIndex struct {
 // occIndexReference builds the per-occurrence layout through maps.
 func occIndexReference(recs []*mic.Record) *occIndex {
 	rows, diseaseIdx := rowsReference(recs)
-	ix := &occIndex{sumLogIndex: newSumLogIndex(rows)}
+	ix := &occIndex{sumLogIndex: newSumLogIndex(&entryIndex{emIndex: rows})}
 	ix.thetaStart = make([]int, len(recs)+1)
 	ix.occStart = make([]int, len(recs)+1)
 	ix.numMeds = make([]int, len(recs))
@@ -1012,8 +1172,9 @@ func farIDMonth() *mic.Monthly {
 }
 
 // requireIndexEqual fails unless got and want agree field for field, floats
-// by their bits. A nil slice equals an empty one: the reference grows its
-// slabs from nil, the kernel resizes them.
+// by their bits, and in the tiles lane for lane: the kernel leaves the lanes
+// past a tile's entries as it found them. A nil slice equals an empty one:
+// the reference grows its slabs from nil, the kernel resizes them.
 func requireIndexEqual(t *testing.T, label string, got, want *emIndex) {
 	t.Helper()
 	sameInts(t, label+" diseases", got.diseases, want.diseases)
@@ -1021,12 +1182,31 @@ func requireIndexEqual(t *testing.T, label string, got, want *emIndex) {
 	sameInts(t, label+" rowMed", got.rowMed, want.rowMed)
 	sameFloatBits(t, label+" val", got.val, want.val)
 	sameFloatBits(t, label+" next", got.next, want.next)
-	sameInts(t, label+" cellStart", got.cellStart, want.cellStart)
-	sameInts(t, label+" thetaOff", got.thetaOff, want.thetaOff)
-	sameFloatBits(t, label+" weight", got.weight, want.weight)
-	sameFloatBits(t, label+" theta", got.theta, want.theta)
-	sameInts(t, label+" dis", got.dis, want.dis)
-	sameInts(t, label+" pos", got.pos, want.pos)
+	if !slices.Equal(got.tiles, want.tiles) {
+		t.Fatalf("%s tiles = %v, want %v", label, got.tiles, want.tiles)
+	}
+	sameInts(t, label+" cells", []int{len(got.weight), len(got.theta), len(got.pos)},
+		[]int{len(want.weight), len(want.theta), len(want.pos)})
+	for ti, tl := range want.tiles {
+		for l := range int(tl.n) {
+			e := ti*tileW + l
+			sameFloatBits(t, fmt.Sprintf("%s entry %d weight", label, e), got.weight[e:e+1], want.weight[e:e+1])
+			for _, c := range laneCells(tl, l) {
+				sameFloatBits(t, fmt.Sprintf("%s entry %d theta", label, e), got.theta[c:c+1], want.theta[c:c+1])
+				sameInts(t, fmt.Sprintf("%s entry %d pos", label, e), got.pos[c:c+1], want.pos[c:c+1])
+			}
+		}
+	}
+}
+
+// entryWeights returns the weights of the index's entries, tile by tile in
+// lane order.
+func entryWeights(ix *emIndex) []float64 {
+	var out []float64
+	for t, tl := range ix.tiles {
+		out = append(out, ix.weight[t*tileW:t*tileW+int(tl.n)]...)
+	}
+	return out
 }
 
 func sameInts[T ~int | ~int32](t *testing.T, label string, got, want []T) {
@@ -1090,7 +1270,7 @@ func TestEMKernelMatchesReference(t *testing.T) {
 	// records whose counts sum to 0 (no θ slots, yet cooccurrence mass), and
 	// records without diseases or without medicines.
 	months = append(months, edgeDataset().Months[:3]...)
-	months = append(months, twoDiseaseMonth(), zeroRowMonth(), negativeCountMonth(), farIDMonth())
+	months = append(months, twoDiseaseMonth(), zeroRowMonth(), negativeCountMonth(), farIDMonth(), tileMonth())
 
 	check := func(label string, k *emKernel, month *mic.Monthly) {
 		t.Helper()
@@ -1184,12 +1364,13 @@ func TestFitAllocsFlatInRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ixTen.weight) != len(ixOne.weight) {
-			t.Fatalf("month %d: %d distinct entries at 10x, %d at 1x", i, len(ixTen.weight), len(ixOne.weight))
+		one, ten := entryWeights(ixOne), entryWeights(ixTen)
+		if len(ten) != len(one) || !slices.Equal(ixTen.tiles, ixOne.tiles) {
+			t.Fatalf("month %d: %d distinct entries in tiles %v at 10x, %d in %v at 1x", i, len(ten), ixTen.tiles, len(one), ixOne.tiles)
 		}
-		for e, w := range ixOne.weight {
-			if ixTen.weight[e] != 10*w {
-				t.Fatalf("month %d entry %d: weight %v at 10x, %v at 1x", i, e, ixTen.weight[e], w)
+		for e, w := range one {
+			if ten[e] != 10*w {
+				t.Fatalf("month %d entry %d: weight %v at 10x, %v at 1x", i, e, ten[e], w)
 			}
 		}
 	}
@@ -1208,7 +1389,7 @@ func TestFitFusedMatchesTwoSweep(t *testing.T) {
 		months = append(months, ds.Months...)
 	}
 	zeroRow := zeroRowMonth()
-	months = append(months, twoDiseaseMonth(), edgeDataset().Months[0], zeroRow, negativeCountMonth())
+	months = append(months, twoDiseaseMonth(), edgeDataset().Months[0], zeroRow, negativeCountMonth(), tileMonth())
 
 	for mi, month := range months {
 		for _, opts := range []FitOptions{
@@ -1252,23 +1433,7 @@ func TestFitFusedMatchesTwoSweep(t *testing.T) {
 // number of iterations with the same φ support, every φ entry and every
 // traced log-likelihood within 1e-12 relative.
 func TestWeightedSweepMatchesPerOccurrence(t *testing.T) {
-	var months []*mic.Monthly
-	for _, cfg := range []micgen.Config{
-		{Seed: 5, Months: 2, RecordsPerMonth: 400, BulkDiseases: 6, BulkMedicines: 8},
-		{Seed: 23, Months: 2, RecordsPerMonth: 800, BulkDiseases: 20, BulkMedicines: 25},
-		{Seed: 29, Months: 2, RecordsPerMonth: 1500},
-	} {
-		ds, _, err := micgen.Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		months = append(months, ds.Months...)
-	}
-	// The edge months carry θ-less records (counts summing to 0 or below),
-	// zero-count and negative-count diseases, a row the first M-step empties,
-	// and ids far apart.
-	months = append(months, edgeDataset().Months[:3]...)
-	months = append(months, twoDiseaseMonth(), zeroRowMonth(), negativeCountMonth(), farIDMonth())
+	months := oracleMonths(t)
 
 	var worst float64 // the largest relative difference seen
 	rel := func(a, b float64) float64 {
@@ -1286,11 +1451,12 @@ func TestWeightedSweepMatchesPerOccurrence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		weights := entryWeights(ix)
 		var occs float64
-		for _, w := range ix.weight {
+		for _, w := range weights {
 			occs += w
 		}
-		if int(occs) > len(ix.weight) {
+		if int(occs) > len(weights) {
 			merged++
 		}
 		for _, opts := range []FitOptions{
@@ -1340,19 +1506,12 @@ func TestWeightedSweepMatchesPerOccurrence(t *testing.T) {
 	}
 }
 
-// TestProductLogLikMatchesSumOfLogs bounds arithmetic tag 4's rounding
-// against tag 3's sweep (sumLogIndex): the likelihood folded into one
-// product per small integer weight with one log each, the E-step spread
-// with one reciprocal per entry, and the M-step's row sums taken from the
-// counts. Plain and MAP fits (PriorWeight 0.5, 5, 50, each month's prior
-// the oracle's previous posterior) must stop after the same number of
-// iterations with the same φ support, every φ entry and traced
-// log-likelihood within 1e-12 relative. Built indexes edited past what a
-// fit reaches then run both sweeps and M-steps side by side: predictive
-// probabilities of 0 and below 2⁻¹⁰⁰⁰ (subnormal ones too, where w/p
-// overflows), weights of 17 and more and fractional ones, one weight shared
-// by every entry, and a table of a single entry.
-func TestProductLogLikMatchesSumOfLogs(t *testing.T) {
+// oracleMonths is the corpus the sweep oracles run over: generated months,
+// then the edge months, which carry θ-less records (counts summing to 0 or
+// below), zero-count and negative-count diseases, a row the first M-step
+// empties and ids far apart, and tileMonth's full and partial tiles.
+func oracleMonths(t *testing.T) []*mic.Monthly {
+	t.Helper()
 	var months []*mic.Monthly
 	for _, cfg := range []micgen.Config{
 		{Seed: 5, Months: 2, RecordsPerMonth: 400, BulkDiseases: 6, BulkMedicines: 8},
@@ -1366,18 +1525,61 @@ func TestProductLogLikMatchesSumOfLogs(t *testing.T) {
 		months = append(months, ds.Months...)
 	}
 	months = append(months, edgeDataset().Months[:3]...)
-	months = append(months, twoDiseaseMonth(), zeroRowMonth(), negativeCountMonth(), farIDMonth())
+	return append(months, twoDiseaseMonth(), zeroRowMonth(), negativeCountMonth(), farIDMonth(), tileMonth())
+}
 
-	var worst float64
-	rel := func(a, b float64) float64 {
-		if a == b {
-			return 0
+// tileMonth holds exactly tileW distinct occurrences of two θ slots (one
+// full tile) and tileW+1 of three (a full tile and a partial one): each
+// record's counts differ from every other's, so no two records share θ.
+// Repeats of the first records add weight without adding entries, and a
+// single-slot record opens a tile between them.
+func tileMonth() *mic.Monthly {
+	dc := func(counts ...int) []mic.DiseaseCount {
+		out := make([]mic.DiseaseCount, len(counts))
+		for d, n := range counts {
+			out[d] = mic.DiseaseCount{Disease: mic.DiseaseID(d), Count: n}
 		}
-		d := math.Abs(a-b) / max(math.Abs(a), math.Abs(b))
-		worst = max(worst, d)
-		return d
+		return out
 	}
+	m := &mic.Monthly{Month: 5}
+	for i := range tileW + 1 {
+		if i < tileW {
+			m.Records = append(m.Records, mic.Record{Diseases: dc(1, i+1), Medicines: []mic.MedicineID{0}})
+		}
+		m.Records = append(m.Records, mic.Record{Diseases: dc(1, 1, i+1), Medicines: []mic.MedicineID{1}})
+		if i == 3 {
+			m.Records = append(m.Records, mic.Record{Diseases: []mic.DiseaseCount{{Disease: 2, Count: 3}}, Medicines: []mic.MedicineID{0, 1}})
+		}
+	}
+	m.Records = append(m.Records, mic.Record{Diseases: dc(1, 1), Medicines: []mic.MedicineID{0, 0}},
+		mic.Record{Diseases: dc(1, 1, 1), Medicines: []mic.MedicineID{1}})
+	return m
+}
+
+// relDiff is |a − b| relative to the larger magnitude: 0 when a == b, and
+// +Inf when either is NaN.
+func relDiff(a, b float64) float64 {
+	if a == b {
+		return 0
+	}
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return math.Inf(1)
+	}
+	return math.Abs(a-b) / max(math.Abs(a), math.Abs(b))
+}
+
+// requireOracleFits fits every month with the kernel and with oracle,
+// plainly and under MAP priors of weight 0.5, 5 and 50 (each month's prior
+// the oracle's previous posterior), under MaxIter 1 and 3, the defaults and
+// a tolerance of 1e-10. Both fits must stop after the same number of
+// iterations with the same φ support, every φ entry and traced
+// log-likelihood within 1e-12 relative. It returns the largest relative
+// difference.
+func requireOracleFits(t *testing.T, oracleName string, months []*mic.Monthly,
+	oracle func(*mic.Monthly, int, FitOptions, *Model, float64) (*Model, error)) float64 {
+	t.Helper()
 	const tol = 1e-12
+	var worst float64
 	for _, w := range []float64{0, 0.5, 5, 50} {
 		var prior *Model
 		for mi, month := range months {
@@ -1392,29 +1594,31 @@ func TestProductLogLikMatchesSumOfLogs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := fitSumOfLogs(month, 30, opts, prior, w)
+				want, err := oracle(month, 30, opts, prior, w)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got.Iterations != want.Iterations || len(got.LogLikTrace) != len(want.LogLikTrace) {
-					t.Fatalf("%s: %d iterations, tag 3 sweep %d", label, got.Iterations, want.Iterations)
+					t.Fatalf("%s: %d iterations, %s %d", label, got.Iterations, oracleName, want.Iterations)
 				}
 				for i, v := range want.LogLikTrace {
-					if d := rel(got.LogLikTrace[i], v); d > tol {
-						t.Fatalf("%s: trace[%d] %v, tag 3 sweep %v (relative %.3g)", label, i, got.LogLikTrace[i], v, d)
+					d := relDiff(got.LogLikTrace[i], v)
+					if worst = max(worst, d); d > tol {
+						t.Fatalf("%s: trace[%d] %v, %s %v (relative %.3g)", label, i, got.LogLikTrace[i], oracleName, v, d)
 					}
 				}
 				if len(got.Phi) != len(want.Phi) {
-					t.Fatalf("%s: %d φ rows, tag 3 sweep %d", label, len(got.Phi), len(want.Phi))
+					t.Fatalf("%s: %d φ rows, %s %d", label, len(got.Phi), oracleName, len(want.Phi))
 				}
 				for d, wrow := range want.Phi {
 					if len(got.Phi[d]) != len(wrow) {
-						t.Fatalf("%s: φ row %d has %d entries, tag 3 sweep %d", label, d, len(got.Phi[d]), len(wrow))
+						t.Fatalf("%s: φ row %d has %d entries, %s %d", label, d, len(got.Phi[d]), oracleName, len(wrow))
 					}
 					for m, v := range wrow {
 						g, ok := got.Phi[d][m]
-						if dd := rel(g, v); !ok || dd > tol {
-							t.Fatalf("%s: φ[%d][%d] = %v, tag 3 sweep %v (relative %.3g)", label, d, m, g, v, dd)
+						dd := relDiff(g, v)
+						if worst = max(worst, dd); !ok || dd > tol {
+							t.Fatalf("%s: φ[%d][%d] = %v, %s %v (relative %.3g)", label, d, m, g, oracleName, v, dd)
 						}
 					}
 				}
@@ -1425,74 +1629,125 @@ func TestProductLogLikMatchesSumOfLogs(t *testing.T) {
 			}
 		}
 	}
+	return worst
+}
 
+// sweepEdgeCase is a month whose entry-major table an edit pushes past what
+// a fit reaches.
+type sweepEdgeCase struct {
+	name  string
+	month *mic.Monthly
+	edit  func(ex *entryIndex)
+}
+
+// sweepEdgeCases is the edge battery over oracleMonths: predictive
+// probabilities of 0 and below 2⁻¹⁰⁰⁰ (subnormal ones too, where w/p
+// overflows, one of them between ordinary lanes of one tile), weights of 17
+// and more and fractional ones, one weight shared by every entry, and a
+// table of a single entry.
+func sweepEdgeCases(months []*mic.Monthly) []sweepEdgeCase {
 	// Edits scale whole records' θ slots, so a scaled entry's predictive
 	// probability stays scaled through every M-step. θ is shared by the
 	// entries of one record: each slot group is scaled once.
-	scaleTheta := func(ix *emIndex, factors ...float64) {
+	scaleTheta := func(ex *entryIndex, factors ...float64) {
 		seen := map[int32]bool{}
-		for e := range ix.weight {
-			t := ix.thetaOff[e]
+		for e := range ex.weight {
+			t := ex.thetaOff[e]
 			if seen[t] {
 				continue
 			}
 			seen[t] = true
 			f := factors[len(seen)%len(factors)]
-			for s := range ix.cellStart[e+1] - ix.cellStart[e] {
-				ix.theta[t+s] *= f
+			for s := range ex.cellStart[e+1] - ex.cellStart[e] {
+				ex.theta[t+s] *= f
 			}
 		}
 	}
 	single := &mic.Monthly{Records: []mic.Record{
 		{Diseases: []mic.DiseaseCount{{Disease: 4, Count: 1}}, Medicines: []mic.MedicineID{7, 7, 7}},
 	}}
-	cases := []struct {
-		name  string
-		month *mic.Monthly
-		edit  func(ix *emIndex)
-	}{
-		{"tiny and zero probabilities", months[2], func(ix *emIndex) {
-			scaleTheta(ix, 1, 0, 0x1p-1070, 0x1p-1010, 0x1p-995, 0x1p-1000)
+	return []sweepEdgeCase{
+		{"tiny and zero probabilities", months[2], func(ex *entryIndex) {
+			scaleTheta(ex, 1, 0, 0x1p-1070, 0x1p-1010, 0x1p-995, 0x1p-1000)
 		}},
-		{"heavy and fractional weights", months[4], func(ix *emIndex) {
-			for e := range ix.weight {
-				ix.weight[e] += []float64{0, 16, 40, 1000, 0.5, 15}[e%6]
+		{"heavy and fractional weights", months[4], func(ex *entryIndex) {
+			for e := range ex.weight {
+				ex.weight[e] += []float64{0, 16, 40, 1000, 0.5, 15}[e%6]
 			}
 		}},
-		{"one weight", months[0], func(ix *emIndex) {
-			for e := range ix.weight {
-				ix.weight[e] = 3
+		{"one weight", months[0], func(ex *entryIndex) {
+			for e := range ex.weight {
+				ex.weight[e] = 3
 			}
 		}},
-		{"single entry", single, func(ix *emIndex) { scaleTheta(ix, 0.3) }},
+		{"single entry", single, func(ex *entryIndex) { scaleTheta(ex, 0.3) }},
+		// Its records have one occurrence each: the eleventh two-slot entry,
+		// lane 10 of its tile, is scaled alone.
+		{"overflowing lane inside a tile", tileMonth(), func(ex *entryIndex) {
+			seen := 0
+			for e := range ex.weight {
+				lo, hi := ex.cellStart[e], ex.cellStart[e+1]
+				if hi-lo != 2 {
+					continue
+				}
+				if seen == 10 {
+					for s := range hi - lo {
+						ex.theta[ex.thetaOff[e]+s] *= 0x1p-1070
+					}
+				}
+				seen++
+			}
+		}},
 	}
-	reached := map[string]int{}
-	for _, c := range cases {
-		got, err := new(emKernel).build(c.month)
-		if err != nil {
-			t.Fatal(err)
+}
+
+// edgeIndexes builds c's month twice and edits each build's entry-major
+// table: it returns the first laid out in tiles on its own index, and the
+// second.
+func edgeIndexes(t *testing.T, c sweepEdgeCase) (*emIndex, *entryIndex) {
+	t.Helper()
+	tiled, err := entryTable(c.month, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := entryTable(c.month, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.edit(tiled)
+	c.edit(ex)
+	layTiles(tiled.emIndex, tiled)
+	return tiled.emIndex, ex
+}
+
+// edgeReach counts the edge conditions the tiled index's entries reach
+// under its current φ into reached.
+func edgeReach(ix *emIndex, reached map[string]int) {
+	full := map[int32]bool{} // slot counts with a full tile
+	for t, tl := range ix.tiles {
+		if tl.n == tileW {
+			full[tl.slots] = true
+			reached["full tile"]++
+		} else if full[tl.slots] {
+			reached["partial tile after a full one"]++
 		}
-		want, err := new(emKernel).build(c.month)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.edit(got)
-		c.edit(want)
-		if len(got.weight) == 1 {
-			reached["single entry"]++
-		}
-		for e, w := range got.weight {
+		kind := make([]string, tl.n)
+		for l := range kind {
+			w := ix.weight[t*tileW+l]
 			var p float64
-			for c := got.cellStart[e]; c < got.cellStart[e+1]; c++ {
-				p += got.theta[got.thetaOff[e]+c-got.cellStart[e]] * got.val[got.pos[c]]
+			for _, c := range laneCells(tl, l) {
+				p += ix.theta[c] * ix.val[ix.pos[c]]
 			}
 			switch {
 			case p == 0:
-				reached["p = 0"]++
+				kind[l] = "p = 0"
 			case p > 0 && p < 0x1p-1000 && math.IsInf(w/p, 1):
-				reached["p < 2⁻¹⁰⁰⁰, w/p overflows"]++
+				kind[l] = "p < 2⁻¹⁰⁰⁰, w/p overflows"
 			case p > 0 && p < 0x1p-1000:
-				reached["p < 2⁻¹⁰⁰⁰"]++
+				kind[l] = "p < 2⁻¹⁰⁰⁰"
+			}
+			if kind[l] != "" {
+				reached[kind[l]]++
 			}
 			if w > 16 {
 				reached["w > 16"]++
@@ -1501,25 +1756,95 @@ func TestProductLogLikMatchesSumOfLogs(t *testing.T) {
 				reached["fractional w"]++
 			}
 		}
-		old := newSumLogIndex(want)
-		for it := range 10 {
-			gll, wll := got.sweep(), old.sweep()
-			if d := rel(gll, wll); d > tol || math.IsNaN(gll) {
-				t.Fatalf("%s sweep %d: ll %v, tag 3 sweep %v (relative %.3g)", c.name, it, gll, wll, d)
-			}
-			got.mstep()
-			old.mstep()
-			for i, v := range old.val {
-				if d := rel(got.val[i], v); d > tol || math.IsNaN(got.val[i]) {
-					t.Fatalf("%s M-step %d: val[%d] %v, tag 3 M-step %v (relative %.3g)", c.name, it, i, got.val[i], v, d)
-				}
+		for l := 1; l+1 < len(kind); l++ {
+			if kind[l] == "p < 2⁻¹⁰⁰⁰, w/p overflows" && kind[l-1] == "" && kind[l+1] == "" {
+				reached["overflowing lane between ordinary lanes"]++
 			}
 		}
+	}
+	if len(entryWeights(ix)) == 1 {
+		reached["single entry"]++
+	}
+}
+
+// requireSweepsAgree runs ten sweeps and M-steps on the tiled index and on
+// the oracle side by side, the oracle's φ at oracleVal, and fails unless
+// every log-likelihood and φ entry agrees within 1e-12 relative. It returns
+// the largest relative difference.
+func requireSweepsAgree(t *testing.T, label, oracleName string, tiled *emIndex, oracle sweeper, oracleVal []float64) float64 {
+	t.Helper()
+	const tol = 1e-12
+	var worst float64
+	for it := range 10 {
+		gll, wll := tiled.sweep(), oracle.sweep()
+		d := relDiff(gll, wll)
+		if worst = max(worst, d); d > tol {
+			t.Fatalf("%s sweep %d: ll %v, %s %v (relative %.3g)", label, it, gll, oracleName, wll, d)
+		}
+		tiled.mstep()
+		oracle.mstep()
+		for i, v := range oracleVal {
+			d := relDiff(tiled.val[i], v)
+			if worst = max(worst, d); d > tol {
+				t.Fatalf("%s M-step %d: val[%d] %v, %s %v (relative %.3g)", label, it, i, tiled.val[i], oracleName, v, d)
+			}
+		}
+	}
+	return worst
+}
+
+// TestProductLogLikMatchesSumOfLogs bounds arithmetic tag 4's rounding, the
+// tiled sweep's on top, against tag 3's sweep (sumLogIndex): the likelihood
+// folded into one product per small integer weight with one log each, the
+// E-step spread with one reciprocal per entry, and the M-step's row sums
+// taken from the counts. Plain and MAP fits must agree as
+// requireOracleFits sets out, and so must the edge battery's edited tables,
+// the tiled sweep on one and the tag 3 sweep on the other.
+func TestProductLogLikMatchesSumOfLogs(t *testing.T) {
+	months := oracleMonths(t)
+	worst := requireOracleFits(t, "tag 3 sweep", months, fitSumOfLogs)
+	reached := map[string]int{}
+	for _, c := range sweepEdgeCases(months) {
+		tiled, ex := edgeIndexes(t, c)
+		edgeReach(tiled, reached)
+		old := newSumLogIndex(ex)
+		worst = max(worst, requireSweepsAgree(t, c.name, "tag 3 sweep", tiled, old, old.val))
 	}
 	t.Logf("edited indexes reach %v; largest relative difference %.3g", reached, worst)
 	for _, k := range []string{"p = 0", "p < 2⁻¹⁰⁰⁰", "p < 2⁻¹⁰⁰⁰, w/p overflows", "w > 16", "fractional w", "single entry"} {
 		if reached[k] == 0 {
 			t.Fatalf("no edited entry has %s", k)
+		}
+	}
+}
+
+// TestTiledSweepMatchesEntryMajor bounds the tile layout's rounding
+// against arithmetic tag 4's entry-major sweep (entryIndex.sweep): taking
+// a tile's entries column by column moves the order in which the E-step
+// accumulates into each φ cell and the likelihood into its products, and
+// nothing else. Plain and MAP fits must agree as requireOracleFits sets
+// out, over months with θ-less records, a full tile and a partial one; and
+// so must the edge battery's edited tables, the tiled sweep on one and the
+// tag 4 sweep on the other, with an overflowing lane between ordinary ones.
+func TestTiledSweepMatchesEntryMajor(t *testing.T) {
+	months := oracleMonths(t)
+	worst := requireOracleFits(t, "tag 4 sweep", months, fitEntryMajor)
+	reached := map[string]int{}
+	ix, err := new(emKernel).build(tileMonth())
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgeReach(ix, reached)
+	for _, c := range sweepEdgeCases(months) {
+		tiled, ex := edgeIndexes(t, c)
+		edgeReach(tiled, reached)
+		worst = max(worst, requireSweepsAgree(t, c.name, "tag 4 sweep", tiled, ex, ex.val))
+	}
+	t.Logf("indexes reach %v; largest relative difference %.3g", reached, worst)
+	for _, k := range []string{"p = 0", "p < 2⁻¹⁰⁰⁰", "p < 2⁻¹⁰⁰⁰, w/p overflows", "w > 16", "fractional w", "single entry",
+		"full tile", "partial tile after a full one", "overflowing lane between ordinary lanes"} {
+		if reached[k] == 0 {
+			t.Fatalf("no index reaches %s", k)
 		}
 	}
 }

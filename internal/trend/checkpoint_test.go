@@ -364,16 +364,16 @@ func TestHashMonthMatchesFNV(t *testing.T) {
 			Diseases:  []mic.DiseaseCount{{Disease: 0, Count: 1}},
 			Medicines: []mic.MedicineID{11}},
 	}}
-	const want uint64 = 0xcb884ead1c3c2ff8
+	const want uint64 = 0x7a3fa4b174c7cc19
 	if got := HashMonth(golden, medmodel.FitOptions{}); got != want {
 		t.Fatalf("golden month: HashMonth = %#x, want %#x", got, want)
 	}
-	// Under tags 3 and 2, and without the arithmetic tag, the stream is the
-	// one fingerprints had before: the golden month's old values.
+	// Under tags 4, 3 and 2, and without the arithmetic tag, the stream is
+	// the one fingerprints had before: the golden month's old values.
 	for _, old := range []struct {
 		tags []uint64
 		want uint64
-	}{{[]uint64{3}, 0x7a90dd20f88b6447}, {[]uint64{2}, 0xaff7778cca731e26}, {nil, 0x8f146da73ad17964}} {
+	}{{[]uint64{4}, 0xcb884ead1c3c2ff8}, {[]uint64{3}, 0x7a90dd20f88b6447}, {[]uint64{2}, 0xaff7778cca731e26}, {nil, 0x8f146da73ad17964}} {
 		if got := refHash(golden, medmodel.FitOptions{}, old.tags...); got != old.want {
 			t.Fatalf("golden month under tags %v: %#x, want %#x", old.tags, got, old.want)
 		}
@@ -383,8 +383,9 @@ func TestHashMonthMatchesFNV(t *testing.T) {
 // TestCheckpointOldArithmeticRefit: a store whose months carry the
 // fingerprint of an older EM arithmetic holds models fitted by it: the
 // per-occurrence sweep (no tag), under tag 2 a smoothed chain fitted by
-// the map-based MAP loop, or under tag 3 plain and smoothed months whose
-// sweep took one log per entry. Serving them next to fresh fits would make a
+// the map-based MAP loop, under tag 3 plain and smoothed months whose
+// sweep took one log per entry, or under tag 4 plain and smoothed months
+// swept entry by entry rather than tile by tile. Serving them next to fresh fits would make a
 // restarted server disagree with a cold analysis in the last bits, so every
 // such month is refit, not reused, and the result equals a cold run.
 func TestCheckpointOldArithmeticRefit(t *testing.T) {
@@ -397,6 +398,8 @@ func TestCheckpointOldArithmeticRefit(t *testing.T) {
 		{"smoothed tag 2", 50, []uint64{2}},
 		{"tag 3", 0, []uint64{3}},
 		{"smoothed tag 3", 50, []uint64{3}},
+		{"tag 4", 0, []uint64{4}},
+		{"smoothed tag 4", 50, []uint64{4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := genTiny(t)
