@@ -139,6 +139,13 @@ type emIndex struct {
 	rowPrior []float64
 	norm     []float64
 	extra    []priorCell
+
+	// signed is set when a θ or φ value of the table may be negative (only
+	// unvalidated counts or a hand-edited model hold one), and skipped
+	// counts the entries the last sweep gave no E-step because their
+	// predictive probability was not positive. Reproduction reads both.
+	signed  bool
+	skipped int
 }
 
 // tileW is the number of lanes in an occurrence-table tile. On the
@@ -162,13 +169,12 @@ type priorCell struct {
 	v   float64
 }
 
-// emKernel builds a month's emIndex in scratch it keeps between months, the
-// way reproKernel keeps its reproduction scratch: a FitAll worker reuses one
-// kernel across the months it takes, so after its largest month the index
-// costs no allocation at all. Nothing in it is sized Diseases×Medicines: the
-// disease-indexed scratch spans the month's disease ids, the
-// medicine-indexed scratch its medicine ids, and the slabs are resized, not
-// rebuilt.
+// emKernel builds a month's emIndex in scratch it keeps between months: a
+// FitMonths or ReproduceMonths worker reuses one kernel across the months
+// it takes, so after its largest month the index costs no allocation at
+// all. Nothing in it is sized Diseases×Medicines: the disease-indexed
+// scratch spans the month's disease ids, the medicine-indexed scratch its
+// medicine ids, and the slabs are resized, not rebuilt.
 type emKernel struct {
 	ix emIndex
 
@@ -239,6 +245,7 @@ type coocElem int32
 func (k *emKernel) build(month *mic.Monthly) (*emIndex, error) {
 	ix := &k.ix
 	ix.prior, ix.extra = false, ix.extra[:0] // until setPrior
+	ix.signed = false
 	recs, dspan, mspan, maxSlots := k.span(month)
 	if recs == 0 {
 		return nil, fmt.Errorf("%w (month %d)", ErrEmptyMonth, month.Month)
@@ -327,6 +334,9 @@ func (k *emKernel) build(month *mic.Monthly) (*emIndex, error) {
 				s := k.slotOf[j]
 				dis[s] = ^int32(j) // a φ entry after pass 3
 				theta[s] += float64(dc.Count) / float64(n)
+				if dc.Count < 0 {
+					ix.signed = true
+				}
 			}
 			h := uint64(slots)
 			for s := range theta {
@@ -432,6 +442,16 @@ func grow[T any](s []T, n int, reuse bool) []T {
 		return resize(s, n)
 	}
 	return make([]T, n)
+}
+
+// resize returns s with length n, reusing its backing array when it fits.
+// A new array gets a quarter more capacity than asked, so scratch reused
+// over months that grow a little at a time is reallocated only now and then.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/4)
+	}
+	return s[:n]
 }
 
 // elemMed returns the element's medicine id − mlo.
@@ -604,10 +624,11 @@ const (
 // the sweep ends with one log per product. An entry of another weight or a
 // denominator outside the products' range adds w·log(p) itself, p ≤ 0
 // clamped to the smallest positive float. Its E-step is skipped for p ≤ 0
-// and taken cell by cell where w/p overflows; either way its r is 0, and
-// θ·φ·0 leaves next as it is.
+// (counted in skipped) and taken cell by cell where w/p overflows; either
+// way its r is 0, and θ·φ·0 leaves next as it is.
 func (ix *emIndex) sweep() float64 {
 	clear(ix.next)
+	ix.skipped = 0
 	var mant [prodWeights]float64
 	var exp [prodWeights]int
 	for k := range mant {
@@ -648,6 +669,7 @@ func (ix *emIndex) sweep() float64 {
 				ll += w * math.Log(max(p, math.SmallestNonzeroFloat64))
 				if p <= 0 {
 					q = 0
+					ix.skipped++
 				} else if q > math.MaxFloat64 {
 					// A subnormal p: an infinite r would turn θ·φ = 0 into NaN.
 					for c := lo + l; c < hi; c += tileW {
@@ -909,11 +931,12 @@ type MonthError struct {
 
 // fitMonth fits one month on k with panic isolation: a crash inside the EM
 // loop becomes an error confined to that month instead of a process abort.
-// prior is the month's MAP prior when opts.PriorWeight > 0.
-func fitMonth(k *emKernel, month *mic.Monthly, vocabMedicines int, opts FitOptions, prior *Model) (m *Model, panicked bool, err error) {
+// prior is the month's MAP prior when opts.PriorWeight > 0. A fitted month
+// also hands back its Eq. 7 sums, read off the fit's last sweep.
+func fitMonth(k *emKernel, month *mic.Monthly, vocabMedicines int, opts FitOptions, prior *Model) (m *Model, sums MonthSums, panicked bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			m, panicked = nil, true
+			m, sums, panicked = nil, MonthSums{}, true
 			err = fmt.Errorf("medmodel: month %d fit panicked: %v", month.Month, r)
 			// A crash may have left the scratch mid-build (slotOf and
 			// medCnt off their rest state): start the next month clean.
@@ -921,10 +944,12 @@ func fitMonth(k *emKernel, month *mic.Monthly, vocabMedicines int, opts FitOptio
 		}
 	}()
 	if err := faultpoint.Inject("medmodel/fit-month", strconv.Itoa(month.Month)); err != nil {
-		return nil, false, err
+		return nil, MonthSums{}, false, err
 	}
-	m, err = k.fit(month, vocabMedicines, opts, prior, opts.PriorWeight)
-	return m, false, err
+	if m, err = k.fit(month, vocabMedicines, opts, prior, opts.PriorWeight); err != nil {
+		return nil, MonthSums{}, false, err
+	}
+	return m, k.sums(), false, nil
 }
 
 // FitAll fits one model per month of the dataset. With a zero
@@ -942,10 +967,23 @@ func fitMonth(k *emKernel, month *mic.Monthly, vocabMedicines int, opts FitOptio
 // reserved for cancellation — when ctx is cancelled the already-fitted
 // models are returned alongside ctx's error, and no new month fits start.
 func FitAll(ctx context.Context, d *mic.Dataset, opts FitOptions) ([]*Model, []MonthError, error) {
+	models, _, fails, err := FitMonths(ctx, d, opts)
+	return models, fails, err
+}
+
+// FitMonths is FitAll that also hands back each fitted month's Eq. 7 sums
+// for ReproduceMonths to place. Eq. 7 is the fit's last E-step: a fit ends
+// with a sweep under the φ it reports, which sums each pair's Eq. 6
+// responsibilities over the month's occurrences (θ spreads an occurrence
+// whose predictive probability is not positive, as in Responsibility). On
+// records with positive counts they equal ReproduceMonths' sums for the
+// same model bit for bit. A month that did not fit has zero sums.
+func FitMonths(ctx context.Context, d *mic.Dataset, opts FitOptions) ([]*Model, []MonthSums, []MonthError, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	models := make([]*Model, d.T())
+	sums := make([]MonthSums, d.T())
 	errs := make([]error, len(d.Months))
 	panicked := make([]bool, len(d.Months))
 	// Each month reports its metrics (exact integer adds, so any completion
@@ -992,7 +1030,7 @@ func FitAll(ctx context.Context, d *mic.Dataset, opts FitOptions) ([]*Model, []M
 			if units != nil {
 				began = time.Now()
 			}
-			models[i], panicked[i], errs[i] = fitMonth(&k, d.Months[i], d.Medicines.Len(), opts, prior)
+			models[i], sums[i], panicked[i], errs[i] = fitMonth(&k, d.Months[i], d.Medicines.Len(), opts, prior)
 			if models[i] != nil && opts.PriorWeight > 0 {
 				prior = models[i]
 			}
@@ -1000,7 +1038,7 @@ func FitAll(ctx context.Context, d *mic.Dataset, opts FitOptions) ([]*Model, []M
 			return nil
 		}
 	})
-	return models, monthErrors(errs, panicked), err
+	return models, sums, monthErrors(errs, panicked), err
 }
 
 // monthErrors collects the per-month failures in month order.

@@ -15,15 +15,17 @@ import (
 //   - its HashMonth fingerprint, computed only when Options.Checkpoint is
 //     set, since nothing else reads it;
 //   - the month's reproduced pair sums (Eq. 7), together with the model
-//     they were reproduced from.
+//     they came from: the fit that produced the model, or a cold
+//     reproduction under it.
 //
 // Each entry is keyed by the *mic.Monthly it was derived from, and holds
 // that pointer, so its address cannot be reused while the entry lives. When
 // the month at index i is a different pointer from the last call, entry i
 // and every entry after it are dropped; a corpus that lost its tail simply
 // drops those entries. Pair sums are reused only when the month's model is
-// the same pointer as before, so a refitted month, a failed checkpoint load
-// or a fallback model (rebuilt on every call) is reproduced again.
+// the same pointer as before: a refitted month brings its sums from the
+// fit, and a failed checkpoint load or a fallback model (rebuilt on every
+// call) is reproduced again.
 //
 // Months handed to an Analyzer must not be mutated afterwards: a month
 // changed in place would be served from its stale derived state. Replace a
@@ -39,7 +41,7 @@ type monthState struct {
 	src      *mic.Monthly // the month the state was derived from
 	filtered *mic.Monthly
 	hash     uint64          // HashMonth(filtered); set only with a Checkpointer
-	model    *medmodel.Model // the model sums were reproduced from
+	model    *medmodel.Model // the model sums came from
 	sums     medmodel.MonthSums
 }
 
@@ -86,16 +88,16 @@ func (a *Analyzer) filterMonths(ds *mic.Dataset, opts Options, ins *pipelineInst
 	return filtered, hashes
 }
 
-// reproduce runs the reproduce stage over the filtered dataset, reusing each
-// month's pair sums when its model is the one they were reproduced from.
-func (a *Analyzer) reproduce(d *mic.Dataset, models []*medmodel.Model, workers int, ins *pipelineInstruments) (*medmodel.SeriesSet, error) {
-	sums := make([]medmodel.MonthSums, len(models))
+// reproduce runs the reproduce stage over the filtered dataset: sums[t]
+// holds the Eq. 7 sums of a month fitted in this call, or none. A month
+// without them reuses its kept sums when its model is the one they came
+// from, and is reproduced otherwise.
+func (a *Analyzer) reproduce(d *mic.Dataset, models []*medmodel.Model, sums []medmodel.MonthSums, workers int, ins *pipelineInstruments) (*medmodel.SeriesSet, error) {
 	missing := 0
 	for t, m := range models {
-		if a.months[t].model == m {
+		if !sums[t].Reproduced() && a.months[t].model == m {
 			sums[t] = a.months[t].sums
-		}
-		if !sums[t].Reproduced() {
+		} else {
 			missing++
 		}
 	}

@@ -124,21 +124,23 @@ func fnvWord(h, v uint64) uint64 {
 	return h * fnvPrimePow[n]
 }
 
-// fitModels runs the model stage: medmodel.FitAll when no Checkpointer is
-// configured, and the checkpoint-aware variant otherwise, which loads every
-// month whose saved state matches the current data (hashes[i] is month i's
-// HashMonth), fits only the rest, and commits each fresh fit back to the
-// store. The returned models and failures are byte-identical to a run that
-// fitted every month from scratch (fits are deterministic, and the store
-// round-trips float bits exactly).
-func fitModels(ctx context.Context, d *mic.Dataset, hashes []uint64, opts Options, ins *pipelineInstruments) ([]*medmodel.Model, []medmodel.MonthError, error) {
+// fitModels runs the model stage: medmodel.FitMonths when no Checkpointer
+// is configured, and the checkpoint-aware variant otherwise, which loads
+// every month whose saved state matches the current data (hashes[i] is
+// month i's HashMonth), fits only the rest, and commits each fresh fit back
+// to the store. The returned models and failures are byte-identical to a
+// run that fitted every month from scratch (fits are deterministic, and the
+// store round-trips float bits exactly). Every month fitted here comes with
+// its Eq. 7 sums; a loaded month has none.
+func fitModels(ctx context.Context, d *mic.Dataset, hashes []uint64, opts Options, ins *pipelineInstruments) ([]*medmodel.Model, []medmodel.MonthSums, []medmodel.MonthError, error) {
 	em := emStreams(ctx, opts.EM, sinkOf(ins), d.T())
 	ckpt := opts.Checkpoint
 	if ckpt == nil {
-		return medmodel.FitAll(ctx, d, em)
+		return medmodel.FitMonths(ctx, d, em)
 	}
 
 	models := make([]*medmodel.Model, d.T())
+	sums := make([]medmodel.MonthSums, d.T())
 	var fails []medmodel.MonthError
 	loaded := make([]bool, d.T())
 	reloaded := 0
@@ -219,7 +221,7 @@ func fitModels(ctx context.Context, d *mic.Dataset, hashes []uint64, opts Option
 				inner(sp)
 			}
 		}
-		fitted, ffails, ferr := medmodel.FitAll(ctx, sub, em)
+		fitted, fsums, ffails, ferr := medmodel.FitMonths(ctx, sub, em)
 		failedAt := make(map[int]medmodel.MonthError, len(ffails))
 		for _, mf := range ffails {
 			mf.Month = needIdx[mf.Month]
@@ -227,12 +229,12 @@ func fitModels(ctx context.Context, d *mic.Dataset, hashes []uint64, opts Option
 			fails = append(fails, mf)
 		}
 		for j, i := range needIdx {
-			models[i] = fitted[j]
+			models[i], sums[i] = fitted[j], fsums[j]
 		}
 		if ferr != nil {
 			// Cancelled: nothing fitted after the cut is trustworthy, and the
 			// caller is abandoning the run — skip the save pass.
-			return models, sortMonthErrors(fails), ferr
+			return models, sums, sortMonthErrors(fails), ferr
 		}
 		for _, i := range needIdx {
 			cp := MonthCheckpoint{Month: i, DataHash: hashes[i], Model: models[i]}
@@ -243,14 +245,14 @@ func fitModels(ctx context.Context, d *mic.Dataset, hashes []uint64, opts Option
 				}
 			}
 			if err := faultpoint.Inject("trend/ckpt-save", monthDetail(i)); err != nil {
-				return models, sortMonthErrors(fails), fmt.Errorf("trend: checkpointing month %d: %w", i, err)
+				return models, sums, sortMonthErrors(fails), fmt.Errorf("trend: checkpointing month %d: %w", i, err)
 			}
 			if err := ckpt.SaveMonth(cp); err != nil {
-				return models, sortMonthErrors(fails), fmt.Errorf("trend: checkpointing month %d: %w", i, err)
+				return models, sums, sortMonthErrors(fails), fmt.Errorf("trend: checkpointing month %d: %w", i, err)
 			}
 		}
 	}
-	return models, sortMonthErrors(fails), nil
+	return models, sums, sortMonthErrors(fails), nil
 }
 
 // filterMonthErrors drops loaded-checkpoint failures at or past the smoothed

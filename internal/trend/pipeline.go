@@ -477,7 +477,7 @@ func (a *Analyzer) prepare(ctx context.Context, ds *mic.Dataset, opts Options, i
 	filtered, hashes := a.filterMonths(ds, opts, ins)
 	analysis := &Analysis{}
 	endModel := ins.stage("model", len(filtered.Months))
-	models, monthFails, err := fitModels(ctx, filtered, hashes, opts, ins)
+	models, sums, monthFails, err := fitModels(ctx, filtered, hashes, opts, ins)
 	endModel(len(filtered.Months)-len(monthFails), err)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("trend: fitting medication models: %w", err)
@@ -510,7 +510,7 @@ func (a *Analyzer) prepare(ctx context.Context, ds *mic.Dataset, opts Options, i
 		}
 	}
 	endRepro := ins.stage("reproduce", -1)
-	series, err := a.reproduce(filtered, models, opts.Workers, ins)
+	series, err := a.reproduce(filtered, models, sums, opts.Workers, ins)
 	if err != nil {
 		endRepro(0, err)
 		return nil, nil, nil, fmt.Errorf("trend: reproducing series: %w", err)
