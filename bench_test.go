@@ -482,8 +482,10 @@ func BenchmarkEMFitSmoothed(b *testing.B) {
 	}
 }
 
-// BenchmarkReproduce measures time-series reproduction (Eq. 7). "small"
-// reproduces a 12-month corpus serially; "batch-records" has the shape of
+// BenchmarkReproduce measures cold time-series reproduction (Eq. 7), the
+// path of a model the process did not fit: each month's occurrence table is
+// built and swept once under the model. "small" reproduces a 12-month corpus
+// serially; "batch-records" has the shape of
 // the batch-records benchmark workload — 43 months of 18.6k records over the
 // scenario catalog, filtered and fitted as the pipeline does — reproduced on
 // a GOMAXPROCS worker pool.
