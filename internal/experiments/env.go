@@ -98,6 +98,7 @@ type Env struct {
 	modelsOnce sync.Once
 	modelsErr  error
 	models     []*medmodel.Model
+	sums       []medmodel.MonthSums // each fitted month's Eq. 7 sums
 	coocs      []*medmodel.Cooccurrence
 
 	seriesOnce sync.Once
@@ -126,7 +127,7 @@ func NewEnv(cfg Config) (*Env, error) {
 // them on first use.
 func (e *Env) Models() ([]*medmodel.Model, []*medmodel.Cooccurrence, error) {
 	e.modelsOnce.Do(func() {
-		models, fails, err := medmodel.FitAll(context.Background(), e.Filtered, e.Config.EM)
+		models, sums, fails, err := medmodel.FitMonths(context.Background(), e.Filtered, e.Config.EM)
 		if err != nil {
 			e.modelsErr = err
 			return
@@ -135,7 +136,7 @@ func (e *Env) Models() ([]*medmodel.Model, []*medmodel.Cooccurrence, error) {
 			e.modelsErr = fails[0].Err
 			return
 		}
-		e.models = models
+		e.models, e.sums = models, sums
 		coocs := make([]*medmodel.Cooccurrence, e.Filtered.T())
 		for i, month := range e.Filtered.Months {
 			c, err := medmodel.FitCooccurrence(month, e.Filtered.Medicines.Len())
@@ -159,7 +160,8 @@ func (e *Env) Series() (proposed, cooc *medmodel.SeriesSet, err error) {
 		return nil, nil, err
 	}
 	e.seriesOnce.Do(func() {
-		s, err := medmodel.Reproduce(e.Filtered, models)
+		// Places the Eq. 7 sums each fit computed: a cold Reproduce's bits.
+		s, err := medmodel.ReproduceMonths(e.Filtered, models, e.sums, 1)
 		if err != nil {
 			e.seriesErr = err
 			return
