@@ -133,7 +133,7 @@ func exactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 		return res, nil
 	}
 
-	ps, err := ssm.NewPrefixScanner(y, seasonal, hi)
+	ps, err := s.PrefixScanner(y, seasonal, hi)
 	if err != nil {
 		return Result{}, err
 	}

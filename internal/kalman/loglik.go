@@ -35,13 +35,19 @@ import (
 // Every path is exact.
 //
 // Every path also returns Σ log F and Σ V²/F over the contributing
-// observations, so the concentrated likelihood needs no second pass.
+// observations, so the concentrated likelihood needs no second pass. No path
+// takes a log per step: each multiplies the F_t into one LogSum, a product
+// kept as mantissa and exponent (logsum.go), and logs it once at the end,
+// where LogLik = −½(n·log 2π + Σ log F + Σ V²/F) is derived from the sums.
+// All paths multiply the same F in the same order, so they still agree bit
+// for bit, and so does the prefix scanner that resumes a stored product.
 
 // LogLikResult is the lightweight output of LogLikFilter. V, F, and
 // Contributed alias Workspace buffers: they are valid until the next
 // LogLikFilter call with the same workspace.
 type LogLikResult struct {
-	// LogLik is the prediction error decomposition log-likelihood.
+	// LogLik is the prediction error decomposition log-likelihood,
+	// −½(LikCount·log 2π + SumLogF + SumV2F), derived once from the sums.
 	LogLik float64
 	// LikCount is the number of observations contributing to LogLik.
 	LikCount int
@@ -52,8 +58,10 @@ type LogLikResult struct {
 	// Contributed[t] is true when observation t entered the log-likelihood.
 	Contributed []bool
 	// SumLogF and SumV2F are Σ log F_t and Σ V_t²/F_t over the contributing
-	// observations, accumulated in ascending time order: the two sums the
-	// concentrated (profile) likelihood is built from.
+	// observations: the two sums the concentrated (profile) likelihood is
+	// built from. SumV2F is accumulated in ascending time order; SumLogF is
+	// the log, taken once, of the product of the F_t multiplied in
+	// ascending time order (LogSum).
 	SumLogF, SumV2F float64
 }
 
@@ -390,15 +398,23 @@ func (ws *Workspace) prepareRun(m *Model, steps int) {
 	ws.rqr.MulTransB(ws.rq, m.R)
 }
 
-// contribute enters observation t's term into the likelihood and its sums,
-// computing v²/f once; logF is log f.
-func (r *LogLikResult) contribute(t int, v, f, logF float64) {
-	v2f := v * v / f
-	r.LogLik += -0.5 * (log2Pi + logF + v2f)
-	r.SumLogF += logF
-	r.SumV2F += v2f
+// contribute enters observation t's v²/f into Σ V²/F; the kernel multiplies
+// its f into the pass's Σ log F product (LogSum), which finish logs once.
+func (r *LogLikResult) contribute(t int, v, f float64) {
+	r.SumV2F += v * v / f
 	r.LikCount++
 	r.Contributed[t] = true
+}
+
+// finish ends a kernel pass: it takes Σ log F from the pass's product logF
+// and derives the log-likelihood −½(n·log 2π + Σ log F + Σ V²/F) from the
+// sums. With no contributing observation both stay 0.
+func (r *LogLikResult) finish(logF LogSum) {
+	if r.LikCount == 0 {
+		return
+	}
+	r.SumLogF = logF.Sum()
+	r.LogLik = -0.5 * (float64(r.LikCount)*log2Pi + r.SumLogF + r.SumV2F)
 }
 
 // log2Pi is the Gaussian normalising constant log 2π of every likelihood
@@ -440,6 +456,7 @@ func (m *Model) logLikGeneric(y []float64, ws *Workspace, opts LogLikOptions) (L
 	p, next := ws.p, ws.next
 
 	res := LogLikResult{V: ws.v, F: ws.f, Contributed: ws.contributed}
+	var logF LogSum
 	for t := 0; t < steps; t++ {
 		z := m.Z(t)
 		if len(z) != n {
@@ -492,7 +509,8 @@ func (m *Model) logLikGeneric(y []float64, ws *Workspace, opts LogLikOptions) (L
 		res.V[t] = v
 		res.F[t] = f
 		if t >= m.DiffuseCount && !skipContains(m.SkipLik, t) {
-			res.contribute(t, v, f, math.Log(f))
+			logF = logF.Add(f)
+			res.contribute(t, v, f)
 		}
 
 		// Gain K = T·P·Zᵀ/F.
@@ -537,6 +555,7 @@ func (m *Model) logLikGeneric(y []float64, ws *Workspace, opts LogLikOptions) (L
 			opts.OnStep(t, a, ws.k, p)
 		}
 	}
+	res.finish(logF)
 	return res, nil
 }
 

@@ -129,6 +129,7 @@ func (m *Model) logLikSeasonal(y []float64, ws *Workspace, ns int) (LogLikResult
 	copy(a, m.A1)
 
 	res := LogLikResult{V: ws.v, F: ws.f, Contributed: ws.contributed}
+	var logF LogSum
 	for t, yt := range y {
 		z := m.Z(t)
 		if len(z) != n {
@@ -166,7 +167,8 @@ func (m *Model) logLikSeasonal(y []float64, ws *Workspace, ns int) (LogLikResult
 		res.V[t] = v
 		res.F[t] = f
 		if t >= m.DiffuseCount && !skipContains(m.SkipLik, t) {
-			res.contribute(t, v, f, math.Log(f))
+			logF = logF.Add(f)
+			res.contribute(t, v, f)
 		}
 
 		// Gain K = T·P·Zᵀ/F, then a ← T·a + K·v.
@@ -186,6 +188,7 @@ func (m *Model) logLikSeasonal(y []float64, ws *Workspace, ns int) (LogLikResult
 		addSymmetrizeTransFlat(pNew, next, rqr, n)
 		p, pNew = pNew, p
 	}
+	res.finish(logF)
 	return res, nil
 }
 

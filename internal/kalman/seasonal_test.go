@@ -171,7 +171,8 @@ func requireSameResult(t *testing.T, label string, got LogLikResult, gotErr erro
 	if len(got.V) != steps || len(got.F) != steps || len(got.Contributed) != steps {
 		t.Fatalf("%s: result lengths %d/%d/%d, want %d", label, len(got.V), len(got.F), len(got.Contributed), steps)
 	}
-	var sumLogF, sumV2F float64
+	var logF LogSum
+	var sumV2F float64
 	for i := 0; i < steps; i++ {
 		same("V", got.V[i], want.V[i])
 		same("F", got.F[i], want.F[i])
@@ -179,13 +180,19 @@ func requireSameResult(t *testing.T, label string, got LogLikResult, gotErr erro
 			t.Fatalf("%s: Contributed[%d] %v != generic %v", label, i, got.Contributed[i], want.Contributed[i])
 		}
 		if want.Contributed[i] {
-			sumLogF += math.Log(want.F[i])
+			logF = logF.Add(want.F[i])
 			sumV2F += want.V[i] * want.V[i] / want.F[i]
 		}
 	}
-	// The sums equal a second pass over the contributing terms.
-	same("SumLogF vs pass", want.SumLogF, sumLogF)
+	// The sums equal a second pass over the contributing terms, Σ log F
+	// through the same product, and stay within 1e-13 (relative to the
+	// terms' scale) of the per-step logs.
+	same("SumLogF vs pass", want.SumLogF, logF.Sum())
 	same("SumV2F vs pass", want.SumV2F, sumV2F)
+	ll, logF1, scale := perStepLogLik(want.V, want.F, want.Contributed)
+	if math.Abs(want.SumLogF-logF1) > 1e-13*scale || math.Abs(want.LogLik-ll) > 1e-13*scale {
+		t.Fatalf("%s: SumLogF %v and LogLik %v, per-step logs %v and %v (scale %.3g)", label, want.SumLogF, want.LogLik, logF1, ll, scale)
+	}
 	return false
 }
 

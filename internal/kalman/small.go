@@ -39,6 +39,7 @@ func (m *Model) logLikSmall(y []float64, ws *Workspace) (LogLikResult, error) {
 	}
 
 	res := LogLikResult{V: ws.v, F: ws.f, Contributed: ws.contributed}
+	var logF LogSum
 	for t, yt := range y {
 		z := m.Z(t)
 		if len(z) != n {
@@ -77,7 +78,8 @@ func (m *Model) logLikSmall(y []float64, ws *Workspace) (LogLikResult, error) {
 		res.V[t] = v
 		res.F[t] = f
 		if t >= m.DiffuseCount && !skipContains(m.SkipLik, t) {
-			res.contribute(t, v, f, math.Log(f))
+			logF = logF.Add(f)
+			res.contribute(t, v, f)
 		}
 
 		// Gain K = T·P·Zᵀ/F and state prediction a ← T·a + K·v.
@@ -115,6 +117,7 @@ func (m *Model) logLikSmall(y []float64, ws *Workspace) (LogLikResult, error) {
 		off := ((n10 + rqr[0][1]) + (n01 + rqr[1][0])) / 2
 		p = [2][2]float64{{n00 + rqr[0][0], off}, {off, n11 + rqr[1][1]}}
 	}
+	res.finish(logF)
 	return res, nil
 }
 

@@ -141,3 +141,70 @@ func TestPrefixScannerCountsResumes(t *testing.T) {
 		t.Fatalf("PrefixResumes = %d, want 28", got)
 	}
 }
+
+// TestScratchPrefixScannerMatchesFresh drives one Scratch's scanner through
+// series of different lengths, bounds and seasonality, and checks every
+// score against a fresh scanner's bit for bit: nothing a re-armed scanner
+// keeps from the previous series may reach a score. A re-arm must also drop
+// the previous series' Stats and preparation, and a rejected series must
+// leave the scratch usable.
+func TestScratchPrefixScannerMatchesFresh(t *testing.T) {
+	gappy := prefixTestSeries(40, 20, 5)
+	gappy[3], gappy[31] = math.NaN(), math.NaN()
+	steps := []struct {
+		name     string
+		y        []float64
+		seasonal bool
+		maxCP    int
+		params   []float64
+	}{
+		{"nonseasonal40", prefixTestSeries(40, 25, 1), false, 37, []float64{math.Log(0.2)}},
+		{"nonseasonal24 shorter bound", prefixTestSeries(24, 10, 2), false, 11, []float64{-2}},
+		{"seasonal48", prefixTestSeries(48, 30, 3), true, 45, []float64{math.Log(0.2), math.Log(0.1)}},
+		{"seasonal36", prefixTestSeries(36, 12, 4), true, 33, []float64{-6, -8}},
+		{"gappy", gappy, false, 37, []float64{-1}},
+		{"seasonal60 longer", prefixTestSeries(60, 40, 6), true, 57, []float64{-1, -3}},
+		{"nonseasonal43", prefixTestSeries(43, 20, 7), false, 40, []float64{-3.5}},
+	}
+	var s Scratch
+	stats := &FitStats{}
+	for _, st := range steps {
+		ps, err := s.PrefixScanner(st.y, st.seasonal, st.maxCP)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if ps.Stats != nil {
+			t.Fatalf("%s: re-armed scanner kept the previous Stats", st.name)
+		}
+		if _, err := ps.Score(0); err == nil {
+			t.Fatalf("%s: re-armed scanner scored before Prepare", st.name)
+		}
+		ps.Stats = stats
+		fresh, err := NewPrefixScanner(st.y, st.seasonal, st.maxCP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ps.Prepare(st.params); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if err := fresh.Prepare(st.params); err != nil {
+			t.Fatalf("%s: fresh: %v", st.name, err)
+		}
+		for cp := 0; cp <= st.maxCP; cp++ {
+			got, err := ps.Score(cp)
+			if err != nil {
+				t.Fatalf("%s: Score(%d): %v", st.name, cp, err)
+			}
+			want, err := fresh.Score(cp)
+			if err != nil {
+				t.Fatalf("%s: fresh Score(%d): %v", st.name, cp, err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: cp=%d: re-armed %v != fresh %v", st.name, cp, got, want)
+			}
+		}
+		if _, err := s.PrefixScanner(st.y[:1], false, 0); err == nil {
+			t.Fatalf("%s: a one-point series was armed", st.name)
+		}
+	}
+}
